@@ -20,10 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import ConfigError, EngineConfig, EngineError, FrameBatch
+from .core import RECORD_DTYPE, ConfigError, EngineConfig, EngineError, FrameBatch
 from .crossmatch import (
     THROUGHPUT_CSV_HEADER,
-    MatchResult,
     build_zone_index,
     crossmatch_throughput,
     range_join,
@@ -186,11 +185,12 @@ def cmd_ingest(args) -> int:
     config, _ = build_configs(args)
     root = data_dir_of(args)
     store = NightStore(root, args.partition)
-    index = None
-    if args.template:
-        index = build_zone_index(
-            _read_interchange(args.template), config.zone_height_deg
-        )
+    # no template known at ingest: an empty index stores every row as a candidate
+    template = (
+        _read_interchange(args.template) if args.template
+        else np.zeros(0, RECORD_DTYPE)
+    )
+    index = build_zone_index(template, config.zone_height_deg)
     reader = read_records_csv if args.format == "csv" else read_records_bin
     for path in args.input:
         records = reader(path)
@@ -210,22 +210,7 @@ def cmd_ingest(args) -> int:
         frame = FrameBatch(
             camera_id=camera, imageid=imageid, epoch=epoch, records=records
         )
-        if index is not None:
-            matches = range_join(records, index, config.match_radius_deg)
-        else:
-            # no template known at ingest: store everything as candidate rows
-            n = len(records)
-            empty = np.zeros(0, dtype=np.int64)
-            matches = MatchResult(
-                record_ids=np.zeros(0, dtype=np.uint64),
-                star_ids=empty,
-                separations_deg=np.zeros(0),
-                unmatched_ids=records["id"].astype(np.uint64),
-                matched_rows=empty,
-                unmatched_rows=np.arange(n, dtype=np.int64),
-                ambiguous_count=0,
-                n_frame=n,
-            )
+        matches = range_join(records, index, config.match_radius_deg)
         ack = store.delta_insert(frame, matches)
         print(
             f"ingested {path}: {ack.records} records -> partition "
@@ -425,7 +410,6 @@ def cmd_bench_cadence(args) -> int:
             n_new_sources=2,
             n_brightenings=2,
             use_store=True,
-            track_curves=True,
             write_timing=True,
         )
         s = summaries[0]

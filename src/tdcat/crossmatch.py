@@ -311,13 +311,6 @@ class ThroughputResult:
     cadence_budget_s: float
     within_budget: bool
 
-    def csv_row(self) -> str:
-        return (
-            f"{self.frame_size},{self.template_size},{self.radius_deg!r},"
-            f"{self.build_s:.6f},{self.join_s:.6f},{self.total_s:.6f},"
-            f"{self.records_per_s:.1f},{self.cadence_budget_s!r},{int(self.within_budget)}"
-        )
-
 
 THROUGHPUT_CSV_HEADER = (
     "frame_size,template_size,radius_deg,build_s,join_s,total_s,"

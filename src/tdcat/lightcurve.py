@@ -1,13 +1,14 @@
-"""Light-curve assembly from per-frame match streams.
+"""Light-curve assembly.
+
+``query_curve`` assembles a curve for one star from persisted partition
+stores.  It is the one read path for curves (``tdcat query``, ``tdcat mine
+period``); the frame chain keeps no in-memory copy of them.
 
 A ``CurveSet`` accumulates matched points for a fixed set of template stars in
 columnar blocks (one block per appended frame) and materializes per-star
 curves on demand.  Rebuilding the per-star layout is deferred and amortized:
 appends are O(matches), and the first ``curve``/``coverage`` call after a
 batch of appends performs a single sort over all accumulated points.
-
-``query_curve`` assembles a curve for one star from persisted stores instead,
-which is how offline period mining reads history spanning many nights.
 """
 
 from __future__ import annotations

@@ -1,11 +1,12 @@
 """Shared-nothing night simulation: per-partition frame chains and queries.
 
-Each partition owns a disjoint footprint slice, its own template, store,
-light-curve set and detectors; partitions never share state, so a night can
-run serially or with one process per partition with identical results.  The
-per-frame chain is match -> append -> curve update -> online mining ->
-candidate tracking, and every stage is timed so cadence compliance (a frame
-fully processed inside the 15 s exposure gap) is measured, not assumed.
+Each partition owns a disjoint footprint slice, its own template, store and
+detectors; partitions never share state, so a night can run serially or with
+one process per partition with identical results.  The per-frame chain is
+match -> append -> online mining -> candidate tracking, and every stage is
+timed so cadence compliance (a frame fully processed inside the 15 s exposure
+gap) is measured, not assumed.  Light curves are read back from the store
+(``lightcurve.query_curve``); the chain keeps no in-memory copy of them.
 
 Catalog products (delta segments, base runs, alert and truth CSVs) are
 deterministic for a given seed; the cadence CSVs carry wall-clock timings and
@@ -25,7 +26,6 @@ import numpy as np
 
 from .core import DomainError, EngineConfig, EngineError, separation_to_chord
 from .crossmatch import range_join
-from .lightcurve import CurveSet
 from .mining import (
     CandidateTracker,
     MiningConfig,
@@ -61,16 +61,12 @@ def partition_seed(seed: int, partition_id: int) -> int:
 class StageTimings:
     match_s: float = 0.0
     insert_s: float = 0.0
-    curve_s: float = 0.0
     online_s: float = 0.0
     candidate_s: float = 0.0
 
     @property
     def total_s(self) -> float:
-        return (
-            self.match_s + self.insert_s + self.curve_s
-            + self.online_s + self.candidate_s
-        )
+        return self.match_s + self.insert_s + self.online_s + self.candidate_s
 
 
 @dataclass
@@ -95,7 +91,6 @@ class PartitionWorker:
         config: EngineConfig,
         mining: MiningConfig | None = None,
         data_dir=None,
-        track_curves: bool = True,
     ):
         mining = mining or MiningConfig()
         self.partition_id = partition_id
@@ -103,7 +98,6 @@ class PartitionWorker:
         self.config = config
         self.mining = mining
         self.store = NightStore(data_dir, partition_id) if data_dir is not None else None
-        self.curves = CurveSet(template.stars["id"]) if track_curves else None
         self.bank = WindowBank(template.stars["id"], mining)
         self.tracker = CandidateTracker(
             config.match_radius_deg, config.cadence_s, mining
@@ -118,14 +112,11 @@ class PartitionWorker:
         if self.store is not None:
             self.store.delta_insert(frame, matches)
         t2 = time.perf_counter()
-        if self.curves is not None:
-            self.curves.append_match(frame, matches)
-        t3 = time.perf_counter()
         alerts = self.bank.update_from_match(frame, matches)
-        t4 = time.perf_counter()
+        t3 = time.perf_counter()
         unmatched = frame.records[matches.unmatched_rows]
         alerts.extend(self.tracker.update(frame.epoch, unmatched, frame.camera_id))
-        t5 = time.perf_counter()
+        t4 = time.perf_counter()
         for a in alerts:
             a.camera_id = frame.camera_id
         return FrameOutcome(
@@ -139,17 +130,15 @@ class PartitionWorker:
             timings=StageTimings(
                 match_s=t1 - t0,
                 insert_s=t2 - t1,
-                curve_s=t3 - t2,
-                online_s=t4 - t3,
-                candidate_s=t5 - t4,
+                online_s=t3 - t2,
+                candidate_s=t4 - t3,
             ),
         )
 
 
 CADENCE_CSV_HEADER = [
     "imageid", "epoch", "n_records", "n_matched", "n_unmatched", "n_ambiguous",
-    "n_alerts", "match_s", "insert_s", "curve_s", "online_s", "candidate_s",
-    "total_s",
+    "n_alerts", "match_s", "insert_s", "online_s", "candidate_s", "total_s",
 ]
 
 
@@ -187,7 +176,7 @@ class CadenceReport:
         if not self.frames:
             return {}
         out = {}
-        for name in ("match_s", "insert_s", "curve_s", "online_s", "candidate_s"):
+        for name in ("match_s", "insert_s", "online_s", "candidate_s"):
             out[name] = float(np.mean([getattr(f.timings, name) for f in self.frames]))
         return out
 
@@ -201,8 +190,8 @@ class CadenceReport:
                     [
                         f.imageid, repr(f.epoch), f.n_records, f.n_matched,
                         f.n_unmatched, f.n_ambiguous, len(f.alerts),
-                        repr(t.match_s), repr(t.insert_s), repr(t.curve_s),
-                        repr(t.online_s), repr(t.candidate_s), repr(t.total_s),
+                        repr(t.match_s), repr(t.insert_s), repr(t.online_s),
+                        repr(t.candidate_s), repr(t.total_s),
                     ]
                 )
 
@@ -247,7 +236,6 @@ def _run_partition(
     n_brightenings: int,
     use_store: bool,
     do_merge: bool,
-    track_curves: bool,
     injections_override=None,
     write_timing: bool = False,
 ) -> NightSummary:
@@ -267,7 +255,6 @@ def _run_partition(
         config,
         mining,
         data_dir=out_dir if use_store else None,
-        track_curves=track_curves,
     )
     if injections_override is not None:
         injections = tuple(
@@ -359,7 +346,6 @@ def run_night(
     workers: int = 1,
     use_store: bool = True,
     do_merge: bool = False,
-    track_curves: bool = False,
     injections=None,
     write_timing: bool = False,
 ) -> list:
@@ -383,7 +369,7 @@ def run_night(
         (
             out_dir, p, n_partitions, config, mining, seed, night_id, n_frames,
             stars, n_new_sources, n_brightenings, use_store, do_merge,
-            track_curves, injections, write_timing,
+            injections, write_timing,
         )
         for p in range(n_partitions)
     ]
@@ -571,7 +557,6 @@ def scaling_benchmark(
             stars_per_partition=stars_per_partition,
             workers=workers,
             use_store=False,
-            track_curves=False,
         )
         return time.perf_counter() - t0
 

@@ -163,11 +163,6 @@ def _read_segment_epoch(path: Path) -> float:
     return float(epoch)
 
 
-def _write_base(path: Path, records: np.ndarray) -> int:
-    header = BASE_MAGIC + np.uint64(len(records)).tobytes()
-    return _atomic_write(path, [header, records.tobytes()])
-
-
 def _read_base(path: Path) -> np.ndarray:
     with open(path, "rb") as fh:
         if _read_exact(fh, 4, path) != BASE_MAGIC:
@@ -185,9 +180,6 @@ def _read_base(path: Path) -> np.ndarray:
 class StorageStats:
     records_ingested: int = 0
     bytes_on_disk: int = 0
-    segments: int = 0
-    ingest_latency_s: float = 0.0
-    merge_duration_s: float = 0.0
 
 
 @dataclass
@@ -291,7 +283,6 @@ class NightStore:
         self.stats.bytes_on_disk = sum(
             p.stat().st_size for p in self.root.rglob("*") if p.is_file()
         )
-        self.stats.segments = sum(len(self._segments(n)) for n in self._delta_nights())
 
     def recover(self) -> None:
         """Finish or roll back whatever a crash left behind."""
@@ -336,8 +327,6 @@ class NightStore:
             latency = time.perf_counter() - t0
             self.stats.records_ingested += len(records)
             self.stats.bytes_on_disk += written
-            self.stats.segments += 1
-            self.stats.ingest_latency_s = latency
             return InsertAck(
                 records=len(records),
                 night_id=night_id,
@@ -387,15 +376,19 @@ class NightStore:
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(staging, final)  # commit point
+            # the rename is durable only once its directory entry is on disk
+            dir_fd = os.open(self.base_dir, os.O_RDONLY)
+            try:
+                os.fsync(dir_fd)
+            finally:
+                os.close(dir_fd)
             self.recover()  # sweeps old base + folded delta nights
             self._load_state()
-            duration = time.perf_counter() - t0
-            self.stats.merge_duration_s = duration
             return MergeReport(
                 nights=nights,
                 records_merged=len(merged),
                 base_path=final,
-                duration_s=duration,
+                duration_s=time.perf_counter() - t0,
                 noop=False,
             )
         finally:

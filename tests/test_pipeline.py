@@ -1,5 +1,7 @@
 import csv
+import gc
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -64,14 +66,13 @@ def test_partition_seed_properties():
 
 
 def test_stage_timings_total():
-    t = StageTimings(match_s=1.0, insert_s=2.0, curve_s=3.0, online_s=4.0,
-                     candidate_s=5.0)
-    assert t.total_s == 15.0
+    t = StageTimings(match_s=1.0, insert_s=2.0, online_s=4.0, candidate_s=5.0)
+    assert t.total_s == 12.0
 
 
 def test_cadence_report_arithmetic_and_csv(tmp_path):
     report = CadenceReport(partition_id=0, cadence_s=15.0)
-    worker = make_worker(track_curves=True)
+    worker = make_worker()
     for k in range(3):
         frame = observe_frame(worker.template, 15.0 * k, [], WORKER_MODEL, CFG)
         report.add(worker.process_frame(frame))
@@ -81,13 +82,13 @@ def test_cadence_report_arithmetic_and_csv(tmp_path):
     assert report.mean_frame_s == pytest.approx(totals.mean())
     assert report.cadence_ok  # tiny frames finish far inside 15 s
     means = report.stage_means()
-    assert set(means) == {"match_s", "insert_s", "curve_s", "online_s", "candidate_s"}
+    assert set(means) == {"match_s", "insert_s", "online_s", "candidate_s"}
     path = tmp_path / "cadence.csv"
     report.write_csv(path)
     rows = list(csv.reader(open(path)))
     assert rows[0] == CADENCE_CSV_HEADER
     assert len(rows) == 4
-    assert float(rows[1][12]) == pytest.approx(totals[0])
+    assert float(rows[1][11]) == pytest.approx(totals[0])
 
 
 # ---------------------------------------------------------------------------
@@ -97,18 +98,15 @@ WORKER_MODEL = SkyModel(seed=5, star_count=250, footprint=(30.0, 32.0, -1.0, 1.0
 _WORKER_TEMPLATE = None
 
 
-def make_worker(data_dir=None, track_curves=False):
+def make_worker(data_dir=None):
     global _WORKER_TEMPLATE
     if _WORKER_TEMPLATE is None:
         _WORKER_TEMPLATE = build_template(WORKER_MODEL, CFG)
-    return PartitionWorker(
-        0, _WORKER_TEMPLATE, CFG, MINING, data_dir=data_dir,
-        track_curves=track_curves,
-    )
+    return PartitionWorker(0, _WORKER_TEMPLATE, CFG, MINING, data_dir=data_dir)
 
 
 def test_process_frame_outcome_arithmetic(tmp_path):
-    worker = make_worker(data_dir=tmp_path, track_curves=True)
+    worker = make_worker(data_dir=tmp_path)
     frame = observe_frame(worker.template, 15.0, [], WORKER_MODEL, CFG, camera_id=0)
     outcome = worker.process_frame(frame)
     assert outcome.imageid == frame.imageid
@@ -117,18 +115,36 @@ def test_process_frame_outcome_arithmetic(tmp_path):
     assert outcome.n_matched + outcome.n_unmatched == outcome.n_records
     assert outcome.n_matched > 200  # clean sky: nearly everything matches
     assert outcome.timings.total_s > 0
-    # the store and the curves absorbed this frame
+    # the store absorbed this frame
     assert worker.store.stats.records_ingested == outcome.n_records
-    assert worker.curves.total_points == outcome.n_matched
 
 
 def test_process_frame_without_store_or_curves():
     worker = make_worker()
-    assert worker.store is None and worker.curves is None
+    assert worker.store is None
     frame = observe_frame(worker.template, 15.0, [], WORKER_MODEL, CFG)
     outcome = worker.process_frame(frame)
     assert outcome.n_records == 250
     assert outcome.timings.insert_s < outcome.timings.match_s + 1.0
+
+
+def test_worker_memory_does_not_grow_with_the_night():
+    """The chain keeps no per-point state: frames 21-80 grow the heap < 16 KiB."""
+    worker = make_worker()
+    tracemalloc.start()
+    try:
+        for k in range(1, 81):
+            worker.process_frame(
+                observe_frame(worker.template, 15.0 * k, [], WORKER_MODEL, CFG)
+            )
+            if k == 20:
+                gc.collect()
+                at_20 = tracemalloc.get_traced_memory()[0]
+        gc.collect()
+        at_80 = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert at_80 - at_20 < 16 * 1024, at_80 - at_20
 
 
 def test_alerts_carry_camera_id():

@@ -1,6 +1,11 @@
+import os
+import stat
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import tdcat.store as store_mod
 from tdcat.core import (
     RECORD_DTYPE,
     TABLE2_COLUMNS,
@@ -303,6 +308,34 @@ def test_recover_discards_uncommitted_staging(tmp_path, sky):
     assert canonical(reopened.query_records()) == canonical(inserted)
     report = reopened.nightly_merge()
     assert report.records_merged == len(inserted)
+
+
+def test_merge_commit_fsyncs_base_directory(tmp_path, sky, monkeypatch):
+    store, _ = fill_store(tmp_path, sky, [15.0, 30.0])
+    events = []
+    real_fsync, real_replace = store_mod.os.fsync, store_mod.os.replace
+
+    def fsync(fd):
+        events.append(("fsync", os.fstat(fd)))
+        real_fsync(fd)
+
+    def replace(src, dst):
+        real_replace(src, dst)
+        events.append(("replace", Path(dst)))
+
+    monkeypatch.setattr(store_mod.os, "fsync", fsync)
+    monkeypatch.setattr(store_mod.os, "replace", replace)
+    report = store.nightly_merge()
+    monkeypatch.undo()
+    # the rename is the commit; its directory entry must reach the disk after it
+    commit = events.index(("replace", report.base_path))
+    base_dir = os.stat(store.base_dir)
+    synced_dirs = [
+        (st.st_dev, st.st_ino)
+        for kind, st in events[commit + 1:]
+        if kind == "fsync" and stat.S_ISDIR(st.st_mode)
+    ]
+    assert (base_dir.st_dev, base_dir.st_ino) in synced_dirs
 
 
 def test_recover_completes_committed_merge(tmp_path, sky, monkeypatch):
