@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import csv
 import math
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -126,46 +125,7 @@ def read_alerts_csv(path):
 
 
 # ---------------------------------------------------------------------------
-# online detector — scalar reference
-
-
-@dataclass
-class WindowState:
-    """Reference per-star window; the vectorized bank must match it exactly."""
-
-    baseline: deque = field(default_factory=deque)
-
-
-def online_update(state: WindowState, epoch, mag, mag_error, config: MiningConfig):
-    """Evaluate one point against the baseline, then absorb it.
-
-    Returns the alert (or None).  The baseline never contains the point being
-    evaluated.
-    """
-    alert = None
-    n = len(state.baseline)
-    if n >= config.min_window:
-        arr = np.asarray(state.baseline, dtype=np.float64)
-        mean = float(arr.mean())
-        var = float(arr.var(ddof=1))
-        dev = mag - mean
-        combined = math.sqrt(var + mag_error * mag_error)
-        if abs(dev) > config.k_sigma * combined:
-            alert = Alert(
-                kind=DIMMING if dev > 0 else BRIGHTENING,
-                epoch=float(epoch),
-                mag=float(mag),
-                baseline_mag=mean,
-                deviation_sigma=abs(dev) / combined if combined > 0 else math.inf,
-            )
-    state.baseline.append(float(mag))
-    if len(state.baseline) > config.window:
-        state.baseline.popleft()
-    return alert
-
-
-# ---------------------------------------------------------------------------
-# online detector — vectorized bank
+# online detector
 
 
 class WindowBank:

@@ -14,9 +14,11 @@ transient candidates), the frame ``epoch`` and a ``candidate`` flag byte
 (179 bytes per row).  The CSV interchange format carries the 22 catalog
 column names as its header, in column order.
 
-Crash safety is write-to-temp + atomic rename throughout: readers never see a
-partial segment, and an interrupted merge either leaves the old base intact or
-leaves a committed new base whose stale inputs are swept on recovery.
+Crash safety is write-to-temp + atomic rename throughout, and every file is
+read by one rule: the newest base run, then the delta segments of the nights
+after it.  Readers never see a partial segment, and an interrupted merge
+either leaves the old base intact or leaves a committed new base whose stale
+inputs the rule already skips; only the next merge deletes them.
 """
 
 from __future__ import annotations
@@ -83,11 +85,31 @@ def _atomic_write(path: Path, chunks) -> int:
     return written
 
 
-def _read_exact(fh, n: int, path) -> bytes:
-    buf = fh.read(n)
-    if len(buf) != n:
-        raise StorageError(f"truncated file {path}")
-    return buf
+_KIND = {
+    TDS_MAGIC: "TDS1 file", DELTA_MAGIC: "TDL1 segment", BASE_MAGIC: "TDB1 base run"
+}
+
+
+def _read_rows(path, magic: bytes, dtype, header_only: bool = False):
+    """Check a binary file's header, then read its rows in one call.
+
+    Returns ``(rows, epoch)``: ``rows`` is a fresh writable array (None when
+    only the header is wanted) and ``epoch`` is the TDL1 frame epoch (None for
+    the other layouts).
+    """
+    path = Path(path)
+    header_size = 20 if magic == DELTA_MAGIC else 12
+    with open(path, "rb") as fh:
+        header = fh.read(header_size)
+        if header[:4] != magic:
+            raise StorageError(f"{path} is not a {_KIND[magic]}")
+        count = int.from_bytes(header[4:12], "little")
+        # checked against the file size before anything is allocated for it
+        if os.fstat(fh.fileno()).st_size < header_size + count * dtype.itemsize:
+            raise StorageError(f"truncated file {path}")
+        rows = None if header_only else np.fromfile(fh, dtype=dtype, count=count)
+    epoch = float(np.frombuffer(header[12:], "<f8")[0]) if magic == DELTA_MAGIC else None
+    return rows, epoch
 
 
 def write_records_bin(path, records: np.ndarray) -> int:
@@ -98,13 +120,7 @@ def write_records_bin(path, records: np.ndarray) -> int:
 
 
 def read_records_bin(path) -> np.ndarray:
-    path = Path(path)
-    with open(path, "rb") as fh:
-        if _read_exact(fh, 4, path) != TDS_MAGIC:
-            raise StorageError(f"{path} is not a TDS1 file")
-        (count,) = np.frombuffer(_read_exact(fh, 8, path), dtype="<u8")
-        data = _read_exact(fh, int(count) * RECORD_SIZE, path)
-    return np.frombuffer(data, dtype=RECORD_DTYPE).copy()
+    return _read_rows(path, TDS_MAGIC, RECORD_DTYPE)[0]
 
 
 def write_records_csv(path, records: np.ndarray) -> None:
@@ -142,34 +158,6 @@ def read_records_csv(path) -> np.ndarray:
 def _write_segment(path: Path, records: np.ndarray, epoch: float) -> int:
     header = DELTA_MAGIC + np.uint64(len(records)).tobytes() + np.float64(epoch).tobytes()
     return _atomic_write(path, [header, records.tobytes()])
-
-
-def _read_segment(path: Path):
-    with open(path, "rb") as fh:
-        if _read_exact(fh, 4, path) != DELTA_MAGIC:
-            raise StorageError(f"{path} is not a TDL1 segment")
-        (count,) = np.frombuffer(_read_exact(fh, 8, path), dtype="<u8")
-        (epoch,) = np.frombuffer(_read_exact(fh, 8, path), dtype="<f8")
-        data = _read_exact(fh, int(count) * STORE_RECORD_SIZE, path)
-    return np.frombuffer(data, dtype=STORE_DTYPE).copy(), float(epoch)
-
-
-def _read_segment_epoch(path: Path) -> float:
-    with open(path, "rb") as fh:
-        if _read_exact(fh, 4, path) != DELTA_MAGIC:
-            raise StorageError(f"{path} is not a TDL1 segment")
-        fh.read(8)
-        (epoch,) = np.frombuffer(_read_exact(fh, 8, path), dtype="<f8")
-    return float(epoch)
-
-
-def _read_base(path: Path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        if _read_exact(fh, 4, path) != BASE_MAGIC:
-            raise StorageError(f"{path} is not a TDB1 base run")
-        (count,) = np.frombuffer(_read_exact(fh, 8, path), dtype="<u8")
-        data = _read_exact(fh, int(count) * STORE_RECORD_SIZE, path)
-    return np.frombuffer(data, dtype=STORE_DTYPE).copy()
 
 
 # ---------------------------------------------------------------------------
@@ -225,10 +213,11 @@ def frame_to_store_records(frame, matches) -> np.ndarray:
 class NightStore:
     """Per-partition delta log plus merged base store.
 
-    Exactly one writer per partition; readers only ever see fully renamed
-    segment files.  Opening a store runs crash recovery: committed merges
-    whose cleanup did not finish are completed, uncommitted staging files are
-    discarded.
+    Exactly one writer per partition.  Every read takes the newest base run
+    plus the delta segments of the nights after it, so ``*.tmp`` and
+    ``*.staging`` leftovers, older base runs and nights already folded into
+    the base are skipped, never deleted: opening a store changes nothing on
+    disk, and only ``nightly_merge`` sweeps what a crash left behind.
     """
 
     def __init__(self, root, partition_id: int):
@@ -240,7 +229,6 @@ class NightStore:
         self.base_dir.mkdir(parents=True, exist_ok=True)
         self.stats = StorageStats()
         self._busy = False
-        self.recover()
         self._load_state()
 
     # -- state ----------------------------------------------------------
@@ -259,16 +247,29 @@ class NightStore:
         return int(path.stem.split("_")[-1])
 
     def _delta_nights(self):
-        return sorted(
-            int(p.name.split("_")[-1]) for p in self.delta_dir.glob("night_*")
-        )
+        """Nights after the base's night; earlier ones are already folded in."""
+        base_night = self._base_night()
+        nights = (int(p.name.split("_")[-1]) for p in self.delta_dir.glob("night_*"))
+        return sorted(n for n in nights if n > base_night)
 
     def _segments(self, night_id: int):
         return sorted((self.delta_dir / f"night_{night_id:05d}").glob("seg_*.tdl"))
 
+    def _segment_path(self, frame) -> Path:
+        night_dir = self.delta_dir / f"night_{night_of(frame.epoch):05d}"
+        return night_dir / f"seg_{frame.imageid:08d}.tdl"
+
     def all_segments(self):
         for night in self._delta_nights():
             yield from self._segments(night)
+
+    def _layers(self):
+        """Rows of the newest base run, then of each later segment in order."""
+        base = self.base_path()
+        if base is not None:
+            yield _read_rows(base, BASE_MAGIC, STORE_DTYPE)[0]
+        for seg in self.all_segments():
+            yield _read_rows(seg, DELTA_MAGIC, STORE_DTYPE)[0]
 
     def _load_state(self):
         # A merged night is closed: the next insert must land strictly after it.
@@ -279,29 +280,30 @@ class NightStore:
         for night in self._delta_nights():
             segs = self._segments(night)
             if segs:
-                self._last_epoch = max(self._last_epoch, _read_segment_epoch(segs[-1]))
+                _, epoch = _read_rows(
+                    segs[-1], DELTA_MAGIC, STORE_DTYPE, header_only=True
+                )
+                self._last_epoch = max(self._last_epoch, epoch)
         self.stats.bytes_on_disk = sum(
             p.stat().st_size for p in self.root.rglob("*") if p.is_file()
         )
 
     def recover(self) -> None:
-        """Finish or roll back whatever a crash left behind."""
+        """Delete what a crash left behind and every read already skips."""
         for leftover in self.root.rglob("*.tmp"):
             leftover.unlink()
         for leftover in self.base_dir.glob("*.staging"):
             leftover.unlink()
-        base_files = self._base_files()
-        if base_files:
-            newest_night = int(base_files[-1].stem.split("_")[-1])
-            for old in base_files[:-1]:
-                old.unlink()
-            # Delta nights at or below the base high-water mark were already
-            # folded in by a committed merge whose cleanup did not finish.
-            for night in self._delta_nights():
-                if night <= newest_night:
-                    for seg in self._segments(night):
-                        seg.unlink()
-                    (self.delta_dir / f"night_{night:05d}").rmdir()
+        for old in self._base_files()[:-1]:
+            old.unlink()
+        # Delta nights at or below the base high-water mark were already
+        # folded in by a committed merge whose cleanup did not finish.
+        base_night = self._base_night()
+        for night_dir in self.delta_dir.glob("night_*"):
+            if int(night_dir.name.split("_")[-1]) <= base_night:
+                for seg in night_dir.glob("seg_*.tdl"):
+                    seg.unlink()
+                night_dir.rmdir()
 
     # -- writes ---------------------------------------------------------
 
@@ -318,10 +320,8 @@ class NightStore:
                     f"{self._last_epoch}"
                 )
             records = frame_to_store_records(frame, matches)
-            night_id = night_of(frame.epoch)
-            night_dir = self.delta_dir / f"night_{night_id:05d}"
-            night_dir.mkdir(exist_ok=True)
-            path = night_dir / f"seg_{frame.imageid:08d}.tdl"
+            path = self._segment_path(frame)
+            path.parent.mkdir(exist_ok=True)
             written = _write_segment(path, records, frame.epoch)
             self._last_epoch = frame.epoch
             latency = time.perf_counter() - t0
@@ -329,12 +329,21 @@ class NightStore:
             self.stats.bytes_on_disk += written
             return InsertAck(
                 records=len(records),
-                night_id=night_id,
+                night_id=night_of(frame.epoch),
                 segment_path=path,
                 latency_s=latency,
             )
         finally:
             self._busy = False
+
+    def holds(self, frame, matches) -> bool:
+        """True when this frame's committed segment has exactly these rows."""
+        path = self._segment_path(frame)
+        if not path.is_file():
+            return False
+        rows, epoch = _read_rows(path, DELTA_MAGIC, STORE_DTYPE)
+        expected = frame_to_store_records(frame, matches)
+        return epoch == frame.epoch and rows.tobytes() == expected.tobytes()
 
     def nightly_merge(self) -> MergeReport:
         """Fold all delta segments into the base run (all-or-nothing).
@@ -355,13 +364,7 @@ class NightStore:
                     nights=[], records_merged=0, base_path=self.base_path(),
                     duration_s=time.perf_counter() - t0, noop=True,
                 )
-            parts = []
-            base = self.base_path()
-            if base is not None:
-                parts.append(_read_base(base))
-            for night in nights:
-                for seg in self._segments(night):
-                    parts.append(_read_segment(seg)[0])
+            parts = list(self._layers())
             merged = np.concatenate(parts) if parts else np.zeros(0, STORE_DTYPE)
             order = np.lexsort((merged["id"], merged["epoch"], merged["star_id"]))
             merged = merged[order]
@@ -405,27 +408,18 @@ class NightStore:
     ) -> np.ndarray:
         """Full-history scan across base and delta layers, (epoch, id) order."""
         parts = []
-        base = self.base_path()
-        if base is not None:
-            rec = _read_base(base)
-            if star_id is not None and len(rec):
-                # base runs are sorted by (star_id, epoch, id)
-                lo = np.searchsorted(rec["star_id"], star_id, side="left")
-                hi = np.searchsorted(rec["star_id"], star_id, side="right")
-                rec = rec[lo:hi]
-            parts.append(rec)
-        for seg in self.all_segments():
-            rec = _read_segment(seg)[0]
+        for rec in self._layers():
+            keep = np.ones(len(rec), dtype=bool)
             if star_id is not None:
-                rec = rec[rec["star_id"] == star_id]
-            parts.append(rec)
+                keep &= rec["star_id"] == star_id
+            if epoch_min is not None:
+                keep &= rec["epoch"] >= epoch_min
+            if epoch_max is not None:
+                keep &= rec["epoch"] <= epoch_max
+            if not include_candidates:
+                keep &= rec["candidate"] == 0
+            parts.append(rec if keep.all() else rec[keep])
         out = np.concatenate(parts) if parts else np.zeros(0, STORE_DTYPE)
-        if epoch_min is not None:
-            out = out[out["epoch"] >= epoch_min]
-        if epoch_max is not None:
-            out = out[out["epoch"] <= epoch_max]
-        if not include_candidates and len(out):
-            out = out[out["candidate"] == 0]
         order = np.lexsort((out["id"], out["epoch"]))
         return out[order]
 

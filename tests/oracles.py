@@ -4,13 +4,21 @@ Everything here deliberately avoids the engine's code paths: separations use
 the haversine formula (not the chord), matching is an O(n*m) scan, and the
 window statistics use the statistics module rather than numpy.  Expected
 values asserted in the tests come from these, so a shared bug in the package
-cannot silently validate itself.
+cannot silently validate itself.  The one exception is ``online_update``: a
+scalar, one-star-at-a-time copy of the detector arithmetic that the
+vectorized ``WindowBank`` must match bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 import statistics
+from collections import deque
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from tdcat.mining import BRIGHTENING, DIMMING, Alert, MiningConfig
 
 
 def haversine_deg(ra1, dec1, ra2, dec2) -> float:
@@ -54,8 +62,6 @@ def brute_force_match_arrays(frame_ra, frame_dec, tpl_ids, tpl_ra, tpl_dec, radi
     thousand-row instances stay fast.  Still entirely independent of the
     engine: no zones, no chord distances, no sorted-key lookups.
     """
-    import numpy as np
-
     n, m = len(frame_ra), len(tpl_ids)
     if n == 0 or m == 0:
         return [None] * n
@@ -103,6 +109,41 @@ class PureWindow:
         if len(self.values) > self.window:
             self.values.pop(0)
         return result
+
+
+@dataclass
+class WindowState:
+    """Reference per-star window; the vectorized bank must match it exactly."""
+
+    baseline: deque = field(default_factory=deque)
+
+
+def online_update(state: WindowState, epoch, mag, mag_error, config: MiningConfig):
+    """Evaluate one point against the baseline, then absorb it.
+
+    Returns the alert (or None).  The baseline never contains the point being
+    evaluated.
+    """
+    alert = None
+    n = len(state.baseline)
+    if n >= config.min_window:
+        arr = np.asarray(state.baseline, dtype=np.float64)
+        mean = float(arr.mean())
+        var = float(arr.var(ddof=1))
+        dev = mag - mean
+        combined = math.sqrt(var + mag_error * mag_error)
+        if abs(dev) > config.k_sigma * combined:
+            alert = Alert(
+                kind=DIMMING if dev > 0 else BRIGHTENING,
+                epoch=float(epoch),
+                mag=float(mag),
+                baseline_mag=mean,
+                deviation_sigma=abs(dev) / combined if combined > 0 else math.inf,
+            )
+    state.baseline.append(float(mag))
+    if len(state.baseline) > config.window:
+        state.baseline.popleft()
+    return alert
 
 
 def flux_of(mag, zero_point) -> float:

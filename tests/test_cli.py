@@ -337,6 +337,41 @@ def test_ingest_without_template_stores_candidates(workflow, tmp_path):
     assert np.all(rec["star_id"] == -1)
 
 
+def test_rerun_of_interrupted_ingest_converges(workflow, tmp_path, capsys):
+    gen, _ = workflow
+    frames = sorted(str(p) for p in gen.glob("frame_*.tds"))[:3]
+    template = ["--template", str(gen / "template.tds")]
+    clean, resumed = tmp_path / "clean", tmp_path / "resumed"
+    assert run_cli("ingest", "--data-dir", str(clean), "--partition", "0",
+                   *template, "--input", *frames) == 0
+    # the first run stopped after two of the three frames
+    assert run_cli("ingest", "--data-dir", str(resumed), "--partition", "0",
+                   *template, "--input", *frames[:2]) == 0
+    capsys.readouterr()
+    assert run_cli("ingest", "--data-dir", str(resumed), "--partition", "0",
+                   *template, "--input", *frames) == 0
+    out = capsys.readouterr().out
+    assert [line.split(":")[0] for line in out.splitlines()] == [
+        f"skipped {frames[0]}", f"skipped {frames[1]}", f"ingested {frames[2]}",
+    ]
+    assert tree_bytes(resumed) == tree_bytes(clean)
+
+
+def test_rerun_of_ingest_with_different_rows_fails(workflow, tmp_path, capsys):
+    gen, _ = workflow
+    frames = sorted(str(p) for p in gen.glob("frame_*.tds"))[:2]
+    data = tmp_path / "d"
+    assert run_cli("ingest", "--data-dir", str(data), "--partition", "0",
+                   "--template", str(gen / "template.tds"), "--input", *frames) == 0
+    stored = tree_bytes(data)
+    capsys.readouterr()
+    # without the template every row becomes a candidate: not the stored rows
+    assert run_cli("ingest", "--data-dir", str(data), "--partition", "0",
+                   "--input", *frames) == 1
+    assert "not after last appended epoch" in capsys.readouterr().err
+    assert tree_bytes(data) == stored
+
+
 def test_merge_refuses_when_delta_extends_past_night(workflow, tmp_path, capsys):
     gen, _ = workflow
     base = tmp_path / "later"

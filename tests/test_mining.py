@@ -19,17 +19,15 @@ from tdcat.mining import (
     CandidateTracker,
     MiningConfig,
     WindowBank,
-    WindowState,
     default_freq_grid,
     false_alarm_level,
     lomb_scargle,
-    online_update,
     period_search,
     read_alerts_csv,
     write_alerts_csv,
 )
 
-from oracles import PureWindow
+from oracles import PureWindow, WindowState, online_update
 
 CFG = EngineConfig()
 

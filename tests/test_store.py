@@ -1,9 +1,20 @@
 import os
+import shutil
 import stat
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    precondition,
+    rule,
+    run_state_machine_as_test,
+)
 
 import tdcat.store as store_mod
 from tdcat.core import (
@@ -15,13 +26,16 @@ from tdcat.core import (
     StorageError,
 )
 from tdcat.crossmatch import build_zone_index, range_join
+from tdcat.pipeline import QueryPredicate, scatter_gather_query
 from tdcat.skygen import SkyModel, build_template, observe_frame
 from tdcat.store import (
+    BASE_MAGIC,
     RECORD_SIZE,
     STORE_DTYPE,
     STORE_RECORD_SIZE,
     UNMATCHED_STAR_ID,
     NightStore,
+    _read_rows,
     capacity_plan,
     capacity_table,
     frame_to_store_records,
@@ -95,6 +109,9 @@ def test_bin_roundtrip_is_byte_exact(tmp_path):
     back = read_records_bin(path)
     assert back.tobytes() == rec.tobytes()
     assert path.stat().st_size == 12 + 257 * RECORD_SIZE
+    write_records_bin(path, rec[:0])
+    empty = read_records_bin(path)
+    assert empty.dtype == RECORD_DTYPE and len(empty) == 0
 
 
 def test_bin_rejects_bad_magic(tmp_path):
@@ -244,9 +261,7 @@ def test_merge_preserves_record_multiset(tmp_path, sky):
 def test_base_run_sort_order(tmp_path, sky):
     store, _ = fill_store(tmp_path, sky, [15.0, 30.0, 45.0])
     report = store.nightly_merge()
-    from tdcat.store import _read_base
-
-    base = _read_base(report.base_path)
+    base, _ = _read_rows(report.base_path, BASE_MAGIC, STORE_DTYPE)
     keys = list(zip(base["star_id"], base["epoch"], base["id"]))
     assert keys == sorted(keys)
 
@@ -294,20 +309,35 @@ def test_incremental_merge_equals_single_merge(tmp_path, sky):
 # crash recovery
 
 
-def test_recover_discards_uncommitted_staging(tmp_path, sky):
-    store, inserted = fill_store(tmp_path, sky, [15.0, 30.0])
-    part = tmp_path / "partition_00"
-    staging = part / "base" / "base_through_00000.tdb.staging"
-    staging.write_bytes(b"partial merge output that never committed")
+def plant_leftovers(part):
+    """A torn segment write and an uncommitted merge output."""
     junk = part / "delta" / "night_00000" / "seg_00000099.tdl.tmp"
     junk.write_bytes(b"torn segment write")
+    staging = part / "base" / "base_through_00000.tdb.staging"
+    staging.write_bytes(b"partial merge output that never committed")
+    return junk, staging
+
+
+def test_recover_discards_uncommitted_staging(tmp_path, sky):
+    store, inserted = fill_store(tmp_path, sky, [15.0, 30.0])
+    junk, staging = plant_leftovers(tmp_path / "partition_00")
 
     reopened = NightStore(tmp_path, partition_id=0)
-    assert not staging.exists()
-    assert not junk.exists()
+    # reads skip the leftovers; only the next merge deletes them
     assert canonical(reopened.query_records()) == canonical(inserted)
+    assert junk.exists() and staging.exists()
     report = reopened.nightly_merge()
     assert report.records_merged == len(inserted)
+    assert not junk.exists()
+    assert not staging.exists()
+
+
+def test_readers_never_delete(tmp_path, sky):
+    _, inserted = fill_store(tmp_path, sky, [15.0, 30.0])
+    junk, staging = plant_leftovers(tmp_path / "partition_00")
+    got = scatter_gather_query(tmp_path, [0], QueryPredicate())
+    assert junk.exists() and staging.exists()
+    assert canonical(got) == canonical(inserted)
 
 
 def test_merge_commit_fsyncs_base_directory(tmp_path, sky, monkeypatch):
@@ -354,8 +384,12 @@ def test_recover_completes_committed_merge(tmp_path, sky, monkeypatch):
     assert any((part / "delta").iterdir())  # stale segments still present
 
     reopened = NightStore(tmp_path / "crashed", partition_id=0)
-    assert not any((part / "delta").iterdir())
+    # the stale night is skipped by the read rule, so no row comes back twice
     assert canonical(reopened.query_records()) == canonical(inserted)
+    assert any((part / "delta").iterdir())
+    report = reopened.nightly_merge()
+    assert report.noop is True
+    assert not any((part / "delta").iterdir())
     assert (
         reopened.base_path().read_bytes() == clean.base_path().read_bytes()
     )
@@ -387,6 +421,110 @@ def test_interrupted_then_retried_merge_converges(tmp_path, sky):
     report = real_replace(reopened)
     assert report.noop is False
     assert reopened.base_path().read_bytes() == clean.base_path().read_bytes()
+
+
+def test_store_matches_row_list_model(tmp_path, sky):
+    """Random insert, crash, merge and reopen sequences against a plain list."""
+    run_state_machine_as_test(
+        lambda: StoreMachine(tmp_path, sky),
+        settings=settings(
+            max_examples=25, stateful_step_count=15, derandomize=True,
+            deadline=None, database=None,
+        ),
+    )
+
+
+class StoreMachine(RuleBasedStateMachine):
+    """The model is the list of committed rows plus the newest merged night."""
+
+    def __init__(self, parent, sky):
+        super().__init__()
+        self.sky = sky
+        self.root = Path(tempfile.mkdtemp(dir=parent))
+        self.store = NightStore(self.root, 0)
+        self.rows = [np.zeros(0, STORE_DTYPE)]  # every committed row
+        self.epoch = 0.0  # last epoch offered to the store
+        self.merged_night = -1  # newest night folded into the base
+        self.open_nights = set()  # night directories after merged_night
+
+    def teardown(self):
+        shutil.rmtree(self.root)
+
+    def files(self):
+        return sorted(p.relative_to(self.root) for p in self.root.rglob("*"))
+
+    def night_dir(self):
+        night = night_of(self.epoch)
+        if night > self.merged_night:
+            self.open_nights.add(night)
+        path = self.store.delta_dir / f"night_{night:05d}"
+        path.mkdir(exist_ok=True)
+        return path
+
+    @rule(next_night=st.booleans())
+    def insert(self, next_night):
+        if next_night:
+            self.epoch = (night_of(self.epoch) + 1) * 86400.0
+        self.epoch += 15.0
+        frame, matches = frame_at(self.sky, self.epoch)
+        if night_of(self.epoch) <= self.merged_night:
+            with pytest.raises(SequenceError):
+                self.store.delta_insert(frame, matches)
+            return
+        self.night_dir()
+        self.store.delta_insert(frame, matches)
+        self.rows.append(frame_to_store_records(frame, matches))
+
+    @rule(staging=st.booleans())
+    def leave_torn_file(self, staging):
+        if staging:
+            path = self.store.base_dir / "base_through_00000.tdb.staging"
+        else:
+            path = self.night_dir() / "seg_99999999.tdl.tmp"
+        path.write_bytes(b"torn write")
+
+    def committed_merge(self):
+        if self.open_nights:
+            self.merged_night = max(self.open_nights)
+            self.open_nights.clear()
+
+    @rule()
+    def merge(self):
+        self.store.nightly_merge()
+        self.committed_merge()
+        left = [p for p in self.files() if p.suffix in (".tmp", ".staging")]
+        assert left == []
+        assert len(self.store._base_files()) <= 1
+        assert not any(self.store.delta_dir.iterdir())
+
+    @precondition(lambda self: self.open_nights)  # an empty merge commits nothing
+    @rule()
+    def merge_fails_at_commit(self):
+        with mock.patch.object(store_mod.os, "replace", side_effect=OSError("crash")):
+            with pytest.raises(OSError):
+                self.store.nightly_merge()
+
+    @rule()
+    def merge_skips_sweep(self):
+        with mock.patch.object(NightStore, "recover", lambda self: None):
+            self.store.nightly_merge()
+        self.committed_merge()
+
+    @rule()
+    def reopen(self):
+        before = self.files()
+        self.store = NightStore(self.root, 0)
+        assert self.files() == before
+
+    @rule(star_id=st.one_of(st.none(), st.integers(-1, 310)))
+    def query(self, star_id):
+        before = self.files()
+        got = self.store.query_records(star_id=star_id)
+        assert self.files() == before
+        expected = np.concatenate(self.rows)
+        if star_id is not None:
+            expected = expected[expected["star_id"] == star_id]
+        assert canonical(got) == canonical(expected)
 
 
 # ---------------------------------------------------------------------------
