@@ -56,19 +56,6 @@ class ZoneIndex:
     def n_zones(self) -> int:
         return len(self.zone_start) - 1
 
-    def zone_members(self, zone_id: int) -> np.ndarray:
-        """Row indices belonging to one strip, in ascending ra order."""
-        return np.arange(self.zone_start[zone_id], self.zone_start[zone_id + 1])
-
-    def zones(self) -> dict:
-        """Materialized map zone id -> member row indices (non-empty zones)."""
-        out = {}
-        for k in range(self.n_zones):
-            members = self.zone_members(k)
-            if len(members):
-                out[k] = members
-        return out
-
 
 @dataclass
 class MatchResult:

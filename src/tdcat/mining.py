@@ -10,7 +10,9 @@ alert rate stays far below one in 1e5 star-epochs at the default k=5.
 
 Unmatched detections go through a persistence tracker: a new-source alert is
 raised only after the same sky position is detected in ``persistence``
-consecutive frames, which suppresses single-frame artifacts.
+consecutive frames, which suppresses single-frame artifacts.  Detections are
+linked to open tracks with the same zone ``range_join`` the cross-match uses,
+so the tracker's cost is linear in the number of unmatched detections.
 
 The offline side is a classic normalized periodogram over an evenly spaced
 frequency grid with a local refinement pass around the top peak.
@@ -24,12 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    ConfigError,
-    DomainError,
-    InsufficientDataError,
-    separation_to_chord,
-)
+from .core import ConfigError, DomainError, EngineConfig, InsufficientDataError
+from .crossmatch import build_zone_index, range_join
 
 DIMMING = "dimming"
 BRIGHTENING = "brightening"
@@ -269,122 +267,77 @@ class CandidateTracker:
     A track is extended when the next frame has an unmatched detection within
     the match radius; a gap of even one frame closes it.  Each track alerts at
     most once, when it first reaches the persistence threshold.
+
+    Linking is one ``range_join`` of the frame's detections against a zone
+    index over the open tracks, so a frame costs time linear in its size.  A
+    detection links to its nearest in-radius track, ties going to the older
+    track; when several detections share a nearest track, the first in row
+    order extends it and the rest open new tracks.
     """
 
-    def __init__(self, match_radius_deg: float, cadence_s: float, config: MiningConfig):
-        if match_radius_deg <= 0:
-            raise ConfigError(f"match radius must be > 0, got {match_radius_deg}")
-        self.radius_deg = match_radius_deg
-        self.cadence_s = cadence_s
+    _TRACK_DTYPE = np.dtype(
+        [
+            ("id", "<i8"), ("ra", "<f8"), ("dec", "<f8"),
+            ("x", "<f8"), ("y", "<f8"), ("z", "<f8"),
+            ("count", "<i8"), ("alerted", "?"), ("first_id", "<u8"),
+        ]
+    )
+
+    def __init__(self, config: EngineConfig, mining: MiningConfig):
         self.config = config
-        self._xyz = np.zeros((0, 3))
-        self._ra = np.zeros(0)
-        self._dec = np.zeros(0)
-        self._count = np.zeros(0, dtype=np.int64)
-        self._alerted = np.zeros(0, dtype=bool)
-        self._first_id = np.zeros(0, dtype=np.uint64)
+        self.mining = mining
+        self._tracks = np.zeros(0, dtype=self._TRACK_DTYPE)
         self._last_epoch = -np.inf
-        self._chord_max_sq = None
 
     @property
     def open_tracks(self) -> int:
-        return len(self._count)
+        return len(self._tracks)
 
     def update(self, epoch, unmatched_records, camera_id=0):
         """Feed one frame's unmatched detections; returns new-source alerts."""
-        if self._chord_max_sq is None:
-            self._chord_max_sq = separation_to_chord(self.radius_deg) ** 2
         epoch = float(epoch)
         rec = unmatched_records
-        m = len(rec)
-        stale = epoch - self._last_epoch > 1.5 * self.cadence_s
-        if stale:
+        tracks = self._tracks
+        if epoch - self._last_epoch > 1.5 * self.config.cadence_s:
             # consecutive chain broken for every open track
-            self._drop(np.ones(self.open_tracks, dtype=bool))
-        alerts = []
-        if m == 0:
-            self._drop(np.ones(self.open_tracks, dtype=bool))
-            self._last_epoch = epoch
-            return alerts
-        det_xyz = np.stack([rec["x"], rec["y"], rec["z"]], axis=1)
-        k = self.open_tracks
-        if k:
-            # small k, small m: dense chord-squared table is cheapest
-            d2 = np.sum(
-                (det_xyz[:, None, :] - self._xyz[None, :, :]) ** 2, axis=2
-            )
-            nearest = np.argmin(d2, axis=1)
-            ok = d2[np.arange(m), nearest] <= self._chord_max_sq
-        else:
-            nearest = np.zeros(m, dtype=np.int64)
-            ok = np.zeros(m, dtype=bool)
-        extended = np.zeros(k, dtype=bool)
-        new_rows = []
-        for i in range(m):
-            t = nearest[i]
-            if ok[i] and not extended[t]:
-                extended[t] = True
-                self._xyz[t] = det_xyz[i]
-                self._ra[t] = rec["ra"][i]
-                self._dec[t] = rec["dec"][i]
-                self._count[t] += 1
-                if self._count[t] >= self.config.persistence and not self._alerted[t]:
-                    self._alerted[t] = True
-                    alerts.append(
-                        Alert(
-                            kind=NEW_SOURCE,
-                            epoch=epoch,
-                            record_id=int(self._first_id[t]),
-                            mag=float(rec["calmag"][i]),
-                            ra=float(rec["ra"][i]),
-                            dec=float(rec["dec"][i]),
-                            n_frames=int(self._count[t]),
-                            camera_id=camera_id,
-                        )
-                    )
-            else:
-                new_rows.append(i)
-        self._drop(~extended)
-        if new_rows:
-            idx = np.asarray(new_rows)
-            self._xyz = np.concatenate([self._xyz, det_xyz[idx]])
-            self._ra = np.concatenate([self._ra, rec["ra"][idx]])
-            self._dec = np.concatenate([self._dec, rec["dec"][idx]])
-            self._count = np.concatenate(
-                [self._count, np.ones(len(idx), dtype=np.int64)]
-            )
-            self._alerted = np.concatenate(
-                [self._alerted, np.zeros(len(idx), dtype=bool)]
-            )
-            self._first_id = np.concatenate(
-                [self._first_id, rec["id"][idx].astype(np.uint64)]
-            )
-            if self.config.persistence == 1:
-                for j, i in enumerate(idx):
-                    t = len(self._alerted) - len(idx) + j
-                    self._alerted[t] = True
-                    alerts.append(
-                        Alert(
-                            kind=NEW_SOURCE, epoch=epoch,
-                            record_id=int(rec["id"][i]),
-                            mag=float(rec["calmag"][i]),
-                            ra=float(rec["ra"][i]), dec=float(rec["dec"][i]),
-                            n_frames=1, camera_id=camera_id,
-                        )
-                    )
+            tracks = tracks[:0]
         self._last_epoch = epoch
-        return alerts
-
-    def _drop(self, mask: np.ndarray):
-        if not len(mask) or not np.any(mask):
-            return
-        keep = ~mask
-        self._xyz = self._xyz[keep]
-        self._ra = self._ra[keep]
-        self._dec = self._dec[keep]
-        self._count = self._count[keep]
-        self._alerted = self._alerted[keep]
-        self._first_id = self._first_id[keep]
+        claimed = claimed_rows = np.zeros(0, dtype=np.int64)
+        if len(rec) and len(tracks):
+            tracks["id"] = np.arange(len(tracks))
+            index = build_zone_index(tracks, self.config.zone_height_deg)
+            links = range_join(rec, index, self.config.match_radius_deg)
+            claimed, first = np.unique(links.star_ids, return_index=True)
+            claimed_rows = links.matched_rows[first]
+        opens = np.ones(len(rec), dtype=bool)
+        opens[claimed_rows] = False
+        new_rows = np.flatnonzero(opens)
+        new = np.zeros(len(new_rows), dtype=self._TRACK_DTYPE)
+        new["first_id"] = rec["id"][new_rows]
+        # unclaimed tracks close; claimed ones keep their order ahead of new ones
+        tracks = np.concatenate([tracks[claimed], new])
+        rows = np.concatenate([claimed_rows, new_rows])
+        for name in ("ra", "dec", "x", "y", "z"):
+            tracks[name] = rec[name][rows]
+        tracks["count"] += 1
+        fire = (tracks["count"] >= self.mining.persistence) & ~tracks["alerted"]
+        tracks["alerted"] |= fire
+        self._tracks = tracks
+        fired = np.flatnonzero(fire)
+        fired = fired[np.argsort(rows[fired])]
+        return [
+            Alert(
+                kind=NEW_SOURCE,
+                epoch=epoch,
+                record_id=int(tracks["first_id"][t]),
+                mag=float(rec["calmag"][rows[t]]),
+                ra=float(tracks["ra"][t]),
+                dec=float(tracks["dec"][t]),
+                n_frames=int(tracks["count"][t]),
+                camera_id=camera_id,
+            )
+            for t in fired
+        ]
 
 
 # ---------------------------------------------------------------------------

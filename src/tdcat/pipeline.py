@@ -99,9 +99,7 @@ class PartitionWorker:
         self.mining = mining
         self.store = NightStore(data_dir, partition_id) if data_dir is not None else None
         self.bank = WindowBank(template.stars["id"], mining)
-        self.tracker = CandidateTracker(
-            config.match_radius_deg, config.cadence_s, mining
-        )
+        self.tracker = CandidateTracker(config, mining)
 
     def process_frame(self, frame) -> FrameOutcome:
         t0 = time.perf_counter()
@@ -487,7 +485,7 @@ def replay_online(
     rec = records[order]
     star_ids = np.unique(rec["star_id"][rec["star_id"] >= 0])
     bank = WindowBank(star_ids, mining)
-    tracker = CandidateTracker(config.match_radius_deg, config.cadence_s, mining)
+    tracker = CandidateTracker(config, mining)
     alerts = []
     epochs, starts = np.unique(rec["epoch"], return_index=True)
     bounds = np.append(starts, len(rec))

@@ -148,10 +148,12 @@ def read_records_csv(path) -> np.ndarray:
         if header != TABLE2_COLUMNS:
             raise StorageError(f"{path}: unexpected CSV header {header}")
         rows = list(reader)
+    if any(len(row) != len(TABLE2_COLUMNS) for row in rows):
+        raise StorageError(f"{path}: a row does not have {len(TABLE2_COLUMNS)} fields")
     out = np.zeros(len(rows), dtype=RECORD_DTYPE)
-    for i, row in enumerate(rows):
-        for name, value in zip(TABLE2_COLUMNS, row):
-            out[i][name] = int(value) if name in _INT_COLUMNS else float(value)
+    for name, values in zip(TABLE2_COLUMNS, zip(*rows)):
+        parse = int if name in _INT_COLUMNS else float
+        out[name] = np.fromiter(map(parse, values), out.dtype[name], len(rows))
     return out
 
 

@@ -4,9 +4,11 @@ Everything here deliberately avoids the engine's code paths: separations use
 the haversine formula (not the chord), matching is an O(n*m) scan, and the
 window statistics use the statistics module rather than numpy.  Expected
 values asserted in the tests come from these, so a shared bug in the package
-cannot silently validate itself.  The one exception is ``online_update``: a
+cannot silently validate itself.  The two exceptions are ``online_update``, a
 scalar, one-star-at-a-time copy of the detector arithmetic that the
-vectorized ``WindowBank`` must match bit for bit.
+vectorized ``WindowBank`` must match bit for bit, and ``DenseTracker``, a
+dense-distance-table, row-at-a-time copy of the new-source rules that the
+zone-joined ``CandidateTracker`` must match alert for alert.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from tdcat.mining import BRIGHTENING, DIMMING, Alert, MiningConfig
+from tdcat.core import separation_to_chord
+from tdcat.mining import BRIGHTENING, DIMMING, NEW_SOURCE, Alert, MiningConfig
 
 
 def haversine_deg(ra1, dec1, ra2, dec2) -> float:
@@ -144,6 +147,125 @@ def online_update(state: WindowState, epoch, mag, mag_error, config: MiningConfi
     if len(state.baseline) > config.window:
         state.baseline.popleft()
     return alert
+
+
+class DenseTracker:
+    """Reference new-source tracker: an (m, k) chord table and a row loop.
+
+    Each detection, in row order, extends its nearest in-radius open track
+    (ties to the lower track index) unless an earlier row already extended
+    it; otherwise it opens a track.  Unextended tracks close.  The squared
+    chord is summed with the same ``einsum`` as ``range_join`` so exact ties
+    break identically.  Quadratic in memory: small inputs only.
+    """
+
+    def __init__(self, match_radius_deg: float, cadence_s: float, config: MiningConfig):
+        self.radius_deg = match_radius_deg
+        self.cadence_s = cadence_s
+        self.config = config
+        self._xyz = np.zeros((0, 3))
+        self._ra = np.zeros(0)
+        self._dec = np.zeros(0)
+        self._count = np.zeros(0, dtype=np.int64)
+        self._alerted = np.zeros(0, dtype=bool)
+        self._first_id = np.zeros(0, dtype=np.uint64)
+        self._last_epoch = -np.inf
+        self._chord_max_sq = separation_to_chord(match_radius_deg) ** 2
+
+    @property
+    def open_tracks(self) -> int:
+        return len(self._count)
+
+    def update(self, epoch, unmatched_records, camera_id=0):
+        epoch = float(epoch)
+        rec = unmatched_records
+        m = len(rec)
+        stale = epoch - self._last_epoch > 1.5 * self.cadence_s
+        if stale:
+            # consecutive chain broken for every open track
+            self._drop(np.ones(self.open_tracks, dtype=bool))
+        alerts = []
+        if m == 0:
+            self._drop(np.ones(self.open_tracks, dtype=bool))
+            self._last_epoch = epoch
+            return alerts
+        det_xyz = np.stack([rec["x"], rec["y"], rec["z"]], axis=1)
+        k = self.open_tracks
+        if k:
+            d = det_xyz[:, None, :] - self._xyz[None, :, :]
+            d2 = np.einsum("ijk,ijk->ij", d, d)
+            nearest = np.argmin(d2, axis=1)
+            ok = d2[np.arange(m), nearest] <= self._chord_max_sq
+        else:
+            nearest = np.zeros(m, dtype=np.int64)
+            ok = np.zeros(m, dtype=bool)
+        extended = np.zeros(k, dtype=bool)
+        new_rows = []
+        for i in range(m):
+            t = nearest[i]
+            if ok[i] and not extended[t]:
+                extended[t] = True
+                self._xyz[t] = det_xyz[i]
+                self._ra[t] = rec["ra"][i]
+                self._dec[t] = rec["dec"][i]
+                self._count[t] += 1
+                if self._count[t] >= self.config.persistence and not self._alerted[t]:
+                    self._alerted[t] = True
+                    alerts.append(
+                        Alert(
+                            kind=NEW_SOURCE,
+                            epoch=epoch,
+                            record_id=int(self._first_id[t]),
+                            mag=float(rec["calmag"][i]),
+                            ra=float(rec["ra"][i]),
+                            dec=float(rec["dec"][i]),
+                            n_frames=int(self._count[t]),
+                            camera_id=camera_id,
+                        )
+                    )
+            else:
+                new_rows.append(i)
+        self._drop(~extended)
+        if new_rows:
+            idx = np.asarray(new_rows)
+            self._xyz = np.concatenate([self._xyz, det_xyz[idx]])
+            self._ra = np.concatenate([self._ra, rec["ra"][idx]])
+            self._dec = np.concatenate([self._dec, rec["dec"][idx]])
+            self._count = np.concatenate(
+                [self._count, np.ones(len(idx), dtype=np.int64)]
+            )
+            self._alerted = np.concatenate(
+                [self._alerted, np.zeros(len(idx), dtype=bool)]
+            )
+            self._first_id = np.concatenate(
+                [self._first_id, rec["id"][idx].astype(np.uint64)]
+            )
+            if self.config.persistence == 1:
+                for j, i in enumerate(idx):
+                    t = len(self._alerted) - len(idx) + j
+                    self._alerted[t] = True
+                    alerts.append(
+                        Alert(
+                            kind=NEW_SOURCE, epoch=epoch,
+                            record_id=int(rec["id"][i]),
+                            mag=float(rec["calmag"][i]),
+                            ra=float(rec["ra"][i]), dec=float(rec["dec"][i]),
+                            n_frames=1, camera_id=camera_id,
+                        )
+                    )
+        self._last_epoch = epoch
+        return alerts
+
+    def _drop(self, mask: np.ndarray):
+        if not len(mask) or not np.any(mask):
+            return
+        keep = ~mask
+        self._xyz = self._xyz[keep]
+        self._ra = self._ra[keep]
+        self._dec = self._dec[keep]
+        self._count = self._count[keep]
+        self._alerted = self._alerted[keep]
+        self._first_id = self._first_id[keep]
 
 
 def flux_of(mag, zero_point) -> float:

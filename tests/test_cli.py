@@ -337,6 +337,38 @@ def test_ingest_without_template_stores_candidates(workflow, tmp_path):
     assert np.all(rec["star_id"] == -1)
 
 
+def test_templateless_ingest_then_online_mining_fits_in_1gib(tmp_path):
+    # Without a template every row is a candidate, so the replay tracker sees
+    # m = k = 17,560 unmatched rows per frame.
+    import resource
+
+    gen, data, out = tmp_path / "gen", tmp_path / "data", tmp_path / "alerts.csv"
+    assert main(["generate", "--out", str(gen), "--density", "1/10",
+                 "--frames", "3"]) == 0
+    frames = sorted(str(p) for p in gen.glob("frame_*.tds"))
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")]))
+    # BLAS reserves address space per thread; one thread keeps the limit
+    # about the program's own arrays on many-core hosts
+    env["OPENBLAS_NUM_THREADS"] = "1"
+    for argv in (
+        ["ingest", "--data-dir", str(data), "--partition", "0", "--input", *frames],
+        ["mine", "online", "--data-dir", str(data), "--out", str(out)],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "tdcat.cli", *argv], capture_output=True,
+            text=True, env=env, timeout=120, preexec_fn=limit_address_space,
+        )
+        assert proc.returncode == 0, proc.stderr
+    kinds = [row[0] for row in csv.reader(open(out))][1:]
+    assert kinds == ["new_source"] * 17_560
+
+
 def test_rerun_of_interrupted_ingest_converges(workflow, tmp_path, capsys):
     gen, _ = workflow
     frames = sorted(str(p) for p in gen.glob("frame_*.tds"))[:3]

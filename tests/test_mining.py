@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from tdcat.mining import (
     write_alerts_csv,
 )
 
-from oracles import PureWindow, WindowState, online_update
+from oracles import DenseTracker, PureWindow, WindowState, online_update
 
 CFG = EngineConfig()
 
@@ -263,7 +264,7 @@ def detections(ra_dec_pairs, ids=None, imageid=0, mag=14.0):
 
 def test_tracker_alerts_once_at_persistence():
     cfg = MiningConfig(persistence=2)
-    tr = CandidateTracker(0.003, 15.0, cfg)
+    tr = CandidateTracker(CFG, cfg)
     assert tr.update(0.0, detections([(100.0, 5.0)], ids=[11])) == []
     alerts = tr.update(15.0, detections([(100.0001, 5.0)], ids=[22]))
     assert len(alerts) == 1
@@ -279,7 +280,7 @@ def test_tracker_alerts_once_at_persistence():
 
 def test_tracker_gap_breaks_chain():
     cfg = MiningConfig(persistence=2)
-    tr = CandidateTracker(0.003, 15.0, cfg)
+    tr = CandidateTracker(CFG, cfg)
     tr.update(0.0, detections([(100.0, 5.0)]))
     # 45 s later: more than 1.5 cadences, the chain is broken
     assert tr.update(45.0, detections([(100.0, 5.0)])) == []
@@ -290,7 +291,7 @@ def test_tracker_gap_breaks_chain():
 
 def test_tracker_empty_frame_drops_tracks():
     cfg = MiningConfig(persistence=3)
-    tr = CandidateTracker(0.003, 15.0, cfg)
+    tr = CandidateTracker(CFG, cfg)
     tr.update(0.0, detections([(100.0, 5.0)]))
     tr.update(15.0, detections([(100.0, 5.0)]))
     assert tr.update(30.0, detections([], ids=[])) == []
@@ -302,11 +303,11 @@ def test_tracker_empty_frame_drops_tracks():
 
 def test_tracker_radius_decides_extension():
     cfg = MiningConfig(persistence=2)
-    inside = CandidateTracker(0.003, 15.0, cfg)
+    inside = CandidateTracker(CFG, cfg)
     inside.update(0.0, detections([(100.0, 5.0)]))
     assert len(inside.update(15.0, detections([(100.0, 5.0 + 0.0029)]))) == 1
 
-    outside = CandidateTracker(0.003, 15.0, cfg)
+    outside = CandidateTracker(CFG, cfg)
     outside.update(0.0, detections([(100.0, 5.0)]))
     assert outside.update(15.0, detections([(100.0, 5.0 + 0.0031)])) == []
     assert outside.open_tracks == 1  # old dropped, new opened
@@ -314,7 +315,7 @@ def test_tracker_radius_decides_extension():
 
 def test_tracker_parallel_tracks():
     cfg = MiningConfig(persistence=2)
-    tr = CandidateTracker(0.003, 15.0, cfg)
+    tr = CandidateTracker(CFG, cfg)
     tr.update(0.0, detections([(100.0, 5.0), (200.0, -5.0)]))
     alerts = tr.update(15.0, detections([(200.0, -5.0), (100.0, 5.0)]))
     assert len(alerts) == 2
@@ -323,7 +324,7 @@ def test_tracker_parallel_tracks():
 
 def test_tracker_persistence_one_is_immediate():
     cfg = MiningConfig(persistence=1)
-    tr = CandidateTracker(0.003, 15.0, cfg)
+    tr = CandidateTracker(CFG, cfg)
     alerts = tr.update(0.0, detections([(10.0, 1.0), (20.0, 2.0)], ids=[7, 8]))
     assert len(alerts) == 2
     assert {a.record_id for a in alerts} == {7, 8}
@@ -333,7 +334,84 @@ def test_tracker_persistence_one_is_immediate():
 
 def test_tracker_rejects_bad_radius():
     with pytest.raises(ConfigError):
-        CandidateTracker(0.0, 15.0, MiningConfig())
+        CandidateTracker(EngineConfig(match_radius_deg=0.0), MiningConfig())
+
+
+def tracker_frames(rng, ra0, dec0, radius, n_frames=10):
+    """Crowded frames around (ra0, dec0): persisting sources plus noise.
+
+    Positions jitter by about half a radius, so sources often sit within
+    reach of more than one track; dec is clipped to the poles and ra wrapped
+    across the seam.  Some frames repeat rows verbatim, some are empty, and
+    some arrive after a gap of more than 1.5 cadences.
+    """
+    n_src = 40
+    spread = 6 * radius
+    cos0 = max(math.cos(math.radians(dec0)), 1e-3)
+    src_ra = ra0 + rng.uniform(-spread, spread, n_src) / cos0
+    src_dec = dec0 + rng.uniform(-spread, spread, n_src)
+    epoch = 0.0
+    for f in range(n_frames):
+        epoch += 45.0 if rng.random() < 0.15 else 15.0
+        if rng.random() < 0.1:
+            yield epoch, detections([], ids=[], imageid=f)
+            continue
+        seen = rng.random(n_src) < 0.7
+        n_noise = int(rng.integers(0, 15))
+        ra = np.concatenate(
+            [src_ra[seen], ra0 + rng.uniform(-spread, spread, n_noise) / cos0]
+        )
+        dec = np.concatenate(
+            [src_dec[seen], dec0 + rng.uniform(-spread, spread, n_noise)]
+        )
+        ra = ra + rng.normal(0, 0.5 * radius, len(ra)) / cos0
+        dec = dec + rng.normal(0, 0.5 * radius, len(dec))
+        if rng.random() < 0.3:
+            dup = rng.integers(0, len(ra), 5)
+            ra, dec = np.append(ra, ra[dup]), np.append(dec, dec[dup])
+        order = rng.permutation(len(ra))
+        ra, dec = np.mod(ra[order], 360.0), np.clip(dec[order], -90.0, 90.0)
+        ids = np.arange(len(ra), dtype=np.uint64) + np.uint64(1000 * (f + 1))
+        yield epoch, detections(list(zip(ra, dec)), ids=ids, imageid=f)
+
+
+@pytest.mark.parametrize("radius,zone_height", [(0.003, 0.01), (0.01, 0.003), (0.5, 1.0)])
+@pytest.mark.parametrize("persistence", [1, 2, 3])
+def test_tracker_matches_dense_reference(radius, zone_height, persistence):
+    config = EngineConfig(match_radius_deg=radius, zone_height_deg=zone_height)
+    cfg = MiningConfig(persistence=persistence)
+    patches = [(0.0, 30.0), (359.999, -10.0), (45.0, 90.0), (200.0, -90.0), (120.0, 0.0)]
+    for seed in range(3):
+        for patch, (ra0, dec0) in enumerate(patches):
+            rng = np.random.default_rng([seed, persistence, patch])
+            tr = CandidateTracker(config, cfg)
+            ref = DenseTracker(radius, config.cadence_s, cfg)
+            for epoch, rec in tracker_frames(rng, ra0, dec0, radius):
+                got = tr.update(epoch, rec, camera_id=3)
+                want = ref.update(epoch, rec, camera_id=3)
+                assert [repr(a) for a in got] == [repr(a) for a in want]
+                assert tr.open_tracks == ref.open_tracks
+
+
+def test_tracker_memory_is_bounded_at_5000_tracks():
+    rng = np.random.default_rng(11)
+    n = 5000
+    tr = CandidateTracker(CFG, MiningConfig(persistence=2))
+    frames = []
+    for imageid in range(2):
+        ra = rng.uniform(100.0, 110.0, n)
+        dec = rng.uniform(-5.0, 5.0, n)
+        frames.append(detections(list(zip(ra, dec)), imageid=imageid))
+    tr.update(0.0, frames[0])
+    assert tr.open_tracks == n
+    tracemalloc.start()
+    try:
+        tr.update(15.0, frames[1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the dense (m, k, 3) table of the old tracker peaked at ~763 MiB here
+    assert peak < 32 * 2**20
 
 
 # ---------------------------------------------------------------------------

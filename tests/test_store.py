@@ -137,6 +137,11 @@ def test_bin_rejects_truncation(tmp_path):
 def test_csv_roundtrip_exact(tmp_path):
     rng = np.random.default_rng(3)
     rec = random_records(rng, 40)
+    # integer extremes must survive the text round trip
+    rec["id"][:2] = [0, 2**64 - 1]
+    for name in ("imageid", "zone", "flag"):
+        info = np.iinfo(rec.dtype[name])
+        rec[name][2:4] = [info.min, info.max]
     path = tmp_path / "frame.csv"
     write_records_csv(path, rec)
     header = path.read_text().splitlines()[0]
@@ -149,6 +154,13 @@ def test_csv_roundtrip_exact(tmp_path):
 def test_csv_rejects_wrong_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("ra,dec\n1.0,2.0\n")
+    with pytest.raises(StorageError):
+        read_records_csv(path)
+
+
+def test_csv_rejects_ragged_row(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text(",".join(TABLE2_COLUMNS) + "\n1,2\n")
     with pytest.raises(StorageError):
         read_records_csv(path)
 
