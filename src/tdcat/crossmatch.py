@@ -34,9 +34,8 @@ _WINDOW_PAD_DEG = 1e-7
 class ZoneIndex:
     """Immutable zone-strip index over a set of catalog positions.
 
-    Rows are stored flat, sorted by (zone, ra); ``zone_start`` gives CSR-style
-    slice offsets per zone and ``key`` is the combined sort key
-    ``zone * 361 + ra`` used for global binary search.
+    Rows are stored flat, sorted by (zone, ra); ``key`` is the combined sort
+    key ``zone * 361 + ra`` used for global binary search.
     """
 
     zone_height_deg: float
@@ -45,7 +44,6 @@ class ZoneIndex:
     dec: np.ndarray
     xyz: np.ndarray  # (n, 3) unit vectors
     zone: np.ndarray
-    zone_start: np.ndarray  # len n_zones + 1
     key: np.ndarray = field(repr=False)
 
     @property
@@ -54,7 +52,7 @@ class ZoneIndex:
 
     @property
     def n_zones(self) -> int:
-        return len(self.zone_start) - 1
+        return n_zones(self.zone_height_deg)
 
 
 @dataclass
@@ -98,11 +96,10 @@ def build_zone_index(records, zone_height_deg: float) -> ZoneIndex:
     recomputed from dec with the given strip height; a ``zone`` column in the
     input, if any, is ignored so the index never inherits a stale height.
     """
-    nz = n_zones(zone_height_deg)
     ra = np.ascontiguousarray(records["ra"], dtype=np.float64)
     dec = np.ascontiguousarray(records["dec"], dtype=np.float64)
     ids = np.ascontiguousarray(records["id"]).astype(np.int64)
-    zone = zone_of(dec, zone_height_deg) if len(dec) else np.zeros(0, np.int64)
+    zone = zone_of(dec, zone_height_deg)
 
     order = np.lexsort((ra, zone))
     ra, dec, ids, zone = ra[order], dec[order], ids[order], zone[order]
@@ -116,7 +113,6 @@ def build_zone_index(records, zone_height_deg: float) -> ZoneIndex:
         x, y, z = radec_to_cartesian(ra, dec) if len(ra) else (ra, ra, ra)
         xyz = np.column_stack([x, y, z])
 
-    zone_start = np.searchsorted(zone, np.arange(nz + 1))
     key = zone.astype(np.float64) * 361.0 + ra
     return ZoneIndex(
         zone_height_deg=zone_height_deg,
@@ -125,7 +121,6 @@ def build_zone_index(records, zone_height_deg: float) -> ZoneIndex:
         dec=dec,
         xyz=np.ascontiguousarray(xyz),
         zone=zone,
-        zone_start=zone_start,
         key=key,
     )
 
@@ -240,6 +235,7 @@ def range_join(frame, template_index: ZoneIndex, radius_deg: float) -> MatchResu
         cand_tpl = np.concatenate(cand_tpl_parts)
         diff = fxyz[cand_rec] - tpl_xyz[cand_tpl]
         chord2 = np.einsum("ij,ij->i", diff, diff)
+        del diff  # the largest temporary; not needed past this point
         max_chord = separation_to_chord(radius_deg)
         in_radius = chord2 <= max_chord * max_chord
         cand_rec = cand_rec[in_radius]
@@ -253,15 +249,22 @@ def range_join(frame, template_index: ZoneIndex, radius_deg: float) -> MatchResu
     if len(cand_rec):
         per_rec = np.bincount(cand_rec, minlength=n)
         ambiguous_count = int(np.count_nonzero(per_rec > 1))
-        star = template_index.ids[cand_tpl]
-        order = np.lexsort((star, chord2, cand_rec))
-        rec_sorted = cand_rec[order]
-        matched_rows, first = np.unique(rec_sorted, return_index=True)
-        chosen = order[first]
+        # a lone candidate wins outright; only the ambiguous rows' candidates
+        # are sorted, nearest first and then by star id
+        single = per_rec[cand_rec] == 1
+        best = np.full(n, -1, np.int64)
+        best[cand_rec[single]] = np.flatnonzero(single)
+        multi = np.flatnonzero(~single)
+        star = template_index.ids[cand_tpl[multi]]
+        order = multi[np.lexsort((star, chord2[multi], cand_rec[multi]))]
+        first = order[np.unique(cand_rec[order], return_index=True)[1]]
+        best[cand_rec[first]] = first
+        matched_rows = np.flatnonzero(best >= 0)
+        chosen = best[matched_rows]
         sep = np.degrees(
             2.0 * np.arcsin(np.minimum(1.0, np.sqrt(chord2[chosen]) / 2.0))
         )
-        star_ids = star[chosen]
+        star_ids = template_index.ids[cand_tpl[chosen]]
     else:
         ambiguous_count = 0
         matched_rows = np.zeros(0, np.int64)

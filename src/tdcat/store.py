@@ -192,6 +192,9 @@ class MergeReport:
 def frame_to_store_records(frame, matches) -> np.ndarray:
     """Store rows for one frame: catalog columns plus match outcome."""
     records = frame.records
+    if records.dtype != RECORD_DTYPE:
+        raise DomainError(f"frame rows must have RECORD_DTYPE, got {records.dtype}")
+    records = np.ascontiguousarray(records)
     n = len(records)
     if matches.n_frame != n:
         raise DomainError(
@@ -201,9 +204,12 @@ def frame_to_store_records(frame, matches) -> np.ndarray:
         records["id"][matches.matched_rows].astype(np.uint64), matches.record_ids
     ):
         raise DomainError("match result does not correspond to this frame")
-    out = np.zeros(n, dtype=STORE_DTYPE)
-    for name in TABLE2_COLUMNS:
-        out[name] = records[name]
+    # STORE_DTYPE starts with RECORD_DTYPE's fields, so each catalog row is
+    # copied verbatim into the first RECORD_SIZE bytes of its store row
+    out = np.empty(n, dtype=STORE_DTYPE)
+    out.view(np.uint8).reshape(n, STORE_RECORD_SIZE)[:, :RECORD_SIZE] = (
+        records.view(np.uint8).reshape(n, RECORD_SIZE)
+    )
     out["star_id"] = UNMATCHED_STAR_ID
     out["star_id"][matches.matched_rows] = matches.star_ids
     out["candidate"] = 1

@@ -4,11 +4,13 @@ Everything here deliberately avoids the engine's code paths: separations use
 the haversine formula (not the chord), matching is an O(n*m) scan, and the
 window statistics use the statistics module rather than numpy.  Expected
 values asserted in the tests come from these, so a shared bug in the package
-cannot silently validate itself.  The two exceptions are ``online_update``, a
-scalar, one-star-at-a-time copy of the detector arithmetic that the
-vectorized ``WindowBank`` must match bit for bit, and ``DenseTracker``, a
+cannot silently validate itself.  The three exceptions are ``online_update``,
+a scalar, one-star-at-a-time copy of the detector arithmetic that the
+vectorized ``WindowBank`` must match bit for bit; ``DenseTracker``, a
 dense-distance-table, row-at-a-time copy of the new-source rules that the
-zone-joined ``CandidateTracker`` must match alert for alert.
+zone-joined ``CandidateTracker`` must match alert for alert; and
+``column_store_records``, a column-by-column build of store rows that the
+byte-block copy in ``frame_to_store_records`` must match byte for byte.
 """
 
 from __future__ import annotations
@@ -20,8 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from tdcat.core import separation_to_chord
+from tdcat.core import TABLE2_COLUMNS, separation_to_chord
 from tdcat.mining import BRIGHTENING, DIMMING, NEW_SOURCE, Alert, MiningConfig
+from tdcat.store import STORE_DTYPE, UNMATCHED_STAR_ID
 
 
 def haversine_deg(ra1, dec1, ra2, dec2) -> float:
@@ -68,16 +71,7 @@ def brute_force_match_arrays(frame_ra, frame_dec, tpl_ids, tpl_ra, tpl_dec, radi
     n, m = len(frame_ra), len(tpl_ids)
     if n == 0 or m == 0:
         return [None] * n
-    lat1 = np.radians(np.asarray(frame_dec, float))[:, None]
-    lat2 = np.radians(np.asarray(tpl_dec, float))[None, :]
-    dlam = np.radians(np.asarray(tpl_ra, float))[None, :] - np.radians(
-        np.asarray(frame_ra, float)
-    )[:, None]
-    a = (
-        np.sin((lat2 - lat1) / 2.0) ** 2
-        + np.cos(lat1) * np.cos(lat2) * np.sin(dlam / 2.0) ** 2
-    )
-    sep = np.degrees(2.0 * np.arcsin(np.sqrt(np.clip(a, 0.0, 1.0))))
+    sep = haversine_matrix_deg(frame_ra, frame_dec, tpl_ra, tpl_dec)
     ids = np.asarray(tpl_ids)
     out = []
     for i in range(n):
@@ -87,6 +81,42 @@ def brute_force_match_arrays(frame_ra, frame_dec, tpl_ids, tpl_ra, tpl_dec, radi
             out.append((int(ids[j]), float(row[j])))
         else:
             out.append(None)
+    return out
+
+
+def haversine_matrix_deg(frame_ra, frame_dec, tpl_ra, tpl_dec) -> np.ndarray:
+    """(n, m) great-circle separations in degrees, haversine formula."""
+    lat1 = np.radians(np.asarray(frame_dec, float))[:, None]
+    lat2 = np.radians(np.asarray(tpl_dec, float))[None, :]
+    dlam = np.radians(np.asarray(tpl_ra, float))[None, :] - np.radians(
+        np.asarray(frame_ra, float)
+    )[:, None]
+    a = (
+        np.sin((lat2 - lat1) / 2.0) ** 2
+        + np.cos(lat1) * np.cos(lat2) * np.sin(dlam / 2.0) ** 2
+    )
+    return np.degrees(2.0 * np.arcsin(np.sqrt(np.clip(a, 0.0, 1.0))))
+
+
+def brute_force_candidate_counts(frame_ra, frame_dec, tpl_ra, tpl_dec, radius_deg):
+    """Number of template stars within ``radius_deg`` of each frame row."""
+    if len(frame_ra) == 0 or len(tpl_ra) == 0:
+        return np.zeros(len(frame_ra), np.int64)
+    sep = haversine_matrix_deg(frame_ra, frame_dec, tpl_ra, tpl_dec)
+    return np.count_nonzero(sep <= radius_deg, axis=1)
+
+
+def column_store_records(frame, matches) -> np.ndarray:
+    """Store rows built one catalog column at a time into zeroed memory."""
+    records = frame.records
+    out = np.zeros(len(records), dtype=STORE_DTYPE)
+    for name in TABLE2_COLUMNS:
+        out[name] = records[name]
+    out["star_id"] = UNMATCHED_STAR_ID
+    out["star_id"][matches.matched_rows] = matches.star_ids
+    out["candidate"] = 1
+    out["candidate"][matches.matched_rows] = 0
+    out["epoch"] = frame.epoch
     return out
 
 

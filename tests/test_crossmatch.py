@@ -11,7 +11,12 @@ from tdcat.crossmatch import (
     range_join,
 )
 
-from oracles import brute_force_match, brute_force_match_arrays, haversine_deg
+from oracles import (
+    brute_force_candidate_counts,
+    brute_force_match,
+    brute_force_match_arrays,
+    haversine_deg,
+)
 
 CFG = EngineConfig()
 
@@ -69,12 +74,16 @@ def test_zone_index_structure():
     rec = make_records(rng.uniform(0, 360, 500), rng.uniform(-89, 89, 500))
     idx = build_zone_index(rec, 0.01)
     assert idx.source_count == 500
-    assert idx.zone_start[0] == 0 and idx.zone_start[-1] == 500
-    assert np.all(np.diff(idx.zone_start) >= 0)
+    assert idx.n_zones == 18_000
+    assert np.all(np.diff(idx.zone) >= 0)
+    assert 0 <= idx.zone[0] and idx.zone[-1] < idx.n_zones
     # rows sorted by (zone, ra); ra ascending within each zone
     assert np.all(np.diff(idx.key) >= 0)
     for z in np.unique(idx.zone):
-        members = slice(idx.zone_start[z], idx.zone_start[z + 1])
+        members = slice(
+            np.searchsorted(idx.zone, z, side="left"),
+            np.searchsorted(idx.zone, z, side="right"),
+        )
         assert np.all(np.diff(idx.ra[members]) >= 0)
         assert np.all(idx.zone[members] == z)
     # zone recomputed from dec, not trusted from the input column
@@ -171,6 +180,112 @@ def test_random_fields_property(seed):
     frame = make_records(rng.uniform(0, 360, n), rng.uniform(-90, 90, n))
     tpl = make_records(rng.uniform(0, 360, m), rng.uniform(-90, 90, m))
     assert_matches_oracle(frame, tpl, float(rng.uniform(0.001, 5.0)))
+
+
+def crowded_field(rng, ra0, dec0, sigma, n_stars, duplicate_every):
+    """Frame and template around (ra0, dec0), positions drawn on the sphere.
+
+    Every ``duplicate_every``-th star also appears a second time at exactly
+    the same position under another id (an exact tie); each frame row sits
+    near a random star, and about one row in eight sits nowhere in
+    particular, so most fields mix one-candidate, many-candidate and
+    unmatched rows in row order.
+    """
+    ra0r, dec0r = np.radians(ra0), np.radians(dec0)
+    centre = np.array(
+        [np.cos(dec0r) * np.cos(ra0r), np.cos(dec0r) * np.sin(ra0r), np.sin(dec0r)]
+    )
+
+    def around(points, spread):
+        v = points + rng.normal(0, np.radians(spread), points.shape)
+        v /= np.linalg.norm(v, axis=1)[:, None]
+        return np.degrees(np.arctan2(v[:, 1], v[:, 0])) % 360.0, np.degrees(
+            np.arcsin(np.clip(v[:, 2], -1.0, 1.0))
+        )
+
+    s_ra, s_dec = around(np.tile(centre, (n_stars, 1)), sigma)
+    dup = np.arange(0, n_stars, duplicate_every)
+    t_ra, t_dec = np.concatenate([s_ra, s_ra[dup]]), np.concatenate([s_dec, s_dec[dup]])
+    ids = rng.permutation(len(t_ra)).astype(np.uint64) * 7 + 3
+    tpl = make_records(t_ra, t_dec, ids=ids)
+
+    near = rng.integers(0, n_stars, n_stars)
+    sra, sdec = np.radians(s_ra[near]), np.radians(s_dec[near])
+    star_xyz = np.column_stack(
+        [np.cos(sdec) * np.cos(sra), np.cos(sdec) * np.sin(sra), np.sin(sdec)]
+    )
+    f_ra, f_dec = around(star_xyz, sigma / 200.0)
+    stray = rng.random(n_stars) < 1 / 8
+    f_ra[stray], f_dec[stray] = around(np.tile(centre, (stray.sum(), 1)), sigma)
+    frame = make_records(f_ra, f_dec, ids=np.arange(n_stars, dtype=np.uint64) + (1 << 40))
+    return frame, tpl
+
+
+def assert_result_arrays_match_oracle(frame, tpl, radius, zone_height):
+    """Every MatchResult array, dtype included, against the haversine scan."""
+    result = range_join(frame, build_zone_index(tpl, zone_height), radius)
+    tpl_ids = tpl["id"].astype(np.int64)
+    oracle = brute_force_match_arrays(
+        frame["ra"], frame["dec"], tpl_ids, tpl["ra"], tpl["dec"], radius
+    )
+    counts = brute_force_candidate_counts(
+        frame["ra"], frame["dec"], tpl["ra"], tpl["dec"], radius
+    )
+    hit = np.array([o is not None for o in oracle], dtype=bool)
+    rows = np.flatnonzero(hit)
+    expected = {
+        "record_ids": frame["id"][rows].astype(np.uint64),
+        "star_ids": np.array([oracle[i][0] for i in rows], dtype=np.int64),
+        "unmatched_ids": frame["id"][~hit].astype(np.uint64),
+        "matched_rows": rows.astype(np.int64),
+        "unmatched_rows": np.flatnonzero(~hit).astype(np.int64),
+    }
+    for name, want in expected.items():
+        got = getattr(result, name)
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want), name
+    assert result.separations_deg.dtype == np.float64
+    np.testing.assert_allclose(
+        result.separations_deg, [oracle[i][1] for i in rows], rtol=0, atol=1e-10
+    )
+    assert result.ambiguous_count == int(np.count_nonzero(counts > 1))
+    assert result.n_frame == len(frame)
+    return result, counts
+
+
+CROWDED_CENTRES = {
+    "ra-seam": (0.0, 20.0),
+    "north-pole": (137.0, 89.999),
+    "south-pole": (251.0, -89.999),
+    "mid-sky": (120.0, -35.0),
+}
+
+
+@pytest.mark.parametrize("centre", sorted(CROWDED_CENTRES))
+@pytest.mark.parametrize("radius,zone_height", [(0.002, 0.01), (0.002, 0.0005), (0.01, 0.004)])
+def test_single_and_multi_candidate_rows_match_oracle(centre, radius, zone_height):
+    """Rows with one candidate and rows needing the tie rule, interleaved."""
+    ra0, dec0 = CROWDED_CENTRES[centre]
+    rng = np.random.default_rng([int(radius * 1e4), int(zone_height * 1e4), int(ra0)])
+    for _ in range(3):
+        frame, tpl = crowded_field(rng, ra0, dec0, 5 * radius, 160, duplicate_every=5)
+        result, counts = assert_result_arrays_match_oracle(frame, tpl, radius, zone_height)
+        many = counts > 1
+        # the field really interleaves both kinds of row
+        assert np.any(many[:-1] & (counts[1:] == 1)) and np.any((counts[:-1] == 1) & many[1:])
+        assert result.n_unmatched > 0
+
+
+@pytest.mark.parametrize("centre", sorted(CROWDED_CENTRES))
+def test_every_row_ambiguous_matches_oracle(centre):
+    """Every star duplicated: each matched row is decided by the tie rule."""
+    ra0, dec0 = CROWDED_CENTRES[centre]
+    rng = np.random.default_rng(int(ra0) + 1)
+    frame, tpl = crowded_field(rng, ra0, dec0, 0.01, 120, duplicate_every=1)
+    result, counts = assert_result_arrays_match_oracle(frame, tpl, 0.002, 0.01)
+    assert result.n_matched > 0
+    assert result.ambiguous_count == result.n_matched
+    assert np.all(counts[result.matched_rows] >= 2)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import os
 import shutil
 import stat
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -46,6 +47,8 @@ from tdcat.store import (
     write_records_csv,
 )
 
+from oracles import column_store_records
+
 CFG = EngineConfig()
 MODEL = SkyModel(seed=42, star_count=300, footprint=(0.0, 2.0, -1.0, 1.0))
 
@@ -87,6 +90,19 @@ def test_record_sizes():
     assert STORE_DTYPE["star_id"] == np.dtype("<i8")
     assert STORE_DTYPE["epoch"] == np.dtype("<f8")
     assert STORE_DTYPE["candidate"] == np.dtype("u1")
+
+
+def test_store_row_begins_with_catalog_row():
+    # frame_to_store_records copies the first RECORD_SIZE bytes of each store
+    # row as one block, so they must hold RECORD_DTYPE's fields exactly
+    head = STORE_DTYPE.names[: len(RECORD_DTYPE.names)]
+    assert head == RECORD_DTYPE.names
+    for name in head:
+        assert STORE_DTYPE.fields[name] == RECORD_DTYPE.fields[name]  # format, offset
+    assert RECORD_DTYPE.itemsize == RECORD_SIZE
+    assert sum(RECORD_DTYPE[name].itemsize for name in head) == RECORD_SIZE
+    for name in STORE_DTYPE.names[len(head):]:
+        assert STORE_DTYPE.fields[name][1] >= RECORD_SIZE
 
 
 @pytest.mark.parametrize(
@@ -191,6 +207,68 @@ def test_frame_to_store_records_rejects_mismatch(sky):
     other_frame, _ = frame_at(sky, 60.0)
     with pytest.raises(DomainError):
         frame_to_store_records(other_frame, matches)
+
+
+def assert_store_rows_match_reference(frame, matches):
+    rows = frame_to_store_records(frame, matches)
+    want = column_store_records(frame, matches)
+    assert rows.dtype == want.dtype == STORE_DTYPE
+    assert rows.tobytes() == want.tobytes()
+    return rows
+
+
+def test_store_rows_match_reference_with_unmatched_rows(sky):
+    template, _ = sky
+    frame = observe_frame(template, 75.0, [], MODEL, CFG)
+    half = build_zone_index(template.to_records(CFG)[::2], CFG.zone_height_deg)
+    matches = range_join(frame.records, half, CFG.match_radius_deg)
+    assert matches.n_matched and matches.n_unmatched
+    rows = assert_store_rows_match_reference(frame, matches)
+    assert np.count_nonzero(rows["star_id"] == UNMATCHED_STAR_ID) == matches.n_unmatched
+
+
+def test_store_rows_match_reference_for_strided_view(sky):
+    frame, _ = frame_at(sky, 90.0)
+    view = replace(frame, records=frame.records[::2])
+    assert not view.records.flags.c_contiguous
+    matches = range_join(view.records, sky[1], CFG.match_radius_deg)
+    rows = assert_store_rows_match_reference(view, matches)
+    assert len(rows) == len(view.records)
+
+
+def test_store_rows_keep_nan_and_negative_zero(sky):
+    frame, matches = frame_at(sky, 105.0)
+    records = frame.records.copy()
+    floats = [name for name in TABLE2_COLUMNS if records.dtype[name].kind == "f"]
+    for name in floats:
+        records[name][0::3] = np.nan
+        records[name][1::3] = -0.0
+    rows = assert_store_rows_match_reference(replace(frame, records=records), matches)
+    for name in floats:
+        assert np.all(np.isnan(rows[name][0::3]))
+        assert np.all(np.signbit(rows[name][1::3]) & (rows[name][1::3] == 0.0))
+
+
+def test_store_rows_for_empty_frame(sky):
+    frame, _ = frame_at(sky, 120.0)
+    empty = replace(frame, records=frame.records[:0])
+    matches = range_join(empty.records, sky[1], CFG.match_radius_deg)
+    rows = assert_store_rows_match_reference(empty, matches)
+    assert len(rows) == 0 and rows.dtype == STORE_DTYPE
+
+
+def test_frame_to_store_records_rejects_other_row_layouts(sky):
+    # a byte copy (like a structured cast) would pair fields by position
+    frame, matches = frame_at(sky, 135.0)
+    reordered = np.dtype(list(reversed(RECORD_DTYPE.descr)))
+    big_endian = RECORD_DTYPE.newbyteorder(">")
+    padded = np.dtype(RECORD_DTYPE.descr + [("extra", "u1")])
+    for dtype in (reordered, big_endian, padded):
+        records = np.zeros(len(frame.records), dtype=dtype)
+        for name in TABLE2_COLUMNS:
+            records[name] = frame.records[name]
+        with pytest.raises(DomainError):
+            frame_to_store_records(replace(frame, records=records), matches)
 
 
 # ---------------------------------------------------------------------------
