@@ -26,6 +26,7 @@ from __future__ import annotations
 import csv
 import os
 import time
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -90,12 +91,14 @@ _KIND = {
 }
 
 
-def _read_rows(path, magic: bytes, dtype, header_only: bool = False):
+def _read_rows(path, magic: bytes, dtype, header_only: bool = False, star_id=None):
     """Check a binary file's header, then read its rows in one call.
 
     Returns ``(rows, epoch)``: ``rows`` is a fresh writable array (None when
     only the header is wanted) and ``epoch`` is the TDL1 frame epoch (None for
-    the other layouts).
+    the other layouts).  With ``star_id`` (TDB1 only, whose rows are sorted by
+    star) only that star's rows are read: the file is mapped and its
+    ``star_id`` column bisected, touching O(log n) pages besides those rows.
     """
     path = Path(path)
     header_size = 20 if magic == DELTA_MAGIC else 12
@@ -107,7 +110,15 @@ def _read_rows(path, magic: bytes, dtype, header_only: bool = False):
         # checked against the file size before anything is allocated for it
         if os.fstat(fh.fileno()).st_size < header_size + count * dtype.itemsize:
             raise StorageError(f"truncated file {path}")
-        rows = None if header_only else np.fromfile(fh, dtype=dtype, count=count)
+        if header_only:
+            rows = None
+        elif star_id is None:
+            rows = np.fromfile(fh, dtype=dtype, count=count)
+        else:  # the map spans the header too, so a 0-row base maps fine
+            mapped = np.memmap(fh, dtype, "r", offset=header_size, shape=(count,))
+            keys = mapped["star_id"]  # not searchsorted: it copies the whole column
+            lo, hi = bisect_left(keys, star_id), bisect_right(keys, star_id)
+            rows = np.array(mapped[lo:hi])
     epoch = float(np.frombuffer(header[12:], "<f8")[0]) if magic == DELTA_MAGIC else None
     return rows, epoch
 
@@ -116,7 +127,7 @@ def write_records_bin(path, records: np.ndarray) -> int:
     """Interchange TDS1 file of catalog rows."""
     records = np.ascontiguousarray(records, dtype=RECORD_DTYPE)
     header = TDS_MAGIC + np.uint64(len(records)).tobytes()
-    return _atomic_write(Path(path), [header, records.tobytes()])
+    return _atomic_write(Path(path), [header, records.view(np.uint8)])
 
 
 def read_records_bin(path) -> np.ndarray:
@@ -159,7 +170,7 @@ def read_records_csv(path) -> np.ndarray:
 
 def _write_segment(path: Path, records: np.ndarray, epoch: float) -> int:
     header = DELTA_MAGIC + np.uint64(len(records)).tobytes() + np.float64(epoch).tobytes()
-    return _atomic_write(path, [header, records.tobytes()])
+    return _atomic_write(path, [header, records.view(np.uint8)])
 
 
 # ---------------------------------------------------------------------------
@@ -271,11 +282,11 @@ class NightStore:
         for night in self._delta_nights():
             yield from self._segments(night)
 
-    def _layers(self):
-        """Rows of the newest base run, then of each later segment in order."""
+    def _layers(self, star_id=None):
+        """Newest base run (only ``star_id``'s rows, if given), then each later segment."""
         base = self.base_path()
         if base is not None:
-            yield _read_rows(base, BASE_MAGIC, STORE_DTYPE)[0]
+            yield _read_rows(base, BASE_MAGIC, STORE_DTYPE, star_id=star_id)[0]
         for seg in self.all_segments():
             yield _read_rows(seg, DELTA_MAGIC, STORE_DTYPE)[0]
 
@@ -383,7 +394,7 @@ class NightStore:
             header = BASE_MAGIC + np.uint64(len(merged)).tobytes()
             with open(staging, "wb") as fh:
                 fh.write(header)
-                fh.write(merged.tobytes())
+                fh.write(merged.view(np.uint8))
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(staging, final)  # commit point
@@ -414,9 +425,9 @@ class NightStore:
         epoch_max: float | None = None,
         include_candidates: bool = True,
     ) -> np.ndarray:
-        """Full-history scan across base and delta layers, (epoch, id) order."""
+        """Matching rows of all layers, (epoch, id) order; a star query bisects the base."""
         parts = []
-        for rec in self._layers():
+        for rec in self._layers(star_id):
             keep = np.ones(len(rec), dtype=bool)
             if star_id is not None:
                 keep &= rec["star_id"] == star_id

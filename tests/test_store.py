@@ -31,6 +31,7 @@ from tdcat.pipeline import QueryPredicate, scatter_gather_query
 from tdcat.skygen import SkyModel, build_template, observe_frame
 from tdcat.store import (
     BASE_MAGIC,
+    DELTA_MAGIC,
     RECORD_SIZE,
     STORE_DTYPE,
     STORE_RECORD_SIZE,
@@ -660,6 +661,114 @@ def test_query_filters_match_bruteforce(tmp_path, sky):
             kw.get("include_candidates", True),
         )
         assert np.all(np.diff(got["epoch"]) >= 0)
+
+
+def full_scan_star_query(store, star_id, epoch_min=None, epoch_max=None,
+                         include_candidates=True):
+    """Every layer read whole, masked, then put in (epoch, id) order."""
+    layers = [_read_rows(store.base_path(), BASE_MAGIC, STORE_DTYPE)[0]]
+    for seg in store.all_segments():
+        layers.append(_read_rows(seg, DELTA_MAGIC, STORE_DTYPE)[0])
+    parts = []
+    for rec in layers:
+        keep = rec["star_id"] == star_id
+        if epoch_min is not None:
+            keep &= rec["epoch"] >= epoch_min
+        if epoch_max is not None:
+            keep &= rec["epoch"] <= epoch_max
+        if not include_candidates:
+            keep &= rec["candidate"] == 0
+        parts.append(rec[keep])
+    out = np.concatenate(parts)
+    return out[np.lexsort((out["id"], out["epoch"]))]
+
+
+def test_star_query_equals_full_scan_byte_for_byte(tmp_path, sky):
+    # half the template is indexed, so every frame also stores candidates and
+    # the odd template stars never appear: ids missing between present ones
+    template, _ = sky
+    half = build_zone_index(template.to_records(CFG)[::2], CFG.zone_height_deg)
+    store = NightStore(tmp_path, 0)
+    for night in range(3):
+        for k in range(1, 4):
+            epoch = night * 86400.0 + 15.0 * k
+            frame = observe_frame(template, epoch, [], MODEL, CFG)
+            store.delta_insert(frame, range_join(frame.records, half, CFG.match_radius_deg))
+        if night == 0:
+            store.nightly_merge()  # nights 1 and 2 stay in the delta log
+    base, _ = _read_rows(store.base_path(), BASE_MAGIC, STORE_DTYPE)
+    assert len(list(store.all_segments())) == 6
+    present = set(base["star_id"].tolist())
+    stars = template.stars["id"].astype(int)
+    missing = [s for s in range(min(present), max(present)) if s not in present]
+    assert UNMATCHED_STAR_ID in present and missing
+    ids = sorted(set(stars) | {UNMATCHED_STAR_ID, -5, max(stars) + 1, missing[0]})
+    windows = [
+        dict(),
+        dict(epoch_min=30.0),
+        dict(epoch_max=86400.0 + 30.0),
+        dict(epoch_min=45.0, epoch_max=2 * 86400.0 + 15.0),
+        dict(epoch_min=86400.0 + 16.0, epoch_max=86400.0 + 44.0),
+        dict(include_candidates=False),
+        dict(epoch_min=30.0, include_candidates=False),
+    ]
+    hits = 0
+    for star_id in ids:
+        rows, _ = _read_rows(store.base_path(), BASE_MAGIC, STORE_DTYPE, star_id=star_id)
+        assert rows.tobytes() == base[base["star_id"] == star_id].tobytes()
+        for kw in windows:
+            got = store.query_records(star_id=star_id, **kw)
+            want = full_scan_star_query(store, star_id, **kw)
+            assert got.dtype == STORE_DTYPE
+            assert got.tobytes() == want.tobytes(), (star_id, kw)
+            hits += len(got) > 0
+    assert hits > len(ids)
+
+
+def test_star_query_on_empty_base(tmp_path, sky):
+    store = NightStore(tmp_path, 0)
+    for k in range(1, 3):
+        frame, _ = frame_at(sky, 15.0 * k)
+        empty = replace(frame, records=frame.records[:0])
+        store.delta_insert(empty, range_join(empty.records, sky[1], CFG.match_radius_deg))
+    report = store.nightly_merge()
+    assert report.records_merged == 0 and report.base_path.stat().st_size == 12
+    for star_id in (UNMATCHED_STAR_ID, 0, 7):
+        got = store.query_records(star_id=star_id)
+        assert len(got) == 0 and got.dtype == STORE_DTYPE
+
+
+def test_star_query_rejects_damaged_base(tmp_path, sky):
+    store, inserted = fill_store(tmp_path, sky, [15.0, 30.0])
+    base = store.nightly_merge().base_path
+    star_id = int(inserted["star_id"][inserted["star_id"] >= 0][0])
+    payload = base.read_bytes()
+    base.write_bytes(payload[:-1])
+    with pytest.raises(StorageError, match="truncated"):
+        store.query_records(star_id=star_id)
+    base.write_bytes(b"TDL1" + payload[4:])
+    with pytest.raises(StorageError, match="not a TDB1"):
+        store.query_records(star_id=star_id)
+
+
+def test_star_query_rows_are_a_writable_copy(tmp_path, sky):
+    store, inserted = fill_store(tmp_path, sky, [15.0, 30.0])
+    old_base = store.nightly_merge().base_path
+    star_id = int(inserted["star_id"][inserted["star_id"] >= 0][0])
+    rows, _ = _read_rows(old_base, BASE_MAGIC, STORE_DTYPE, star_id=star_id)
+    got = store.query_records(star_id=star_id)
+    for arr in (rows, got):
+        assert type(arr) is np.ndarray and arr.flags.writeable and arr.flags.owndata
+    assert len(rows) == 2 and np.all(rows["star_id"] == star_id)
+    rows["mag"] = 0.0  # the file is unchanged
+    assert canonical(store.query_records(star_id=star_id)) == canonical(got)
+    # no mapping outlives the read, so the next merge replaces and sweeps it
+    frame, matches = frame_at(sky, 86400.0 + 15.0)
+    store.delta_insert(frame, matches)
+    new_base = store.nightly_merge().base_path
+    assert new_base != old_base and not old_base.exists()
+    assert list(new_base.parent.iterdir()) == [new_base]
+    assert len(store.query_records(star_id=star_id)) == 3
 
 
 # ---------------------------------------------------------------------------
