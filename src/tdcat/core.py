@@ -139,7 +139,7 @@ def zone_of(dec, zone_height_deg: float):
     """
     nz = n_zones(zone_height_deg)
     dec_arr = np.asarray(dec, dtype=np.float64)
-    if np.any(dec_arr < -90.0) or np.any(dec_arr > 90.0):
+    if not np.all((dec_arr >= -90.0) & (dec_arr <= 90.0)):  # NaN fails too
         raise DomainError(f"dec must be in [-90, 90], got {dec}")
     z = np.floor((dec_arr + 90.0) / zone_height_deg + _ZONE_EPS).astype(np.int64)
     z = np.clip(z, 0, nz - 1)
@@ -153,9 +153,9 @@ def radec_to_cartesian(ra, dec):
     """
     ra_arr = np.asarray(ra, dtype=np.float64)
     dec_arr = np.asarray(dec, dtype=np.float64)
-    if np.any(ra_arr < 0.0) or np.any(ra_arr >= 360.0):
+    if not np.all((ra_arr >= 0.0) & (ra_arr < 360.0)):  # NaN fails too
         raise DomainError(f"ra must be in [0, 360), got {ra}")
-    if np.any(dec_arr < -90.0) or np.any(dec_arr > 90.0):
+    if not np.all((dec_arr >= -90.0) & (dec_arr <= 90.0)):
         raise DomainError(f"dec must be in [-90, 90], got {dec}")
     ra_r = np.radians(ra_arr)
     dec_r = np.radians(dec_arr)

@@ -41,7 +41,6 @@ class ZoneIndex:
     zone_height_deg: float
     ids: np.ndarray  # int64, flat
     ra: np.ndarray
-    dec: np.ndarray
     xyz: np.ndarray  # (n, 3) unit vectors
     zone: np.ndarray
     key: np.ndarray = field(repr=False)
@@ -102,7 +101,7 @@ def build_zone_index(records, zone_height_deg: float) -> ZoneIndex:
     zone = zone_of(dec, zone_height_deg)
 
     order = np.lexsort((ra, zone))
-    ra, dec, ids, zone = ra[order], dec[order], ids[order], zone[order]
+    ra, ids, zone = ra[order], ids[order], zone[order]
 
     names = records.dtype.names
     if "x" in names and "y" in names and "z" in names:
@@ -110,7 +109,7 @@ def build_zone_index(records, zone_height_deg: float) -> ZoneIndex:
             [records["x"][order], records["y"][order], records["z"][order]]
         ).astype(np.float64)
     else:
-        x, y, z = radec_to_cartesian(ra, dec) if len(ra) else (ra, ra, ra)
+        x, y, z = radec_to_cartesian(ra, dec[order]) if len(ra) else (ra, ra, ra)
         xyz = np.column_stack([x, y, z])
 
     key = zone.astype(np.float64) * 361.0 + ra
@@ -118,7 +117,6 @@ def build_zone_index(records, zone_height_deg: float) -> ZoneIndex:
         zone_height_deg=zone_height_deg,
         ids=ids,
         ra=ra,
-        dec=dec,
         xyz=np.ascontiguousarray(xyz),
         zone=zone,
         key=key,
@@ -145,31 +143,19 @@ def range_join(frame, template_index: ZoneIndex, radius_deg: float) -> MatchResu
     """Match each frame record to its nearest in-radius template star.
 
     Candidates are drawn only from zones within ceil(radius / zone_height) of
-    the record's zone and inside a declination-inflated RA window (two-interval
-    lookup across the 0/360 seam).  Among candidates within ``radius_deg`` the
-    nearest wins; exact separation ties break toward the smaller template star
-    id.  Records with no in-radius candidate are returned as unmatched
-    transient candidates.
+    the record's zone and inside a declination-inflated RA window, by one
+    lookup per zone offset, seam intervals included: a window that crosses
+    the 0/360 seam adds an interval for its wrapped part.  Among candidates
+    within ``radius_deg`` the nearest wins; exact separation ties break toward
+    the smaller template star id.  Records with no in-radius candidate are
+    returned as unmatched transient candidates.
     """
     if not 0 < radius_deg <= 90:
         raise ConfigError(f"radius_deg must be in (0, 90], got {radius_deg}")
     records = frame.records if hasattr(frame, "records") else frame
     n = len(records)
-    if n == 0:
-        empty_i = np.zeros(0, np.int64)
-        return MatchResult(
-            record_ids=np.zeros(0, np.uint64),
-            star_ids=empty_i,
-            separations_deg=np.zeros(0),
-            unmatched_ids=np.zeros(0, np.uint64),
-            matched_rows=empty_i,
-            unmatched_rows=empty_i,
-            ambiguous_count=0,
-            n_frame=0,
-        )
 
     h = template_index.zone_height_deg
-    nz = template_index.n_zones
     ra = np.ascontiguousarray(records["ra"], dtype=np.float64)
     dec = np.ascontiguousarray(records["dec"], dtype=np.float64)
     names = records.dtype.names
@@ -188,92 +174,65 @@ def range_join(frame, template_index: ZoneIndex, radius_deg: float) -> MatchResu
 
     lo = np.where(full_scan, 0.0, ra - halfw)
     hi = np.where(full_scan, 360.0, ra + halfw)
-    # Primary interval clipped into [0, 360]; the wrapped remainder becomes a
-    # second interval on the other side of the seam.
-    lo1 = np.maximum(lo, 0.0)
-    hi1 = np.minimum(hi, 360.0)
-    lo2 = np.where(lo < 0.0, lo + 360.0, np.where(hi > 360.0, 0.0, 0.0))
-    hi2 = np.where(lo < 0.0, 360.0, np.where(hi > 360.0, hi - 360.0, 0.0))
-    has2 = (lo < 0.0) | (hi > 360.0)
+    # One query interval per record, clipped into [0, 360]; a window that
+    # crosses the 0/360 seam adds its wrapped part, the window moved a full
+    # turn to the other side and clipped the same way.
+    wrap = np.flatnonzero((lo < 0.0) | (hi > 360.0))
+    turn = np.where(lo[wrap] < 0.0, 360.0, -360.0)
+    q_rec = np.concatenate([np.arange(n), wrap])
+    q_lo = np.clip(np.concatenate([lo, lo[wrap] + turn]), 0.0, 360.0)
+    q_hi = np.clip(np.concatenate([hi, hi[wrap] + turn]), 0.0, 360.0)
+    q_zone = rec_zone[q_rec]
 
+    # One lookup per zone offset.  A zone past either pole keys below or above
+    # every index row, so its range comes out empty.
     key = template_index.key
-    tpl_xyz = template_index.xyz
-    rec_idx = np.arange(n)
-
-    cand_rec_parts = []
-    cand_tpl_parts = []
-
-    def _collect(zk, mask, ivl_lo, ivl_hi):
-        if not np.any(mask):
-            return
-        base = zk[mask].astype(np.float64) * 361.0
-        rows = rec_idx[mask]
-        starts = np.searchsorted(key, base + ivl_lo[mask], side="left")
-        stops = np.searchsorted(key, base + ivl_hi[mask], side="right")
-        lengths = stops - starts
-        nonzero = lengths > 0
-        if not np.any(nonzero):
-            return
-        rows = rows[nonzero]
-        starts = starts[nonzero]
-        lengths = lengths[nonzero]
-        total = int(lengths.sum())
-        offsets = np.zeros(len(lengths), dtype=np.int64)
-        np.cumsum(lengths[:-1], out=offsets[1:])
-        flat = np.arange(total, dtype=np.int64) - np.repeat(offsets, lengths)
-        cand_tpl_parts.append(flat + np.repeat(starts, lengths))
-        cand_rec_parts.append(np.repeat(rows, lengths))
-
+    hit_rec, hit_start, hit_len = [], [], []
     for d in range(-dz, dz + 1):
-        zk = rec_zone + d
-        valid = (zk >= 0) & (zk < nz)
-        _collect(zk, valid, lo1, hi1)
-        _collect(zk, valid & has2, lo2, hi2)
+        base = (q_zone + d) * 361.0
+        start = np.searchsorted(key, base + q_lo, side="left")
+        length = np.searchsorted(key, base + q_hi, side="right") - start
+        hit = np.flatnonzero(length)
+        hit_rec.append(q_rec[hit])
+        hit_start.append(start[hit])
+        hit_len.append(length[hit])
+    start = np.concatenate(hit_start)
+    length = np.concatenate(hit_len)
+    cand_rec = np.repeat(np.concatenate(hit_rec), length)
+    # each hit's run of index rows, laid end to end
+    cand_tpl = np.arange(len(cand_rec)) + np.repeat(
+        start - (np.cumsum(length) - length), length
+    )
+    del base, hit_rec, hit_start, hit_len, start, length, hit
 
-    if cand_rec_parts:
-        cand_rec = np.concatenate(cand_rec_parts)
-        cand_tpl = np.concatenate(cand_tpl_parts)
-        diff = fxyz[cand_rec] - tpl_xyz[cand_tpl]
-        chord2 = np.einsum("ij,ij->i", diff, diff)
-        del diff  # the largest temporary; not needed past this point
-        max_chord = separation_to_chord(radius_deg)
-        in_radius = chord2 <= max_chord * max_chord
-        cand_rec = cand_rec[in_radius]
-        cand_tpl = cand_tpl[in_radius]
-        chord2 = chord2[in_radius]
-    else:
-        cand_rec = np.zeros(0, np.int64)
-        cand_tpl = np.zeros(0, np.int64)
-        chord2 = np.zeros(0)
+    diff = fxyz[cand_rec] - template_index.xyz[cand_tpl]
+    chord2 = np.einsum("ij,ij->i", diff, diff)
+    del diff  # the largest temporary; not needed past this point
+    max_chord = separation_to_chord(radius_deg)
+    in_radius = chord2 <= max_chord * max_chord
+    cand_rec = cand_rec[in_radius]
+    cand_tpl = cand_tpl[in_radius]
+    chord2 = chord2[in_radius]
 
-    if len(cand_rec):
-        per_rec = np.bincount(cand_rec, minlength=n)
-        ambiguous_count = int(np.count_nonzero(per_rec > 1))
-        # a lone candidate wins outright; only the ambiguous rows' candidates
-        # are sorted, nearest first and then by star id
-        single = per_rec[cand_rec] == 1
-        best = np.full(n, -1, np.int64)
-        best[cand_rec[single]] = np.flatnonzero(single)
-        multi = np.flatnonzero(~single)
-        star = template_index.ids[cand_tpl[multi]]
-        order = multi[np.lexsort((star, chord2[multi], cand_rec[multi]))]
-        first = order[np.unique(cand_rec[order], return_index=True)[1]]
-        best[cand_rec[first]] = first
-        matched_rows = np.flatnonzero(best >= 0)
-        chosen = best[matched_rows]
-        sep = np.degrees(
-            2.0 * np.arcsin(np.minimum(1.0, np.sqrt(chord2[chosen]) / 2.0))
-        )
-        star_ids = template_index.ids[cand_tpl[chosen]]
-    else:
-        ambiguous_count = 0
-        matched_rows = np.zeros(0, np.int64)
-        star_ids = np.zeros(0, np.int64)
-        sep = np.zeros(0)
-
-    matched_mask = np.zeros(n, dtype=bool)
-    matched_mask[matched_rows] = True
-    unmatched_rows = np.flatnonzero(~matched_mask)
+    per_rec = np.bincount(cand_rec, minlength=n)
+    ambiguous_count = int(np.count_nonzero(per_rec > 1))
+    # a lone candidate wins outright; only the ambiguous rows' candidates
+    # are sorted, nearest first and then by star id
+    single = per_rec[cand_rec] == 1
+    best = np.full(n, -1, np.int64)
+    best[cand_rec[single]] = np.flatnonzero(single)
+    multi = np.flatnonzero(~single)
+    star = template_index.ids[cand_tpl[multi]]
+    order = multi[np.lexsort((star, chord2[multi], cand_rec[multi]))]
+    first = order[np.unique(cand_rec[order], return_index=True)[1]]
+    best[cand_rec[first]] = first
+    matched_rows = np.flatnonzero(best >= 0)
+    unmatched_rows = np.flatnonzero(best < 0)
+    chosen = best[matched_rows]
+    sep = np.degrees(
+        2.0 * np.arcsin(np.minimum(1.0, np.sqrt(chord2[chosen]) / 2.0))
+    )
+    star_ids = template_index.ids[cand_tpl[chosen]]
     all_ids = records["id"]
     return MatchResult(
         record_ids=all_ids[matched_rows].astype(np.uint64),

@@ -11,7 +11,7 @@ import pytest
 
 from tdcat.cli import build_configs, build_parser, load_config_file, main
 from tdcat.core import ConfigError
-from tdcat.store import NightStore, read_records_bin
+from tdcat.store import NightStore, read_records_bin, write_records_bin
 
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -322,6 +322,23 @@ def test_ingest_rejects_wrong_night(workflow, tmp_path):
         "--input", str(gen / "frame_00000000.tds"),
     )
     assert rc == 1
+
+
+@pytest.mark.parametrize("with_template", [True, False])
+def test_ingest_rejects_nan_declination(workflow, tmp_path, with_template):
+    gen, _ = workflow
+    records = read_records_bin(gen / "frame_00000000.tds")
+    records["dec"][3] = np.nan
+    frame = tmp_path / "frame_00000000.tds"
+    write_records_bin(frame, records)
+    data = tmp_path / "d"
+    template = ["--template", str(gen / "template.tds")] if with_template else []
+    rc = run_cli(
+        "ingest", "--data-dir", str(data), "--partition", "0", *template,
+        "--input", str(frame),
+    )
+    assert rc == 1
+    assert not list(data.rglob("seg_*.tdl"))
 
 
 def test_ingest_without_template_stores_candidates(workflow, tmp_path):

@@ -153,6 +153,10 @@ def test_zone_rejects_out_of_range():
         zone_of(90.5, 0.01)
     with pytest.raises(DomainError):
         zone_of(np.array([0.0, -91.0]), 0.01)
+    with pytest.raises(DomainError):
+        zone_of(float("nan"), 0.01)
+    with pytest.raises(DomainError):
+        zone_of(np.array([0.0, np.nan, 45.0]), 0.01)
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +189,10 @@ def test_cartesian_rejects_bad_ranges():
         radec_to_cartesian(-0.001, 0.0)
     with pytest.raises(DomainError):
         radec_to_cartesian(0.0, 90.001)
+    with pytest.raises(DomainError):
+        radec_to_cartesian(float("nan"), 0.0)
+    with pytest.raises(DomainError):
+        radec_to_cartesian(np.array([1.0, 2.0]), np.array([0.0, np.nan]))
 
 
 @given(ra1=finite_ra, dec1=finite_dec, ra2=finite_ra, dec2=finite_dec)

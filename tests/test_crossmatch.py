@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -99,6 +101,74 @@ def test_zone_index_empty():
     result = range_join(make_records([10.0], [5.0]), idx, 0.003)
     assert result.n_matched == 0
     assert result.n_unmatched == 1
+
+
+def plain_records(ids, ra, dec):
+    """Rows with only id/ra/dec, as crossmatch_throughput builds them."""
+    out = np.zeros(len(ids), dtype=[("id", "<i8"), ("ra", "<f8"), ("dec", "<f8")])
+    out["id"], out["ra"], out["dec"] = ids, ra, dec
+    return out
+
+
+@pytest.mark.parametrize("case", [
+    "empty_frame", "empty_frame_empty_index", "no_candidates", "no_xyz_columns",
+])
+def test_edge_joins_return_exact_arrays(case):
+    """Empty frames and empty candidate sets go through the general path."""
+    tpl = make_records([10.0, 10.001], [5.0, 5.0], ids=[7, 8])
+    frame = make_records([], [])
+    # record_ids, star_ids, unmatched_ids, matched_rows, unmatched_rows,
+    # ambiguous_count, n_frame
+    want = ([], [], [], [], [], 0, 0)
+    if case == "empty_frame_empty_index":
+        tpl = make_records([], [])
+    elif case == "no_candidates":
+        frame = make_records([200.0, 201.0], [-40.0, -40.0], ids=[3, 4])
+        want = ([], [], [3, 4], [], [0, 1], 0, 2)
+    elif case == "no_xyz_columns":
+        # row 0 sits across the RA seam from two stars, row 2 near one,
+        # row 1 near none
+        tpl = plain_records([10, 11, 12], [359.999, 0.0005, 120.0], [0.0, 0.0, 30.0])
+        frame = plain_records([100, 101, 102], [0.0, 50.0, 120.001], [0.0, 50.0, 30.0])
+        want = ([100, 102], [11, 12], [101], [0, 2], [1], 1, 3)
+    result = range_join(frame, build_zone_index(tpl, 0.01), 0.003)
+    names = ("record_ids", "star_ids", "unmatched_ids", "matched_rows",
+             "unmatched_rows")
+    dtypes = (np.uint64, np.int64, np.uint64, np.int64, np.int64)
+    for name, dtype, values in zip(names, dtypes, want):
+        got = getattr(result, name)
+        assert got.dtype == dtype and got.ndim == 1, name
+        assert got.tolist() == values, name
+    assert result.separations_deg.dtype == np.float64
+    tpl_row = {int(i): j for j, i in enumerate(tpl["id"])}
+    want_sep = [
+        haversine_deg(frame["ra"][r], frame["dec"][r],
+                      tpl["ra"][tpl_row[s]], tpl["dec"][tpl_row[s]])
+        for r, s in zip(want[3], want[1])
+    ]
+    assert result.separations_deg.tolist() == pytest.approx(want_sep, abs=1e-12)
+    assert result.ambiguous_count == want[5]
+    assert result.n_frame == want[6]
+
+
+def test_wide_zone_reach_stays_small_in_memory():
+    """dz = 50 zone offsets must not hold (2*dz + 1) lookups per row at once."""
+    rng = np.random.default_rng(11)
+    n = 20_000
+    t_ra, t_dec = rng.uniform(100, 110, n), rng.uniform(10, 20, n)
+    frame = make_records(
+        t_ra + rng.normal(0, 1e-4, n), t_dec + rng.normal(0, 1e-4, n),
+        ids=np.arange(n) + (1 << 20),
+    )
+    index = build_zone_index(make_records(t_ra, t_dec), 0.001)
+    tracemalloc.start()
+    try:
+        result = range_join(frame, index, 0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.n_matched == n
+    assert peak < 16 * 2**20, f"range_join peak {peak / 2**20:.1f} MiB"
 
 
 # ---------------------------------------------------------------------------
