@@ -3,8 +3,8 @@
 
 Runs a few partitions at reduced density with transient injections, merges
 the delta logs into the base store, then demonstrates the two offline paths
-on whatever the night produced: a scatter-gather query over all partitions
-and an alert replay from the stored records.
+on whatever the night produced: a query across all partitions and an alert
+replay from the stored records.
 
     python3 scripts/run_demo_night.py --out /tmp/demo_night --frames 240
 """
@@ -14,9 +14,9 @@ from pathlib import Path
 
 from tdcat.core import EngineConfig
 from tdcat.mining import MiningConfig, read_alerts_csv
-from tdcat.pipeline import QueryPredicate, replay_online, run_night, scatter_gather_query
+from tdcat.pipeline import replay_online, run_night
 from tdcat.skygen import read_truth_log
-from tdcat.store import NightStore
+from tdcat.store import QueryPredicate, open_partitions, query_stores
 
 
 def main(argv=None) -> int:
@@ -55,14 +55,13 @@ def main(argv=None) -> int:
         )
 
     # offline path 1: cross-partition query for the bright end of the night
-    pred = QueryPredicate(mag_max=11.0)
-    bright = scatter_gather_query(args.out, range(args.partitions), pred)
-    print(f"\nscatter-gather query mag <= 11: {len(bright)} stored records")
+    stores = open_partitions(args.out, range(args.partitions))
+    bright = query_stores(stores, QueryPredicate(mag_max=11.0))
+    print(f"\ncross-partition query mag <= 11: {len(bright)} stored records")
 
-    # offline path 2: replay the online detector from the store and compare
+    # offline path 2: replay the online detector from each store and compare
     replayed = sum(
-        len(replay_online(NightStore(args.out, p).query_records(), config, mining))
-        for p in range(args.partitions)
+        len(replay_online(s.query_records(), config, mining)) for s in stores
     )
     print(f"alert replay from store: {replayed} alerts (live run: {total_alerts})")
     return 0

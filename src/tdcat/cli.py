@@ -24,6 +24,7 @@ from . import __version__
 from .core import (
     RECORD_DTYPE,
     ConfigError,
+    DomainError,
     EngineConfig,
     EngineError,
     FrameBatch,
@@ -57,10 +58,14 @@ from .skygen import (
 from .store import (
     SECONDS_PER_DAY,
     STORE_RECORD_SIZE,
+    TDS_MAGIC,
     NightStore,
+    QueryPredicate,
     capacity_plan,
     capacity_table,
     night_of,
+    open_partitions,
+    query_stores,
     read_records_bin,
     read_records_csv,
     write_records_bin,
@@ -132,25 +137,33 @@ def _star_count(args) -> int:
     return DENSITY_PRESETS[getattr(args, "density", None) or "1/100"]
 
 
-def _read_interchange(path) -> np.ndarray:
-    """Sniff TDS1 binary vs CSV by the file's first bytes."""
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-    if magic == b"TDS1":
-        return read_records_bin(path)
-    return read_records_csv(path)
+def _read_interchange(path, fmt=None) -> np.ndarray:
+    """Rows of a ``bin`` or ``csv`` file (sniffed if ``fmt`` is None), all on the sky."""
+    if fmt is None:
+        with open(path, "rb") as fh:
+            fmt = "bin" if fh.read(4) == TDS_MAGIC else "csv"
+    records = read_records_bin(path) if fmt == "bin" else read_records_csv(path)
+    ra, dec = records["ra"], records["dec"]
+    bad = ~((ra >= 0.0) & (ra < 360.0) & (dec >= -90.0) & (dec <= 90.0))  # NaN too
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DomainError(
+            f"{path}: row {i} has ra {ra[i]!r}, dec {dec[i]!r}; "
+            "ra must be in [0, 360) and dec in [-90, 90]"
+        )
+    return records
 
 
-def _partitions_of(args, root: Path) -> list:
-    raw = getattr(args, "partitions", None)
-    if raw:
-        return [int(p) for p in str(raw).split(",")]
+def _stores_of(args, root: Path) -> list:
+    """The stores of ``--partitions``, else of every partition under ``root``."""
+    if args.partitions:
+        return open_partitions(root, [int(p) for p in args.partitions.split(",")])
     found = sorted(
         int(p.name.split("_")[-1]) for p in root.glob("partition_*") if p.is_dir()
     )
     if not found:
         raise EngineError(f"no partitions found under {root}")
-    return found
+    return open_partitions(root, found)
 
 
 # ---------------------------------------------------------------------------
@@ -197,9 +210,8 @@ def cmd_ingest(args) -> int:
         else np.zeros(0, RECORD_DTYPE)
     )
     index = build_zone_index(template, config.zone_height_deg)
-    reader = read_records_csv if args.format == "csv" else read_records_bin
     for path in args.input:
-        records = reader(path)
+        records = _read_interchange(path, args.format)
         if not len(records):
             raise EngineError(f"{path}: empty frame file")
         imageids = np.unique(records["imageid"])
@@ -318,11 +330,9 @@ def cmd_run_night(args) -> int:
 
 
 def cmd_query(args) -> int:
-    root = data_dir_of(args)
-    parts = _partitions_of(args, root)
-    stores = [NightStore(root, p) for p in parts]
     curve = query_curve(
-        stores, args.star, epoch_min=args.epoch_min, epoch_max=args.epoch_max
+        _stores_of(args, data_dir_of(args)), args.star,
+        epoch_min=args.epoch_min, epoch_max=args.epoch_max,
     )
     out = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
@@ -348,16 +358,14 @@ def cmd_query(args) -> int:
 def cmd_mine_online(args) -> int:
     config, mining = build_configs(args)
     root = data_dir_of(args)
-    parts = _partitions_of(args, root)
+    stores = _stores_of(args, root)
+    window = QueryPredicate(epoch_min=args.epoch_min, epoch_max=args.epoch_max)
     alerts = []
-    for p in parts:
-        store = NightStore(root, p)
-        records = store.query_records(
-            epoch_min=args.epoch_min, epoch_max=args.epoch_max
-        )
-        alerts.extend(replay_online(records, config, mining))
+    for store in stores:  # star ids are per camera: replay each on its own
+        alerts.extend(replay_online(query_stores([store], window), config, mining))
     out = args.out or str(root / "alerts_mined.csv")
     write_alerts_csv(out, alerts)
+    parts = [s.partition_id for s in stores]
     print(f"{len(alerts)} alerts from partitions {parts} -> {out}")
     return 0
 
@@ -376,11 +384,9 @@ def cmd_mine_period(args) -> int:
             if args.oversample is not None
             else mining.oversample,
         )
-    root = data_dir_of(args)
-    parts = _partitions_of(args, root)
-    stores = [NightStore(root, p) for p in parts]
     curve = query_curve(
-        stores, args.star, epoch_min=args.epoch_min, epoch_max=args.epoch_max
+        _stores_of(args, data_dir_of(args)), args.star,
+        epoch_min=args.epoch_min, epoch_max=args.epoch_max,
     )
     result = period_search(curve.epochs, curve.mags, mining)
     if args.out:

@@ -1,12 +1,14 @@
-"""Shared-nothing night simulation: per-partition frame chains and queries.
+"""Shared-nothing night simulation: per-partition frame chains and alert replay.
 
 Each partition owns a disjoint footprint slice, its own template, store and
 detectors; partitions never share state, so a night can run serially or with
 one process per partition with identical results.  The per-frame chain is
 match -> append -> online mining -> candidate tracking, and every stage is
 timed so cadence compliance (a frame fully processed inside the 15 s exposure
-gap) is measured, not assumed.  Light curves are read back from the store
-(``lightcurve.query_curve``); the chain keeps no in-memory copy of them.
+gap) is measured, not assumed.  ``replay_online`` re-runs the detectors over
+rows a caller read back.  Reads across partitions go through
+``store.query_stores`` and its projection ``lightcurve.query_curve``; the
+chain keeps no in-memory copy of light curves.
 
 Catalog products (delta segments, base runs, alert and truth CSVs) are
 deterministic for a given seed; the cadence CSVs carry wall-clock timings and
@@ -18,13 +20,13 @@ from __future__ import annotations
 import csv
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .core import DomainError, EngineConfig, EngineError, separation_to_chord
+from .core import DomainError, EngineConfig
 from .crossmatch import range_join
 from .mining import (
     CandidateTracker,
@@ -41,11 +43,7 @@ from .skygen import (
     split_footprint,
     write_truth_log,
 )
-from .store import SECONDS_PER_DAY, NightStore, STORE_DTYPE
-
-
-class PartitionError(EngineError):
-    """A partition store could not be opened or read during a gathered query."""
+from .store import SECONDS_PER_DAY, NightStore
 
 
 def partition_seed(seed: int, partition_id: int) -> int:
@@ -98,6 +96,8 @@ class PartitionWorker:
         self.config = config
         self.mining = mining
         self.store = NightStore(data_dir, partition_id) if data_dir is not None else None
+        if self.store is not None:  # the writer's partition exists before its first frame
+            self.store.root.mkdir(parents=True, exist_ok=True)
         self.bank = WindowBank(template.stars["id"], mining)
         self.tracker = CandidateTracker(config, mining)
 
@@ -169,14 +169,6 @@ class CadenceReport:
     @property
     def cadence_ok(self) -> bool:
         return self.max_frame_s < self.cadence_s
-
-    def stage_means(self) -> dict:
-        if not self.frames:
-            return {}
-        out = {}
-        for name in ("match_s", "insert_s", "online_s", "candidate_s"):
-            out[name] = float(np.mean([getattr(f.timings, name) for f in self.frames]))
-        return out
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -389,82 +381,7 @@ def write_night_summary(path, summaries) -> None:
 
 
 # ---------------------------------------------------------------------------
-# scatter-gather query
-
-
-@dataclass
-class QueryPredicate:
-    """Conjunctive record filter for cross-partition queries."""
-
-    star_id: int | None = None
-    epoch_min: float | None = None
-    epoch_max: float | None = None
-    cone: tuple | None = None  # (ra_deg, dec_deg, radius_deg)
-    mag_min: float | None = None
-    mag_max: float | None = None
-    include_candidates: bool = True
-
-
-def _apply_local_filters(rec: np.ndarray, pred: QueryPredicate) -> np.ndarray:
-    if pred.cone is not None and len(rec):
-        ra, dec, radius = pred.cone
-        ra_r, dec_r = np.radians(ra), np.radians(dec)
-        center = np.array(
-            [np.cos(dec_r) * np.cos(ra_r), np.cos(dec_r) * np.sin(ra_r), np.sin(dec_r)]
-        )
-        d2 = (
-            (rec["x"] - center[0]) ** 2
-            + (rec["y"] - center[1]) ** 2
-            + (rec["z"] - center[2]) ** 2
-        )
-        rec = rec[d2 <= separation_to_chord(radius) ** 2]
-    if pred.mag_min is not None and len(rec):
-        rec = rec[rec["calmag"] >= pred.mag_min]
-    if pred.mag_max is not None and len(rec):
-        rec = rec[rec["calmag"] <= pred.mag_max]
-    return rec
-
-
-def _query_partition(root, partition_id: int, pred: QueryPredicate) -> np.ndarray:
-    pdir = Path(root) / f"partition_{partition_id:02d}"
-    if not pdir.is_dir():
-        raise PartitionError(f"partition {partition_id} missing under {root}")
-    try:
-        store = NightStore(root, partition_id)
-        rec = store.query_records(
-            star_id=pred.star_id,
-            epoch_min=pred.epoch_min,
-            epoch_max=pred.epoch_max,
-            include_candidates=pred.include_candidates,
-        )
-    except EngineError as exc:
-        raise PartitionError(f"partition {partition_id}: {exc}") from exc
-    return _apply_local_filters(rec, pred)
-
-
-def scatter_gather_query(
-    root,
-    partition_ids,
-    predicate: QueryPredicate,
-    max_threads: int = 8,
-) -> np.ndarray:
-    """Fan a predicate out to partition stores and merge the results.
-
-    Partition reads are independent file scans, so they overlap well in
-    threads.  An unreadable partition fails the whole query with a
-    ``PartitionError`` naming it — a silent partial answer would look like a
-    real catalog result.
-    """
-    partition_ids = list(partition_ids)
-    if not partition_ids:
-        return np.zeros(0, STORE_DTYPE)
-    with ThreadPoolExecutor(max_workers=min(max_threads, len(partition_ids))) as pool:
-        parts = list(
-            pool.map(lambda p: _query_partition(root, p, predicate), partition_ids)
-        )
-    out = np.concatenate(parts) if parts else np.zeros(0, STORE_DTYPE)
-    order = np.lexsort((out["id"], out["epoch"]))
-    return out[order]
+# alert replay
 
 
 def replay_online(

@@ -1,4 +1,5 @@
-"""Append-only micro-batch ingestion with nightly merge, plus on-disk formats.
+"""Append-only micro-batch ingestion with nightly merge, the on-disk formats,
+and the one read across partition stores (``query_stores``).
 
 Three fixed-width little-endian binary layouts, all documented in the README:
 
@@ -27,6 +28,7 @@ import csv
 import os
 import time
 from bisect import bisect_left, bisect_right
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -37,8 +39,11 @@ from .core import (
     TABLE2_COLUMNS,
     DomainError,
     EngineConfig,
+    EngineError,
     SequenceError,
     StorageError,
+    radec_to_cartesian,
+    separation_to_chord,
 )
 
 TDS_MAGIC = b"TDS1"
@@ -235,8 +240,8 @@ class NightStore:
     Exactly one writer per partition.  Every read takes the newest base run
     plus the delta segments of the nights after it, so ``*.tmp`` and
     ``*.staging`` leftovers, older base runs and nights already folded into
-    the base are skipped, never deleted: opening a store changes nothing on
-    disk, and only ``nightly_merge`` sweeps what a crash left behind.
+    the base are skipped, never deleted: opening a store creates and changes
+    nothing on disk, and only ``nightly_merge`` sweeps what a crash left behind.
     """
 
     def __init__(self, root, partition_id: int):
@@ -244,8 +249,6 @@ class NightStore:
         self.root = Path(root) / f"partition_{partition_id:02d}"
         self.delta_dir = self.root / "delta"
         self.base_dir = self.root / "base"
-        self.delta_dir.mkdir(parents=True, exist_ok=True)
-        self.base_dir.mkdir(parents=True, exist_ok=True)
         self.stats = StorageStats()
         self._busy = False
         self._load_state()
@@ -340,7 +343,7 @@ class NightStore:
                 )
             records = frame_to_store_records(frame, matches)
             path = self._segment_path(frame)
-            path.parent.mkdir(exist_ok=True)
+            path.parent.mkdir(parents=True, exist_ok=True)
             written = _write_segment(path, records, frame.epoch)
             self._last_epoch = frame.epoch
             latency = time.perf_counter() - t0
@@ -391,6 +394,7 @@ class NightStore:
             target = max(nights)
             final = self.base_dir / f"base_through_{target:05d}.tdb"
             staging = final.with_suffix(final.suffix + ".staging")
+            self.base_dir.mkdir(exist_ok=True)
             header = BASE_MAGIC + np.uint64(len(merged)).tobytes()
             with open(staging, "wb") as fh:
                 fh.write(header)
@@ -441,6 +445,78 @@ class NightStore:
         out = np.concatenate(parts) if parts else np.zeros(0, STORE_DTYPE)
         order = np.lexsort((out["id"], out["epoch"]))
         return out[order]
+
+
+# ---------------------------------------------------------------------------
+# cross-partition reads
+
+
+class PartitionError(EngineError):
+    """A partition store is missing or unreadable during a cross-partition read."""
+
+
+@dataclass
+class QueryPredicate:
+    """Conjunctive row filter for ``query_stores``."""
+
+    star_id: int | None = None
+    epoch_min: float | None = None
+    epoch_max: float | None = None
+    cone: tuple | None = None  # (ra_deg, dec_deg, radius_deg)
+    mag_min: float | None = None
+    mag_max: float | None = None
+    include_candidates: bool = True
+
+
+def open_partitions(root, partition_ids) -> list:
+    """The ``partition_NN`` stores under ``root``; a missing one raises ``PartitionError``."""
+    stores = []
+    for p in partition_ids:
+        if not (Path(root) / f"partition_{p:02d}").is_dir():
+            raise PartitionError(f"partition {p} missing under {root}")
+        stores.append(NightStore(root, p))
+    return stores
+
+
+def _select(store: NightStore, predicate: QueryPredicate) -> np.ndarray:
+    """One store's rows that satisfy ``predicate``, in (epoch, id) order."""
+    try:
+        rec = store.query_records(
+            star_id=predicate.star_id,
+            epoch_min=predicate.epoch_min,
+            epoch_max=predicate.epoch_max,
+            include_candidates=predicate.include_candidates,
+        )
+    except EngineError as exc:
+        raise PartitionError(f"partition {store.partition_id}: {exc}") from exc
+    if predicate.cone is not None:
+        ra, dec, radius = predicate.cone
+        cx, cy, cz = radec_to_cartesian(ra, dec)
+        d2 = (rec["x"] - cx) ** 2 + (rec["y"] - cy) ** 2 + (rec["z"] - cz) ** 2
+        rec = rec[d2 <= separation_to_chord(radius) ** 2]
+    if predicate.mag_min is not None:
+        rec = rec[rec["calmag"] >= predicate.mag_min]
+    if predicate.mag_max is not None:
+        rec = rec[rec["calmag"] <= predicate.mag_max]
+    return rec
+
+
+def query_stores(stores, predicate: QueryPredicate) -> np.ndarray:
+    """Rows of every store that satisfy ``predicate``, in (epoch, id) order.
+
+    Several stores are read in threads, whose file reads and numpy work
+    overlap; one store is read in the caller's thread, where a pool would
+    cost more than a one-star read.  An unreadable partition fails the whole
+    query with a ``PartitionError`` naming it: a silent partial answer would
+    look like a real catalog result.
+    """
+    stores = list(stores)
+    if len(stores) == 1:
+        return _select(stores[0], predicate)
+    with ThreadPoolExecutor() as pool:
+        parts = list(pool.map(lambda s: _select(s, predicate), stores))
+    out = np.concatenate(parts) if parts else np.zeros(0, STORE_DTYPE)
+    return out[np.lexsort((out["id"], out["epoch"]))]
 
 
 # ---------------------------------------------------------------------------

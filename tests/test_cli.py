@@ -11,7 +11,7 @@ import pytest
 
 from tdcat.cli import build_configs, build_parser, load_config_file, main
 from tdcat.core import ConfigError
-from tdcat.store import NightStore, read_records_bin, write_records_bin
+from tdcat.store import open_partitions, read_records_bin, write_records_bin
 
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -235,7 +235,7 @@ def test_generate_outputs(workflow):
 
 def test_ingested_store_contents(workflow):
     _, data = workflow
-    store = NightStore(data, partition_id=0)
+    [store] = open_partitions(data, [0])
     rec = store.query_records()
     # 12 frames x ~150 matched stars, plus candidate rows from the injection
     assert len(rec) >= 12 * 150
@@ -279,6 +279,24 @@ def test_mine_online_replays_store(workflow, tmp_path, capsys):
     assert rc == 0
     assert out.is_file()
     assert "alerts from partitions [0]" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", [
+    ["query", "--star", "3"],
+    ["mine", "online"],
+    ["mine", "period", "--star", "3"],
+])
+def test_readers_create_nothing(workflow, tmp_path, capsys, command):
+    _, data = workflow
+    before = tree_bytes(data)
+    rc = run_cli(*command, "--data-dir", str(data), "--partitions", "0,7")
+    assert rc == 1
+    assert "partition 7" in capsys.readouterr().err
+    assert not (data / "partition_07").exists()
+    rc = run_cli(*command, "--data-dir", str(data), "--partitions", "0",
+                 "--out", str(tmp_path / "out.csv"))
+    assert rc == 0
+    assert tree_bytes(data) == before
 
 
 def test_mine_period_reports_best_period(workflow, tmp_path, capsys):
@@ -325,20 +343,31 @@ def test_ingest_rejects_wrong_night(workflow, tmp_path):
 
 
 @pytest.mark.parametrize("with_template", [True, False])
-def test_ingest_rejects_nan_declination(workflow, tmp_path, with_template):
+def test_ingest_rejects_nan_declination(workflow, tmp_path, with_template, capsys):
     gen, _ = workflow
-    records = read_records_bin(gen / "frame_00000000.tds")
-    records["dec"][3] = np.nan
-    frame = tmp_path / "frame_00000000.tds"
-    write_records_bin(frame, records)
-    data = tmp_path / "d"
-    template = ["--template", str(gen / "template.tds")] if with_template else []
-    rc = run_cli(
-        "ingest", "--data-dir", str(data), "--partition", "0", *template,
-        "--input", str(frame),
-    )
-    assert rc == 1
-    assert not list(data.rglob("seg_*.tdl"))
+    for field, value in (("dec", np.nan), ("ra", np.nan), ("ra", 360.0)):
+        records = read_records_bin(gen / "frame_00000000.tds")
+        records[field][3] = value
+        frame = tmp_path / "frame_00000000.tds"
+        write_records_bin(frame, records)
+        data = tmp_path / "d"
+        template = ["--template", str(gen / "template.tds")] if with_template else []
+        rc = run_cli(
+            "ingest", "--data-dir", str(data), "--partition", "0", *template,
+            "--input", str(frame),
+        )
+        assert rc == 1
+        assert not list(data.rglob("seg_*.tdl"))
+        err = capsys.readouterr().err
+        if field == "ra":
+            assert str(frame) in err
+            rc = run_cli(
+                "crossmatch", "--template", str(gen / "template.tds"),
+                "--frame", str(frame), "--out-matches", str(tmp_path / "m.csv"),
+                "--out-candidates", str(tmp_path / "c.csv"),
+            )
+            assert rc == 1
+            assert str(frame) in capsys.readouterr().err
 
 
 def test_ingest_without_template_stores_candidates(workflow, tmp_path):
@@ -349,7 +378,8 @@ def test_ingest_without_template_stores_candidates(workflow, tmp_path):
         "--input", str(gen / "frame_00000000.tds"),
     )
     assert rc == 0
-    rec = NightStore(data, 0).query_records()
+    [store] = open_partitions(data, [0])
+    rec = store.query_records()
     assert len(rec) and np.all(rec["candidate"] == 1)
     assert np.all(rec["star_id"] == -1)
 
@@ -458,7 +488,8 @@ def test_csv_format_generate_and_ingest(tmp_path):
          "--input", *frames]
     )
     assert rc == 0
-    assert len(NightStore(data, 0).query_records()) >= 80
+    [store] = open_partitions(data, [0])
+    assert len(store.query_records()) >= 80
 
 
 # ---------------------------------------------------------------------------
@@ -476,6 +507,21 @@ def test_run_night_is_deterministic(tmp_path, capsys):
     assert a.keys() == b.keys()
     for name in a:
         assert a[name] == b[name], f"{name} differs between identical runs"
+
+
+def test_query_refuses_a_star_id_from_two_cameras(tmp_path, capsys):
+    # template ids restart at 0 in every partition: star 3 names two stars
+    data = str(tmp_path)
+    assert main(["run-night", "--data-dir", data, "--partitions", "2",
+                 "--frames", "4", "--stars", "200"]) == 0
+    capsys.readouterr()
+    assert run_cli("query", "--data-dir", data, "--star", "3") == 1
+    err = capsys.readouterr().err
+    assert "cameras [0, 1]" in err and "--partitions" in err
+    out = tmp_path / "curve.csv"
+    assert run_cli("query", "--data-dir", data, "--star", "3",
+                   "--partitions", "0", "--out", str(out)) == 0
+    assert len(list(csv.reader(open(out)))) == 1 + 4
 
 
 def test_run_night_report_writes_telemetry(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import csv
 import gc
+import importlib.util
 import math
 import tracemalloc
 from pathlib import Path
@@ -14,15 +15,12 @@ from tdcat.pipeline import (
     CADENCE_CSV_HEADER,
     SCALING_CSV_HEADER,
     CadenceReport,
-    PartitionError,
     PartitionWorker,
-    QueryPredicate,
     StageTimings,
     partition_seed,
     replay_online,
     run_night,
     scaling_benchmark,
-    scatter_gather_query,
     write_scaling_csv,
 )
 from tdcat.skygen import (
@@ -34,7 +32,7 @@ from tdcat.skygen import (
     read_truth_log,
     split_footprint,
 )
-from tdcat.store import NightStore
+from tdcat.store import PartitionError, QueryPredicate, open_partitions, query_stores
 
 from oracles import haversine_deg
 
@@ -81,8 +79,6 @@ def test_cadence_report_arithmetic_and_csv(tmp_path):
     assert report.max_frame_s == totals.max()
     assert report.mean_frame_s == pytest.approx(totals.mean())
     assert report.cadence_ok  # tiny frames finish far inside 15 s
-    means = report.stage_means()
-    assert set(means) == {"match_s", "insert_s", "online_s", "candidate_s"}
     path = tmp_path / "cadence.csv"
     report.write_csv(path)
     rows = list(csv.reader(open(path)))
@@ -300,7 +296,7 @@ def test_replay_matches_live_alerts(tmp_path):
     run_small_night(tmp_path, seed=21, do_merge=False)
     for p in (0, 1):
         live = read_alerts_csv(tmp_path / f"alerts_p{p:02d}.csv")
-        store = NightStore(tmp_path, partition_id=p)
+        [store] = open_partitions(tmp_path, [p])
         replayed = replay_online(store.query_records(), CFG, MINING)
         assert len(replayed) == len(live)
         for a, b in zip(replayed, live):
@@ -312,7 +308,7 @@ def test_replay_sees_through_merge(tmp_path):
     run_small_night(tmp_path, seed=21, do_merge=True)
     for p in (0, 1):
         live = read_alerts_csv(tmp_path / f"alerts_p{p:02d}.csv")
-        store = NightStore(tmp_path, partition_id=p)
+        [store] = open_partitions(tmp_path, [p])
         replayed = replay_online(store.query_records(), CFG, MINING)
         assert len(replayed) == len(live)
         for a, b in zip(replayed, live):
@@ -324,7 +320,7 @@ def test_replay_empty_input():
 
 
 # ---------------------------------------------------------------------------
-# scatter-gather queries
+# cross-partition queries (store.query_stores)
 
 
 @pytest.fixture(scope="module")
@@ -334,15 +330,19 @@ def night_root(tmp_path_factory):
     return root
 
 
+def gather(root, partition_ids, predicate):
+    return query_stores(open_partitions(root, partition_ids), predicate)
+
+
 def all_rows(root):
-    parts = [NightStore(root, p).query_records() for p in (0, 1)]
+    parts = [s.query_records() for s in open_partitions(root, (0, 1))]
     rec = np.concatenate(parts)
     return rec[np.lexsort((rec["id"], rec["epoch"]))]
 
 
 def test_scatter_gather_equals_manual_concat(night_root):
     rec = all_rows(night_root)
-    got = scatter_gather_query(night_root, [0, 1], QueryPredicate())
+    got = gather(night_root, [0, 1], QueryPredicate())
     assert np.array_equal(got, rec)
     assert np.all(np.diff(got["epoch"]) >= 0)
 
@@ -350,25 +350,19 @@ def test_scatter_gather_equals_manual_concat(night_root):
 def test_scatter_gather_filters(night_root):
     rec = all_rows(night_root)
     sid = int(rec["star_id"][rec["star_id"] >= 0][0])
-    got = scatter_gather_query(night_root, [0, 1], QueryPredicate(star_id=sid))
+    got = gather(night_root, [0, 1], QueryPredicate(star_id=sid))
     assert len(got) and np.all(got["star_id"] == sid)
 
     lo, hi = 75.0, 300.0
-    got = scatter_gather_query(
-        night_root, [0, 1], QueryPredicate(epoch_min=lo, epoch_max=hi)
-    )
+    got = gather(night_root, [0, 1], QueryPredicate(epoch_min=lo, epoch_max=hi))
     want = rec[(rec["epoch"] >= lo) & (rec["epoch"] <= hi)]
     assert np.array_equal(np.sort(got["id"]), np.sort(want["id"]))
 
-    got = scatter_gather_query(
-        night_root, [0, 1], QueryPredicate(mag_min=12.0, mag_max=13.0)
-    )
+    got = gather(night_root, [0, 1], QueryPredicate(mag_min=12.0, mag_max=13.0))
     want = rec[(rec["calmag"] >= 12.0) & (rec["calmag"] <= 13.0)]
     assert np.array_equal(np.sort(got["id"]), np.sort(want["id"]))
 
-    got = scatter_gather_query(
-        night_root, [0, 1], QueryPredicate(include_candidates=False)
-    )
+    got = gather(night_root, [0, 1], QueryPredicate(include_candidates=False))
     assert np.all(got["candidate"] == 0)
 
 
@@ -377,9 +371,7 @@ def test_scatter_gather_cone_matches_haversine(night_root):
     center_ra = float(rec["ra"][0])
     center_dec = float(rec["dec"][0])
     radius = 0.5
-    got = scatter_gather_query(
-        night_root, [0, 1], QueryPredicate(cone=(center_ra, center_dec, radius))
-    )
+    got = gather(night_root, [0, 1], QueryPredicate(cone=(center_ra, center_dec, radius)))
     seps = np.array(
         [haversine_deg(r["ra"], r["dec"], center_ra, center_dec) for r in rec]
     )
@@ -390,11 +382,22 @@ def test_scatter_gather_cone_matches_haversine(night_root):
 
 def test_scatter_gather_missing_partition(night_root):
     with pytest.raises(PartitionError, match="5"):
-        scatter_gather_query(night_root, [0, 5], QueryPredicate())
+        gather(night_root, [0, 5], QueryPredicate())
 
 
 def test_scatter_gather_empty_partition_list(night_root):
-    assert len(scatter_gather_query(night_root, [], QueryPredicate())) == 0
+    assert len(gather(night_root, [], QueryPredicate())) == 0
+
+
+def test_demo_script_runs(tmp_path, capsys):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "run_demo_night.py"
+    spec = importlib.util.spec_from_file_location("run_demo_night", path)
+    demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demo)
+    argv = ["--out", str(tmp_path), "--partitions", "2", "--frames", "12",
+            "--stars", "200"]
+    assert demo.main(argv) == 0
+    assert "cross-partition query" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------

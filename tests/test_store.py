@@ -27,7 +27,6 @@ from tdcat.core import (
     StorageError,
 )
 from tdcat.crossmatch import build_zone_index, range_join
-from tdcat.pipeline import QueryPredicate, scatter_gather_query
 from tdcat.skygen import SkyModel, build_template, observe_frame
 from tdcat.store import (
     BASE_MAGIC,
@@ -37,11 +36,14 @@ from tdcat.store import (
     STORE_RECORD_SIZE,
     UNMATCHED_STAR_ID,
     NightStore,
+    QueryPredicate,
     _read_rows,
     capacity_plan,
     capacity_table,
     frame_to_store_records,
     night_of,
+    open_partitions,
+    query_stores,
     read_records_bin,
     read_records_csv,
     write_records_bin,
@@ -405,6 +407,7 @@ def plant_leftovers(part):
     junk = part / "delta" / "night_00000" / "seg_00000099.tdl.tmp"
     junk.write_bytes(b"torn segment write")
     staging = part / "base" / "base_through_00000.tdb.staging"
+    staging.parent.mkdir(exist_ok=True)  # only a merge makes base/
     staging.write_bytes(b"partial merge output that never committed")
     return junk, staging
 
@@ -426,7 +429,7 @@ def test_recover_discards_uncommitted_staging(tmp_path, sky):
 def test_readers_never_delete(tmp_path, sky):
     _, inserted = fill_store(tmp_path, sky, [15.0, 30.0])
     junk, staging = plant_leftovers(tmp_path / "partition_00")
-    got = scatter_gather_query(tmp_path, [0], QueryPredicate())
+    got = query_stores(open_partitions(tmp_path, [0]), QueryPredicate())
     assert junk.exists() and staging.exists()
     assert canonical(got) == canonical(inserted)
 
@@ -549,7 +552,7 @@ class StoreMachine(RuleBasedStateMachine):
         if night > self.merged_night:
             self.open_nights.add(night)
         path = self.store.delta_dir / f"night_{night:05d}"
-        path.mkdir(exist_ok=True)
+        path.mkdir(parents=True, exist_ok=True)
         return path
 
     @rule(next_night=st.booleans())
@@ -570,6 +573,7 @@ class StoreMachine(RuleBasedStateMachine):
     def leave_torn_file(self, staging):
         if staging:
             path = self.store.base_dir / "base_through_00000.tdb.staging"
+            path.parent.mkdir(parents=True, exist_ok=True)  # as the merge does
         else:
             path = self.night_dir() / "seg_99999999.tdl.tmp"
         path.write_bytes(b"torn write")
@@ -586,7 +590,7 @@ class StoreMachine(RuleBasedStateMachine):
         left = [p for p in self.files() if p.suffix in (".tmp", ".staging")]
         assert left == []
         assert len(self.store._base_files()) <= 1
-        assert not any(self.store.delta_dir.iterdir())
+        assert not any(self.store.delta_dir.glob("*"))  # absent before any insert
 
     @precondition(lambda self: self.open_nights)  # an empty merge commits nothing
     @rule()
