@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DomainError, EngineConfig
+from .core import DomainError, EngineConfig, take_rows
 from .crossmatch import range_join
 from .mining import (
     CandidateTracker,
@@ -112,7 +112,7 @@ class PartitionWorker:
         t2 = time.perf_counter()
         alerts = self.bank.update_from_match(frame, matches)
         t3 = time.perf_counter()
-        unmatched = frame.records[matches.unmatched_rows]
+        unmatched = take_rows(frame.records, matches.unmatched_rows)
         alerts.extend(self.tracker.update(frame.epoch, unmatched, frame.camera_id))
         t4 = time.perf_counter()
         for a in alerts:
@@ -399,7 +399,7 @@ def replay_online(
     if not len(records):
         return []
     order = np.lexsort((records["id"], records["epoch"]))
-    rec = records[order]
+    rec = take_rows(records, order)
     star_ids = np.unique(rec["star_id"][rec["star_id"] >= 0])
     bank = WindowBank(star_ids, mining)
     tracker = CandidateTracker(config, mining)
@@ -409,7 +409,7 @@ def replay_online(
     for epoch, lo, hi in zip(epochs, bounds[:-1], bounds[1:]):
         chunk = rec[lo:hi]
         camera_id = int(chunk["id"][0] >> np.uint64(56))
-        matched = chunk[chunk["star_id"] >= 0]
+        matched = take_rows(chunk, chunk["star_id"] >= 0)
         if len(matched):
             alerts.extend(
                 bank.update(
@@ -422,7 +422,9 @@ def replay_online(
                 )
             )
         alerts.extend(
-            tracker.update(epoch, chunk[chunk["candidate"] == 1], camera_id=camera_id)
+            tracker.update(
+                epoch, take_rows(chunk, chunk["candidate"] == 1), camera_id=camera_id
+            )
         )
     return alerts
 

@@ -20,6 +20,12 @@ read by one rule: the newest base run, then the delta segments of the nights
 after it.  Readers never see a partial segment, and an interrupted merge
 either leaves the old base intact or leaves a committed new base whose stale
 inputs the rule already skips; only the next merge deletes them.
+
+Rows are moved as opaque 179-byte items (NumPy copies structured rows field
+by field, several times slower), and orders come from key columns alone.  A
+merge holds one night of delta rows, sorted, and streams the old base past
+them in ``MERGE_CHUNK_ROWS`` chunks, so its memory grows with the night, not
+with the history; it still rewrites the whole base.
 """
 
 from __future__ import annotations
@@ -42,8 +48,10 @@ from .core import (
     EngineError,
     SequenceError,
     StorageError,
+    as_items,
     radec_to_cartesian,
     separation_to_chord,
+    take_rows,
 )
 
 TDS_MAGIC = b"TDS1"
@@ -57,6 +65,10 @@ RECORD_SIZE = RECORD_DTYPE.itemsize  # 162
 STORE_RECORD_SIZE = STORE_DTYPE.itemsize  # 179
 
 UNMATCHED_STAR_ID = -1
+
+# Base rows a merge reads at a time (45 MiB).  Above glibc's largest mmap
+# threshold (32 MiB), so each chunk is its own mapping, returned on free.
+MERGE_CHUNK_ROWS = 1 << 18
 
 SECONDS_PER_DAY = 86400.0
 
@@ -96,6 +108,24 @@ _KIND = {
 }
 
 
+def _read_header(fh, path, magic: bytes, dtype):
+    """Check the header of the binary file open at ``fh``; returns ``(count, epoch)``.
+
+    ``epoch`` is the TDL1 frame epoch (None for the other layouts), and ``fh``
+    is left at the first row.
+    """
+    header_size = 20 if magic == DELTA_MAGIC else 12
+    header = fh.read(header_size)
+    if header[:4] != magic:
+        raise StorageError(f"{path} is not a {_KIND[magic]}")
+    count = int.from_bytes(header[4:12], "little")
+    # checked against the file size before anything is allocated for it
+    if os.fstat(fh.fileno()).st_size < header_size + count * dtype.itemsize:
+        raise StorageError(f"truncated file {path}")
+    epoch = float(np.frombuffer(header[12:], "<f8")[0]) if magic == DELTA_MAGIC else None
+    return count, epoch
+
+
 def _read_rows(path, magic: bytes, dtype, header_only: bool = False, star_id=None):
     """Check a binary file's header, then read its rows in one call.
 
@@ -105,27 +135,49 @@ def _read_rows(path, magic: bytes, dtype, header_only: bool = False, star_id=Non
     star) only that star's rows are read: the file is mapped and its
     ``star_id`` column bisected, touching O(log n) pages besides those rows.
     """
-    path = Path(path)
-    header_size = 20 if magic == DELTA_MAGIC else 12
     with open(path, "rb") as fh:
-        header = fh.read(header_size)
-        if header[:4] != magic:
-            raise StorageError(f"{path} is not a {_KIND[magic]}")
-        count = int.from_bytes(header[4:12], "little")
-        # checked against the file size before anything is allocated for it
-        if os.fstat(fh.fileno()).st_size < header_size + count * dtype.itemsize:
-            raise StorageError(f"truncated file {path}")
+        count, epoch = _read_header(fh, path, magic, dtype)
         if header_only:
             rows = None
         elif star_id is None:
             rows = np.fromfile(fh, dtype=dtype, count=count)
         else:  # the map spans the header too, so a 0-row base maps fine
-            mapped = np.memmap(fh, dtype, "r", offset=header_size, shape=(count,))
+            mapped = np.memmap(fh, dtype, "r", offset=fh.tell(), shape=(count,))
             keys = mapped["star_id"]  # not searchsorted: it copies the whole column
             lo, hi = bisect_left(keys, star_id), bisect_right(keys, star_id)
-            rows = np.array(mapped[lo:hi])
-    epoch = float(np.frombuffer(header[12:], "<f8")[0]) if magic == DELTA_MAGIC else None
+            rows = np.empty(hi - lo, dtype)  # owns its bytes: no view of the map
+            as_items(rows)[:] = as_items(mapped[lo:hi])
     return rows, epoch
+
+
+def _read_chunks(path, magic: bytes, dtype, chunk_rows: int):
+    """A binary file's rows, ``chunk_rows`` at a time, after ``_read_rows``'s checks."""
+    with open(path, "rb") as fh:
+        count, _ = _read_header(fh, path, magic, dtype)
+        for start in range(0, count, chunk_rows):
+            yield np.fromfile(fh, dtype=dtype, count=min(chunk_rows, count - start))
+
+
+def _ordered(layers, keys) -> np.ndarray:
+    """The store rows of ``layers`` in the stable lexicographic order of ``keys``.
+
+    The order comes from the key columns alone; each layer is then scattered
+    once into one preallocated output, never into a concatenated copy.
+    """
+    def column(name):
+        parts = [rows[name] for rows in layers]
+        return np.concatenate(parts) if parts else np.zeros(0, STORE_DTYPE[name])
+
+    order = np.lexsort([column(name) for name in reversed(keys)])
+    dest = np.empty(len(order), np.intp)
+    dest[order] = np.arange(len(order))
+    del order  # freed before the output is allocated
+    out = np.empty(len(dest), STORE_DTYPE)
+    items, start = as_items(out), 0
+    for rows in layers:
+        items[dest[start:start + len(rows)]] = as_items(rows)
+        start += len(rows)
+    return out
 
 
 def write_records_bin(path, records: np.ndarray) -> int:
@@ -365,7 +417,27 @@ class NightStore:
             return False
         rows, epoch = _read_rows(path, DELTA_MAGIC, STORE_DTYPE)
         expected = frame_to_store_records(frame, matches)
-        return epoch == frame.epoch and rows.tobytes() == expected.tobytes()
+        n = rows.nbytes
+        if epoch != frame.epoch or n != expected.nbytes:
+            return False
+        # each side viewed as one opaque item: compared in place, never copied
+        return bool((rows.view(f"V{n}") == expected.view(f"V{n}")).all())
+
+    def _unmerged_rows(self) -> np.ndarray:
+        """Every delta row after the base's night, sorted as the base is."""
+        base_night = self._base_night()
+        closed = -np.inf if base_night < 0 else (base_night + 1) * SECONDS_PER_DAY
+        layers = []
+        for seg in self.all_segments():
+            rows = _read_rows(seg, DELTA_MAGIC, STORE_DTYPE)[0]
+            # the merge places delta rows after the base's rows of their star
+            if len(rows) and not rows["epoch"].min() >= closed:
+                raise StorageError(
+                    f"{seg} holds rows of night {base_night} or earlier, "
+                    "which the base run already closed"
+                )
+            layers.append(rows)
+        return _ordered(layers, ("star_id", "epoch", "id"))
 
     def nightly_merge(self) -> MergeReport:
         """Fold all delta segments into the base run (all-or-nothing).
@@ -386,19 +458,33 @@ class NightStore:
                     nights=[], records_merged=0, base_path=self.base_path(),
                     duration_s=time.perf_counter() - t0, noop=True,
                 )
-            parts = list(self._layers())
-            merged = np.concatenate(parts) if parts else np.zeros(0, STORE_DTYPE)
-            order = np.lexsort((merged["id"], merged["epoch"], merged["star_id"]))
-            merged = merged[order]
-
+            delta = self._unmerged_rows()
+            base = self.base_path()
             target = max(nights)
             final = self.base_dir / f"base_through_{target:05d}.tdb"
             staging = final.with_suffix(final.suffix + ".staging")
             self.base_dir.mkdir(exist_ok=True)
-            header = BASE_MAGIC + np.uint64(len(merged)).tobytes()
+            # The old base is streamed MERGE_CHUNK_ROWS at a time.  Every delta
+            # epoch is after the base's night, so each delta row goes right
+            # after its star's base rows, and the rows of a chunk's last star
+            # wait for the next chunk, which may hold more of that star.
+            stars, done, merged = np.ascontiguousarray(delta["star_id"]), 0, 0
             with open(staging, "wb") as fh:
-                fh.write(header)
-                fh.write(merged.view(np.uint8))
+                fh.write(BASE_MAGIC + bytes(8))  # the row count is written last
+                chunks = () if base is None else _read_chunks(
+                    base, BASE_MAGIC, STORE_DTYPE, MERGE_CHUNK_ROWS
+                )
+                for chunk in chunks:
+                    upto = int(np.searchsorted(stars, chunk["star_id"][-1], side="left"))
+                    at = np.searchsorted(chunk["star_id"], stars[done:upto], side="right")
+                    block = np.insert(as_items(chunk), at, as_items(delta[done:upto]))
+                    fh.write(block.view(np.uint8))
+                    done, merged = upto, merged + len(block)
+                    del chunk, block  # freed before the next chunk is read
+                fh.write(as_items(delta[done:]).view(np.uint8))
+                merged += len(delta) - done
+                fh.seek(4)
+                fh.write(np.uint64(merged).tobytes())
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(staging, final)  # commit point
@@ -412,7 +498,7 @@ class NightStore:
             self._load_state()
             return MergeReport(
                 nights=nights,
-                records_merged=len(merged),
+                records_merged=merged,
                 base_path=final,
                 duration_s=time.perf_counter() - t0,
                 noop=False,
@@ -430,7 +516,7 @@ class NightStore:
         include_candidates: bool = True,
     ) -> np.ndarray:
         """Matching rows of all layers, (epoch, id) order; a star query bisects the base."""
-        parts = []
+        layers = []
         for rec in self._layers(star_id):
             keep = np.ones(len(rec), dtype=bool)
             if star_id is not None:
@@ -441,10 +527,8 @@ class NightStore:
                 keep &= rec["epoch"] <= epoch_max
             if not include_candidates:
                 keep &= rec["candidate"] == 0
-            parts.append(rec if keep.all() else rec[keep])
-        out = np.concatenate(parts) if parts else np.zeros(0, STORE_DTYPE)
-        order = np.lexsort((out["id"], out["epoch"]))
-        return out[order]
+            layers.append(rec if keep.all() else take_rows(rec, keep))
+        return _ordered(layers, ("epoch", "id"))
 
 
 # ---------------------------------------------------------------------------
@@ -493,11 +577,11 @@ def _select(store: NightStore, predicate: QueryPredicate) -> np.ndarray:
         ra, dec, radius = predicate.cone
         cx, cy, cz = radec_to_cartesian(ra, dec)
         d2 = (rec["x"] - cx) ** 2 + (rec["y"] - cy) ** 2 + (rec["z"] - cz) ** 2
-        rec = rec[d2 <= separation_to_chord(radius) ** 2]
+        rec = take_rows(rec, d2 <= separation_to_chord(radius) ** 2)
     if predicate.mag_min is not None:
-        rec = rec[rec["calmag"] >= predicate.mag_min]
+        rec = take_rows(rec, rec["calmag"] >= predicate.mag_min)
     if predicate.mag_max is not None:
-        rec = rec[rec["calmag"] <= predicate.mag_max]
+        rec = take_rows(rec, rec["calmag"] <= predicate.mag_max)
     return rec
 
 
@@ -515,8 +599,7 @@ def query_stores(stores, predicate: QueryPredicate) -> np.ndarray:
         return _select(stores[0], predicate)
     with ThreadPoolExecutor() as pool:
         parts = list(pool.map(lambda s: _select(s, predicate), stores))
-    out = np.concatenate(parts) if parts else np.zeros(0, STORE_DTYPE)
-    return out[np.lexsort((out["id"], out["epoch"]))]
+    return _ordered(parts, ("epoch", "id"))
 
 
 # ---------------------------------------------------------------------------

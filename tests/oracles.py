@@ -8,9 +8,11 @@ cannot silently validate itself.  The three exceptions are ``online_update``,
 a scalar, one-star-at-a-time copy of the detector arithmetic that the
 vectorized ``WindowBank`` must match bit for bit; ``DenseTracker``, a
 dense-distance-table, row-at-a-time copy of the new-source rules that the
-zone-joined ``CandidateTracker`` must match alert for alert; and
+zone-joined ``CandidateTracker`` must match alert for alert;
 ``column_store_records``, a column-by-column build of store rows that the
-byte-block copy in ``frame_to_store_records`` must match byte for byte.
+byte-block copy in ``frame_to_store_records`` must match byte for byte; and
+``concatenate_and_sort_merge``, the nightly merge as one in-memory sort, which
+the streamed ``NightStore.nightly_merge`` must match byte for byte.
 """
 
 from __future__ import annotations
@@ -118,6 +120,16 @@ def column_store_records(frame, matches) -> np.ndarray:
     out["candidate"][matches.matched_rows] = 0
     out["epoch"] = frame.epoch
     return out
+
+
+def concatenate_and_sort_merge(layers) -> np.ndarray:
+    """A merged base run's rows: every layer concatenated, then one lexsort.
+
+    ``layers`` are the old base's rows and the delta segments' rows, in read
+    order; the result is sorted by (star_id, epoch, id).
+    """
+    rows = np.concatenate(layers) if layers else np.zeros(0, STORE_DTYPE)
+    return rows[np.lexsort((rows["id"], rows["epoch"], rows["star_id"]))]
 
 
 class PureWindow:

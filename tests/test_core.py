@@ -23,8 +23,11 @@ from tdcat.core import (
     records_from_radec,
     separation_to_chord,
     sort_by_zone_ra,
+    take_rows,
     zone_of,
 )
+
+from tdcat.store import STORE_DTYPE
 
 from oracles import haversine_deg, zone_by_fraction
 
@@ -292,6 +295,44 @@ def test_sort_by_zone_ra():
     key = srt["zone"].astype(np.float64) * 361.0 + srt["ra"]
     assert np.all(np.diff(key) >= 0)
     assert sorted(srt["id"]) == list(range(200))
+
+
+def store_like_rows(n):
+    """Rows of the 179-byte store layout filled with random bytes, NaNs included."""
+    rows = np.empty(n, STORE_DTYPE)
+    rng = np.random.default_rng(5)
+    rows.view(np.uint8)[:] = rng.integers(0, 256, rows.nbytes, dtype=np.uint8)
+    return rows
+
+
+@pytest.mark.parametrize(
+    "view", [slice(None), slice(None, None, 3), slice(None, None, -2)], ids=str
+)
+@pytest.mark.parametrize(
+    "index_of",
+    [
+        lambda n: np.array([4, 0, 4, 9, 2]),
+        lambda n: np.array([], dtype=np.intp),
+        lambda n: np.arange(n) % 3 == 1,
+        lambda n: np.zeros(n, bool),
+    ],
+    ids=["ints", "no ints", "mask", "empty mask"],
+)
+def test_take_rows_equals_structured_indexing(view, index_of):
+    rows = store_like_rows(30)[view]
+    index = index_of(len(rows))
+    got = take_rows(rows, index)
+    want = rows[index]
+    assert got.dtype == rows.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert not np.shares_memory(got, rows)
+
+
+def test_take_rows_of_no_rows():
+    rows = store_like_rows(0)
+    for index in (np.array([], dtype=np.intp), np.zeros(0, bool)):
+        got = take_rows(rows, index)
+        assert got.dtype == rows.dtype and len(got) == 0
 
 
 def test_frame_batch_check():

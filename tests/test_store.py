@@ -2,6 +2,7 @@ import os
 import shutil
 import stat
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -50,7 +51,7 @@ from tdcat.store import (
     write_records_csv,
 )
 
-from oracles import column_store_records
+from oracles import column_store_records, concatenate_and_sort_merge
 
 CFG = EngineConfig()
 MODEL = SkyModel(seed=42, star_count=300, footprint=(0.0, 2.0, -1.0, 1.0))
@@ -396,6 +397,117 @@ def test_incremental_merge_equals_single_merge(tmp_path, sky):
     two.nightly_merge()
 
     assert one.base_path().read_bytes() == two.base_path().read_bytes()
+
+
+def layer_rows(store):
+    """The rows of every layer a merge of ``store`` reads, in read order."""
+    layers = []
+    if store.base_path() is not None:
+        layers.append(_read_rows(store.base_path(), BASE_MAGIC, STORE_DTYPE)[0])
+    for seg in store.all_segments():
+        layers.append(_read_rows(seg, DELTA_MAGIC, STORE_DTYPE)[0])
+    return layers
+
+
+# Each night is (template stars indexed, frames, frames with no rows, merge
+# after it).  With no star indexed every row is stored as a candidate.
+MERGE_PLANS = {
+    "no_base": [("all", 4, (), True)],
+    "candidate_base": [("none", 3, (), True), ("all", 3, (), True)],
+    "stars_only_in_base_or_delta": [("even", 3, (), True), ("thirds", 3, (), True)],
+    "two_unmerged_nights": [
+        ("all", 3, (), True), ("even", 2, (), False), ("thirds", 2, (), True),
+    ],
+    "empty_segments": [
+        ("all", 3, (0,), True), ("all", 2, (0, 1), True), ("all", 3, (2,), True),
+    ],
+}
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 7, 100, store_mod.MERGE_CHUNK_ROWS])
+@pytest.mark.parametrize("plan", sorted(MERGE_PLANS))
+def test_streamed_merge_equals_concatenate_and_sort(
+    tmp_path, sky, monkeypatch, plan, chunk_rows
+):
+    # chunks of a few rows split one star's base rows across chunk boundaries
+    monkeypatch.setattr(store_mod, "MERGE_CHUNK_ROWS", chunk_rows)
+    template, _ = sky
+    stars = template.to_records(CFG)
+    indexes = {
+        "all": stars, "none": stars[:0], "even": stars[::2], "thirds": stars[::3],
+    }
+    store = NightStore(tmp_path, 0)
+    merges = 0
+    for night, (indexed, frames, empty, merge) in enumerate(MERGE_PLANS[plan]):
+        index = build_zone_index(indexes[indexed], CFG.zone_height_deg)
+        for k in range(frames):
+            frame = observe_frame(template, night * 86400.0 + 15.0 * (k + 1), [], MODEL, CFG)
+            if k in empty:
+                frame = replace(frame, records=frame.records[:0])
+            store.delta_insert(frame, range_join(frame.records, index, CFG.match_radius_deg))
+        if not merge:
+            continue
+        expected = concatenate_and_sort_merge(layer_rows(store))
+        report = store.nightly_merge()
+        merges += 1
+        assert report.records_merged == len(expected)
+        header = BASE_MAGIC + np.uint64(len(expected)).tobytes()
+        assert report.base_path.read_bytes() == header + expected.tobytes()
+    assert merges >= 1 and len(expected) > 0
+
+
+def test_merge_refuses_delta_rows_of_a_closed_night(tmp_path, sky):
+    store, _ = fill_store(tmp_path / "store", sky, [15.0, 86400.0 + 15.0])
+    base = store.nightly_merge().base_path  # closes nights 0 and 1
+    # a night-0 segment planted in a later night's directory
+    donor, _ = fill_store(tmp_path / "donor", sky, [30.0])
+    planted = store.delta_dir / "night_00002" / "seg_00000777.tdl"
+    planted.parent.mkdir(parents=True)
+    planted.write_bytes(next(donor.all_segments()).read_bytes())
+    payload = base.read_bytes()
+    with pytest.raises(StorageError, match="seg_00000777"):
+        store.nightly_merge()
+    assert store.base_path() == base and base.read_bytes() == payload
+    assert not list(store.base_dir.glob("*.staging"))
+
+
+def night_frames(sky, night, frames):
+    return [frame_at(sky, night * 86400.0 + 15.0 * (k + 1)) for k in range(frames)]
+
+
+def test_merge_memory_grows_with_the_night_not_the_history(tmp_path, sky, monkeypatch):
+    monkeypatch.setattr(store_mod, "MERGE_CHUNK_ROWS", 1024)
+    store = NightStore(tmp_path, 0)
+    for frame, matches in night_frames(sky, 0, 200):
+        store.delta_insert(frame, matches)
+    base = store.nightly_merge().base_path
+    night_bytes = 0
+    for frame, matches in night_frames(sky, 1, 10):
+        night_bytes += store.delta_insert(frame, matches).records * STORE_RECORD_SIZE
+    assert base.stat().st_size >= 20 * night_bytes
+    tracemalloc.start()
+    try:
+        store.nightly_merge()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the night's segments and their sorted copy, then the sorted night, a
+    # base chunk and its merged copy; the whole history would be 60 times more
+    assert peak < 2 * night_bytes + 3 * 1024 * STORE_RECORD_SIZE
+
+
+def test_full_scan_holds_its_layers_and_one_output(tmp_path, sky):
+    store, _ = fill_store(tmp_path, sky, [15.0 * k for k in range(1, 61)])
+    store.nightly_merge()
+    for frame, matches in night_frames(sky, 1, 30):
+        store.delta_insert(frame, matches)
+    tracemalloc.start()
+    try:
+        rows = store.query_records()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.3 * rows.nbytes
 
 
 # ---------------------------------------------------------------------------
