@@ -12,7 +12,6 @@ from .core import (
     StorageError,
     InsufficientDataError,
     FrameBatch,
-    SourceRecord,
     RECORD_DTYPE,
     TABLE2_COLUMNS,
     angular_separation,
@@ -32,7 +31,6 @@ __all__ = [
     "StorageError",
     "InsufficientDataError",
     "FrameBatch",
-    "SourceRecord",
     "RECORD_DTYPE",
     "TABLE2_COLUMNS",
     "angular_separation",

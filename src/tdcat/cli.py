@@ -29,13 +29,9 @@ from .core import (
     EngineError,
     FrameBatch,
     SequenceError,
+    check_records,
 )
-from .crossmatch import (
-    THROUGHPUT_CSV_HEADER,
-    build_zone_index,
-    crossmatch_throughput,
-    range_join,
-)
+from .crossmatch import build_zone_index, range_join
 from .lightcurve import query_curve
 from .mining import MiningConfig, write_alerts_csv
 from .pipeline import (
@@ -137,20 +133,16 @@ def _star_count(args) -> int:
     return DENSITY_PRESETS[getattr(args, "density", None) or "1/100"]
 
 
-def _read_interchange(path, fmt=None) -> np.ndarray:
-    """Rows of a ``bin`` or ``csv`` file (sniffed if ``fmt`` is None), all on the sky."""
+def _read_interchange(path, config: EngineConfig, fmt=None) -> np.ndarray:
+    """Rows of a ``bin`` or ``csv`` file (sniffed if ``fmt`` is None), checked."""
     if fmt is None:
         with open(path, "rb") as fh:
             fmt = "bin" if fh.read(4) == TDS_MAGIC else "csv"
     records = read_records_bin(path) if fmt == "bin" else read_records_csv(path)
-    ra, dec = records["ra"], records["dec"]
-    bad = ~((ra >= 0.0) & (ra < 360.0) & (dec >= -90.0) & (dec <= 90.0))  # NaN too
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise DomainError(
-            f"{path}: row {i} has ra {ra[i]!r}, dec {dec[i]!r}; "
-            "ra must be in [0, 360) and dec in [-90, 90]"
-        )
+    try:
+        check_records(records, config)
+    except DomainError as exc:
+        raise DomainError(f"{path}: {exc}") from None
     return records
 
 
@@ -206,12 +198,12 @@ def cmd_ingest(args) -> int:
     store = NightStore(root, args.partition)
     # no template known at ingest: an empty index stores every row as a candidate
     template = (
-        _read_interchange(args.template) if args.template
+        _read_interchange(args.template, config) if args.template
         else np.zeros(0, RECORD_DTYPE)
     )
     index = build_zone_index(template, config.zone_height_deg)
     for path in args.input:
-        records = _read_interchange(path, args.format)
+        records = _read_interchange(path, config, args.format)
         if not len(records):
             raise EngineError(f"{path}: empty frame file")
         imageids = np.unique(records["imageid"])
@@ -268,7 +260,7 @@ def cmd_merge(args) -> int:
 
 def cmd_crossmatch(args) -> int:
     config, _ = build_configs(args)
-    template = _read_interchange(args.template)
+    template = _read_interchange(args.template, config)
     index = build_zone_index(template, config.zone_height_deg)
     n_matched = n_unmatched = 0
     with open(args.out_matches, "w", newline="") as mf, open(
@@ -278,7 +270,7 @@ def cmd_crossmatch(args) -> int:
         mw.writerow(["record_id", "star_id", "separation_deg"])
         cw.writerow(["record_id"])
         for path in args.frame:
-            records = _read_interchange(path)
+            records = _read_interchange(path, config)
             result = range_join(records, index, config.match_radius_deg)
             for rid, sid, sep in result.pairs():
                 mw.writerow([int(rid), int(sid), repr(float(sep))])
@@ -463,29 +455,6 @@ def cmd_bench_scaling(args) -> int:
     return 0
 
 
-def cmd_bench_crossmatch(args) -> int:
-    config, _ = build_configs(args)
-    rows = []
-    for _ in range(args.repeat):
-        rows.append(
-            crossmatch_throughput(
-                args.frame_size,
-                args.template_size,
-                config.match_radius_deg,
-                config,
-                seed=args.seed,
-            )
-        )
-    print(THROUGHPUT_CSV_HEADER)
-    for r in rows:
-        print(
-            f"{r.frame_size},{r.template_size},{r.radius_deg},"
-            f"{r.build_s!r},{r.join_s!r},{r.total_s!r},"
-            f"{r.records_per_s!r},{r.cadence_budget_s!r},{r.within_budget}"
-        )
-    return 0
-
-
 def cmd_plan(args) -> int:
     config, _ = build_configs(args)
     bpr = args.bytes_per_record or STORE_RECORD_SIZE
@@ -662,16 +631,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write the scaling table CSV here")
     p.set_defaults(func=cmd_bench_scaling)
-
-    p = bench_sub.add_parser(
-        "crossmatch", parents=[common], help="cross-match throughput"
-    )
-    p.add_argument("--frame-size", type=int, default=175_600)
-    p.add_argument("--template-size", type=int, default=175_600)
-    p.add_argument("--radius-deg", type=float, default=None)
-    p.add_argument("--repeat", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_bench_crossmatch)
 
     p = sub.add_parser(
         "plan", parents=[common], help="projected record and byte volumes"

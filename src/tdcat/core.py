@@ -8,7 +8,7 @@ degrees; magnitudes are instrumental unless stated otherwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -168,18 +168,7 @@ def radec_to_cartesian(ra, dec):
     return x, y, z
 
 
-def cartesian_to_radec(x, y, z):
-    """Inverse of radec_to_cartesian for unit vectors; ra in [0, 360)."""
-    ra = np.degrees(np.arctan2(y, x)) % 360.0
-    dec = np.degrees(np.arcsin(np.clip(z, -1.0, 1.0)))
-    if np.isscalar(x):
-        return float(ra), float(dec)
-    return ra, dec
-
-
 def _unit_vector(obj):
-    if isinstance(obj, SourceRecord):
-        return np.array([obj.x, obj.y, obj.z])
     if isinstance(obj, np.void):  # structured-array row
         return np.array([obj["x"], obj["y"], obj["z"]])
     ra, dec = obj
@@ -189,9 +178,9 @@ def _unit_vector(obj):
 def angular_separation(a, b) -> float:
     """Great-circle separation in degrees between two directions.
 
-    Each argument is a SourceRecord, a structured record row, or an
-    (ra, dec) pair in degrees.  Computed from the chord length,
-    2*arcsin(|va - vb| / 2), which is well conditioned at small angles.
+    Each argument is a structured record row or an (ra, dec) pair in
+    degrees.  Computed from the chord length, 2*arcsin(|va - vb| / 2),
+    which is well conditioned at small angles.
     """
     va = _unit_vector(a)
     vb = _unit_vector(b)
@@ -216,76 +205,6 @@ def propagate_flux_error(flux, mag_error):
         raise DomainError(f"mag_error must be >= 0, got {mag_error}")
     out = 0.4 * math.log(10.0) * np.asarray(flux, dtype=np.float64) * mag_error_arr
     return float(out) if np.isscalar(mag_error) else out
-
-
-@dataclass(frozen=True)
-class SourceRecord:
-    """One extracted star measurement; the full catalog row."""
-
-    id: int
-    imageid: int
-    zone: int
-    ra: float
-    dec: float
-    mag: float
-    mag_error: float
-    pixel_x: float
-    pixel_y: float
-    ra_err: float
-    dec_err: float
-    x: float
-    y: float
-    z: float
-    flux: float
-    flux_err: float
-    calmag: float
-    flag: int
-    background: float
-    threshold: float
-    ellipticity: float
-    class_star: float
-
-    @classmethod
-    def from_row(cls, row) -> "SourceRecord":
-        return cls(**{name: row[name].item() for name in TABLE2_COLUMNS})
-
-    def to_row(self) -> np.ndarray:
-        out = np.zeros(1, dtype=RECORD_DTYPE)
-        for f in fields(self):
-            out[f.name] = getattr(self, f.name)
-        return out[0]
-
-    def validate(self, zone_height_deg: float, mag_zero_point: float) -> None:
-        """Raise DomainError if any record invariant is violated."""
-        problems = []
-        if not (0.0 <= self.ra < 360.0):
-            problems.append(f"ra={self.ra} outside [0, 360)")
-        if not (-90.0 <= self.dec <= 90.0):
-            problems.append(f"dec={self.dec} outside [-90, 90]")
-        norm2 = self.x * self.x + self.y * self.y + self.z * self.z
-        if abs(norm2 - 1.0) > 1e-9:
-            problems.append(f"|xyz|^2={norm2} deviates from 1")
-        if self.zone != zone_of(self.dec, zone_height_deg):
-            problems.append(
-                f"zone={self.zone} != zone_of({self.dec}, {zone_height_deg})"
-            )
-        expected_flux = float(mag_to_flux(self.mag, mag_zero_point))
-        if abs(self.flux - expected_flux) > 1e-9 * max(abs(expected_flux), 1e-300):
-            problems.append(f"flux={self.flux} inconsistent with mag={self.mag}")
-        for name in ("pixel_x", "pixel_y"):
-            v = getattr(self, name)
-            if not (0.0 <= v < PIXELS_PER_AXIS):
-                problems.append(f"{name}={v} outside [0, {PIXELS_PER_AXIS})")
-        if self.mag_error < 0:
-            problems.append(f"mag_error={self.mag_error} negative")
-        if self.ra_err < 0 or self.dec_err < 0:
-            problems.append("negative positional error")
-        if not (0.0 <= self.ellipticity <= 1.0):
-            problems.append(f"ellipticity={self.ellipticity} outside [0, 1]")
-        if not (0.0 <= self.class_star <= 1.0):
-            problems.append(f"class_star={self.class_star} outside [0, 1]")
-        if problems:
-            raise DomainError("invalid SourceRecord: " + "; ".join(problems))
 
 
 def records_from_radec(
@@ -344,6 +263,48 @@ def records_from_radec(
     return out
 
 
+def check_records(records: np.ndarray, config: EngineConfig) -> None:
+    """Raise DomainError naming the first catalog row that breaks a row invariant.
+
+    The invariants are the ones ``records_from_radec`` builds in: ra in
+    [0, 360), dec in [-90, 90], a unit ``x/y/z``, ``zone`` equal to
+    ``zone_of(dec)`` at ``config.zone_height_deg``, ``flux`` equal to
+    ``mag_to_flux(mag)`` to a relative 1e-9, pixels in [0, 4096),
+    non-negative errors, and ellipticity and class_star in [0, 1].  Each is
+    an array mask that a NaN fails.
+    """
+    r = records
+    dec = r["dec"]
+    dec_ok = (dec >= -90.0) & (dec <= 90.0)
+    zone = np.full(len(r), -1, np.int64)
+    zone[dec_ok] = zone_of(dec[dec_ok], config.zone_height_deg)
+    with np.errstate(all="ignore"):  # inf and huge values fail, quietly
+        norm2 = r["x"] ** 2 + r["y"] ** 2 + r["z"] ** 2
+        flux = mag_to_flux(r["mag"], config.mag_zero_point)
+        flux_ok = np.abs(r["flux"] - flux) <= 1e-9 * np.maximum(np.abs(flux), 1e-300)
+    checks = [
+        ("ra", r["ra"], (r["ra"] >= 0.0) & (r["ra"] < 360.0), "in [0, 360)"),
+        ("dec", dec, dec_ok, "in [-90, 90]"),
+        ("|xyz|^2", norm2, np.abs(norm2 - 1.0) <= 1e-9, "within 1e-9 of 1"),
+        ("zone", r["zone"], dec_ok & (r["zone"] == zone),
+         f"zone_of(dec) at zone_height_deg {config.zone_height_deg}"),
+        ("flux", r["flux"], flux_ok, "mag_to_flux(mag) to a relative 1e-9"),
+    ]
+    for name in ("pixel_x", "pixel_y"):
+        v = r[name]
+        checks.append((name, v, (v >= 0.0) & (v < PIXELS_PER_AXIS), "in [0, 4096)"))
+    for name in ("mag_error", "ra_err", "dec_err"):
+        checks.append((name, r[name], r[name] >= 0.0, ">= 0"))
+    for name in ("ellipticity", "class_star"):
+        v = r[name]
+        checks.append((name, v, (v >= 0.0) & (v <= 1.0), "in [0, 1]"))
+    failed = [(int(np.argmin(c[2])), k) for k, c in enumerate(checks) if not c[2].all()]
+    if failed:
+        i, k = min(failed)  # the first bad row, and its first failed check
+        name, values, _, rule = checks[k]
+        raise DomainError(f"row {i}: {name} {values[i].item()!r} is not {rule}")
+
+
 def as_items(rows: np.ndarray) -> np.ndarray:
     """Structured ``rows`` viewed as opaque ``np.void`` items of the row's size.
 
@@ -378,16 +339,3 @@ class FrameBatch:
 
     def __len__(self) -> int:
         return len(self.records)
-
-    def check(self, config: EngineConfig) -> None:
-        """Raise DomainError on batch-level invariant violations."""
-        r = self.records
-        if len(r) and not np.all(r["imageid"] == self.imageid):
-            raise DomainError("records carry mixed imageids")
-        key = r["zone"].astype(np.float64) * 361.0 + r["ra"]
-        if len(r) > 1 and np.any(np.diff(key) < 0):
-            raise DomainError("records not sorted by (zone, ra)")
-        if not (0 <= self.camera_id < config.cameras):
-            raise DomainError(
-                f"camera_id={self.camera_id} outside [0, {config.cameras})"
-            )

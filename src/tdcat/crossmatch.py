@@ -7,14 +7,12 @@ for a query source is a handful of binary searches instead of a full scan.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import (
     ConfigError,
-    EngineConfig,
     n_zones,
     radec_to_cartesian,
     separation_to_chord,
@@ -44,10 +42,6 @@ class ZoneIndex:
     xyz: np.ndarray  # (n, 3) unit vectors
     zone: np.ndarray
     key: np.ndarray = field(repr=False)
-
-    @property
-    def source_count(self) -> int:
-        return len(self.ids)
 
     @property
     def n_zones(self) -> int:
@@ -243,66 +237,4 @@ def range_join(frame, template_index: ZoneIndex, radius_deg: float) -> MatchResu
         unmatched_rows=unmatched_rows,
         ambiguous_count=ambiguous_count,
         n_frame=n,
-    )
-
-
-@dataclass
-class ThroughputResult:
-    """One cross-match benchmark measurement."""
-
-    frame_size: int
-    template_size: int
-    radius_deg: float
-    build_s: float
-    join_s: float
-    total_s: float
-    records_per_s: float
-    cadence_budget_s: float
-    within_budget: bool
-
-
-THROUGHPUT_CSV_HEADER = (
-    "frame_size,template_size,radius_deg,build_s,join_s,total_s,"
-    "records_per_s,cadence_budget_s,within_budget"
-)
-
-
-def crossmatch_throughput(
-    frame_size: int,
-    template_size: int,
-    radius_deg: float,
-    config: EngineConfig | None = None,
-    seed: int = 0,
-) -> ThroughputResult:
-    """Wall-clock the index build plus join on synthetic uniform fields."""
-    config = config or EngineConfig()
-    rng = np.random.default_rng(seed)
-
-    def _field(n, id_offset):
-        out = np.zeros(n, dtype=[("id", "<i8"), ("ra", "<f8"), ("dec", "<f8")])
-        out["id"] = np.arange(n) + id_offset
-        out["ra"] = rng.uniform(0.0, 60.0, n)
-        out["dec"] = np.degrees(np.arcsin(rng.uniform(-0.5, 0.5, n)))
-        return out
-
-    template = _field(template_size, 0)
-    frame = _field(frame_size, 1 << 40)
-
-    t0 = time.perf_counter()
-    index = build_zone_index(template, config.zone_height_deg)
-    t1 = time.perf_counter()
-    range_join(frame, index, radius_deg)
-    t2 = time.perf_counter()
-
-    total = t2 - t0
-    return ThroughputResult(
-        frame_size=frame_size,
-        template_size=template_size,
-        radius_deg=radius_deg,
-        build_s=t1 - t0,
-        join_s=t2 - t1,
-        total_s=total,
-        records_per_s=frame_size / total if total > 0 else float("inf"),
-        cadence_budget_s=config.cadence_s,
-        within_budget=total < config.cadence_s,
     )

@@ -56,16 +56,6 @@ class LightCurve:
     def mag_errors(self) -> np.ndarray:
         return self.points["mag_error"]
 
-    @property
-    def time_span(self) -> float:
-        if len(self.points) < 2:
-            return 0.0
-        return float(self.points["epoch"][-1] - self.points["epoch"][0])
-
-    def check(self) -> None:
-        if np.any(np.diff(self.points["epoch"]) < 0):
-            raise SequenceError(f"curve for star {self.star_id} is not time-ordered")
-
 
 def points_from_match(frame, matches) -> tuple:
     """(star_ids, points) for one frame's matched records."""
@@ -104,10 +94,6 @@ class CurveSet:
     @property
     def n_stars(self) -> int:
         return len(self.star_ids)
-
-    @property
-    def total_points(self) -> int:
-        return len(self._points) + self._n_pending
 
     def append_points(self, epoch: float, star_ids, points: np.ndarray) -> None:
         """Add one frame's matched points; frames must arrive in time order."""

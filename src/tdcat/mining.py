@@ -451,7 +451,7 @@ def period_search(
     best_freq = float(freqs[best])
     best_power = float(power[best])
     if refine and len(freqs) > 1:
-        df = float(freqs[1] - freqs[0]) if len(freqs) > 1 else best_freq * 0.01
+        df = float(freqs[1] - freqs[0])
         lo = max(best_freq - 2 * df, freqs[0] * 0.5)
         fine = np.linspace(lo, best_freq + 2 * df, 81)
         fine = fine[fine > 0]

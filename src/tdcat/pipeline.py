@@ -391,23 +391,31 @@ def replay_online(
 ) -> list:
     """Re-run the online detectors over stored rows, one epoch at a time.
 
-    The replay sees exactly what the live chain saw: matched rows feed the
-    window bank, candidate rows feed the persistence tracker, and rows within
-    a frame arrive in record-id order, which is the original frame row order.
+    ``records`` must be in (epoch, id) order, as ``query_stores`` and
+    ``NightStore.query_records`` return them; rows out of that order raise
+    DomainError.  The replay sees exactly what the live chain saw: matched
+    rows feed the window bank, candidate rows feed the persistence tracker,
+    and rows within a frame arrive in record-id order, which is the original
+    frame row order.
     """
     mining = mining or MiningConfig()
     if not len(records):
         return []
-    order = np.lexsort((records["id"], records["epoch"]))
-    rec = take_rows(records, order)
-    star_ids = np.unique(rec["star_id"][rec["star_id"] >= 0])
+    epochs, ids = records["epoch"], records["id"]
+    later = epochs[1:] > epochs[:-1]
+    ordered = later | ((epochs[1:] == epochs[:-1]) & (ids[1:] > ids[:-1]))
+    if not ordered.all():
+        raise DomainError(
+            f"row {int(np.argmin(ordered)) + 1} breaks the (epoch, id) order "
+            "replay_online needs"
+        )
+    star_ids = np.unique(records["star_id"][records["star_id"] >= 0])
     bank = WindowBank(star_ids, mining)
     tracker = CandidateTracker(config, mining)
     alerts = []
-    epochs, starts = np.unique(rec["epoch"], return_index=True)
-    bounds = np.append(starts, len(rec))
-    for epoch, lo, hi in zip(epochs, bounds[:-1], bounds[1:]):
-        chunk = rec[lo:hi]
+    bounds = np.concatenate(([0], np.flatnonzero(later) + 1, [len(records)]))
+    for epoch, lo, hi in zip(epochs[bounds[:-1]], bounds[:-1], bounds[1:]):
+        chunk = records[lo:hi]
         camera_id = int(chunk["id"][0] >> np.uint64(56))
         matched = take_rows(chunk, chunk["star_id"] >= 0)
         if len(matched):

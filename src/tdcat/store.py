@@ -382,7 +382,12 @@ class NightStore:
     # -- writes ---------------------------------------------------------
 
     def delta_insert(self, frame, matches) -> InsertAck:
-        """Durably append one frame's records plus their match outcome."""
+        """Durably append one frame's records plus their match outcome.
+
+        Epochs start at 0: the store's nights are ``night_of(epoch) >= 0``.
+        """
+        if frame.epoch < 0:
+            raise DomainError(f"frame epoch {frame.epoch} is negative")
         if self._busy:
             raise StorageError("delta_insert overlaps another store operation")
         self._busy = True

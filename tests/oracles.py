@@ -12,7 +12,9 @@ zone-joined ``CandidateTracker`` must match alert for alert;
 ``column_store_records``, a column-by-column build of store rows that the
 byte-block copy in ``frame_to_store_records`` must match byte for byte; and
 ``concatenate_and_sort_merge``, the nightly merge as one in-memory sort, which
-the streamed ``NightStore.nightly_merge`` must match byte for byte.
+the streamed ``NightStore.nightly_merge`` must match byte for byte; and
+``SourceRecord.validate``, a one-row-at-a-time check of the row invariants,
+which the masks of ``check_records`` must match row for row.
 """
 
 from __future__ import annotations
@@ -20,11 +22,20 @@ from __future__ import annotations
 import math
 import statistics
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from tdcat.core import TABLE2_COLUMNS, separation_to_chord
+from tdcat.core import (
+    PIXELS_PER_AXIS,
+    RECORD_DTYPE,
+    TABLE2_COLUMNS,
+    DomainError,
+    SequenceError,
+    mag_to_flux,
+    separation_to_chord,
+    zone_of,
+)
 from tdcat.mining import BRIGHTENING, DIMMING, NEW_SOURCE, Alert, MiningConfig
 from tdcat.store import STORE_DTYPE, UNMATCHED_STAR_ID
 
@@ -328,3 +339,109 @@ def zone_by_fraction(dec: float, height_num: int, height_den: int) -> int:
     z = math.floor(q)
     n = math.ceil(Fraction(180) / h)
     return min(max(z, 0), n - 1)
+
+
+@dataclass(frozen=True)
+class SourceRecord:
+    """One extracted star measurement; the full catalog row."""
+
+    id: int
+    imageid: int
+    zone: int
+    ra: float
+    dec: float
+    mag: float
+    mag_error: float
+    pixel_x: float
+    pixel_y: float
+    ra_err: float
+    dec_err: float
+    x: float
+    y: float
+    z: float
+    flux: float
+    flux_err: float
+    calmag: float
+    flag: int
+    background: float
+    threshold: float
+    ellipticity: float
+    class_star: float
+
+    @classmethod
+    def from_row(cls, row) -> "SourceRecord":
+        return cls(**{name: row[name].item() for name in TABLE2_COLUMNS})
+
+    def to_row(self) -> np.ndarray:
+        out = np.zeros(1, dtype=RECORD_DTYPE)
+        for f in fields(self):
+            out[f.name] = getattr(self, f.name)
+        return out[0]
+
+    def validate(self, zone_height_deg: float, mag_zero_point: float) -> None:
+        """Raise DomainError if any record invariant is violated.
+
+        Every test reads ``not (<in range>)``, so a NaN fails each one.
+        """
+        problems = []
+        if not (0.0 <= self.ra < 360.0):
+            problems.append(f"ra={self.ra} outside [0, 360)")
+        dec_ok = -90.0 <= self.dec <= 90.0
+        if not dec_ok:
+            problems.append(f"dec={self.dec} outside [-90, 90]")
+        norm2 = self.x * self.x + self.y * self.y + self.z * self.z
+        if not (abs(norm2 - 1.0) <= 1e-9):
+            problems.append(f"|xyz|^2={norm2} deviates from 1")
+        if not (dec_ok and self.zone == zone_of(self.dec, zone_height_deg)):
+            problems.append(f"zone={self.zone} != zone_of({self.dec}, {zone_height_deg})")
+        expected_flux = float(mag_to_flux(self.mag, mag_zero_point))
+        if not (abs(self.flux - expected_flux) <= 1e-9 * max(abs(expected_flux), 1e-300)):
+            problems.append(f"flux={self.flux} inconsistent with mag={self.mag}")
+        for name in ("pixel_x", "pixel_y"):
+            v = getattr(self, name)
+            if not (0.0 <= v < PIXELS_PER_AXIS):
+                problems.append(f"{name}={v} outside [0, {PIXELS_PER_AXIS})")
+        for name in ("mag_error", "ra_err", "dec_err"):
+            v = getattr(self, name)
+            if not (v >= 0.0):
+                problems.append(f"{name}={v} negative")
+        for name in ("ellipticity", "class_star"):
+            v = getattr(self, name)
+            if not (0.0 <= v <= 1.0):
+                problems.append(f"{name}={v} outside [0, 1]")
+        if problems:
+            raise DomainError("invalid SourceRecord: " + "; ".join(problems))
+
+
+def check_frame_batch(frame, config) -> None:
+    """Raise DomainError on a frame's batch-level invariant violations."""
+    r = frame.records
+    if len(r) and not np.all(r["imageid"] == frame.imageid):
+        raise DomainError("records carry mixed imageids")
+    key = r["zone"].astype(np.float64) * 361.0 + r["ra"]
+    if len(r) > 1 and np.any(np.diff(key) < 0):
+        raise DomainError("records not sorted by (zone, ra)")
+    if not (0 <= frame.camera_id < config.cameras):
+        raise DomainError(f"camera_id={frame.camera_id} outside [0, {config.cameras})")
+
+
+def check_time_order(curve) -> None:
+    """Raise SequenceError unless a light curve's epochs never decrease."""
+    if np.any(np.diff(curve.points["epoch"]) < 0):
+        raise SequenceError(f"curve for star {curve.star_id} is not time-ordered")
+
+
+def time_span(curve) -> float:
+    """Seconds from a light curve's first epoch to its last; 0 below two points."""
+    if len(curve.points) < 2:
+        return 0.0
+    return float(curve.points["epoch"][-1] - curve.points["epoch"][0])
+
+
+def cartesian_to_radec(x, y, z):
+    """Inverse of radec_to_cartesian for unit vectors; ra in [0, 360)."""
+    ra = np.degrees(np.arctan2(y, x)) % 360.0
+    dec = np.degrees(np.arcsin(np.clip(z, -1.0, 1.0)))
+    if np.isscalar(x):
+        return float(ra), float(dec)
+    return ra, dec

@@ -344,9 +344,14 @@ def test_ingest_rejects_wrong_night(workflow, tmp_path):
 
 @pytest.mark.parametrize("with_template", [True, False])
 def test_ingest_rejects_nan_declination(workflow, tmp_path, with_template, capsys):
+    """A row that fails any row check fails ingest and crossmatch; NaN fails each."""
     gen, _ = workflow
-    for field, value in (("dec", np.nan), ("ra", np.nan), ("ra", 360.0)):
-        records = read_records_bin(gen / "frame_00000000.tds")
+    good = read_records_bin(gen / "frame_00000000.tds")
+    for field, value in (
+        ("dec", np.nan), ("ra", np.nan), ("ra", 360.0), ("x", good["x"][3] * 1.001),
+        ("zone", good["zone"][3] + 1), ("mag_error", -0.01),
+    ):
+        records = good.copy()
         records[field][3] = value
         frame = tmp_path / "frame_00000000.tds"
         write_records_bin(frame, records)
@@ -358,16 +363,54 @@ def test_ingest_rejects_nan_declination(workflow, tmp_path, with_template, capsy
         )
         assert rc == 1
         assert not list(data.rglob("seg_*.tdl"))
-        err = capsys.readouterr().err
-        if field == "ra":
-            assert str(frame) in err
-            rc = run_cli(
-                "crossmatch", "--template", str(gen / "template.tds"),
-                "--frame", str(frame), "--out-matches", str(tmp_path / "m.csv"),
-                "--out-candidates", str(tmp_path / "c.csv"),
-            )
-            assert rc == 1
-            assert str(frame) in capsys.readouterr().err
+        assert f"{frame}: row 3: " in capsys.readouterr().err
+        rc = run_cli(
+            "crossmatch", "--template", str(gen / "template.tds"),
+            "--frame", str(frame), "--out-matches", str(tmp_path / "m.csv"),
+            "--out-candidates", str(tmp_path / "c.csv"),
+        )
+        assert rc == 1
+        assert f"{frame}: row 3: " in capsys.readouterr().err
+
+
+def test_ingest_and_crossmatch_refuse_an_invalid_template(workflow, tmp_path, capsys):
+    gen, _ = workflow
+    template = read_records_bin(gen / "template.tds")
+    template["x"][7] *= 1.001
+    bad = tmp_path / "template.tds"
+    write_records_bin(bad, template)
+    data = tmp_path / "d"
+    rc = run_cli(
+        "ingest", "--data-dir", str(data), "--partition", "0",
+        "--template", str(bad), "--input", str(gen / "frame_00000000.tds"),
+    )
+    assert rc == 1
+    assert not list(data.rglob("seg_*.tdl"))
+    assert f"{bad}: row 7: " in capsys.readouterr().err
+    rc = run_cli(
+        "crossmatch", "--template", str(bad),
+        "--frame", str(gen / "frame_00000000.tds"),
+        "--out-matches", str(tmp_path / "m.csv"),
+        "--out-candidates", str(tmp_path / "c.csv"),
+    )
+    assert rc == 1
+    assert f"{bad}: row 7: " in capsys.readouterr().err
+
+
+def test_ingest_refuses_a_negative_epoch(workflow, tmp_path, capsys):
+    gen, _ = workflow
+    records = read_records_bin(gen / "frame_00000000.tds")
+    records["imageid"] = -1
+    frame = tmp_path / "frame_-0000001.tds"
+    write_records_bin(frame, records)
+    data = tmp_path / "d"
+    rc = run_cli(
+        "ingest", "--data-dir", str(data), "--partition", "0",
+        "--template", str(gen / "template.tds"), "--input", str(frame),
+    )
+    assert rc == 1
+    assert "negative" in capsys.readouterr().err
+    assert not list(data.rglob("seg_*.tdl"))
 
 
 def test_ingest_without_template_stores_candidates(workflow, tmp_path):
@@ -543,15 +586,6 @@ def test_data_dir_env_var(tmp_path, monkeypatch, capsys):
     assert rc == 0
     capsys.readouterr()
     assert (tmp_path / "envdata" / "partition_00").is_dir()
-
-
-def test_bench_crossmatch_prints_rows(capsys):
-    rc = main(["bench", "crossmatch", "--frame-size", "1000",
-               "--template-size", "1000", "--repeat", "2"])
-    assert rc == 0
-    lines = capsys.readouterr().out.strip().splitlines()
-    assert lines[0].startswith("frame_size,template_size")
-    assert len(lines) == 3
 
 
 def test_bench_cadence_runs(tmp_path, capsys):

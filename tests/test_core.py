@@ -13,9 +13,8 @@ from tdcat.core import (
     DomainError,
     EngineConfig,
     FrameBatch,
-    SourceRecord,
     angular_separation,
-    cartesian_to_radec,
+    check_records,
     mag_to_flux,
     n_zones,
     propagate_flux_error,
@@ -29,7 +28,13 @@ from tdcat.core import (
 
 from tdcat.store import STORE_DTYPE
 
-from oracles import haversine_deg, zone_by_fraction
+from oracles import (
+    SourceRecord,
+    cartesian_to_radec,
+    check_frame_batch,
+    haversine_deg,
+    zone_by_fraction,
+)
 
 finite_ra = st.floats(min_value=0.0, max_value=360.0, exclude_max=True,
                       allow_nan=False, allow_infinity=False)
@@ -281,6 +286,7 @@ def test_records_from_radec_derived_columns():
     assert rec["pixel_x"][2] < PIXELS_PER_AXIS
     for row in rec:
         SourceRecord.from_row(row).validate(cfg.zone_height_deg, cfg.mag_zero_point)
+    check_records(rec, cfg)
 
 
 def test_sort_by_zone_ra():
@@ -344,13 +350,126 @@ def test_frame_batch_check():
             mag=np.full(5, 12.0), mag_error=np.full(5, 0.02), config=cfg,
         )
     )
-    FrameBatch(camera_id=0, imageid=2, epoch=30.0, records=rec).check(cfg)
+    check_frame_batch(FrameBatch(camera_id=0, imageid=2, epoch=30.0, records=rec), cfg)
     with pytest.raises(DomainError):
-        FrameBatch(camera_id=99, imageid=2, epoch=30.0, records=rec).check(cfg)
+        check_frame_batch(
+            FrameBatch(camera_id=99, imageid=2, epoch=30.0, records=rec), cfg
+        )
     bad = rec.copy()
     bad["imageid"][0] = 3
     with pytest.raises(DomainError):
-        FrameBatch(camera_id=0, imageid=2, epoch=30.0, records=bad).check(cfg)
+        check_frame_batch(
+            FrameBatch(camera_id=0, imageid=2, epoch=30.0, records=bad), cfg
+        )
     shuffled = rec[::-1].copy()
     with pytest.raises(DomainError):
-        FrameBatch(camera_id=0, imageid=2, epoch=30.0, records=shuffled).check(cfg)
+        check_frame_batch(
+            FrameBatch(camera_id=0, imageid=2, epoch=30.0, records=shuffled), cfg
+        )
+
+
+# ---------------------------------------------------------------------------
+# check_records against the scalar SourceRecord.validate
+
+nan, inf = float("nan"), float("inf")
+
+# Per field, the corruptions applied in turn: NaN and values on both sides of
+# each bound.  Some leave a row valid (a small dec step, a flux off by half
+# the tolerance); the unchecked fields must never make a row fail.
+CORRUPTIONS = {
+    "ra": [nan, inf, -1e-9, 360.0, lambda v: (v + 180.0) % 360.0],
+    "dec": [nan, -inf, 90.000001, -91.0, lambda v: v + 0.003],
+    "x": [nan, inf, lambda v: v + 1e-3, lambda v: v + 1e-12],
+    "y": [nan, lambda v: v * 1.5],
+    "z": [nan, lambda v: -2.0 * v - 0.1],
+    "zone": [lambda v: v + 1, lambda v: v - 1, -1],
+    "flux": [nan, inf, lambda v: v * (1 + 2e-9), lambda v: v * (1 + 0.5e-9)],
+    "mag": [nan, lambda v: v + 0.01, lambda v: v + 1e-12],
+    "pixel_x": [nan, -1e-9, 4096.0, 4095.999],
+    "pixel_y": [nan, -5.0, 1e6, 0.0],
+    "mag_error": [nan, -1e-3, 0.0],
+    "ra_err": [nan, -inf, 0.0],
+    "dec_err": [nan, -1e-300, 1e300],
+    "ellipticity": [nan, -0.01, 1.01, 1.0],
+    "class_star": [nan, 1.0 + 1e-12, -1e-12, 0.0],
+    "background": [nan, -inf],
+    "calmag": [nan],
+    "flux_err": [nan, -1.0],
+    "flag": [-1],
+}
+
+
+def valid_rows(n, cfg, seed):
+    rng = np.random.default_rng(seed)
+    ra = rng.uniform(0.0, 360.0, n)
+    ra[:2] = 0.0, np.nextafter(360.0, 0.0)
+    dec = np.degrees(np.arcsin(rng.uniform(-1.0, 1.0, n)))
+    dec[2:4] = -90.0, 90.0
+    return records_from_radec(
+        ids=np.arange(n, dtype=np.uint64), imageid=7, ra=ra, dec=dec,
+        mag=rng.uniform(8.0, 20.0, n), mag_error=rng.uniform(0.0, 0.1, n),
+        config=cfg, pixel_x=rng.uniform(-10.0, 4200.0, n),
+        pixel_y=rng.uniform(0.0, 4096.0, n), ra_err=rng.uniform(0.0, 1e-4, n),
+        dec_err=rng.uniform(0.0, 1e-4, n), ellipticity=rng.uniform(0.0, 1.0, n),
+        class_star=rng.uniform(0.0, 1.0, n),
+    )
+
+
+def scalar_rejects(row, cfg) -> bool:
+    try:
+        SourceRecord.from_row(row).validate(cfg.zone_height_deg, cfg.mag_zero_point)
+    except DomainError:
+        return True
+    return False
+
+
+def vector_rejects(rows, cfg) -> bool:
+    try:
+        check_records(rows, cfg)
+    except DomainError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("field", sorted(CORRUPTIONS))
+@pytest.mark.parametrize("zone_height_deg", [0.01, 0.7])
+def test_check_records_rejects_the_rows_validate_rejects(field, zone_height_deg):
+    cfg = EngineConfig(zone_height_deg=zone_height_deg, mag_zero_point=23.5)
+    rng = np.random.default_rng(sum(map(ord, field)))
+    rows = valid_rows(120, cfg, seed=3)
+    for corrupt in CORRUPTIONS[field]:
+        hit = rng.random(len(rows)) < 0.3
+        hit[0] = True
+        old = rows[field][hit]
+        rows[field][hit] = corrupt(old) if callable(corrupt) else corrupt
+        want = [scalar_rejects(row, cfg) for row in rows]
+        got = [vector_rejects(rows[i : i + 1], cfg) for i in range(len(rows))]
+        assert got == want, (field, corrupt)
+        if any(want):
+            with pytest.raises(DomainError, match=rf"^row {want.index(True)}: "):
+                check_records(rows, cfg)
+        else:
+            check_records(rows, cfg)
+        rows[field][hit] = old
+
+
+def test_check_records_names_row_field_and_value():
+    cfg = EngineConfig()
+    rows = valid_rows(10, cfg, seed=4)
+    check_records(rows, cfg)
+    check_records(rows[:0], cfg)
+    rows["mag_error"][6] = -0.5
+    rows["zone"][8] += 1
+    with pytest.raises(DomainError, match=r"^row 6: mag_error -0\.5 is not >= 0$"):
+        check_records(rows, cfg)
+    rows["x"][4] = np.nan
+    with pytest.raises(DomainError, match=r"^row 4: \|xyz\|\^2 nan is not within"):
+        check_records(rows, cfg)
+    rows["x"][4] = rows["x"][5]
+    rows["ra"][4] = np.nan  # the first failing field of a row is named
+    with pytest.raises(DomainError, match=r"^row 4: ra nan is not in \[0, 360\)$"):
+        check_records(rows, cfg)
+    rows = valid_rows(10, cfg, seed=4)
+    rows["zone"][8] += 1
+    with pytest.raises(DomainError, match=r"^row 8: zone .* zone_height_deg 0\.01$"):
+        check_records(rows, cfg)

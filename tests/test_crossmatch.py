@@ -6,12 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tdcat.core import ConfigError, EngineConfig, records_from_radec, sort_by_zone_ra
-from tdcat.crossmatch import (
-    POLE_CLAMP_DEG,
-    build_zone_index,
-    crossmatch_throughput,
-    range_join,
-)
+from tdcat.crossmatch import POLE_CLAMP_DEG, build_zone_index, range_join
 
 from oracles import (
     brute_force_candidate_counts,
@@ -75,7 +70,7 @@ def test_zone_index_structure():
     rng = np.random.default_rng(0)
     rec = make_records(rng.uniform(0, 360, 500), rng.uniform(-89, 89, 500))
     idx = build_zone_index(rec, 0.01)
-    assert idx.source_count == 500
+    assert len(idx.ids) == 500
     assert idx.n_zones == 18_000
     assert np.all(np.diff(idx.zone) >= 0)
     assert 0 <= idx.zone[0] and idx.zone[-1] < idx.n_zones
@@ -97,14 +92,14 @@ def test_zone_index_structure():
 
 def test_zone_index_empty():
     idx = build_zone_index(make_records([], []), 0.01)
-    assert idx.source_count == 0
+    assert len(idx.ids) == 0
     result = range_join(make_records([10.0], [5.0]), idx, 0.003)
     assert result.n_matched == 0
     assert result.n_unmatched == 1
 
 
 def plain_records(ids, ra, dec):
-    """Rows with only id/ra/dec, as crossmatch_throughput builds them."""
+    """Rows with only id/ra/dec, as ``skygen.random_injections`` probes with."""
     out = np.zeros(len(ids), dtype=[("id", "<i8"), ("ra", "<f8"), ("dec", "<f8")])
     out["id"], out["ra"], out["dec"] = ids, ra, dec
     return out
@@ -447,17 +442,3 @@ def test_oracle_implementations_agree():
             else:
                 assert f is not None and s[0] == f[0]
                 assert f[1] == pytest.approx(s[1], rel=1e-12, abs=1e-15)
-
-
-# ---------------------------------------------------------------------------
-# throughput harness
-
-
-def test_crossmatch_throughput_smoke():
-    r = crossmatch_throughput(2000, 2000, 0.003, CFG, seed=1)
-    assert r.frame_size == 2000 and r.template_size == 2000
-    assert r.build_s > 0 and r.join_s > 0
-    assert r.total_s == pytest.approx(r.build_s + r.join_s)
-    assert r.records_per_s == pytest.approx(2000 / r.total_s, rel=1e-6)
-    assert r.cadence_budget_s == CFG.cadence_s
-    assert r.within_budget is (r.join_s < CFG.cadence_s)

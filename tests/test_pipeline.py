@@ -315,6 +315,17 @@ def test_replay_sees_through_merge(tmp_path):
             assert same_alert(a, b), (a, b)
 
 
+def test_replay_refuses_rows_out_of_epoch_order(tmp_path):
+    run_small_night(tmp_path, seed=21, do_merge=False)
+    [store] = open_partitions(tmp_path, [0])
+    rows = store.query_records()
+    with pytest.raises(DomainError, match="order"):
+        replay_online(rows[::-1], CFG, MINING)
+    one_frame = rows[rows["epoch"] == rows["epoch"][0]]
+    with pytest.raises(DomainError, match="order"):
+        replay_online(one_frame[::-1], CFG, MINING)
+
+
 def test_replay_empty_input():
     assert replay_online(np.zeros(0, np.dtype([("epoch", "<f8")])), CFG) == []
 

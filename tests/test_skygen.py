@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from tdcat.core import CadenceError, ConfigError, DomainError, EngineConfig, zone_of
+from tdcat.core import (
+    CadenceError,
+    ConfigError,
+    DomainError,
+    EngineConfig,
+    check_records,
+    zone_of,
+)
 from tdcat.skygen import (
     DEFAULT_FOOTPRINT,
     DENSITY_PRESETS,
@@ -19,7 +26,7 @@ from tdcat.skygen import (
     write_truth_log,
 )
 
-from oracles import haversine_deg
+from oracles import check_frame_batch, haversine_deg
 
 CFG = EngineConfig()
 
@@ -145,7 +152,21 @@ def test_noiseless_frame_reproduces_template():
     assert np.array_equal(np.sort(frame.records["ra"]), np.sort(tpl.stars["ra"]))
     assert np.array_equal(np.sort(frame.records["dec"]), np.sort(tpl.stars["dec"]))
     assert np.array_equal(np.sort(frame.records["mag"]), np.sort(tpl.stars["mag"]))
-    frame.check(CFG)
+    check_frame_batch(frame, CFG)
+
+
+@pytest.mark.parametrize("footprint", [DEFAULT_FOOTPRINT, (0.0, 360.0, -90.0, 90.0)])
+def test_generated_frames_and_template_pass_check_records(footprint):
+    model = SkyModel(seed=12, star_count=3000, footprint=footprint)
+    tpl = build_template(model, CFG)
+    check_records(tpl.to_records(CFG), CFG)
+    injections = random_injections(
+        tpl, model, CFG, seed=12, n_new_sources=3, n_brightenings=3,
+        frames_per_night=20,
+    )
+    for i in range(20):
+        frame = observe_frame(tpl, i * CFG.cadence_s, injections, model, CFG)
+        check_records(frame.records, CFG)
 
 
 def test_frame_determinism_and_seed_sensitivity():

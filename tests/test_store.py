@@ -305,6 +305,17 @@ def test_delta_insert_requires_increasing_epoch(tmp_path, sky):
         store.delta_insert(older, older_m)
 
 
+def test_delta_insert_refuses_a_negative_epoch(tmp_path, sky):
+    # night_of(-15) is -1, a night no read, merge or reopen would ever see
+    store = NightStore(tmp_path, partition_id=0)
+    frame, matches = frame_at(sky, 0.0)
+    with pytest.raises(DomainError, match="negative"):
+        store.delta_insert(replace(frame, imageid=-1, epoch=-15.0), matches)
+    assert not list(tmp_path.rglob("seg_*"))
+    store.delta_insert(frame, matches)
+    assert len(store.query_records()) == len(frame.records)
+
+
 def test_reopen_resumes_epoch_guard(tmp_path, sky):
     store = NightStore(tmp_path, partition_id=0)
     frame, matches = frame_at(sky, 15.0)
