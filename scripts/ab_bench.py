@@ -1,0 +1,153 @@
+#!/usr/bin/env python3
+"""Alternated A/B runs of the benchmark for two git revisions of ``src/``.
+
+Both revisions run ``perfbench/run.py --trace 0`` in turn inside one fixed
+checkout under ``--scratch``.  Before each run the checkout's ``src/`` is
+replaced by that revision's tree, so both sides run from the same directory
+(some metrics move with the checkout's directory alone).  ``perfbench/`` and
+``BENCHMARK.json`` come from ``--change``.  Pair i runs the base first when i
+is even and the change first when it is odd.
+
+    python3 scripts/ab_bench.py --base HEAD~1 --change HEAD \\
+        --scratch /tmp/tdcat-ab --workload cadence-full --pairs 10 --seed 1
+
+For every pair it prints both sides' end-to-end metrics, their digests and
+the minor page faults of each run (``ru_minflt`` of the child process).  At
+the end it prints, per metric, both sides' medians and quartiles and the
+number of pairs in which the change was better.  It uses only git and the
+standard library, and it writes only under ``--scratch``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import resource
+import shutil
+import statistics
+import subprocess
+import sys
+import tarfile
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+SIDES = ("base", "change")
+
+
+def export(rev: str, paths, dest: Path) -> None:
+    """Write ``paths`` of git revision ``rev`` under ``dest``."""
+    tar = subprocess.run(
+        ["git", "-C", str(REPO), "archive", "--format=tar", rev, *paths],
+        capture_output=True, check=True,
+    ).stdout
+    dest.mkdir(parents=True, exist_ok=True)
+    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+        archive.extractall(dest, filter="data")
+
+
+def quartiles(values) -> tuple:
+    """(first quartile, median, third quartile); one value stands for all three."""
+    if len(values) < 2:
+        return (values[0],) * 3
+    q1, q2, q3 = statistics.quantiles(values, n=4)
+    return q1, q2, q3
+
+
+def run_once(checkout: Path, tree: Path, workload: str, seed: int, seconds: int) -> dict:
+    """One benchmark run of ``tree``'s ``src/`` from ``checkout``."""
+    shutil.rmtree(checkout / "src", ignore_errors=True)
+    shutil.rmtree(checkout / ".perfbench-runs", ignore_errors=True)
+    shutil.copytree(tree / "src", checkout / "src")
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed",
+         str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True,
+    )
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - faults
+    out = {"exit": proc.returncode, "minflt": faults, "metrics": {}, "digest": "-"}
+    lines = proc.stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, ValueError):
+        out["error"] = (proc.stdout + proc.stderr)[-2000:]
+        return out
+    out["metrics"] = {
+        name.split(".", 1)[-1]: m["value"] for name, m in result["metrics"].items()
+    }
+    out["failed"] = result.get("failed")
+    digests = [line.split()[-1] for line in lines if line.strip().startswith("digest:")]
+    out["digest"] = ",".join(digests) or "-"
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--base", required=True, help="git revision of the base side")
+    ap.add_argument("--change", required=True, help="git revision of the change side")
+    ap.add_argument("--scratch", required=True, type=Path,
+                    help="directory for the checkout and both trees")
+    ap.add_argument("--workload", action="append",
+                    help="a workload of BENCHMARK.json; repeat for several (default: all)")
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--seconds", type=int, default=25)
+    args = ap.parse_args(argv)
+
+    scratch = args.scratch.resolve()
+    checkout = scratch / "checkout"
+    shutil.rmtree(scratch / "trees", ignore_errors=True)
+    shutil.rmtree(checkout, ignore_errors=True)
+    for side in SIDES:
+        export(getattr(args, side), ["src"], scratch / "trees" / side)
+    export(args.change, ["perfbench", "BENCHMARK.json"], checkout)
+    spec = json.loads((checkout / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    workloads = args.workload or [w["name"] for w in spec["workloads"]]
+
+    for workload in workloads:
+        runs = {side: [] for side in SIDES}
+        for i in range(args.pairs):
+            order = SIDES if i % 2 == 0 else SIDES[::-1]
+            for side in order:
+                runs[side].append(
+                    run_once(checkout, scratch / "trees" / side, workload,
+                             args.seed, args.seconds)
+                )
+            print(f"{workload} pair {i + 1}/{args.pairs} ({order[0]} first)")
+            for side in SIDES:
+                r = runs[side][-1]
+                shown = "  ".join(f"{k}={v:.6g}" for k, v in sorted(r["metrics"].items()))
+                print(f"  {side:6} exit={r['exit']} minflt={r['minflt']} "
+                      f"digest={r['digest']}  {shown}")
+                if "error" in r:
+                    print("    " + r["error"].replace("\n", "\n    "))
+            sys.stdout.flush()
+        print(f"{workload}: median [quartiles] over {args.pairs} pairs, "
+              "and the pairs in which the change was better")
+        for name in sorted(better):
+            pairs = [
+                (b["metrics"][name], c["metrics"][name])
+                for b, c in zip(runs["base"], runs["change"])
+                if name in b["metrics"] and name in c["metrics"]
+            ]
+            if not pairs:
+                continue
+            base_q = quartiles([b for b, _ in pairs])
+            change_q = quartiles([c for _, c in pairs])
+            wins = sum((c < b) if better[name] == "lower" else (c > b) for b, c in pairs)
+            rel = (change_q[1] / base_q[1] - 1.0) * 100.0 if base_q[1] else float("nan")
+            print(f"  {name:14} base {base_q[1]:.6g} [{base_q[0]:.6g}, {base_q[2]:.6g}]  "
+                  f"change {change_q[1]:.6g} [{change_q[0]:.6g}, {change_q[2]:.6g}]  "
+                  f"({rel:+.1f}%)  better in {wins} of {len(pairs)}")
+        for side in SIDES:
+            faults = [r["minflt"] for r in runs[side]]
+            digests = sorted({r["digest"] for r in runs[side]})
+            print(f"  {side:6} minflt median {statistics.median(faults):.0f} "
+                  f"(min {min(faults)}, max {max(faults)})  digests {digests}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -59,6 +59,7 @@ from .store import (
     QueryPredicate,
     capacity_plan,
     capacity_table,
+    frame_to_store_records,
     night_of,
     open_partitions,
     query_stores,
@@ -220,12 +221,14 @@ def cmd_ingest(args) -> int:
         frame = FrameBatch(
             camera_id=camera, imageid=imageid, epoch=epoch, records=records
         )
-        matches = range_join(records, index, config.match_radius_deg)
+        rows = frame_to_store_records(
+            frame, range_join(records, index, config.match_radius_deg)
+        )
         try:
-            ack = store.delta_insert(frame, matches)
+            ack = store.delta_insert(frame, rows)
         except SequenceError:
             # a re-run after an interrupted ingest: only an identical frame passes
-            if not store.holds(frame, matches):
+            if not store.holds(frame, rows):
                 raise
             print(f"skipped {path}: already stored in partition {args.partition}")
             continue

@@ -271,7 +271,8 @@ def check_records(records: np.ndarray, config: EngineConfig) -> None:
     ``zone_of(dec)`` at ``config.zone_height_deg``, ``flux`` equal to
     ``mag_to_flux(mag)`` to a relative 1e-9, pixels in [0, 4096),
     non-negative errors, and ellipticity and class_star in [0, 1].  Each is
-    an array mask that a NaN fails.
+    an array mask that a NaN fails.  Ids must also be unique among the rows
+    (one sort), since the store and the replay key a frame's rows by id.
     """
     r = records
     dec = r["dec"]
@@ -282,7 +283,11 @@ def check_records(records: np.ndarray, config: EngineConfig) -> None:
         norm2 = r["x"] ** 2 + r["y"] ** 2 + r["z"] ** 2
         flux = mag_to_flux(r["mag"], config.mag_zero_point)
         flux_ok = np.abs(r["flux"] - flux) <= 1e-9 * np.maximum(np.abs(flux), 1e-300)
+    order = np.argsort(r["id"], kind="stable")
+    unique = np.ones(len(r), bool)  # a repeated id fails at its later rows
+    unique[order[1:][r["id"][order][1:] == r["id"][order][:-1]]] = False
     checks = [
+        ("id", r["id"], unique, "unique among the rows"),
         ("ra", r["ra"], (r["ra"] >= 0.0) & (r["ra"] < 360.0), "in [0, 360)"),
         ("dec", dec, dec_ok, "in [-90, 90]"),
         ("|xyz|^2", norm2, np.abs(norm2 - 1.0) <= 1e-9, "within 1e-9 of 1"),

@@ -13,6 +13,7 @@ import numpy as np
 
 from .core import (
     ConfigError,
+    DomainError,
     n_zones,
     radec_to_cartesian,
     separation_to_chord,
@@ -136,13 +137,16 @@ def _ra_halfwidth_deg(dec: np.ndarray, radius_deg: float) -> np.ndarray:
 def range_join(frame, template_index: ZoneIndex, radius_deg: float) -> MatchResult:
     """Match each frame record to its nearest in-radius template star.
 
-    Candidates are drawn only from zones within ceil(radius / zone_height) of
-    the record's zone and inside a declination-inflated RA window, by one
-    lookup per zone offset, seam intervals included: a window that crosses
-    the 0/360 seam adds an interval for its wrapped part.  Among candidates
+    Candidates are drawn from the zones that a record's declination band
+    ``[dec - r - pad, dec + r + pad]`` reaches, both edges through
+    ``zone_of``, and from inside a declination-inflated RA window: one lookup
+    per zone the band reaches, seam intervals included (a window that crosses
+    the 0/360 seam adds an interval for its wrapped part).  Among candidates
     within ``radius_deg`` the nearest wins; exact separation ties break toward
     the smaller template star id.  Records with no in-radius candidate are
-    returned as unmatched transient candidates.
+    returned as unmatched transient candidates.  A ``dec`` outside [-90, 90]
+    or an ``ra`` outside [0, 360), NaN included, raises DomainError naming
+    the first such row.
     """
     if not 0 < radius_deg <= 90:
         raise ConfigError(f"radius_deg must be in (0, 90], got {radius_deg}")
@@ -152,42 +156,53 @@ def range_join(frame, template_index: ZoneIndex, radius_deg: float) -> MatchResu
     h = template_index.zone_height_deg
     ra = np.ascontiguousarray(records["ra"], dtype=np.float64)
     dec = np.ascontiguousarray(records["dec"], dtype=np.float64)
-    names = records.dtype.names
-    if "x" in names:
-        fxyz = np.column_stack([records["x"], records["y"], records["z"]]).astype(
-            np.float64
-        )
-    else:
-        fx, fy, fz = radec_to_cartesian(ra, dec)
-        fxyz = np.column_stack([fx, fy, fz])
+    if n and not (dec.min() >= -90.0 and dec.max() <= 90.0):  # NaN fails too
+        i = int(np.argmin((dec >= -90.0) & (dec <= 90.0)))
+        raise DomainError(f"row {i}: dec {float(dec[i])!r} is not in [-90, 90]")
 
-    rec_zone = zone_of(dec, h)
-    dz = int(np.ceil(radius_deg / h - 1e-9))
+    # each record's zone band, both edges through one zone_of call
+    reach = radius_deg + _WINDOW_PAD_DEG
+    edges = zone_of(np.clip(np.add.outer(dec, (-reach, reach)), -90.0, 90.0), h)
+    band_lo, band_span = edges[:, 0], edges[:, 1] - edges[:, 0]
+
     halfw = _ra_halfwidth_deg(dec, radius_deg)
-    full_scan = halfw >= 180.0
-
-    lo = np.where(full_scan, 0.0, ra - halfw)
-    hi = np.where(full_scan, 360.0, ra + halfw)
-    # One query interval per record, clipped into [0, 360]; a window that
-    # crosses the 0/360 seam adds its wrapped part, the window moved a full
-    # turn to the other side and clipped the same way.
-    wrap = np.flatnonzero((lo < 0.0) | (hi > 360.0))
+    lo, hi = ra - halfw, ra + halfw
+    # A window that leaves [0, 360] crosses the seam or scans the full circle,
+    # or its ra is itself outside [0, 360) or NaN: only these rows are looked
+    # at again.  A seam window adds its wrapped part, the window moved a full
+    # turn to the other side; every interval is then clipped into [0, 360].
+    edge = wrap = np.flatnonzero(~((lo >= 0.0) & (hi <= 360.0)))
+    if len(edge):
+        bad = edge[~((ra[edge] >= 0.0) & (ra[edge] < 360.0))]
+        if len(bad):
+            raise DomainError(f"row {bad[0]}: ra {float(ra[bad[0]])!r} is not in [0, 360)")
+        full = halfw[edge] >= 180.0
+        lo[edge[full]], hi[edge[full]] = 0.0, 360.0
+        wrap = edge[~full]
     turn = np.where(lo[wrap] < 0.0, 360.0, -360.0)
     q_rec = np.concatenate([np.arange(n), wrap])
     q_lo = np.clip(np.concatenate([lo, lo[wrap] + turn]), 0.0, 360.0)
     q_hi = np.clip(np.concatenate([hi, hi[wrap] + turn]), 0.0, 360.0)
-    q_zone = rec_zone[q_rec]
+    q_zone, q_span = band_lo[q_rec], band_span[q_rec]
 
-    # One lookup per zone offset.  A zone past either pole keys below or above
-    # every index row, so its range comes out empty.
+    names = records.dtype.names
+    if "x" in names:
+        fxyz = np.column_stack([records["x"], records["y"], records["z"]])
+    else:
+        fx, fy, fz = radec_to_cartesian(ra, dec)
+        fxyz = np.column_stack([fx, fy, fz])
+
+    # One lookup per zone step k, over the intervals whose band reaches
+    # ``band_lo + k``.
     key = template_index.key
     hit_rec, hit_start, hit_len = [], [], []
-    for d in range(-dz, dz + 1):
-        base = (q_zone + d) * 361.0
-        start = np.searchsorted(key, base + q_lo, side="left")
-        length = np.searchsorted(key, base + q_hi, side="right") - start
+    for k in range(int(band_span.max(initial=0)) + 1):
+        sel = np.flatnonzero(q_span >= k) if k else slice(None)
+        base = (q_zone[sel] + k) * 361.0
+        start = np.searchsorted(key, base + q_lo[sel], side="left")
+        length = np.searchsorted(key, base + q_hi[sel], side="right") - start
         hit = np.flatnonzero(length)
-        hit_rec.append(q_rec[hit])
+        hit_rec.append(q_rec[sel][hit])
         hit_start.append(start[hit])
         hit_len.append(length[hit])
     start = np.concatenate(hit_start)
@@ -197,7 +212,8 @@ def range_join(frame, template_index: ZoneIndex, radius_deg: float) -> MatchResu
     cand_tpl = np.arange(len(cand_rec)) + np.repeat(
         start - (np.cumsum(length) - length), length
     )
-    del base, hit_rec, hit_start, hit_len, start, length, hit
+    del base, hit_rec, hit_start, hit_len, start, length, hit, sel
+    del edges, band_lo, band_span, halfw, lo, hi, q_rec, q_lo, q_hi, q_zone, q_span
 
     diff = fxyz[cand_rec] - template_index.xyz[cand_tpl]
     chord2 = np.einsum("ij,ij->i", diff, diff)

@@ -34,6 +34,7 @@ BRIGHTENING = "brightening"
 NEW_SOURCE = "new_source"
 
 _REFRESH_EVERY = 512  # frames between exact recomputation of running sums
+_JUDGE_ROWS = 1 << 14  # points judged at a time (128 KiB per float column)
 
 
 @dataclass(frozen=True)
@@ -186,9 +187,17 @@ class WindowBank:
         self._frames_since_refresh = 0
 
     def _push(self, slots: np.ndarray, mags: np.ndarray):
-        """Absorb points; duplicate slots are applied in multiplicity passes."""
+        """Absorb points; duplicate slots are applied in multiplicity passes.
+
+        A pass takes each star's first remaining point (a per-star minimum of
+        row positions); its slots are distinct, so update order changes no float.
+        """
+        first_at = np.empty(self.n_stars, dtype=np.int64)
         while len(slots):
-            uniq, first = np.unique(slots, return_index=True)
+            rows = np.arange(len(slots))
+            first_at[slots] = len(slots)
+            np.minimum.at(first_at, slots, rows)
+            first = first_at[slots] == rows
             sel_slots = slots[first]
             sel_mags = mags[first]
             full = self._count[sel_slots] == self.config.window
@@ -203,45 +212,64 @@ class WindowBank:
             self._count[sel_slots] += 1
             self._sum[sel_slots] += sel_mags
             self._sumsq[sel_slots] += sel_mags * sel_mags
-            rest = np.ones(len(slots), dtype=bool)
-            rest[first] = False
-            slots, mags = slots[rest], mags[rest]
+            slots, mags = slots[~first], mags[~first]
+
+    def judge(
+        self, epoch, star_ids, mags, mag_errors, record_ids=None, camera_id=0, rows=None
+    ):
+        """One frame's alerts against the pre-frame baselines; changes nothing.
+
+        Returns ``(alerts, slots)`` for ``absorb``.  With ``rows``, point k takes
+        entry ``rows[k]`` of ``mags``, ``mag_errors`` and ``record_ids``.  Points
+        are judged ``_JUDGE_ROWS`` at a time, which keeps the temporaries small
+        while a segment write overlaps.
+        """
+        star_ids = np.asarray(star_ids, dtype=np.int64)
+        mags = np.asarray(mags, dtype=np.float64)
+        mag_errors = np.asarray(mag_errors, dtype=np.float64)
+        rows = np.arange(len(star_ids)) if rows is None else rows
+        slots = np.empty(len(star_ids), np.int64)
+        cfg, alerts = self.config, []
+        for lo in range(0, len(slots), _JUDGE_ROWS):
+            part, pick = slice(lo, lo + _JUDGE_ROWS), rows[lo : lo + _JUDGE_ROWS]
+            slots[part] = self._slots_of(star_ids[part])
+            n, mean, var = self.baseline_stats(slots[part])
+            err, mag = mag_errors[pick], mags[pick]
+            combined = np.sqrt(var + err * err)
+            dev = mag - mean
+            hit = (n >= cfg.min_window) & (np.abs(dev) > cfg.k_sigma * combined)
+            for j in np.flatnonzero(hit):
+                i, c = lo + j, combined[j]
+                alerts.append(
+                    Alert(
+                        kind=DIMMING if dev[j] > 0 else BRIGHTENING,
+                        epoch=float(epoch),
+                        star_id=int(star_ids[i]),
+                        record_id=0 if record_ids is None else int(record_ids[rows[i]]),
+                        mag=float(mag[j]),
+                        baseline_mag=float(mean[j]),
+                        deviation_sigma=float(abs(dev[j]) / c) if c > 0 else math.inf,
+                        camera_id=camera_id,
+                    )
+                )
+        return alerts, slots
+
+    def absorb(self, slots, mags) -> None:
+        """Add one judged frame's points to the windows."""
+        if len(slots):
+            self._push(slots, np.asarray(mags, dtype=np.float64))
+            self._frames_since_refresh += 1
+            if self._frames_since_refresh >= _REFRESH_EVERY:
+                self._refresh_sums()
 
     def update(
         self, epoch, star_ids, mags, mag_errors, record_ids=None, camera_id=0
     ):
-        """Process one frame's matched points; returns this frame's alerts."""
-        star_ids = np.asarray(star_ids, dtype=np.int64)
-        mags = np.asarray(mags, dtype=np.float64)
-        mag_errors = np.asarray(mag_errors, dtype=np.float64)
-        if not len(star_ids):
-            return []
-        slots = self._slots_of(star_ids)
-        cfg = self.config
-        n, mean, var = self.baseline_stats(slots)
-        combined = np.sqrt(var + mag_errors * mag_errors)
-        dev = mags - mean
-        ready = n >= cfg.min_window
-        hit = ready & (np.abs(dev) > cfg.k_sigma * combined)
-        alerts = []
-        for i in np.nonzero(hit)[0]:
-            c = combined[i]
-            alerts.append(
-                Alert(
-                    kind=DIMMING if dev[i] > 0 else BRIGHTENING,
-                    epoch=float(epoch),
-                    star_id=int(star_ids[i]),
-                    record_id=int(record_ids[i]) if record_ids is not None else 0,
-                    mag=float(mags[i]),
-                    baseline_mag=float(mean[i]),
-                    deviation_sigma=float(abs(dev[i]) / c) if c > 0 else math.inf,
-                    camera_id=camera_id,
-                )
-            )
-        self._push(slots, mags)
-        self._frames_since_refresh += 1
-        if self._frames_since_refresh >= _REFRESH_EVERY:
-            self._refresh_sums()
+        """Judge one frame's matched points, then absorb them; returns its alerts."""
+        alerts, slots = self.judge(
+            epoch, star_ids, mags, mag_errors, record_ids, camera_id
+        )
+        self.absorb(slots, mags)
         return alerts
 
     def update_from_match(self, frame, matches):

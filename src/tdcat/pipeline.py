@@ -20,7 +20,8 @@ from __future__ import annotations
 import csv
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
+import weakref
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -43,7 +44,7 @@ from .skygen import (
     split_footprint,
     write_truth_log,
 )
-from .store import SECONDS_PER_DAY, NightStore
+from .store import SECONDS_PER_DAY, NightStore, frame_to_store_records
 
 
 def partition_seed(seed: int, partition_id: int) -> int:
@@ -57,6 +58,13 @@ def partition_seed(seed: int, partition_id: int) -> int:
 
 @dataclass
 class StageTimings:
+    """Seconds a frame spent in each stage of ``PartitionWorker.process_frame``.
+
+    The segment write (``insert_s``, from the row build until durable) overlaps
+    the window bank's judge (part of ``online_s``), so ``total_s``, the sum of
+    the stages, is an upper bound on the frame's wall time.
+    """
+
     match_s: float = 0.0
     insert_s: float = 0.0
     online_s: float = 0.0
@@ -100,23 +108,46 @@ class PartitionWorker:
             self.store.root.mkdir(parents=True, exist_ok=True)
         self.bank = WindowBank(template.stars["id"], mining)
         self.tracker = CandidateTracker(config, mining)
+        self._writer = None  # the segment-write thread, started by the first frame
 
     def process_frame(self, frame) -> FrameOutcome:
+        """Match one frame, store it, and run the online detectors on it.
+
+        The calling thread builds the store rows; one helper thread then makes
+        the segment's file-system calls while the calling thread judges the
+        frame against the pre-frame window baselines.  The bank and the tracker
+        absorb the frame only once the segment is durable, so a failed insert
+        raises here and leaves both as they were.
+        """
         t0 = time.perf_counter()
         matches = range_join(
             frame.records, self.template.index, self.config.match_radius_deg
         )
-        t1 = time.perf_counter()
+        t1 = t2 = durable = time.perf_counter()
+        insert = None
         if self.store is not None:
-            self.store.delta_insert(frame, matches)
-        t2 = time.perf_counter()
-        alerts = self.bank.update_from_match(frame, matches)
-        t3 = time.perf_counter()
+            rows = frame_to_store_records(frame, matches)
+            if self._writer is None:  # joined when the worker is collected
+                self._writer = ThreadPoolExecutor(1, "tdcat-insert")
+                weakref.finalize(self, self._writer.shutdown)
+            t2 = time.perf_counter()
+            insert = self._writer.submit(_durable_at, self.store.delta_insert, frame, rows)
+            del rows  # freed once written
+        rec, matched = frame.records, matches.matched_rows
+        try:
+            alerts, slots = self.bank.judge(
+                frame.epoch, matches.star_ids, rec["calmag"], rec["mag_error"],
+                record_ids=rec["id"], camera_id=frame.camera_id, rows=matched,
+            )
+            t3 = time.perf_counter()
+        finally:  # the insert has ended, one way or the other, before any return
+            if insert is not None:
+                durable = insert.result()  # raises the insert's error
+        self.bank.absorb(slots, rec["calmag"][matched])
+        t4 = time.perf_counter()
         unmatched = take_rows(frame.records, matches.unmatched_rows)
         alerts.extend(self.tracker.update(frame.epoch, unmatched, frame.camera_id))
-        t4 = time.perf_counter()
-        for a in alerts:
-            a.camera_id = frame.camera_id
+        t5 = time.perf_counter()
         return FrameOutcome(
             imageid=frame.imageid,
             epoch=frame.epoch,
@@ -127,11 +158,18 @@ class PartitionWorker:
             alerts=alerts,
             timings=StageTimings(
                 match_s=t1 - t0,
-                insert_s=t2 - t1,
-                online_s=t3 - t2,
-                candidate_s=t4 - t3,
+                insert_s=durable - t1,
+                # the judge, then the absorb from when both it and the insert ended
+                online_s=(t3 - t2) + (t4 - max(t3, durable)),
+                candidate_s=t5 - t4,
             ),
         )
+
+
+def _durable_at(insert, frame, rows) -> float:
+    """Run ``insert(frame, rows)``; the time it returned, on the frame clock."""
+    insert(frame, rows)
+    return time.perf_counter()
 
 
 CADENCE_CSV_HEADER = [

@@ -58,9 +58,9 @@ TDS_MAGIC = b"TDS1"
 DELTA_MAGIC = b"TDL1"
 BASE_MAGIC = b"TDB1"
 
-STORE_DTYPE = np.dtype(
-    RECORD_DTYPE.descr + [("star_id", "<i8"), ("epoch", "<f8"), ("candidate", "u1")]
-)
+# the store columns that follow a catalog row
+_TAIL_DTYPE = np.dtype([("star_id", "<i8"), ("epoch", "<f8"), ("candidate", "u1")])
+STORE_DTYPE = np.dtype(RECORD_DTYPE.descr + _TAIL_DTYPE.descr)
 RECORD_SIZE = RECORD_DTYPE.itemsize  # 162
 STORE_RECORD_SIZE = STORE_DTYPE.itemsize  # 179
 
@@ -269,20 +269,22 @@ def frame_to_store_records(frame, matches) -> np.ndarray:
             f"match result covers {matches.n_frame} records, frame has {n}"
         )
     if len(matches.matched_rows) and not np.array_equal(
-        records["id"][matches.matched_rows].astype(np.uint64), matches.record_ids
+        records["id"][matches.matched_rows], matches.record_ids
     ):
         raise DomainError("match result does not correspond to this frame")
-    # STORE_DTYPE starts with RECORD_DTYPE's fields, so each catalog row is
-    # copied verbatim into the first RECORD_SIZE bytes of its store row
+    # The 17-byte tail is built apart, then each catalog row and its tail are
+    # copied verbatim into their store row: two byte-block copies, no strided
+    # pass over the output.
+    tail = np.empty(n, _TAIL_DTYPE)
+    tail["star_id"] = UNMATCHED_STAR_ID
+    tail["star_id"][matches.matched_rows] = matches.star_ids
+    tail["epoch"] = frame.epoch
+    tail["candidate"] = 1
+    tail["candidate"][matches.matched_rows] = 0
     out = np.empty(n, dtype=STORE_DTYPE)
-    out.view(np.uint8).reshape(n, STORE_RECORD_SIZE)[:, :RECORD_SIZE] = (
-        records.view(np.uint8).reshape(n, RECORD_SIZE)
-    )
-    out["star_id"] = UNMATCHED_STAR_ID
-    out["star_id"][matches.matched_rows] = matches.star_ids
-    out["candidate"] = 1
-    out["candidate"][matches.matched_rows] = 0
-    out["epoch"] = frame.epoch
+    row_bytes = out.view(np.uint8).reshape(n, STORE_RECORD_SIZE)
+    row_bytes[:, :RECORD_SIZE] = records.view(np.uint8).reshape(n, RECORD_SIZE)
+    row_bytes[:, RECORD_SIZE:] = tail.view(np.uint8).reshape(n, _TAIL_DTYPE.itemsize)
     return out
 
 
@@ -381,13 +383,18 @@ class NightStore:
 
     # -- writes ---------------------------------------------------------
 
-    def delta_insert(self, frame, matches) -> InsertAck:
-        """Durably append one frame's records plus their match outcome.
+    def delta_insert(self, frame, rows) -> InsertAck:
+        """Durably append one frame's store rows as its delta segment.
 
-        Epochs start at 0: the store's nights are ``night_of(epoch) >= 0``.
+        ``rows`` is ``frame_to_store_records(frame, matches)``.  Epochs start
+        at 0: the store's nights are ``night_of(epoch) >= 0``.  The rows are
+        built by the caller and only written here, so this call allocates
+        nothing the size of the frame and may run on a helper thread.
         """
         if frame.epoch < 0:
             raise DomainError(f"frame epoch {frame.epoch} is negative")
+        if rows.dtype != STORE_DTYPE:
+            raise DomainError(f"store rows must have STORE_DTYPE, got {rows.dtype}")
         if self._busy:
             raise StorageError("delta_insert overlaps another store operation")
         self._busy = True
@@ -398,16 +405,15 @@ class NightStore:
                     f"frame epoch {frame.epoch} not after last appended epoch "
                     f"{self._last_epoch}"
                 )
-            records = frame_to_store_records(frame, matches)
             path = self._segment_path(frame)
             path.parent.mkdir(parents=True, exist_ok=True)
-            written = _write_segment(path, records, frame.epoch)
+            written = _write_segment(path, rows, frame.epoch)
             self._last_epoch = frame.epoch
             latency = time.perf_counter() - t0
-            self.stats.records_ingested += len(records)
+            self.stats.records_ingested += len(rows)
             self.stats.bytes_on_disk += written
             return InsertAck(
-                records=len(records),
+                records=len(rows),
                 night_id=night_of(frame.epoch),
                 segment_path=path,
                 latency_s=latency,
@@ -415,18 +421,17 @@ class NightStore:
         finally:
             self._busy = False
 
-    def holds(self, frame, matches) -> bool:
-        """True when this frame's committed segment has exactly these rows."""
+    def holds(self, frame, rows) -> bool:
+        """True when this frame's committed segment has exactly these store rows."""
         path = self._segment_path(frame)
         if not path.is_file():
             return False
-        rows, epoch = _read_rows(path, DELTA_MAGIC, STORE_DTYPE)
-        expected = frame_to_store_records(frame, matches)
-        n = rows.nbytes
-        if epoch != frame.epoch or n != expected.nbytes:
+        stored, epoch = _read_rows(path, DELTA_MAGIC, STORE_DTYPE)
+        n = stored.nbytes
+        if epoch != frame.epoch or n != rows.nbytes:
             return False
         # each side viewed as one opaque item: compared in place, never copied
-        return bool((rows.view(f"V{n}") == expected.view(f"V{n}")).all())
+        return bool((stored.view(f"V{n}") == rows.view(f"V{n}")).all())
 
     def _unmerged_rows(self) -> np.ndarray:
         """Every delta row after the base's night, sorted as the base is."""

@@ -12,9 +12,13 @@ zone-joined ``CandidateTracker`` must match alert for alert;
 ``column_store_records``, a column-by-column build of store rows that the
 byte-block copy in ``frame_to_store_records`` must match byte for byte; and
 ``concatenate_and_sort_merge``, the nightly merge as one in-memory sort, which
-the streamed ``NightStore.nightly_merge`` must match byte for byte; and
+the streamed ``NightStore.nightly_merge`` must match byte for byte;
 ``SourceRecord.validate``, a one-row-at-a-time check of the row invariants,
-which the masks of ``check_records`` must match row for row.
+which the masks of ``check_records`` must match row for row;
+``push_in_unique_passes``, the window bank's earlier ``np.unique`` absorb,
+which the current one must match bit for bit; and
+``brute_force_chord_match``, the join's own chord rule over every pair, which
+pins the join's zone and RA pruning at pairs that sit on the radius.
 """
 
 from __future__ import annotations
@@ -111,6 +115,32 @@ def haversine_matrix_deg(frame_ra, frame_dec, tpl_ra, tpl_dec) -> np.ndarray:
     return np.degrees(2.0 * np.arcsin(np.sqrt(np.clip(a, 0.0, 1.0))))
 
 
+def brute_force_chord_match(frame_xyz, tpl_ids, tpl_xyz, radius_deg):
+    """Nearest star per frame row by ``range_join``'s own chord rule, over every pair.
+
+    No zones, no RA windows and no sorted keys: every (row, star) pair is
+    measured with the chord arithmetic the join uses, so a comparison pins
+    exactly which candidates the join's pruning may skip, down to pairs whose
+    separation rounds onto the radius, where the haversine oracles and the
+    chord may disagree.  Returns ``(star_ids, separations_deg,
+    n_candidates)`` per row, star id -1 for an unmatched row.
+    """
+    n, m = len(frame_xyz), len(tpl_ids)
+    diff = (frame_xyz[:, None, :] - tpl_xyz[None, :, :]).reshape(n * m, 3)
+    chord2 = np.einsum("ij,ij->i", diff, diff).reshape(n, m)
+    max_chord = separation_to_chord(radius_deg)
+    inside = chord2 <= max_chord * max_chord
+    ids = np.asarray(tpl_ids, np.int64)
+    star = np.full(n, -1, np.int64)
+    best_chord2 = np.full(n, np.nan)
+    for i in np.flatnonzero(inside.any(axis=1)):
+        j = np.flatnonzero(inside[i])
+        best = j[np.lexsort((ids[j], chord2[i, j]))[0]]
+        star[i], best_chord2[i] = ids[best], chord2[i, best]
+    sep = np.degrees(2.0 * np.arcsin(np.minimum(1.0, np.sqrt(best_chord2) / 2.0)))
+    return star, sep, inside.sum(axis=1)
+
+
 def brute_force_candidate_counts(frame_ra, frame_dec, tpl_ra, tpl_dec, radius_deg):
     """Number of template stars within ``radius_deg`` of each frame row."""
     if len(frame_ra) == 0 or len(tpl_ra) == 0:
@@ -200,6 +230,34 @@ def online_update(state: WindowState, epoch, mag, mag_error, config: MiningConfi
     if len(state.baseline) > config.window:
         state.baseline.popleft()
     return alert
+
+
+def push_in_unique_passes(bank, slots, mags) -> None:
+    """``WindowBank._push`` as it was: each pass takes every star's first
+    remaining point through ``np.unique``, which sorts the slots.
+
+    The per-star-minimum ``_push`` must leave the rings, heads, counts and
+    running sums bit for bit the same.
+    """
+    while len(slots):
+        _, first = np.unique(slots, return_index=True)
+        sel_slots = slots[first]
+        sel_mags = mags[first]
+        full = bank._count[sel_slots] == bank.config.window
+        if np.any(full):
+            fs = sel_slots[full]
+            old = bank._ring[fs, bank._head[fs]]
+            bank._sum[fs] -= old
+            bank._sumsq[fs] -= old * old
+            bank._count[fs] -= 1
+        bank._ring[sel_slots, bank._head[sel_slots]] = sel_mags
+        bank._head[sel_slots] = (bank._head[sel_slots] + 1) % bank.config.window
+        bank._count[sel_slots] += 1
+        bank._sum[sel_slots] += sel_mags
+        bank._sumsq[sel_slots] += sel_mags * sel_mags
+        rest = np.ones(len(slots), dtype=bool)
+        rest[first] = False
+        slots, mags = slots[rest], mags[rest]
 
 
 class DenseTracker:

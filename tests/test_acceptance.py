@@ -29,7 +29,12 @@ from tdcat.skygen import (
     observe_frame,
     read_truth_log,
 )
-from tdcat.store import STORE_RECORD_SIZE, NightStore, capacity_table
+from tdcat.store import (
+    STORE_RECORD_SIZE,
+    NightStore,
+    capacity_table,
+    frame_to_store_records,
+)
 
 from oracles import brute_force_match_arrays, haversine_deg
 
@@ -230,9 +235,8 @@ def test_criterion_4_storage_equivalence_over_full_night(tmp_path):
     store = NightStore(tmp_path / "a", partition_id=0)
     for i in range(FRAMES_PER_NIGHT):
         frame = observe_frame(template, i * CFG.cadence_s, [], model, CFG)
-        store.delta_insert(
-            frame, range_join(frame.records, index, CFG.match_radius_deg)
-        )
+        matches = range_join(frame.records, index, CFG.match_radius_deg)
+        store.delta_insert(frame, frame_to_store_records(frame, matches))
 
     # second copy of the same delta log for the interrupted-merge arm
     shutil.copytree(tmp_path / "a" / "partition_00", tmp_path / "b" / "partition_00")

@@ -413,6 +413,27 @@ def test_ingest_refuses_a_negative_epoch(workflow, tmp_path, capsys):
     assert not list(data.rglob("seg_*.tdl"))
 
 
+def test_ingest_refuses_a_repeated_record_id(tmp_path, capsys):
+    gen, data = tmp_path / "gen", tmp_path / "d"
+    assert run_cli("generate", "--out", str(gen), "--frames", "3", "--stars", "60",
+                   "--seed", "2") == 0
+    frames = sorted(gen.glob("frame_*.tds"))
+    records = read_records_bin(frames[1])
+    n = len(records)
+    write_records_bin(frames[1], np.concatenate([records, records[4:5]]))
+    capsys.readouterr()
+    rc = run_cli(
+        "ingest", "--data-dir", str(data), "--partition", "0",
+        "--template", str(gen / "template.tds"), "--input", *map(str, frames),
+    )
+    assert rc == 1
+    assert f"{frames[1]}: row {n}: id {int(records['id'][4])} is not unique" in (
+        capsys.readouterr().err
+    )
+    # the frame before it was stored; the bad frame and the ones after were not
+    assert [p.name for p in sorted(data.rglob("seg_*.tdl"))] == ["seg_00000000.tdl"]
+
+
 def test_ingest_without_template_stores_candidates(workflow, tmp_path):
     gen, _ = workflow
     data = tmp_path / "d"

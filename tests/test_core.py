@@ -473,3 +473,21 @@ def test_check_records_names_row_field_and_value():
     rows["zone"][8] += 1
     with pytest.raises(DomainError, match=r"^row 8: zone .* zone_height_deg 0\.01$"):
         check_records(rows, cfg)
+
+
+def test_check_records_names_the_first_repeated_id():
+    cfg = EngineConfig()
+    rows = valid_rows(10, cfg, seed=4)
+    rows["id"][7] = rows["id"][2]
+    with pytest.raises(DomainError, match=r"^row 7: id 2 is not unique among the rows$"):
+        check_records(rows, cfg)
+    rows["id"][5] = rows["id"][8]  # the first row that repeats an earlier id is named
+    with pytest.raises(DomainError, match=r"^row 7: id 2 "):
+        check_records(rows, cfg)
+    rows["id"][4] = rows["id"][9]
+    rows["id"][9] = rows["id"][1]
+    with pytest.raises(DomainError, match=r"^row 7: id 2 "):
+        check_records(rows, cfg)
+    rows["id"][1] = rows["id"][0]
+    with pytest.raises(DomainError, match=r"^row 1: id 0 "):
+        check_records(rows, cfg)

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -5,11 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tdcat.core import ConfigError, EngineConfig, records_from_radec, sort_by_zone_ra
+from tdcat.core import (
+    ConfigError,
+    DomainError,
+    EngineConfig,
+    n_zones,
+    records_from_radec,
+    sort_by_zone_ra,
+    zone_of,
+)
 from tdcat.crossmatch import POLE_CLAMP_DEG, build_zone_index, range_join
 
 from oracles import (
     brute_force_candidate_counts,
+    brute_force_chord_match,
     brute_force_match,
     brute_force_match_arrays,
     haversine_deg,
@@ -442,3 +452,147 @@ def test_oracle_implementations_agree():
             else:
                 assert f is not None and s[0] == f[0]
                 assert f[1] == pytest.approx(s[1], rel=1e-12, abs=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# declination bands at zone edges, and bad coordinates
+
+
+def zone_edge(k, h):
+    """The smallest dec that ``zone_of`` puts in zone ``k``."""
+    lo, hi = k * h - 90.0 - 1e-6, k * h - 90.0 + 1e-6
+    assert zone_of(lo, h) == k - 1 and zone_of(hi, h) == k
+    while np.nextafter(lo, hi) != hi:
+        mid = lo + (hi - lo) / 2
+        lo, hi = (lo, mid) if zone_of(mid, h) >= k else (mid, hi)
+    return hi
+
+
+def decs_with_band_edge_at(edge, radius, sign):
+    """Query decs whose computed ``dec + sign * radius`` is at ``edge`` or next to it.
+
+    The dec whose band edge lands closest to ``edge`` (exactly on it when a
+    float allows), and its two neighbours on either side.
+    """
+    dec = edge - sign * radius
+    for _ in range(16):
+        at = dec + sign * radius
+        if at == edge:
+            break
+        step = np.nextafter(dec, np.inf if at < edge else -np.inf)
+        if abs(step + sign * radius - edge) >= abs(at - edge):
+            break
+        dec = step
+    out = [dec]
+    for direction in (np.inf, -np.inf):
+        d = dec
+        for _ in range(2):
+            d = np.nextafter(d, direction)
+            out.append(d)
+    return [d for d in out if -90.0 <= d <= 90.0]
+
+
+def band_edge_field(h, radius, rng):
+    """Rows whose band edge ``dec +- r`` sits on a zone edge, 1 ulp inside it
+    and past it, next to the RA seam, both poles, mid-sky and the equator.
+
+    Each row has stars of its own on its meridian (and 1e-10 or 3e-10 deg of
+    ra to either side): stars on the far side of the zone edge, one or two
+    ulps past it, so at the radius to within rounding; half of the rows also
+    get stars just inside the edge.  Half of the far-side stars carry x/y/z
+    for a dec 1e-11 deg nearer the row than their ``dec`` column, far below
+    the band's pad, so the chord puts them inside the radius for certain.
+    """
+    nz = n_zones(h)
+    regions = [  # (ra the rows are spread around, zones whose lower edges are used)
+        (123.456, [nz // 2 + 3, nz // 2 + 4]),
+        (250.0, [zone_of(14.3, h), zone_of(45.3, h)]),
+        (0.0, [zone_of(20.1, h), zone_of(-30.1, h)]),
+        (77.0, sorted({nz - 1, zone_of(90.0 - 1.5 * radius, h)})),
+        (301.0, sorted({1, zone_of(-90.0 + 1.5 * radius, h) + 1})),
+    ]
+    f_ra, f_dec, t_ra, t_dec, t_xyz_dec = [], [], [], [], []
+    for centre, zones in regions:
+        rows = []
+        for k in zones:
+            edge = zone_edge(k, h)
+            below = np.nextafter(edge, -np.inf)
+            under = [np.nextafter(below, -np.inf), below]  # zone k - 1
+            over = [edge, np.nextafter(edge, np.inf)]  # zone k
+            for sign in (-1.0, 1.0):
+                beyond, within = (under, over) if sign < 0 else (over, under)
+                for dec in decs_with_band_edge_at(edge, radius, sign):
+                    stars = [(d, d - sign * 1e-11 * rng.integers(0, 2)) for d in beyond]
+                    if rng.random() < 0.5:
+                        stars += [(d, d) for d in within]
+                    rows.append((dec, stars))
+        for i, (dec, stars) in enumerate(rows):
+            spacing = 4.0 * radius / np.cos(np.radians(min(abs(dec), 89.9)))
+            ra = (centre + (i - len(rows) // 2) * spacing) % 360.0
+            f_ra.append(ra)
+            f_dec.append(dec)
+            for sd, xyz_dec in stars:
+                for off in (0.0, 1e-10, -1e-10, 3e-10, -3e-10):
+                    t_ra.append((ra + off) % 360.0)
+                    t_dec.append(sd)
+                    t_xyz_dec.append(float(np.clip(xyz_dec, -90.0, 90.0)))
+    frame = make_records(f_ra, f_dec, ids=np.arange(len(f_ra), dtype=np.uint64) + 5000)
+    tpl = records_from_radec(
+        ids=rng.permutation(len(t_ra)).astype(np.uint64) * 3 + 1, imageid=0, ra=t_ra,
+        dec=t_xyz_dec, mag=np.full(len(t_ra), 12.0), mag_error=np.full(len(t_ra), 0.02),
+        config=CFG,
+    )
+    tpl["dec"] = t_dec  # the index zones each star by this column
+    return frame, tpl
+
+
+def xyz_of(rows):
+    return np.column_stack([rows["x"], rows["y"], rows["z"]])
+
+
+@pytest.mark.parametrize("h,radius", [(0.01, 0.003), (0.01, 0.01), (0.01, 0.04), (0.001, 0.05)])
+def test_zone_band_edges_match_every_pair_oracle(h, radius):
+    """dz = 1 (twice), 4 and 50: the join finds what the all-pairs chord scan finds."""
+    rng = np.random.default_rng([int(h * 1e4), int(radius * 1e4)])
+    frame, tpl = band_edge_field(h, radius, rng)
+    result = range_join(frame, build_zone_index(tpl, h), radius)
+    want_star, want_sep, want_count = brute_force_chord_match(
+        xyz_of(frame), tpl["id"], xyz_of(tpl), radius
+    )
+    star = np.full(len(frame), -1, np.int64)
+    star[result.matched_rows] = result.star_ids
+    assert np.array_equal(star, want_star)
+    assert result.ambiguous_count == int(np.count_nonzero(want_count > 1))
+    np.testing.assert_allclose(
+        result.separations_deg, want_sep[result.matched_rows], rtol=1e-12, atol=0
+    )
+    # the field holds rows whose match sits past the unpadded band [dec - r, dec + r]
+    star_zone = dict(zip(tpl["id"].astype(np.int64), zone_of(tpl["dec"], h)))
+    dec = frame["dec"][result.matched_rows]
+    lo = zone_of(np.clip(dec - radius, -90, 90), h)
+    hi = zone_of(np.clip(dec + radius, -90, 90), h)
+    z = np.array([star_zone[s] for s in result.star_ids])
+    assert np.any((z < lo) | (z > hi))
+    assert result.n_unmatched > 0
+
+
+def rows_without_xyz(rows):
+    out = np.zeros(len(rows), [("id", "<u8"), ("ra", "<f8"), ("dec", "<f8")])
+    for name in out.dtype.names:
+        out[name] = rows[name]
+    return out
+
+
+@pytest.mark.parametrize("with_xyz", [True, False])
+@pytest.mark.parametrize("name,bad", [("ra", np.nan), ("ra", 360.0), ("ra", -1e-12),
+                                      ("dec", np.nan), ("dec", 90.5)])
+def test_range_join_refuses_an_off_sky_row(with_xyz, name, bad):
+    tpl = make_records([10.0, 10.001, 0.0005], [0.0, 0.0005, 1.0])
+    frame = make_records([10.0, 10.0005, 10.001, 10.0002, 359.9999], [0.0, 0.0, 0.0, 0.001, 1.0])
+    frame[name][2] = bad
+    if not with_xyz:
+        frame = rows_without_xyz(frame)
+    rule = "[0, 360)" if name == "ra" else "[-90, 90]"
+    with pytest.raises(DomainError, match=f"^row 2: {name} {re.escape(repr(bad))} is not in "
+                       f"{re.escape(rule)}$"):
+        range_join(frame, build_zone_index(tpl, 0.01), 0.003)

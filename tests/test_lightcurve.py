@@ -13,7 +13,7 @@ from tdcat.lightcurve import (
     query_curve,
 )
 from tdcat.skygen import SkyModel, build_template, observe_frame
-from tdcat.store import NightStore
+from tdcat.store import NightStore, frame_to_store_records
 
 from oracles import check_time_order, time_span
 
@@ -229,12 +229,13 @@ def test_query_curve_equals_live_accumulation(tmp_path, sky):
     for k in range(1, 7):
         frame, matches = observed(sky, 15.0 * k)
         cs.append_match(frame, matches)
-        store.delta_insert(frame, matches)
+        store.delta_insert(frame, frame_to_store_records(frame, matches))
     store.nightly_merge()  # half from base ...
     for k in range(7, 13):
         frame, matches = observed(sky, 86400.0 + 15.0 * k)
         cs.append_match(frame, matches)
-        store.delta_insert(frame, matches)  # ... half from next-night segments
+        # ... half from next-night segments
+        store.delta_insert(frame, frame_to_store_records(frame, matches))
 
     busiest = int(cs.star_ids[np.argmax(cs.coverage())])
     live = cs.curve(busiest)
@@ -253,7 +254,7 @@ def test_query_curve_excludes_candidates(tmp_path, sky):
     model, template, index = sky
     frame, matches = observed(sky, 15.0)
     store = NightStore(tmp_path, partition_id=0)
-    store.delta_insert(frame, matches)
+    store.delta_insert(frame, frame_to_store_records(frame, matches))
     rec = store.query_records()
     # candidate rows exist (unmatched detections) but never enter curves
     if matches.n_unmatched:

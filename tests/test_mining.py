@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from tdcat.mining import (
     CandidateTracker,
     MiningConfig,
     WindowBank,
+    _REFRESH_EVERY,
     default_freq_grid,
     false_alarm_level,
     lomb_scargle,
@@ -28,7 +30,13 @@ from tdcat.mining import (
     write_alerts_csv,
 )
 
-from oracles import DenseTracker, PureWindow, WindowState, online_update
+from oracles import (
+    DenseTracker,
+    PureWindow,
+    WindowState,
+    online_update,
+    push_in_unique_passes,
+)
 
 CFG = EngineConfig()
 
@@ -218,6 +226,54 @@ def test_duplicate_star_in_one_frame_judged_against_snapshot():
     n, mean, _ = bank.baseline_stats(np.array([0]))
     assert n[0] == 12
     assert mean[0] == pytest.approx((10 * 12.0 + 12.0 + 13.0) / 12)
+
+
+BANK_ARRAYS = ("_ring", "_head", "_count", "_sum", "_sumsq")
+
+
+@pytest.mark.parametrize("k", [1, 2, 7])
+def test_push_matches_the_unique_pass_push_bit_for_bit(k):
+    """k matches per star and frame, a window shorter than k, past a refresh."""
+    cfg = MiningConfig(window=5, min_window=2, k_sigma=3.0)
+    stars = np.arange(60, dtype=np.int64) * 2 + 1
+    bank, reference = WindowBank(stars, cfg), WindowBank(stars, cfg)
+    reference._push = types.MethodType(push_in_unique_passes, reference)
+    rng = np.random.default_rng(k)
+    for f in range(_REFRESH_EVERY + 12):
+        present = stars[rng.random(len(stars)) < 0.8]
+        ids = rng.permutation(np.repeat(present, k))
+        mags = 12.0 + rng.standard_normal(len(ids)) * rng.choice([0.01, 0.3, 4.0], len(ids))
+        errs = np.full(len(ids), 0.02)
+        got = bank.update(15.0 * f, ids, mags, errs)
+        want = reference.update(15.0 * f, ids, mags, errs)
+        assert [vars(a) for a in got] == [vars(a) for a in want]
+        for name in BANK_ARRAYS:
+            assert getattr(bank, name).tobytes() == getattr(reference, name).tobytes(), (f, name)
+    assert bank._frames_since_refresh == reference._frames_since_refresh == 12
+
+
+def test_judge_changes_nothing_and_absorb_completes_update():
+    cfg = MiningConfig(window=6, min_window=2, k_sigma=3.0)
+    stars = np.array([2, 4, 8], np.int64)
+    split, whole = WindowBank(stars, cfg), WindowBank(stars, cfg)
+    rng = np.random.default_rng(3)
+    for f in range(20):
+        ids = rng.choice(stars, 5)
+        mags = 12.0 + rng.standard_normal(5) * (1.0 if f == 15 else 0.01)
+        errs = np.full(5, 0.02)
+        before = [getattr(split, name).tobytes() for name in BANK_ARRAYS]
+        alerts, slots = split.judge(15.0 * f, ids, mags, errs)
+        assert [getattr(split, name).tobytes() for name in BANK_ARRAYS] == before
+        # the frame's columns whole, points picked by row
+        picked, _ = split.judge(
+            15.0 * f, ids, np.concatenate([[0.0], mags]), np.concatenate([[0.0], errs]),
+            rows=np.arange(1, 6),
+        )
+        split.absorb(slots, mags)
+        want = whole.update(15.0 * f, ids, mags, errs)
+        assert [vars(a) for a in alerts] == [vars(a) for a in picked] == [vars(a) for a in want]
+        for name in BANK_ARRAYS:
+            assert getattr(split, name).tobytes() == getattr(whole, name).tobytes()
 
 
 def test_bank_rejects_unknown_and_unsorted_stars():

@@ -1,14 +1,20 @@
 import csv
+import errno
 import gc
 import importlib.util
 import math
+import os
+import sys
+import threading
+import time
 import tracemalloc
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tdcat.core import DomainError, EngineConfig
+from tdcat.core import DomainError, EngineConfig, SequenceError, StorageError
 from tdcat.crossmatch import build_zone_index
 from tdcat.mining import NEW_SOURCE, MiningConfig, read_alerts_csv
 from tdcat.pipeline import (
@@ -141,6 +147,116 @@ def test_worker_memory_does_not_grow_with_the_night():
     finally:
         tracemalloc.stop()
     assert at_80 - at_20 < 16 * 1024, at_80 - at_20
+
+
+EVENTS = [
+    TransientInjection(kind="brightening", epoch_on=11 * 15.0, epoch_off=14 * 15.0,
+                       target_star=7, delta_mag=-1.0),
+    TransientInjection(kind="new_source", epoch_on=9 * 15.0, epoch_off=15 * 15.0,
+                       ra=31.0, dec=0.0, mag=15.0),
+]
+
+
+def detector_state(worker):
+    """Every array and counter of the worker's window bank and tracker."""
+    bank, tracker = worker.bank, worker.tracker
+    arrays = (bank._ring, bank._head, bank._count, bank._sum, bank._sumsq, tracker._tracks)
+    return [a.tobytes() for a in arrays] + [bank._frames_since_refresh, tracker._last_epoch]
+
+
+def insert_threads():
+    gc.collect()  # a collected worker joins its thread
+    return {t for t in threading.enumerate() if t.name.startswith("tdcat-")}
+
+
+@pytest.mark.parametrize("failure", ["stale-epoch", "fsync"])
+def test_failed_insert_leaves_every_detector_as_it_was(tmp_path, monkeypatch, failure):
+    make_worker()
+    frames = [
+        observe_frame(_WORKER_TEMPLATE, 15.0 * k, EVENTS, WORKER_MODEL, CFG) for k in range(15)
+    ]
+    threads = insert_threads()
+    reference = make_worker(data_dir=tmp_path / "reference")
+    want = [[asdict(a) for a in reference.process_frame(f).alerts] for f in frames]
+    assert want[11] and reference.tracker.open_tracks, "frame 11 must exercise both detectors"
+
+    worker = make_worker(data_dir=tmp_path / "worker")
+    for f in frames[:11]:
+        worker.process_frame(f)
+    before = detector_state(worker)
+    if failure == "stale-epoch":  # frame 11 stamped with frame 10's epoch
+        with pytest.raises(SequenceError):
+            worker.process_frame(replace(frames[11], epoch=frames[10].epoch))
+    else:
+        def no_fsync(fd):
+            raise OSError(errno.EIO, "injected fsync failure")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "fsync", no_fsync)
+            with pytest.raises(StorageError):
+                worker.process_frame(frames[11])
+    assert detector_state(worker) == before
+    assert worker.store.stats.records_ingested == sum(len(f.records) for f in frames[:11])
+    assert not list((tmp_path / "worker").rglob("*.tmp"))
+
+    # the retried frame and the rest of the night give the same alerts
+    got = [[asdict(a) for a in worker.process_frame(f).alerts] for f in frames[11:]]
+    assert got == want[11:]
+    assert detector_state(worker) == detector_state(reference)
+    assert product_files(tmp_path / "worker") == product_files(tmp_path / "reference")
+
+    del worker, reference
+    assert insert_threads() == threads
+
+
+def test_insert_thread_starts_with_the_first_frame_and_ends_with_the_worker(tmp_path):
+    threads = insert_threads()
+    worker = make_worker(data_dir=tmp_path)
+    assert insert_threads() == threads  # building a worker starts no thread
+    for k in range(3):
+        worker.process_frame(observe_frame(worker.template, 15.0 * k, [], WORKER_MODEL, CFG))
+    assert len(insert_threads() - threads) == 1  # one thread, reused frame after frame
+    del worker
+    assert insert_threads() == threads
+
+
+def test_overlapped_inserts_change_no_detector_under_rapid_thread_switches(tmp_path):
+    """Three workers, so three insert threads on top of this one, switching
+    every microsecond: each ends with the detectors of a worker with no store,
+    and its store holds every frame."""
+    make_worker()
+    frames = [
+        observe_frame(_WORKER_TEMPLATE, 15.0 * k, EVENTS, WORKER_MODEL, CFG) for k in range(15)
+    ]
+    workers = [make_worker(data_dir=tmp_path / f"w{i}") for i in range(3)]
+    plain = make_worker()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = [[], [], []]
+        for f in frames:
+            for i, w in enumerate(workers):
+                got[i].append([asdict(a) for a in w.process_frame(f).alerts])
+    finally:
+        sys.setswitchinterval(interval)
+    want = [[asdict(a) for a in plain.process_frame(f).alerts] for f in frames]
+    for i, w in enumerate(workers):
+        assert got[i] == want
+        assert detector_state(w) == detector_state(plain)
+        assert w.store.stats.records_ingested == sum(len(f.records) for f in frames)
+        assert len(list((tmp_path / f"w{i}").rglob("seg_*.tdl"))) == len(frames)
+
+
+def test_stage_timings_cover_the_frame(tmp_path):
+    worker = make_worker(data_dir=tmp_path)
+    for k in range(4):
+        frame = observe_frame(worker.template, 15.0 * k, [], WORKER_MODEL, CFG)
+        t0 = time.perf_counter()
+        t = worker.process_frame(frame).timings
+        wall = time.perf_counter() - t0
+        assert min(t.match_s, t.insert_s, t.online_s, t.candidate_s) > 0
+        # the insert overlaps the judge, so the stages' sum bounds the wall time
+        assert t.total_s >= wall - 1e-3
 
 
 def test_alerts_carry_camera_id():

@@ -282,7 +282,7 @@ def test_frame_to_store_records_rejects_other_row_layouts(sky):
 def test_delta_insert_ack_and_layout(tmp_path, sky):
     store = NightStore(tmp_path, partition_id=3)
     frame, matches = frame_at(sky, 15.0)
-    ack = store.delta_insert(frame, matches)
+    ack = store.delta_insert(frame, frame_to_store_records(frame, matches))
     assert ack.records == len(frame.records)
     assert ack.night_id == 0
     assert ack.latency_s > 0
@@ -297,12 +297,12 @@ def test_delta_insert_ack_and_layout(tmp_path, sky):
 def test_delta_insert_requires_increasing_epoch(tmp_path, sky):
     store = NightStore(tmp_path, partition_id=0)
     frame, matches = frame_at(sky, 15.0)
-    store.delta_insert(frame, matches)
+    store.delta_insert(frame, frame_to_store_records(frame, matches))
     with pytest.raises(SequenceError):
-        store.delta_insert(frame, matches)  # same epoch again
+        store.delta_insert(frame, frame_to_store_records(frame, matches))  # same epoch again
     older, older_m = frame_at(sky, 0.0)
     with pytest.raises(SequenceError):
-        store.delta_insert(older, older_m)
+        store.delta_insert(older, frame_to_store_records(older, older_m))
 
 
 def test_delta_insert_refuses_a_negative_epoch(tmp_path, sky):
@@ -310,22 +310,23 @@ def test_delta_insert_refuses_a_negative_epoch(tmp_path, sky):
     store = NightStore(tmp_path, partition_id=0)
     frame, matches = frame_at(sky, 0.0)
     with pytest.raises(DomainError, match="negative"):
-        store.delta_insert(replace(frame, imageid=-1, epoch=-15.0), matches)
+        before = replace(frame, imageid=-1, epoch=-15.0)
+        store.delta_insert(before, frame_to_store_records(before, matches))
     assert not list(tmp_path.rglob("seg_*"))
-    store.delta_insert(frame, matches)
+    store.delta_insert(frame, frame_to_store_records(frame, matches))
     assert len(store.query_records()) == len(frame.records)
 
 
 def test_reopen_resumes_epoch_guard(tmp_path, sky):
     store = NightStore(tmp_path, partition_id=0)
     frame, matches = frame_at(sky, 15.0)
-    store.delta_insert(frame, matches)
+    store.delta_insert(frame, frame_to_store_records(frame, matches))
     del store
     reopened = NightStore(tmp_path, partition_id=0)
     with pytest.raises(SequenceError):
-        reopened.delta_insert(frame, matches)
+        reopened.delta_insert(frame, frame_to_store_records(frame, matches))
     nxt, nxt_m = frame_at(sky, 30.0)
-    ack = reopened.delta_insert(nxt, nxt_m)
+    ack = reopened.delta_insert(nxt, frame_to_store_records(nxt, nxt_m))
     assert ack.records == len(nxt.records)
 
 
@@ -338,8 +339,8 @@ def fill_store(root, sky, epochs, partition_id=0):
     rows = []
     for e in epochs:
         frame, matches = frame_at(sky, e)
-        store.delta_insert(frame, matches)
         rows.append(frame_to_store_records(frame, matches))
+        store.delta_insert(frame, rows[-1])
     return store, np.concatenate(rows)
 
 
@@ -387,9 +388,9 @@ def test_insert_into_merged_night_rejected(tmp_path, sky):
     store.nightly_merge()
     frame, matches = frame_at(sky, 45.0)  # night 0 is already folded
     with pytest.raises(SequenceError):
-        store.delta_insert(frame, matches)
+        store.delta_insert(frame, frame_to_store_records(frame, matches))
     day2, day2_m = frame_at(sky, 86400.0 + 15.0)
-    ack = store.delta_insert(day2, day2_m)
+    ack = store.delta_insert(day2, frame_to_store_records(day2, day2_m))
     assert ack.night_id == 1
 
 
@@ -404,7 +405,7 @@ def test_incremental_merge_equals_single_merge(tmp_path, sky):
     two.nightly_merge()
     for e in epochs_b:
         frame, matches = frame_at(sky, e)
-        two.delta_insert(frame, matches)
+        two.delta_insert(frame, frame_to_store_records(frame, matches))
     two.nightly_merge()
 
     assert one.base_path().read_bytes() == two.base_path().read_bytes()
@@ -455,7 +456,8 @@ def test_streamed_merge_equals_concatenate_and_sort(
             frame = observe_frame(template, night * 86400.0 + 15.0 * (k + 1), [], MODEL, CFG)
             if k in empty:
                 frame = replace(frame, records=frame.records[:0])
-            store.delta_insert(frame, range_join(frame.records, index, CFG.match_radius_deg))
+            matches = range_join(frame.records, index, CFG.match_radius_deg)
+            store.delta_insert(frame, frame_to_store_records(frame, matches))
         if not merge:
             continue
         expected = concatenate_and_sort_merge(layer_rows(store))
@@ -490,11 +492,12 @@ def test_merge_memory_grows_with_the_night_not_the_history(tmp_path, sky, monkey
     monkeypatch.setattr(store_mod, "MERGE_CHUNK_ROWS", 1024)
     store = NightStore(tmp_path, 0)
     for frame, matches in night_frames(sky, 0, 200):
-        store.delta_insert(frame, matches)
+        store.delta_insert(frame, frame_to_store_records(frame, matches))
     base = store.nightly_merge().base_path
     night_bytes = 0
     for frame, matches in night_frames(sky, 1, 10):
-        night_bytes += store.delta_insert(frame, matches).records * STORE_RECORD_SIZE
+        ack = store.delta_insert(frame, frame_to_store_records(frame, matches))
+        night_bytes += ack.records * STORE_RECORD_SIZE
     assert base.stat().st_size >= 20 * night_bytes
     tracemalloc.start()
     try:
@@ -511,7 +514,7 @@ def test_full_scan_holds_its_layers_and_one_output(tmp_path, sky):
     store, _ = fill_store(tmp_path, sky, [15.0 * k for k in range(1, 61)])
     store.nightly_merge()
     for frame, matches in night_frames(sky, 1, 30):
-        store.delta_insert(frame, matches)
+        store.delta_insert(frame, frame_to_store_records(frame, matches))
     tracemalloc.start()
     try:
         rows = store.query_records()
@@ -686,11 +689,11 @@ class StoreMachine(RuleBasedStateMachine):
         frame, matches = frame_at(self.sky, self.epoch)
         if night_of(self.epoch) <= self.merged_night:
             with pytest.raises(SequenceError):
-                self.store.delta_insert(frame, matches)
+                self.store.delta_insert(frame, frame_to_store_records(frame, matches))
             return
         self.night_dir()
-        self.store.delta_insert(frame, matches)
         self.rows.append(frame_to_store_records(frame, matches))
+        self.store.delta_insert(frame, self.rows[-1])
 
     @rule(staging=st.booleans())
     def leave_torn_file(self, staging):
@@ -755,8 +758,9 @@ def test_query_filters_match_bruteforce(tmp_path, sky):
     store.nightly_merge()  # half in base
     for e in epochs[6:]:
         frame, matches = frame_at(sky, 86400.0 + e)
-        store.delta_insert(frame, matches)
-        inserted = np.concatenate([inserted, frame_to_store_records(frame, matches)])
+        rows = frame_to_store_records(frame, matches)
+        store.delta_insert(frame, rows)
+        inserted = np.concatenate([inserted, rows])
 
     def brute(star_id=None, lo=None, hi=None, cand=True):
         keep = np.ones(len(inserted), dtype=bool)
@@ -820,7 +824,8 @@ def test_star_query_equals_full_scan_byte_for_byte(tmp_path, sky):
         for k in range(1, 4):
             epoch = night * 86400.0 + 15.0 * k
             frame = observe_frame(template, epoch, [], MODEL, CFG)
-            store.delta_insert(frame, range_join(frame.records, half, CFG.match_radius_deg))
+            matches = range_join(frame.records, half, CFG.match_radius_deg)
+            store.delta_insert(frame, frame_to_store_records(frame, matches))
         if night == 0:
             store.nightly_merge()  # nights 1 and 2 stay in the delta log
     base, _ = _read_rows(store.base_path(), BASE_MAGIC, STORE_DTYPE)
@@ -857,7 +862,8 @@ def test_star_query_on_empty_base(tmp_path, sky):
     for k in range(1, 3):
         frame, _ = frame_at(sky, 15.0 * k)
         empty = replace(frame, records=frame.records[:0])
-        store.delta_insert(empty, range_join(empty.records, sky[1], CFG.match_radius_deg))
+        matches = range_join(empty.records, sky[1], CFG.match_radius_deg)
+        store.delta_insert(empty, frame_to_store_records(empty, matches))
     report = store.nightly_merge()
     assert report.records_merged == 0 and report.base_path.stat().st_size == 12
     for star_id in (UNMATCHED_STAR_ID, 0, 7):
@@ -891,7 +897,7 @@ def test_star_query_rows_are_a_writable_copy(tmp_path, sky):
     assert canonical(store.query_records(star_id=star_id)) == canonical(got)
     # no mapping outlives the read, so the next merge replaces and sweeps it
     frame, matches = frame_at(sky, 86400.0 + 15.0)
-    store.delta_insert(frame, matches)
+    store.delta_insert(frame, frame_to_store_records(frame, matches))
     new_base = store.nightly_merge().base_path
     assert new_base != old_base and not old_base.exists()
     assert list(new_base.parent.iterdir()) == [new_base]
