@@ -11,10 +11,12 @@ is even and the change first when it is odd.
     python3 scripts/ab_bench.py --base HEAD~1 --change HEAD \\
         --scratch /tmp/tdcat-ab --workload cadence-full --pairs 10 --seed 1
 
-For every pair it prints both sides' end-to-end metrics, their digests and
-the minor page faults of each run (``ru_minflt`` of the child process).  At
-the end it prints, per metric, both sides' medians and quartiles and the
-number of pairs in which the change was better.  It uses only git and the
+For every pair it prints both sides' end-to-end metrics, their digests, the
+minor page faults of each run (``ru_minflt`` of the child process) and its
+wall time and CPU seconds (user + sys of the child), so that a change which
+buys wall time with CPU shows it.  At the end it prints, per metric, both
+sides' medians and quartiles and the number of pairs in which the change was
+better, then each side's page faults, wall time and CPU seconds.  It uses only git and the
 standard library, and it writes only under ``--scratch``.
 """
 
@@ -29,6 +31,7 @@ import statistics
 import subprocess
 import sys
 import tarfile
+import time
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
@@ -59,14 +62,21 @@ def run_once(checkout: Path, tree: Path, workload: str, seed: int, seconds: int)
     shutil.rmtree(checkout / "src", ignore_errors=True)
     shutil.rmtree(checkout / ".perfbench-runs", ignore_errors=True)
     shutil.copytree(tree / "src", checkout / "src")
-    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+    before, t0 = resource.getrusage(resource.RUSAGE_CHILDREN), time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed",
          str(seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True,
     )
-    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - faults
-    out = {"exit": proc.returncode, "minflt": faults, "metrics": {}, "digest": "-"}
+    wall, after = time.perf_counter() - t0, resource.getrusage(resource.RUSAGE_CHILDREN)
+    out = {
+        "exit": proc.returncode,
+        "minflt": after.ru_minflt - before.ru_minflt,
+        "wall_s": wall,
+        "cpu_s": (after.ru_utime + after.ru_stime) - (before.ru_utime + before.ru_stime),
+        "metrics": {},
+        "digest": "-",
+    }
     lines = proc.stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1])
@@ -120,6 +130,7 @@ def main(argv=None) -> int:
                 r = runs[side][-1]
                 shown = "  ".join(f"{k}={v:.6g}" for k, v in sorted(r["metrics"].items()))
                 print(f"  {side:6} exit={r['exit']} minflt={r['minflt']} "
+                      f"wall={r['wall_s']:.1f}s cpu={r['cpu_s']:.1f}s "
                       f"digest={r['digest']}  {shown}")
                 if "error" in r:
                     print("    " + r["error"].replace("\n", "\n    "))
@@ -143,9 +154,12 @@ def main(argv=None) -> int:
                   f"({rel:+.1f}%)  better in {wins} of {len(pairs)}")
         for side in SIDES:
             faults = [r["minflt"] for r in runs[side]]
+            wall = statistics.median(r["wall_s"] for r in runs[side])
+            cpu = statistics.median(r["cpu_s"] for r in runs[side])
             digests = sorted({r["digest"] for r in runs[side]})
             print(f"  {side:6} minflt median {statistics.median(faults):.0f} "
-                  f"(min {min(faults)}, max {max(faults)})  digests {digests}")
+                  f"(min {min(faults)}, max {max(faults)})  wall median {wall:.1f}s  "
+                  f"cpu median {cpu:.1f}s  digests {digests}")
     return 0
 
 

@@ -8,6 +8,9 @@ degrees; magnitudes are instrumental unless stated otherwise.
 from __future__ import annotations
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +22,12 @@ NIGHT_SECONDS = 8 * 3600
 # boundaries in floating point (e.g. 90/0.01 -> 8999.999...), so floor()
 # alone would misplace sources sitting exactly on a strip boundary.
 _ZONE_EPS = 1e-9
+
+# Rows per block of ``row_blocks``: a block's temporaries stay a few MiB.
+_BLOCK_ROWS = 1 << 14
+
+# (pid, lanes, pool) of the process that built the row-block pool.
+_rows_pool = (None, 1, None)
 
 # Column order is the catalog row order and also the serialized record order.
 TABLE2_FIELDS = [
@@ -139,10 +148,10 @@ def zone_of(dec, zone_height_deg: float):
     """
     nz = n_zones(zone_height_deg)
     dec_arr = np.asarray(dec, dtype=np.float64)
-    if not np.all((dec_arr >= -90.0) & (dec_arr <= 90.0)):  # NaN fails too
+    if dec_arr.size and not (dec_arr.min() >= -90.0 and dec_arr.max() <= 90.0):  # NaN fails too
         raise DomainError(f"dec must be in [-90, 90], got {dec}")
     z = np.floor((dec_arr + 90.0) / zone_height_deg + _ZONE_EPS).astype(np.int64)
-    z = np.clip(z, 0, nz - 1)
+    z = np.minimum(z, nz - 1)  # dec >= -90 keeps z >= 0
     return int(z) if np.isscalar(dec) else z
 
 
@@ -325,6 +334,60 @@ def take_rows(rows: np.ndarray, index) -> np.ndarray:
     Any strides work; the result is a fresh array of ``rows.dtype``.
     """
     return as_items(rows)[index].view(rows.dtype)
+
+
+def _lanes_and_pool():
+    """This process's lane count and row-block pool, built on first use.
+
+    Keyed by pid: a forked child builds its own pool, never the parent's.
+    """
+    global _rows_pool
+    pid = os.getpid()
+    if _rows_pool[0] != pid:
+        lanes = len(os.sched_getaffinity(0))
+        pool = ThreadPoolExecutor(lanes - 1, "tdcat-rows") if lanes > 1 else None
+        _rows_pool = (pid, lanes, pool)
+    return _rows_pool[1:]
+
+
+def row_blocks(n: int, fn) -> list:
+    """``[fn(lo, hi), ...]`` over equal contiguous blocks of rows ``[0, n)``.
+
+    Blocks hold at most ``_BLOCK_ROWS`` rows.  The calling thread works one
+    lane and a process-wide pool of (cores - 1) threads the others, each lane
+    taking the next block not yet taken.  Every lane finishes before this
+    returns; if blocks raised, the lowest block's error is raised.  With one
+    block, or one core, this is ``[fn(0, n)]``.  ``fn`` must be thread-safe
+    and must not wait on other blocks.
+    """
+    n_blocks = -(-n // _BLOCK_ROWS)
+    if n_blocks <= 1:
+        return [fn(0, n)]
+    lanes, pool = _lanes_and_pool()
+    if pool is None:
+        return [fn(0, n)]
+    results, errors = [None] * n_blocks, {}
+    blocks, take = iter(range(n_blocks)), threading.Lock()
+
+    def lane():
+        while True:
+            with take:
+                k = next(blocks, None)
+            if k is None:
+                return
+            try:
+                results[k] = fn(k * n // n_blocks, (k + 1) * n // n_blocks)
+            except Exception as exc:  # raised below, the lowest block's first
+                errors[k] = exc
+
+    helpers = [pool.submit(lane) for _ in range(min(lanes, n_blocks) - 1)]
+    lane()
+    for h in helpers:  # a helper that never started has nothing left to take
+        if not h.cancel():
+            h.result()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def sort_by_zone_ra(records: np.ndarray) -> np.ndarray:

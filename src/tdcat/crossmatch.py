@@ -16,6 +16,7 @@ from .core import (
     DomainError,
     n_zones,
     radec_to_cartesian,
+    row_blocks,
     separation_to_chord,
     zone_of,
 )
@@ -27,6 +28,10 @@ POLE_CLAMP_DEG = 89.9
 # Widens RA windows just past float rounding so a true match sitting exactly
 # on a window edge can never be pruned.
 _WINDOW_PAD_DEG = 1e-7
+
+# Candidate pairs that one pass of the join expands at once (about 80 B
+# each in flight); a row range whose lookups find more is joined in halves.
+_PAIR_BUDGET = 1 << 18
 
 
 @dataclass
@@ -147,18 +152,49 @@ def range_join(frame, template_index: ZoneIndex, radius_deg: float) -> MatchResu
     returned as unmatched transient candidates.  A ``dec`` outside [-90, 90]
     or an ``ra`` outside [0, 360), NaN included, raises DomainError naming
     the first such row.
+
+    Rows are independent, so they are joined in contiguous blocks on every
+    core (``core.row_blocks``) and the blocks' results laid end to end; a
+    block whose lookups find more than ``_PAIR_BUDGET`` candidate pairs is
+    joined in halves.  The result is the same bytes for any blocking.
     """
     if not 0 < radius_deg <= 90:
         raise ConfigError(f"radius_deg must be in (0, 90], got {radius_deg}")
     records = frame.records if hasattr(frame, "records") else frame
     n = len(records)
-
-    h = template_index.zone_height_deg
     ra = np.ascontiguousarray(records["ra"], dtype=np.float64)
     dec = np.ascontiguousarray(records["dec"], dtype=np.float64)
     if n and not (dec.min() >= -90.0 and dec.max() <= 90.0):  # NaN fails too
         i = int(np.argmin((dec >= -90.0) & (dec <= 90.0)))
         raise DomainError(f"row {i}: dec {float(dec[i])!r} is not in [-90, 90]")
+
+    def block(lo, hi):
+        return _join_rows(records, ra, dec, lo, hi, template_index, radius_deg)
+
+    return _laid_end_to_end(row_blocks(n, block))
+
+
+def _laid_end_to_end(parts) -> MatchResult:
+    """One result from the results of consecutive row ranges, in row order."""
+    if len(parts) == 1:
+        return parts[0]
+    arrays = {
+        name: np.concatenate([getattr(p, name) for p in parts])
+        for name in ("record_ids", "star_ids", "separations_deg", "unmatched_ids",
+                     "matched_rows", "unmatched_rows")
+    }
+    return MatchResult(
+        **arrays,
+        ambiguous_count=sum(p.ambiguous_count for p in parts),
+        n_frame=sum(p.n_frame for p in parts),
+    )
+
+
+def _join_rows(records, ra_all, dec_all, lo, hi, template_index, radius_deg):
+    """``range_join`` of rows ``[lo, hi)``, row numbers counted from row 0."""
+    n = hi - lo
+    ra, dec = ra_all[lo:hi], dec_all[lo:hi]
+    h = template_index.zone_height_deg
 
     # each record's zone band, both edges through one zone_of call
     reach = radius_deg + _WINDOW_PAD_DEG
@@ -166,31 +202,25 @@ def range_join(frame, template_index: ZoneIndex, radius_deg: float) -> MatchResu
     band_lo, band_span = edges[:, 0], edges[:, 1] - edges[:, 0]
 
     halfw = _ra_halfwidth_deg(dec, radius_deg)
-    lo, hi = ra - halfw, ra + halfw
+    w_lo, w_hi = ra - halfw, ra + halfw
     # A window that leaves [0, 360] crosses the seam or scans the full circle,
     # or its ra is itself outside [0, 360) or NaN: only these rows are looked
     # at again.  A seam window adds its wrapped part, the window moved a full
     # turn to the other side; every interval is then clipped into [0, 360].
-    edge = wrap = np.flatnonzero(~((lo >= 0.0) & (hi <= 360.0)))
+    edge = wrap = np.flatnonzero(~((w_lo >= 0.0) & (w_hi <= 360.0)))
     if len(edge):
         bad = edge[~((ra[edge] >= 0.0) & (ra[edge] < 360.0))]
         if len(bad):
-            raise DomainError(f"row {bad[0]}: ra {float(ra[bad[0]])!r} is not in [0, 360)")
+            i = bad[0]
+            raise DomainError(f"row {lo + i}: ra {float(ra[i])!r} is not in [0, 360)")
         full = halfw[edge] >= 180.0
-        lo[edge[full]], hi[edge[full]] = 0.0, 360.0
+        w_lo[edge[full]], w_hi[edge[full]] = 0.0, 360.0
         wrap = edge[~full]
-    turn = np.where(lo[wrap] < 0.0, 360.0, -360.0)
+    turn = np.where(w_lo[wrap] < 0.0, 360.0, -360.0)
     q_rec = np.concatenate([np.arange(n), wrap])
-    q_lo = np.clip(np.concatenate([lo, lo[wrap] + turn]), 0.0, 360.0)
-    q_hi = np.clip(np.concatenate([hi, hi[wrap] + turn]), 0.0, 360.0)
+    q_lo = np.clip(np.concatenate([w_lo, w_lo[wrap] + turn]), 0.0, 360.0)
+    q_hi = np.clip(np.concatenate([w_hi, w_hi[wrap] + turn]), 0.0, 360.0)
     q_zone, q_span = band_lo[q_rec], band_span[q_rec]
-
-    names = records.dtype.names
-    if "x" in names:
-        fxyz = np.column_stack([records["x"], records["y"], records["z"]])
-    else:
-        fx, fy, fz = radec_to_cartesian(ra, dec)
-        fxyz = np.column_stack([fx, fy, fz])
 
     # One lookup per zone step k, over the intervals whose band reaches
     # ``band_lo + k``.
@@ -207,14 +237,26 @@ def range_join(frame, template_index: ZoneIndex, radius_deg: float) -> MatchResu
         hit_len.append(length[hit])
     start = np.concatenate(hit_start)
     length = np.concatenate(hit_len)
+    if n > 1 and length.sum() > _PAIR_BUDGET:  # crowded: join each half apart
+        mid = lo + n // 2
+        return _laid_end_to_end(
+            [_join_rows(records, ra_all, dec_all, a, b, template_index, radius_deg)
+             for a, b in ((lo, mid), (mid, hi))]
+        )
     cand_rec = np.repeat(np.concatenate(hit_rec), length)
     # each hit's run of index rows, laid end to end
     cand_tpl = np.arange(len(cand_rec)) + np.repeat(
         start - (np.cumsum(length) - length), length
     )
     del base, hit_rec, hit_start, hit_len, start, length, hit, sel
-    del edges, band_lo, band_span, halfw, lo, hi, q_rec, q_lo, q_hi, q_zone, q_span
+    del edges, band_lo, band_span, halfw, w_lo, w_hi, q_rec, q_lo, q_hi, q_zone, q_span
 
+    if "x" in records.dtype.names:
+        fxyz = np.column_stack(
+            [records["x"][lo:hi], records["y"][lo:hi], records["z"][lo:hi]]
+        )
+    else:
+        fxyz = np.column_stack(radec_to_cartesian(ra, dec))
     diff = fxyz[cand_rec] - template_index.xyz[cand_tpl]
     chord2 = np.einsum("ij,ij->i", diff, diff)
     del diff  # the largest temporary; not needed past this point
@@ -236,21 +278,24 @@ def range_join(frame, template_index: ZoneIndex, radius_deg: float) -> MatchResu
     order = multi[np.lexsort((star, chord2[multi], cand_rec[multi]))]
     first = order[np.unique(cand_rec[order], return_index=True)[1]]
     best[cand_rec[first]] = first
-    matched_rows = np.flatnonzero(best >= 0)
-    unmatched_rows = np.flatnonzero(best < 0)
-    chosen = best[matched_rows]
+    matched = np.flatnonzero(best >= 0)
+    unmatched = np.flatnonzero(best < 0)
+    chosen = best[matched]
     sep = np.degrees(
         2.0 * np.arcsin(np.minimum(1.0, np.sqrt(chord2[chosen]) / 2.0))
     )
-    star_ids = template_index.ids[cand_tpl[chosen]]
-    all_ids = records["id"]
+    ids = records["id"][lo:hi]
+    record_ids, unmatched_ids = ids[matched].astype(np.uint64), ids[unmatched].astype(np.uint64)
+    if lo:  # row numbers from row 0
+        matched += lo
+        unmatched += lo
     return MatchResult(
-        record_ids=all_ids[matched_rows].astype(np.uint64),
-        star_ids=star_ids,
+        record_ids=record_ids,
+        star_ids=template_index.ids[cand_tpl[chosen]],
         separations_deg=sep,
-        unmatched_ids=all_ids[unmatched_rows].astype(np.uint64),
-        matched_rows=matched_rows,
-        unmatched_rows=unmatched_rows,
+        unmatched_ids=unmatched_ids,
+        matched_rows=matched,
+        unmatched_rows=unmatched,
         ambiguous_count=ambiguous_count,
         n_frame=n,
     )

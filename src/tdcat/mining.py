@@ -34,7 +34,7 @@ BRIGHTENING = "brightening"
 NEW_SOURCE = "new_source"
 
 _REFRESH_EVERY = 512  # frames between exact recomputation of running sums
-_JUDGE_ROWS = 1 << 14  # points judged at a time (128 KiB per float column)
+_JUDGE_ROWS = 1 << 14  # points judged, or stars refreshed, at a time
 
 
 @dataclass(frozen=True)
@@ -179,11 +179,13 @@ class WindowBank:
         return n, mean, var
 
     def _refresh_sums(self):
-        w = self.config.window
-        mask = np.arange(w) < self._count[:, None]
-        vals = np.where(mask, self._ring, 0.0)
-        self._sum = vals.sum(axis=1)
-        self._sumsq = (vals * vals).sum(axis=1)
+        """Recompute the running sums from the rings, ``_JUDGE_ROWS`` stars at a time."""
+        slot = np.arange(self.config.window)
+        for lo in range(0, self.n_stars, _JUDGE_ROWS):
+            part = slice(lo, lo + _JUDGE_ROWS)
+            vals = np.where(slot < self._count[part, None], self._ring[part], 0.0)
+            self._sum[part] = vals.sum(axis=1)
+            self._sumsq[part] = (vals * vals).sum(axis=1)
         self._frames_since_refresh = 0
 
     def _push(self, slots: np.ndarray, mags: np.ndarray):

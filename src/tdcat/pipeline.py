@@ -60,9 +60,11 @@ def partition_seed(seed: int, partition_id: int) -> int:
 class StageTimings:
     """Seconds a frame spent in each stage of ``PartitionWorker.process_frame``.
 
-    The segment write (``insert_s``, from the row build until durable) overlaps
-    the window bank's judge (part of ``online_s``), so ``total_s``, the sum of
-    the stages, is an upper bound on the frame's wall time.
+    ``match_s`` is the wall time of a multi-threaded stage: the join runs in
+    row blocks on every core.  The segment write (``insert_s``, from the row
+    build until durable) overlaps the window bank's judge (part of
+    ``online_s``), so ``total_s``, the sum of the stages, is an upper bound on
+    the frame's wall time.
     """
 
     match_s: float = 0.0
@@ -380,10 +382,11 @@ def run_night(
     """Simulate one night across partitions; returns per-partition summaries.
 
     ``workers > 1`` runs partitions in separate processes; results are
-    identical to the serial path because partitions share nothing.  When
-    ``injections`` is given (a sequence of TransientInjection), each partition
-    takes the entries whose ``camera_id`` names it and no random injections
-    are drawn.
+    identical to the serial path because partitions share nothing.  Each
+    process joins and builds store rows on its own ``core.row_blocks`` pool.
+    When ``injections`` is given (a sequence of TransientInjection), each
+    partition takes the entries whose ``camera_id`` names it and no random
+    injections are drawn.
     """
     config = config or EngineConfig()
     mining = mining or MiningConfig()

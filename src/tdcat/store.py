@@ -50,6 +50,7 @@ from .core import (
     StorageError,
     as_items,
     radec_to_cartesian,
+    row_blocks,
     separation_to_chord,
     take_rows,
 )
@@ -258,7 +259,11 @@ class MergeReport:
 
 
 def frame_to_store_records(frame, matches) -> np.ndarray:
-    """Store rows for one frame: catalog columns plus match outcome."""
+    """Store rows for one frame: catalog columns plus match outcome.
+
+    Built in contiguous row blocks on every core (``core.row_blocks``), each
+    block filling its own rows of the one output array.
+    """
     records = frame.records
     if records.dtype != RECORD_DTYPE:
         raise DomainError(f"frame rows must have RECORD_DTYPE, got {records.dtype}")
@@ -268,23 +273,33 @@ def frame_to_store_records(frame, matches) -> np.ndarray:
         raise DomainError(
             f"match result covers {matches.n_frame} records, frame has {n}"
         )
-    if len(matches.matched_rows) and not np.array_equal(
-        records["id"][matches.matched_rows], matches.record_ids
-    ):
-        raise DomainError("match result does not correspond to this frame")
-    # The 17-byte tail is built apart, then each catalog row and its tail are
-    # copied verbatim into their store row: two byte-block copies, no strided
-    # pass over the output.
-    tail = np.empty(n, _TAIL_DTYPE)
-    tail["star_id"] = UNMATCHED_STAR_ID
-    tail["star_id"][matches.matched_rows] = matches.star_ids
-    tail["epoch"] = frame.epoch
-    tail["candidate"] = 1
-    tail["candidate"][matches.matched_rows] = 0
     out = np.empty(n, dtype=STORE_DTYPE)
     row_bytes = out.view(np.uint8).reshape(n, STORE_RECORD_SIZE)
-    row_bytes[:, :RECORD_SIZE] = records.view(np.uint8).reshape(n, RECORD_SIZE)
-    row_bytes[:, RECORD_SIZE:] = tail.view(np.uint8).reshape(n, _TAIL_DTYPE.itemsize)
+    record_bytes = records.view(np.uint8).reshape(n, RECORD_SIZE)
+    matched_rows = matches.matched_rows  # in row order
+    if len(matched_rows) and len(matches.record_ids) != len(matched_rows):
+        raise DomainError("match result does not correspond to this frame")
+
+    def block(lo, hi):
+        a, b = np.searchsorted(matched_rows, [lo, hi])
+        rows = matched_rows[a:b]
+        if len(rows) and not np.array_equal(records["id"][rows], matches.record_ids[a:b]):
+            raise DomainError("match result does not correspond to this frame")
+        # The 17-byte tail is built apart, then each catalog row and its tail
+        # are copied verbatim into their store row: two byte-block copies, no
+        # strided pass over the output.
+        tail = np.empty(hi - lo, _TAIL_DTYPE)
+        tail["star_id"] = UNMATCHED_STAR_ID
+        tail["star_id"][rows - lo] = matches.star_ids[a:b]
+        tail["epoch"] = frame.epoch
+        tail["candidate"] = 1
+        tail["candidate"][rows - lo] = 0
+        row_bytes[lo:hi, :RECORD_SIZE] = record_bytes[lo:hi]
+        row_bytes[lo:hi, RECORD_SIZE:] = tail.view(np.uint8).reshape(
+            hi - lo, _TAIL_DTYPE.itemsize
+        )
+
+    row_blocks(n, block)
     return out
 
 

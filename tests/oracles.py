@@ -232,6 +232,15 @@ def online_update(state: WindowState, epoch, mag, mag_error, config: MiningConfi
     return alert
 
 
+def refresh_sums_whole_array(bank):
+    """``WindowBank._refresh_sums`` as it was, over every star at once:
+    the rebuilt ``(sum, sumsq)``, leaving the bank as it is.
+    """
+    mask = np.arange(bank.config.window) < bank._count[:, None]
+    vals = np.where(mask, bank._ring, 0.0)
+    return vals.sum(axis=1), (vals * vals).sum(axis=1)
+
+
 def push_in_unique_passes(bank, slots, mags) -> None:
     """``WindowBank._push`` as it was: each pass takes every star's first
     remaining point through ``np.unique``, which sorts the slots.

@@ -1,10 +1,14 @@
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tdcat import core
 from tdcat.core import (
     PIXELS_PER_AXIS,
     RECORD_DTYPE,
@@ -491,3 +495,94 @@ def test_check_records_names_the_first_repeated_id():
     rows["id"][1] = rows["id"][0]
     with pytest.raises(DomainError, match=r"^row 1: id 0 "):
         check_records(rows, cfg)
+
+
+# ---------------------------------------------------------------------------
+# row blocks
+
+
+def record_blocks(log, delay=0.0):
+    def fn(lo, hi):
+        time.sleep(delay)
+        log.append((lo, hi, threading.current_thread().name))
+        return lo, hi
+
+    return fn
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 50])
+def test_row_blocks_are_equal_contiguous_and_in_block_order(monkeypatch, four_lanes, n):
+    monkeypatch.setattr(core, "_BLOCK_ROWS", 8)
+    log = []
+    got = core.row_blocks(n, record_blocks(log))
+    n_blocks = max(1, -(-n // 8))
+    assert got == [(k * n // n_blocks, (k + 1) * n // n_blocks) for k in range(n_blocks)]
+    assert sorted(lo_hi[:2] for lo_hi in log) == got
+    assert max(hi - lo for lo, hi in got) - min(hi - lo for lo, hi in got) <= 1
+
+
+def test_one_block_or_one_core_is_one_call(monkeypatch):
+    def no_syscall(pid):
+        raise AssertionError("the one-block path asked for the core count")
+
+    monkeypatch.setattr(core, "_BLOCK_ROWS", 8)
+    monkeypatch.setattr(core, "_rows_pool", (None, 1, None))
+    monkeypatch.setattr(core.os, "sched_getaffinity", no_syscall)
+    log = []
+    assert core.row_blocks(8, record_blocks(log)) == [(0, 8)]
+    assert log == [(0, 8, threading.current_thread().name)]
+    assert core._rows_pool == (None, 1, None)  # no pool was looked up
+
+    monkeypatch.setattr(core.os, "sched_getaffinity", lambda pid: {0})
+    log.clear()
+    assert core.row_blocks(50, record_blocks(log)) == [(0, 50)]
+    assert len(log) == 1 and core._rows_pool[2] is None
+
+
+def test_a_failed_block_raises_the_lowest_error_after_every_lane_ends(monkeypatch, four_lanes):
+    monkeypatch.setattr(core, "_BLOCK_ROWS", 1)
+    running, ran = set(), []
+
+    def fn(lo, hi):
+        running.add(lo)
+        time.sleep(0.002)
+        ran.append(lo)
+        running.discard(lo)
+        if lo in (5, 3, 11):
+            raise ValueError(f"block {lo}")
+        return lo
+
+    with pytest.raises(ValueError, match="^block 3$"):
+        core.row_blocks(16, fn)
+    assert not running and sorted(ran) == list(range(16))
+    # the pool still serves the next call, on more than the calling thread
+    log = []
+    assert core.row_blocks(16, record_blocks(log, delay=0.002)) == [(k, k + 1) for k in range(16)]
+    assert any(name.startswith("tdcat-rows") for *_, name in log)
+
+
+def test_row_blocks_run_each_block_once_under_rapid_thread_switches(monkeypatch, four_lanes):
+    """Two callers share the pool; four lanes each on any host, switching every 1 us."""
+    monkeypatch.setattr(core, "_BLOCK_ROWS", 1)
+    ran, outs = [], [None, None]
+
+    def fn(lo, hi):
+        ran.append(lo)
+        return lo * lo
+
+    def call(i):
+        outs[i] = core.row_blocks(3000, fn)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=call, args=(i,)) for i in range(2)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in callers)
+    finally:
+        sys.setswitchinterval(interval)
+    assert outs == [[k * k for k in range(3000)]] * 2
+    assert sorted(ran) == sorted(list(range(3000)) * 2)

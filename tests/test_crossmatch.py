@@ -1,21 +1,28 @@
+import multiprocessing
+import os
 import re
+import signal
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tdcat import core, crossmatch
 from tdcat.core import (
     ConfigError,
     DomainError,
     EngineConfig,
+    FrameBatch,
     n_zones,
     records_from_radec,
     sort_by_zone_ra,
     zone_of,
 )
 from tdcat.crossmatch import POLE_CLAMP_DEG, build_zone_index, range_join
+from tdcat.store import frame_to_store_records
 
 from oracles import (
     brute_force_candidate_counts,
@@ -596,3 +603,107 @@ def test_range_join_refuses_an_off_sky_row(with_xyz, name, bad):
     with pytest.raises(DomainError, match=f"^row 2: {name} {re.escape(repr(bad))} is not in "
                        f"{re.escape(rule)}$"):
         range_join(frame, build_zone_index(tpl, 0.01), 0.003)
+
+
+# ---------------------------------------------------------------------------
+# row blocks and the pair budget
+
+MATCH_ARRAYS = ("record_ids", "star_ids", "separations_deg", "unmatched_ids",
+                "matched_rows", "unmatched_rows")
+
+
+def assert_same_result(got, want):
+    for name in MATCH_ARRAYS:
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), name
+    assert (got.ambiguous_count, got.n_frame) == (want.ambiguous_count, want.n_frame)
+
+
+def join_and_store_rows(frame, tpl, radius):
+    result = range_join(frame, build_zone_index(tpl, 0.01), radius)
+    return result, frame_to_store_records(FrameBatch(3, 8, 120.0, frame), result)
+
+
+@pytest.mark.parametrize("centre", sorted(CROWDED_CENTRES))
+def test_any_blocking_gives_the_same_bytes(monkeypatch, four_lanes, centre):
+    """Blocks of 1, 7 and 1,000 rows, and a pair budget that halves every block."""
+    ra0, dec0 = CROWDED_CENTRES[centre]
+    rng = np.random.default_rng([int(ra0), 17])
+    frame, tpl = crowded_field(rng, ra0, dec0, 0.02, 600, duplicate_every=2)
+    radius = 0.002
+    monkeypatch.setattr(core, "_BLOCK_ROWS", len(frame))
+    want, want_rows = join_and_store_rows(frame, tpl, radius)
+    bare = rows_without_xyz(frame)
+    want_bare = range_join(bare, build_zone_index(tpl, 0.01), radius)
+    for block_rows, budget in [(1, None), (7, None), (1000, None), (len(frame), 3)]:
+        monkeypatch.setattr(core, "_BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(crossmatch, "_PAIR_BUDGET", budget or crossmatch._PAIR_BUDGET)
+        got, got_rows = join_and_store_rows(frame, tpl, radius)
+        assert_same_result(got, want)
+        assert got_rows.dtype == want_rows.dtype and got_rows.tobytes() == want_rows.tobytes()
+        assert_same_result(range_join(bare, build_zone_index(tpl, 0.01), radius), want_bare)
+
+    # ambiguous rows sit on both sides of some 7-row block edge
+    counts = brute_force_candidate_counts(frame["ra"], frame["dec"], tpl["ra"], tpl["dec"], radius)
+    assert want.ambiguous_count == int(np.count_nonzero(counts > 1)) > 0
+    n_blocks = -(-len(frame) // 7)
+    edges = [k * len(frame) // n_blocks for k in range(1, n_blocks)]
+    assert any(counts[e - 1] > 1 and counts[e] > 1 for e in edges)
+
+
+def test_off_sky_rows_in_several_blocks_name_the_row_one_block_names(monkeypatch, four_lanes):
+    tpl = make_records(np.linspace(10.0, 10.5, 40), np.zeros(40))
+    frame = make_records(np.linspace(10.0, 10.5, 40) + 1e-4, np.zeros(40))
+    index = build_zone_index(tpl, 0.01)
+    good = frame.copy()
+    frame["ra"][[33, 21, 9]] = [-1.0, 360.0, np.nan]
+    for block_rows in (4, 40):
+        monkeypatch.setattr(core, "_BLOCK_ROWS", block_rows)
+        with pytest.raises(DomainError, match=r"^row 9: ra nan is not in \[0, 360\)$"):
+            range_join(frame, index, 0.003)
+    frame["dec"][30] = 91.0  # the whole-frame dec check comes before any block's ra check
+    monkeypatch.setattr(core, "_BLOCK_ROWS", 4)
+    with pytest.raises(DomainError, match=r"^row 30: dec 91.0 is not in \[-90, 90\]$"):
+        range_join(frame, index, 0.003)
+    # the pool still serves the next call
+    got = range_join(good, index, 0.003)
+    monkeypatch.setattr(core, "_BLOCK_ROWS", 40)
+    assert_same_result(got, range_join(good, index, 0.003))
+
+
+def test_a_crowded_pile_is_joined_in_halves_in_bounded_memory(monkeypatch):
+    """2,000 rows within 0.36 arcsec of each other, against an index of themselves."""
+    rng = np.random.default_rng(8)
+    pile = make_records(150.0 + rng.uniform(0, 5e-5, 2000), 20.0 + rng.uniform(0, 5e-5, 2000))
+    index = build_zone_index(pile, CFG.zone_height_deg)
+    tracemalloc.start()
+    try:
+        got = range_join(pile, index, CFG.match_radius_deg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the 4e6 pairs expanded at once peaked at ~321 MiB; in halves, ~21 MiB
+    assert peak < 32 * 2**20
+    monkeypatch.setattr(crossmatch, "_PAIR_BUDGET", 1 << 62)
+    want = range_join(pile, index, CFG.match_radius_deg)
+    assert_same_result(got, want)
+    assert want.ambiguous_count == want.n_matched == 2000
+
+
+def join_in_a_child(frame, tpl):
+    signal.alarm(60)  # a hang ends the child, and with it the parent's wait
+    result = range_join(frame, build_zone_index(tpl, 0.01), 0.002)
+    signal.alarm(0)
+    return result, core._rows_pool[0] == os.getpid()
+
+
+def test_a_forked_child_joins_on_its_own_pool(monkeypatch, four_lanes):
+    monkeypatch.setattr(core, "_BLOCK_ROWS", 7)
+    frame, tpl = crowded_field(np.random.default_rng(4), 120.0, -35.0, 0.01, 300, 3)
+    want = range_join(frame, build_zone_index(tpl, 0.01), 0.002)
+    assert core._rows_pool[2] is not None  # the parent's pool, inherited by the fork
+    fork = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(1, mp_context=fork) as pool:
+        got, own_pool = pool.submit(join_in_a_child, frame, tpl).result(timeout=120)
+    assert own_pool
+    assert_same_result(got, want)
