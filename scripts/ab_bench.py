@@ -14,9 +14,13 @@ is even and the change first when it is odd.
 For every pair it prints both sides' end-to-end metrics, their digests, the
 minor page faults of each run (``ru_minflt`` of the child process) and its
 wall time and CPU seconds (user + sys of the child), so that a change which
-buys wall time with CPU shows it.  At the end it prints, per metric, both
-sides' medians and quartiles and the number of pairs in which the change was
-better, then each side's page faults, wall time and CPU seconds.  It uses only git and the
+buys wall time with CPU shows it.  A pair whose two runs' page faults differ
+by more than ``FAULT_RATIO`` is marked: its sides ran in different page-fault
+modes, which move ``setup_s`` by about a quarter on the same tree (the gap
+follows the allocator, since ``MALLOC_ARENA_MAX=1`` closes it).  At the end
+it prints, per metric, both sides' medians and quartiles and the number of
+pairs in which the change was better, the number of marked pairs, then each
+side's page faults, wall time and CPU seconds.  It uses only git and the
 standard library, and it writes only under ``--scratch``.
 """
 
@@ -36,6 +40,7 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
 SIDES = ("base", "change")
+FAULT_RATIO = 1.5
 
 
 def export(rev: str, paths, dest: Path) -> None:
@@ -118,6 +123,7 @@ def main(argv=None) -> int:
 
     for workload in workloads:
         runs = {side: [] for side in SIDES}
+        marked = 0
         for i in range(args.pairs):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             for side in order:
@@ -134,9 +140,15 @@ def main(argv=None) -> int:
                       f"digest={r['digest']}  {shown}")
                 if "error" in r:
                     print("    " + r["error"].replace("\n", "\n    "))
+            few, many = sorted(runs[side][-1]["minflt"] for side in SIDES)
+            if many > FAULT_RATIO * few:
+                marked += 1
+                print(f"  ! minflt differs {many / max(few, 1):.2f}x between the sides "
+                      f"(> {FAULT_RATIO}x): the runs are in different page-fault modes")
             sys.stdout.flush()
         print(f"{workload}: median [quartiles] over {args.pairs} pairs, "
-              "and the pairs in which the change was better")
+              "and the pairs in which the change was better; "
+              f"{marked} pairs marked for minflt (> {FAULT_RATIO}x)")
         for name in sorted(better):
             pairs = [
                 (b["metrics"][name], c["metrics"][name])

@@ -14,7 +14,6 @@ from .core import (
     FrameBatch,
     RECORD_DTYPE,
     TABLE2_COLUMNS,
-    angular_separation,
     mag_to_flux,
     propagate_flux_error,
     radec_to_cartesian,
@@ -33,7 +32,6 @@ __all__ = [
     "FrameBatch",
     "RECORD_DTYPE",
     "TABLE2_COLUMNS",
-    "angular_separation",
     "mag_to_flux",
     "propagate_flux_error",
     "radec_to_cartesian",

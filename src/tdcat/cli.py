@@ -33,7 +33,7 @@ from .core import (
 )
 from .crossmatch import build_zone_index, range_join
 from .lightcurve import query_curve
-from .mining import MiningConfig, write_alerts_csv
+from .mining import MiningConfig, period_search, write_alerts_csv
 from .pipeline import (
     replay_online,
     run_night,
@@ -113,11 +113,13 @@ def build_configs(args) -> tuple:
         "zone_height_deg": "zone_height_deg",
         "cadence_s": "cadence_s",
         "cameras": "cameras",
+        "fap": "fap",
+        "oversample": "oversample",
     }
     for attr, key in flag_map.items():
         val = getattr(args, attr, None)
         if val is not None:
-            engine_kwargs[key] = val
+            (engine_kwargs if key in _ENGINE_KEYS else mining_kwargs)[key] = val
     return EngineConfig(**engine_kwargs), MiningConfig(**mining_kwargs)
 
 
@@ -234,7 +236,7 @@ def cmd_ingest(args) -> int:
             continue
         print(
             f"ingested {path}: {ack.records} records -> partition "
-            f"{args.partition} night {ack.night_id} ({ack.latency_s * 1000:.1f} ms)"
+            f"{args.partition} night {ack.night_id}"
         )
     return 0
 
@@ -366,27 +368,14 @@ def cmd_mine_online(args) -> int:
 
 
 def cmd_mine_period(args) -> int:
-    from .mining import default_freq_grid, lomb_scargle, period_search
-
     _, mining = build_configs(args)
-    if args.fap is not None or args.oversample is not None:
-        from dataclasses import replace
-
-        mining = replace(
-            mining,
-            fap=args.fap if args.fap is not None else mining.fap,
-            oversample=args.oversample
-            if args.oversample is not None
-            else mining.oversample,
-        )
     curve = query_curve(
         _stores_of(args, data_dir_of(args)), args.star,
         epoch_min=args.epoch_min, epoch_max=args.epoch_max,
     )
     result = period_search(curve.epochs, curve.mags, mining)
     if args.out:
-        freqs = default_freq_grid(curve.epochs, mining.oversample)
-        power = lomb_scargle(curve.epochs, curve.mags, freqs)
+        freqs, power = result.scan
         with open(args.out, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["frequency_hz", "power"])

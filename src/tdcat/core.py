@@ -177,26 +177,6 @@ def radec_to_cartesian(ra, dec):
     return x, y, z
 
 
-def _unit_vector(obj):
-    if isinstance(obj, np.void):  # structured-array row
-        return np.array([obj["x"], obj["y"], obj["z"]])
-    ra, dec = obj
-    return np.array(radec_to_cartesian(ra, dec))
-
-
-def angular_separation(a, b) -> float:
-    """Great-circle separation in degrees between two directions.
-
-    Each argument is a structured record row or an (ra, dec) pair in
-    degrees.  Computed from the chord length, 2*arcsin(|va - vb| / 2),
-    which is well conditioned at small angles.
-    """
-    va = _unit_vector(a)
-    vb = _unit_vector(b)
-    chord = np.linalg.norm(va - vb)
-    return float(np.degrees(2.0 * np.arcsin(min(1.0, chord / 2.0))))
-
-
 def separation_to_chord(sep_deg):
     """Chord length on the unit sphere subtending a given angle in degrees."""
     return 2.0 * np.sin(np.radians(sep_deg) / 2.0)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -450,6 +450,7 @@ class PeriodResult:
     significant: bool
     n_points: int
     n_freqs: int
+    scan: tuple = field(repr=False, compare=False)  # (freqs, power) of the scan
 
 
 def period_search(
@@ -463,7 +464,7 @@ def period_search(
 
     Scans ``freqs`` (or a default grid), then optionally refines the winning
     peak on a 20x finer local grid so the reported period is not quantized to
-    the scan spacing.
+    the scan spacing.  The result's ``scan`` is the scanned grid and its powers.
     """
     if config is None:
         config = MiningConfig()
@@ -499,4 +500,5 @@ def period_search(
         significant=best_power > threshold,
         n_points=len(t),
         n_freqs=len(freqs),
+        scan=(freqs, power),
     )

@@ -21,8 +21,10 @@ import csv
 import json
 import time
 import weakref
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -180,50 +182,21 @@ CADENCE_CSV_HEADER = [
 ]
 
 
-@dataclass
-class CadenceReport:
-    """Per-frame stage timings for one partition's night."""
-
-    partition_id: int
-    cadence_s: float
-    frames: list = field(default_factory=list)
-
-    def add(self, outcome: FrameOutcome) -> None:
-        self.frames.append(outcome)
-
-    @property
-    def n_frames(self) -> int:
-        return len(self.frames)
-
-    def totals(self) -> np.ndarray:
-        return np.array([f.timings.total_s for f in self.frames])
-
-    @property
-    def max_frame_s(self) -> float:
-        return float(self.totals().max()) if self.frames else 0.0
-
-    @property
-    def mean_frame_s(self) -> float:
-        return float(self.totals().mean()) if self.frames else 0.0
-
-    @property
-    def cadence_ok(self) -> bool:
-        return self.max_frame_s < self.cadence_s
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(CADENCE_CSV_HEADER)
-            for f in self.frames:
-                t = f.timings
-                w.writerow(
-                    [
-                        f.imageid, repr(f.epoch), f.n_records, f.n_matched,
-                        f.n_unmatched, f.n_ambiguous, len(f.alerts),
-                        repr(t.match_s), repr(t.insert_s), repr(t.online_s),
-                        repr(t.candidate_s), repr(t.total_s),
-                    ]
-                )
+def write_cadence_csv(path, outcomes) -> None:
+    """One row of counts and stage timings per ``FrameOutcome`` of a night."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(CADENCE_CSV_HEADER)
+        for f in outcomes:
+            t = f.timings
+            w.writerow(
+                [
+                    f.imageid, repr(f.epoch), f.n_records, f.n_matched,
+                    f.n_unmatched, f.n_ambiguous, len(f.alerts),
+                    repr(t.match_s), repr(t.insert_s), repr(t.online_s),
+                    repr(t.candidate_s), repr(t.total_s),
+                ]
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -244,17 +217,17 @@ class NightSummary:
     mean_frame_s: float
     max_frame_s: float
     cadence_ok: bool
-    store_records: int = 0
-    store_bytes: int = 0
-    merge_duration_s: float = 0.0
-    alerts_path: str = ""
-    cadence_path: str = ""
-    truth_path: str = ""
+    store_records: int
+    store_bytes: int
+    merge_duration_s: float
+    alerts_path: str
+    cadence_path: str
+    truth_path: str
 
 
 def _run_partition(
-    out_dir,
     partition_id: int,
+    out_dir,
     n_partitions: int,
     config: EngineConfig,
     mining: MiningConfig,
@@ -266,8 +239,8 @@ def _run_partition(
     n_brightenings: int,
     use_store: bool,
     do_merge: bool,
-    injections_override=None,
-    write_timing: bool = False,
+    injections_override,
+    write_timing: bool,
 ) -> NightSummary:
     """One partition's whole night; built and torn down in-process."""
     wall0 = time.perf_counter()
@@ -305,25 +278,17 @@ def _run_partition(
             min_on_frame=mining.min_window + 1,
             camera_id=partition_id,
         )
-    report = CadenceReport(partition_id=partition_id, cadence_s=config.cadence_s)
-    alerts = []
-    counts = {"n_records": 0, "n_matched": 0, "n_unmatched": 0, "n_ambiguous": 0}
+    outcomes = []
     for i in range(n_frames):
         epoch = night_id * SECONDS_PER_DAY + i * config.cadence_s
         frame = observe_frame(
             template, epoch, injections, model, config, camera_id=partition_id
         )
-        outcome = worker.process_frame(frame)
-        report.add(outcome)
-        alerts.extend(outcome.alerts)
-        counts["n_records"] += outcome.n_records
-        counts["n_matched"] += outcome.n_matched
-        counts["n_unmatched"] += outcome.n_unmatched
-        counts["n_ambiguous"] += outcome.n_ambiguous
+        outcomes.append(worker.process_frame(frame))
+    alerts = [a for o in outcomes for a in o.alerts]
 
-    merge_s = 0.0
-    if use_store and do_merge:
-        merge_s = worker.store.nightly_merge().duration_s
+    store = worker.store
+    merge_s = store.nightly_merge().duration_s if store is not None and do_merge else 0.0
 
     alerts_path = cadence_path = truth_path = ""
     if out_dir is not None:
@@ -336,30 +301,30 @@ def _run_partition(
             # wall-clock telemetry: deliberately not part of the
             # deterministic product set
             cadence_path = str(out_dir / f"cadence_p{partition_id:02d}.csv")
-            report.write_csv(cadence_path)
+            write_cadence_csv(cadence_path, outcomes)
 
-    by_kind: dict = {}
-    for a in alerts:
-        by_kind[a.kind] = by_kind.get(a.kind, 0) + 1
-    summary = NightSummary(
+    totals = np.array([o.timings.total_s for o in outcomes])
+    max_frame_s = float(totals.max()) if n_frames else 0.0
+    return NightSummary(
         partition_id=partition_id,
         night_id=night_id,
         n_frames=n_frames,
-        alerts=by_kind,
+        n_records=sum(o.n_records for o in outcomes),
+        n_matched=sum(o.n_matched for o in outcomes),
+        n_unmatched=sum(o.n_unmatched for o in outcomes),
+        n_ambiguous=sum(o.n_ambiguous for o in outcomes),
+        alerts=dict(Counter(a.kind for a in alerts)),
         wall_s=time.perf_counter() - wall0,
-        mean_frame_s=report.mean_frame_s,
-        max_frame_s=report.max_frame_s,
-        cadence_ok=report.cadence_ok,
+        mean_frame_s=float(totals.mean()) if n_frames else 0.0,
+        max_frame_s=max_frame_s,
+        cadence_ok=max_frame_s < config.cadence_s,
+        store_records=store.stats.records_ingested if store is not None else 0,
+        store_bytes=store.stats.bytes_on_disk if store is not None else 0,
+        merge_duration_s=merge_s,
         alerts_path=alerts_path,
         cadence_path=cadence_path,
         truth_path=truth_path,
-        **counts,
     )
-    if use_store and worker.store is not None:
-        summary.store_records = worker.store.stats.records_ingested
-        summary.store_bytes = worker.store.stats.bytes_on_disk
-        summary.merge_duration_s = merge_s
-    return summary
 
 
 def run_night(
@@ -392,26 +357,30 @@ def run_night(
     mining = mining or MiningConfig()
     if n_partitions < 1:
         raise DomainError(f"n_partitions must be >= 1, got {n_partitions}")
-    n_frames = config.frames_per_night if n_frames is None else n_frames
-    stars = (
-        config.sources_per_frame if stars_per_partition is None else stars_per_partition
+    run = partial(
+        _run_partition,
+        out_dir=out_dir,
+        n_partitions=n_partitions,
+        config=config,
+        mining=mining,
+        seed=seed,
+        night_id=night_id,
+        n_frames=config.frames_per_night if n_frames is None else n_frames,
+        stars_per_partition=(
+            config.sources_per_frame if stars_per_partition is None
+            else stars_per_partition
+        ),
+        n_new_sources=n_new_sources,
+        n_brightenings=n_brightenings,
+        use_store=use_store,
+        do_merge=do_merge,
+        injections_override=injections,
+        write_timing=write_timing,
     )
-    args = [
-        (
-            out_dir, p, n_partitions, config, mining, seed, night_id, n_frames,
-            stars, n_new_sources, n_brightenings, use_store, do_merge,
-            injections, write_timing,
-        )
-        for p in range(n_partitions)
-    ]
     if workers <= 1:
-        return [_run_partition(*a) for a in args]
+        return [run(p) for p in range(n_partitions)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_partition_star, args))
-
-
-def _run_partition_star(args):
-    return _run_partition(*args)
+        return list(pool.map(run, range(n_partitions)))
 
 
 def write_night_summary(path, summaries) -> None:

@@ -84,16 +84,14 @@ def night_of(epoch: float) -> int:
 # file primitives
 
 
-def _atomic_write(path: Path, chunks) -> int:
-    """Write chunks to ``path`` via temp + rename; returns bytes written."""
+def _atomic_write(path: Path, chunks) -> None:
+    """Write chunks to ``path`` via temp + rename."""
     path = Path(path)
     tmp = path.with_suffix(path.suffix + ".tmp")
-    written = 0
     try:
         with open(tmp, "wb") as fh:
             for chunk in chunks:
                 fh.write(chunk)
-                written += len(chunk)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -101,7 +99,6 @@ def _atomic_write(path: Path, chunks) -> int:
         if tmp.exists():
             tmp.unlink()
         raise StorageError(f"write to {path} failed: {exc}") from exc
-    return written
 
 
 _KIND = {
@@ -181,11 +178,11 @@ def _ordered(layers, keys) -> np.ndarray:
     return out
 
 
-def write_records_bin(path, records: np.ndarray) -> int:
+def write_records_bin(path, records: np.ndarray) -> None:
     """Interchange TDS1 file of catalog rows."""
     records = np.ascontiguousarray(records, dtype=RECORD_DTYPE)
     header = TDS_MAGIC + np.uint64(len(records)).tobytes()
-    return _atomic_write(Path(path), [header, records.view(np.uint8)])
+    _atomic_write(Path(path), [header, records.view(np.uint8)])
 
 
 def read_records_bin(path) -> np.ndarray:
@@ -226,19 +223,19 @@ def read_records_csv(path) -> np.ndarray:
     return out
 
 
-def _write_segment(path: Path, records: np.ndarray, epoch: float) -> int:
-    header = DELTA_MAGIC + np.uint64(len(records)).tobytes() + np.float64(epoch).tobytes()
-    return _atomic_write(path, [header, records.view(np.uint8)])
-
-
 # ---------------------------------------------------------------------------
 # night store
 
 
 @dataclass
 class StorageStats:
+    root: Path
     records_ingested: int = 0
-    bytes_on_disk: int = 0
+
+    @property
+    def bytes_on_disk(self) -> int:
+        """Size of every file under the partition, measured when read."""
+        return sum(p.stat().st_size for p in self.root.rglob("*") if p.is_file())
 
 
 @dataclass
@@ -246,7 +243,6 @@ class InsertAck:
     records: int
     night_id: int
     segment_path: Path
-    latency_s: float
 
 
 @dataclass
@@ -318,7 +314,7 @@ class NightStore:
         self.root = Path(root) / f"partition_{partition_id:02d}"
         self.delta_dir = self.root / "delta"
         self.base_dir = self.root / "base"
-        self.stats = StorageStats()
+        self.stats = StorageStats(self.root)
         self._busy = False
         self._load_state()
 
@@ -368,16 +364,15 @@ class NightStore:
         self._last_epoch = (
             -np.inf if base_night < 0 else (base_night + 1) * SECONDS_PER_DAY - 1e-9
         )
-        for night in self._delta_nights():
+        # epochs only grow, so the newest segment holds the last one
+        for night in reversed(self._delta_nights()):
             segs = self._segments(night)
             if segs:
                 _, epoch = _read_rows(
                     segs[-1], DELTA_MAGIC, STORE_DTYPE, header_only=True
                 )
                 self._last_epoch = max(self._last_epoch, epoch)
-        self.stats.bytes_on_disk = sum(
-            p.stat().st_size for p in self.root.rglob("*") if p.is_file()
-        )
+                break
 
     def recover(self) -> None:
         """Delete what a crash left behind and every read already skips."""
@@ -402,19 +397,27 @@ class NightStore:
         """Durably append one frame's store rows as its delta segment.
 
         ``rows`` is ``frame_to_store_records(frame, matches)``.  Epochs start
-        at 0: the store's nights are ``night_of(epoch) >= 0``.  The rows are
-        built by the caller and only written here, so this call allocates
-        nothing the size of the frame and may run on a helper thread.
+        at 0: the store's nights are ``night_of(epoch) >= 0``.  No record id
+        may repeat within the frame, since reads order a frame's rows by id.
+        The rows are built by the caller and only written here, so this call
+        allocates nothing the size of the frame and may run on a helper thread.
         """
         if frame.epoch < 0:
             raise DomainError(f"frame epoch {frame.epoch} is negative")
         if rows.dtype != STORE_DTYPE:
             raise DomainError(f"store rows must have STORE_DTYPE, got {rows.dtype}")
+        ids = rows["id"]
+        if not (ids[1:] > ids[:-1]).all():  # sorted only when not already increasing
+            ids = np.sort(ids)
+            repeats = ids[1:][ids[1:] == ids[:-1]]
+            if len(repeats):
+                raise DomainError(
+                    f"record id {repeats[0]} repeats in frame {frame.imageid}"
+                )
         if self._busy:
             raise StorageError("delta_insert overlaps another store operation")
         self._busy = True
         try:
-            t0 = time.perf_counter()
             if not frame.epoch > self._last_epoch:
                 raise SequenceError(
                     f"frame epoch {frame.epoch} not after last appended epoch "
@@ -422,16 +425,14 @@ class NightStore:
                 )
             path = self._segment_path(frame)
             path.parent.mkdir(parents=True, exist_ok=True)
-            written = _write_segment(path, rows, frame.epoch)
+            count, epoch = np.uint64(len(rows)).tobytes(), np.float64(frame.epoch).tobytes()
+            _atomic_write(path, [DELTA_MAGIC + count + epoch, rows.view(np.uint8)])
             self._last_epoch = frame.epoch
-            latency = time.perf_counter() - t0
             self.stats.records_ingested += len(rows)
-            self.stats.bytes_on_disk += written
             return InsertAck(
                 records=len(rows),
                 night_id=night_of(frame.epoch),
                 segment_path=path,
-                latency_s=latency,
             )
         finally:
             self._busy = False

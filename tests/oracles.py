@@ -16,9 +16,11 @@ the streamed ``NightStore.nightly_merge`` must match byte for byte;
 ``SourceRecord.validate``, a one-row-at-a-time check of the row invariants,
 which the masks of ``check_records`` must match row for row;
 ``push_in_unique_passes``, the window bank's earlier ``np.unique`` absorb,
-which the current one must match bit for bit; and
+which the current one must match bit for bit;
 ``brute_force_chord_match``, the join's own chord rule over every pair, which
-pins the join's zone and RA pruning at pairs that sit on the radius.
+pins the join's zone and RA pruning at pairs that sit on the radius; and
+``angular_separation``, the chord-length separation of two directions, which
+the tests pin against ``haversine_deg``.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from tdcat.core import (
     DomainError,
     SequenceError,
     mag_to_flux,
+    radec_to_cartesian,
     separation_to_chord,
     zone_of,
 )
@@ -512,3 +515,23 @@ def cartesian_to_radec(x, y, z):
     if np.isscalar(x):
         return float(ra), float(dec)
     return ra, dec
+
+
+def _unit_vector(obj):
+    if isinstance(obj, np.void):  # structured-array row
+        return np.array([obj["x"], obj["y"], obj["z"]])
+    ra, dec = obj
+    return np.array(radec_to_cartesian(ra, dec))
+
+
+def angular_separation(a, b) -> float:
+    """Great-circle separation in degrees between two directions.
+
+    Each argument is a structured record row or an (ra, dec) pair in
+    degrees.  Computed from the chord length, 2*arcsin(|va - vb| / 2),
+    which is well conditioned at small angles.
+    """
+    va = _unit_vector(a)
+    vb = _unit_vector(b)
+    chord = np.linalg.norm(va - vb)
+    return float(np.degrees(2.0 * np.arcsin(min(1.0, chord / 2.0))))

@@ -9,8 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tdcat import mining
 from tdcat.cli import build_configs, build_parser, load_config_file, main
 from tdcat.core import ConfigError
+from tdcat.lightcurve import query_curve
+from tdcat.mining import MiningConfig
 from tdcat.store import open_partitions, read_records_bin, write_records_bin
 
 
@@ -170,6 +173,12 @@ def test_config_precedence_flags_beat_file(tmp_path):
     assert engine.match_radius_deg == 0.003  # built-in default
     assert mining.k_sigma == 5.0
 
+    cfg.write_text("fap = 0.05\noversample = 3\n")
+    args = parser.parse_args(["mine", "period", "--config", str(cfg), "--star", "1",
+                              "--fap", "0.1"])
+    _, mining = build_configs(args)
+    assert (mining.fap, mining.oversample) == (0.1, 3)  # the flag, then the file
+
 
 def test_config_file_errors_exit_two(tmp_path, capsys):
     bad_key = tmp_path / "bad_key.cfg"
@@ -299,9 +308,16 @@ def test_readers_create_nothing(workflow, tmp_path, capsys, command):
     assert tree_bytes(data) == before
 
 
-def test_mine_period_reports_best_period(workflow, tmp_path, capsys):
+def test_mine_period_reports_best_period(workflow, tmp_path, capsys, monkeypatch):
     _, data = workflow
     out = tmp_path / "power.csv"
+    scan, sizes = mining.lomb_scargle, []
+
+    def counted(epochs, mags, freqs, *args):
+        sizes.append(len(freqs))
+        return scan(epochs, mags, freqs, *args)
+
+    monkeypatch.setattr(mining, "lomb_scargle", counted)
     rc = run_cli("mine", "period", "--data-dir", str(data), "--star", "3",
                  "--out", str(out))
     assert rc == 0
@@ -310,6 +326,12 @@ def test_mine_period_reports_best_period(workflow, tmp_path, capsys):
     rows = list(csv.reader(open(out)))
     assert rows[0] == ["frequency_hz", "power"]
     assert len(rows) > 2
+    # one scan of the grid, then the 81-point refinement; the CSV is that scan
+    assert sizes == [len(rows) - 1, 81]
+    curve = query_curve(open_partitions(data, [0]), 3)
+    freqs = mining.default_freq_grid(curve.epochs, MiningConfig().oversample)
+    power = scan(curve.epochs, curve.mags, freqs)
+    assert rows[1:] == [[repr(float(f)), repr(float(p))] for f, p in zip(freqs, power)]
 
 
 def test_crossmatch_files(workflow, tmp_path, capsys):

@@ -17,7 +17,6 @@ from tdcat.core import (
     DomainError,
     EngineConfig,
     FrameBatch,
-    angular_separation,
     check_records,
     mag_to_flux,
     n_zones,
@@ -34,6 +33,7 @@ from tdcat.store import STORE_DTYPE
 
 from oracles import (
     SourceRecord,
+    angular_separation,
     cartesian_to_radec,
     check_frame_batch,
     haversine_deg,

@@ -20,7 +20,6 @@ from tdcat.mining import NEW_SOURCE, MiningConfig, read_alerts_csv
 from tdcat.pipeline import (
     CADENCE_CSV_HEADER,
     SCALING_CSV_HEADER,
-    CadenceReport,
     PartitionWorker,
     StageTimings,
     partition_seed,
@@ -74,23 +73,23 @@ def test_stage_timings_total():
     assert t.total_s == 12.0
 
 
-def test_cadence_report_arithmetic_and_csv(tmp_path):
-    report = CadenceReport(partition_id=0, cadence_s=15.0)
-    worker = make_worker()
-    for k in range(3):
-        frame = observe_frame(worker.template, 15.0 * k, [], WORKER_MODEL, CFG)
-        report.add(worker.process_frame(frame))
-    assert report.n_frames == 3
-    totals = report.totals()
-    assert report.max_frame_s == totals.max()
-    assert report.mean_frame_s == pytest.approx(totals.mean())
-    assert report.cadence_ok  # tiny frames finish far inside 15 s
-    path = tmp_path / "cadence.csv"
-    report.write_csv(path)
-    rows = list(csv.reader(open(path)))
+def test_night_summary_agrees_with_its_cadence_csv(tmp_path):
+    [s] = run_night(tmp_path, CFG, MINING, seed=2, n_frames=3,
+                    stars_per_partition=250, write_timing=True)
+    rows = list(csv.reader(open(s.cadence_path)))
     assert rows[0] == CADENCE_CSV_HEADER
     assert len(rows) == 4
-    assert float(rows[1][11]) == pytest.approx(totals[0])
+    totals = np.array([float(r[11]) for r in rows[1:]])
+    assert s.max_frame_s == totals.max()
+    assert s.mean_frame_s == pytest.approx(totals.mean())
+    assert s.cadence_ok  # tiny frames finish far inside 15 s
+    for col, total in zip(range(2, 6), (s.n_records, s.n_matched, s.n_unmatched, s.n_ambiguous)):
+        assert sum(int(r[col]) for r in rows[1:]) == total
+    assert s.store_records == s.n_records
+    files = [f for f in (tmp_path / "partition_00").rglob("*") if f.is_file()]
+    assert s.store_bytes == sum(f.stat().st_size for f in files) > 0
+    [empty] = run_night(None, CFG, MINING, n_frames=0, stars_per_partition=250, use_store=False)
+    assert (empty.mean_frame_s, empty.max_frame_s, empty.cadence_ok) == (0.0, 0.0, True)
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +168,7 @@ def insert_threads():
     return {t for t in threading.enumerate() if t.name.startswith("tdcat-")}
 
 
-@pytest.mark.parametrize("failure", ["stale-epoch", "fsync"])
+@pytest.mark.parametrize("failure", ["stale-epoch", "fsync", "repeated-id"])
 def test_failed_insert_leaves_every_detector_as_it_was(tmp_path, monkeypatch, failure):
     make_worker()
     frames = [
@@ -187,6 +186,11 @@ def test_failed_insert_leaves_every_detector_as_it_was(tmp_path, monkeypatch, fa
     if failure == "stale-epoch":  # frame 11 stamped with frame 10's epoch
         with pytest.raises(SequenceError):
             worker.process_frame(replace(frames[11], epoch=frames[10].epoch))
+    elif failure == "repeated-id":  # frame 11's row 5 repeats row 4's id
+        records = frames[11].records.copy()
+        records["id"][5] = records["id"][4]
+        with pytest.raises(DomainError, match=f"record id {records['id'][4]} repeats"):
+            worker.process_frame(replace(frames[11], records=records))
     else:
         def no_fsync(fd):
             raise OSError(errno.EIO, "injected fsync failure")
@@ -198,6 +202,7 @@ def test_failed_insert_leaves_every_detector_as_it_was(tmp_path, monkeypatch, fa
     assert detector_state(worker) == before
     assert worker.store.stats.records_ingested == sum(len(f.records) for f in frames[:11])
     assert not list((tmp_path / "worker").rglob("*.tmp"))
+    assert len(list((tmp_path / "worker").rglob("seg_*.tdl"))) == 11
 
     # the retried frame and the rest of the night give the same alerts
     got = [[asdict(a) for a in worker.process_frame(f).alerts] for f in frames[11:]]
