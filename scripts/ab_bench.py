@@ -18,9 +18,10 @@ buys wall time with CPU shows it.  A pair whose two runs' page faults differ
 by more than ``FAULT_RATIO`` is marked: its sides ran in different page-fault
 modes, which move ``setup_s`` by about a quarter on the same tree (the gap
 follows the allocator, since ``MALLOC_ARENA_MAX=1`` closes it).  At the end
-it prints, per metric, both sides' medians and quartiles and the number of
-pairs in which the change was better, the number of marked pairs, then each
-side's page faults, wall time and CPU seconds.  It uses only git and the
+it prints, per metric, both sides' medians and quartiles, the number of
+pairs in which the change was better and a verdict (see ``verdict``), the
+number of marked pairs, then each side's failed and attempted operations,
+page faults, wall time and CPU seconds.  It uses only git and the
 standard library, and it writes only under ``--scratch``.
 """
 
@@ -62,6 +63,22 @@ def quartiles(values) -> tuple:
     return q1, q2, q3
 
 
+def verdict(base_q, change_q, wins: int, pairs: int, better: str, bound: float) -> str:
+    """"gain", "worse than bound" or "within bound" for one metric.
+
+    A gain needs the change better in at least nine tenths of the pairs and
+    the medians apart, in the change's favour, by more than the base's
+    interquartile range.  Worse than bound means the change's median is worse
+    than the base's by more than ``bound``, a fraction of the base median.
+    """
+    gain = (base_q[1] - change_q[1]) * (1.0 if better == "lower" else -1.0)
+    if 10 * wins >= 9 * pairs and gain > base_q[2] - base_q[0]:
+        return "gain"
+    if -gain > bound * abs(base_q[1]):
+        return "worse than bound"
+    return "within bound"
+
+
 def run_once(checkout: Path, tree: Path, workload: str, seed: int, seconds: int) -> dict:
     """One benchmark run of ``tree``'s ``src/`` from ``checkout``."""
     shutil.rmtree(checkout / "src", ignore_errors=True)
@@ -91,7 +108,7 @@ def run_once(checkout: Path, tree: Path, workload: str, seed: int, seconds: int)
     out["metrics"] = {
         name.split(".", 1)[-1]: m["value"] for name, m in result["metrics"].items()
     }
-    out["failed"] = result.get("failed")
+    out["failed"], out["attempted"] = result.get("failed"), result.get("attempted")
     digests = [line.split()[-1] for line in lines if line.strip().startswith("digest:")]
     out["digest"] = ",".join(digests) or "-"
     return out
@@ -119,6 +136,7 @@ def main(argv=None) -> int:
     export(args.change, ["perfbench", "BENCHMARK.json"], checkout)
     spec = json.loads((checkout / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bound = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
 
     for workload in workloads:
@@ -163,13 +181,18 @@ def main(argv=None) -> int:
             rel = (change_q[1] / base_q[1] - 1.0) * 100.0 if base_q[1] else float("nan")
             print(f"  {name:14} base {base_q[1]:.6g} [{base_q[0]:.6g}, {base_q[2]:.6g}]  "
                   f"change {change_q[1]:.6g} [{change_q[0]:.6g}, {change_q[2]:.6g}]  "
-                  f"({rel:+.1f}%)  better in {wins} of {len(pairs)}")
+                  f"({rel:+.1f}%)  better in {wins} of {len(pairs)}  "
+                  f"{verdict(base_q, change_q, wins, len(pairs), better[name], bound[name])} "
+                  f"(bound {bound[name]:.0%})")
         for side in SIDES:
             faults = [r["minflt"] for r in runs[side]]
             wall = statistics.median(r["wall_s"] for r in runs[side])
             cpu = statistics.median(r["cpu_s"] for r in runs[side])
             digests = sorted({r["digest"] for r in runs[side]})
-            print(f"  {side:6} minflt median {statistics.median(faults):.0f} "
+            failed = sum(r.get("failed") or 0 for r in runs[side])
+            attempted = sum(r.get("attempted") or 0 for r in runs[side])
+            print(f"  {side:6} failed {failed} of {attempted} operations  "
+                  f"minflt median {statistics.median(faults):.0f} "
                   f"(min {min(faults)}, max {max(faults)})  wall median {wall:.1f}s  "
                   f"cpu median {cpu:.1f}s  digests {digests}")
     return 0

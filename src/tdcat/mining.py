@@ -167,14 +167,11 @@ class WindowBank:
 
     def baseline_stats(self, slots: np.ndarray):
         """(count, mean, sample variance) of the current baselines."""
-        n = self._count[slots]
-        safe = np.maximum(n, 1)
-        mean = self._sum[slots] / safe
+        n, total, sumsq = self._count[slots], self._sum[slots], self._sumsq[slots]
+        mean = total / np.maximum(n, 1)
         var = np.zeros(len(slots))
         two = n >= 2
-        var[two] = (
-            self._sumsq[slots][two] - self._sum[slots][two] ** 2 / n[two]
-        ) / (n[two] - 1)
+        var[two] = (sumsq[two] - total[two] ** 2 / n[two]) / (n[two] - 1)
         np.clip(var, 0.0, None, out=var)
         return n, mean, var
 
@@ -188,55 +185,62 @@ class WindowBank:
             self._sumsq[part] = (vals * vals).sum(axis=1)
         self._frames_since_refresh = 0
 
-    def _push(self, slots: np.ndarray, mags: np.ndarray):
+    def _push(self, slots: np.ndarray, mags: np.ndarray) -> list:
         """Absorb points; duplicate slots are applied in multiplicity passes.
 
         A pass takes each star's first remaining point (a per-star minimum of
         row positions); its slots are distinct, so update order changes no float.
+        Returns one ``(slots, heads, counts, sums, sumsqs, ring values)`` tuple
+        per pass: what the pass overwrote, for ``restore``.
         """
+        w, ring = self.config.window, self._ring.reshape(-1)
         first_at = np.empty(self.n_stars, dtype=np.int64)
+        passes = []
         while len(slots):
             rows = np.arange(len(slots))
             first_at[slots] = len(slots)
             np.minimum.at(first_at, slots, rows)
             first = first_at[slots] == rows
-            sel_slots = slots[first]
-            sel_mags = mags[first]
-            full = self._count[sel_slots] == self.config.window
-            if np.any(full):
-                fs = sel_slots[full]
-                old = self._ring[fs, self._head[fs]]
-                self._sum[fs] -= old
-                self._sumsq[fs] -= old * old
-                self._count[fs] -= 1
-            self._ring[sel_slots, self._head[sel_slots]] = sel_mags
-            self._head[sel_slots] = (self._head[sel_slots] + 1) % self.config.window
-            self._count[sel_slots] += 1
-            self._sum[sel_slots] += sel_mags
-            self._sumsq[sel_slots] += sel_mags * sel_mags
+            sel, sel_mags = slots[first], mags[first]
+            head, count = self._head[sel], self._count[sel]
+            total, sumsq = self._sum[sel], self._sumsq[sel]
+            at = sel * w + head
+            old = ring[at]
+            full = count == w
+            drop = np.where(full, old, 0.0)  # a full window's oldest point leaves first
+            self._sum[sel] = (total - drop) + sel_mags
+            self._sumsq[sel] = (sumsq - drop * drop) + sel_mags * sel_mags
+            ring[at] = sel_mags
+            self._head[sel] = (head + 1) % w
+            self._count[sel] = count + ~full
+            passes.append((sel, head, count, total, sumsq, old))
             slots, mags = slots[~first], mags[~first]
+        return passes
 
     def judge(
         self, epoch, star_ids, mags, mag_errors, record_ids=None, camera_id=0, rows=None
     ):
         """One frame's alerts against the pre-frame baselines; changes nothing.
 
-        Returns ``(alerts, slots)`` for ``absorb``.  With ``rows``, point k takes
-        entry ``rows[k]`` of ``mags``, ``mag_errors`` and ``record_ids``.  Points
-        are judged ``_JUDGE_ROWS`` at a time, which keeps the temporaries small
-        while a segment write overlaps.
+        Returns ``(alerts, slots, point_mags)``; ``absorb(slots, point_mags)``
+        then adds the frame without reading ``mags`` again.  With ``rows``,
+        point k takes entry ``rows[k]`` of ``mags``, ``mag_errors`` and
+        ``record_ids``.  Points are judged ``_JUDGE_ROWS`` at a time, which
+        keeps the temporaries small while a segment write overlaps.
         """
         star_ids = np.asarray(star_ids, dtype=np.int64)
         mags = np.asarray(mags, dtype=np.float64)
         mag_errors = np.asarray(mag_errors, dtype=np.float64)
         rows = np.arange(len(star_ids)) if rows is None else rows
         slots = np.empty(len(star_ids), np.int64)
+        point_mags = np.empty(len(star_ids))
         cfg, alerts = self.config, []
         for lo in range(0, len(slots), _JUDGE_ROWS):
             part, pick = slice(lo, lo + _JUDGE_ROWS), rows[lo : lo + _JUDGE_ROWS]
             slots[part] = self._slots_of(star_ids[part])
             n, mean, var = self.baseline_stats(slots[part])
-            err, mag = mag_errors[pick], mags[pick]
+            point_mags[part] = mags[pick]
+            err, mag = mag_errors[pick], point_mags[part]
             combined = np.sqrt(var + err * err)
             dev = mag - mean
             hit = (n >= cfg.min_window) & (np.abs(dev) > cfg.k_sigma * combined)
@@ -254,24 +258,49 @@ class WindowBank:
                         camera_id=camera_id,
                     )
                 )
-        return alerts, slots
+        return alerts, slots, point_mags
 
-    def absorb(self, slots, mags) -> None:
-        """Add one judged frame's points to the windows."""
+    def absorb(self, slots, mags):
+        """Add one judged frame's points to the windows; returns its undo record.
+
+        The record holds what the frame overwrote: each multiplicity pass's
+        slots, heads, counts, sums, sumsqs and ring values, the running sums
+        from before a refresh if this frame ran one, and the refresh counter.
+        ``restore`` takes it.
+        """
+        passes, refreshed, frames_since_refresh = [], None, self._frames_since_refresh
         if len(slots):
-            self._push(slots, np.asarray(mags, dtype=np.float64))
+            passes = self._push(slots, np.asarray(mags, dtype=np.float64))
             self._frames_since_refresh += 1
             if self._frames_since_refresh >= _REFRESH_EVERY:
+                refreshed = (self._sum.copy(), self._sumsq.copy())
                 self._refresh_sums()
+        return passes, refreshed, frames_since_refresh
+
+    def restore(self, undo) -> None:
+        """Put back, bit for bit, what the ``absorb`` that returned ``undo`` changed.
+
+        Steps are undone in reverse: the refresh, then the passes last to first,
+        since later passes overwrote what earlier ones wrote.
+        """
+        passes, refreshed, frames_since_refresh = undo
+        if refreshed is not None:
+            self._sum, self._sumsq = refreshed
+        ring = self._ring.reshape(-1)
+        for sel, head, count, total, sumsq, old in reversed(passes):
+            ring[sel * self.config.window + head] = old
+            self._head[sel], self._count[sel] = head, count
+            self._sum[sel], self._sumsq[sel] = total, sumsq
+        self._frames_since_refresh = frames_since_refresh
 
     def update(
         self, epoch, star_ids, mags, mag_errors, record_ids=None, camera_id=0
     ):
         """Judge one frame's matched points, then absorb them; returns its alerts."""
-        alerts, slots = self.judge(
+        alerts, slots, point_mags = self.judge(
             epoch, star_ids, mags, mag_errors, record_ids, camera_id
         )
-        self.absorb(slots, mags)
+        self.absorb(slots, point_mags)
         return alerts
 
     def update_from_match(self, frame, matches):
@@ -318,23 +347,27 @@ class CandidateTracker:
         self.mining = mining
         self._tracks = np.zeros(0, dtype=self._TRACK_DTYPE)
         self._last_epoch = -np.inf
+        self._previous = (self._tracks, self._last_epoch)  # for ``restore``
 
     @property
     def open_tracks(self) -> int:
         return len(self._tracks)
 
     def update(self, epoch, unmatched_records, camera_id=0):
-        """Feed one frame's unmatched detections; returns new-source alerts."""
+        """Feed one frame's unmatched detections; returns new-source alerts.
+
+        The previous track array is left as it was, for ``restore``.
+        """
         epoch = float(epoch)
         rec = unmatched_records
         tracks = self._tracks
+        self._previous = (tracks, self._last_epoch)
         if epoch - self._last_epoch > 1.5 * self.config.cadence_s:
             # consecutive chain broken for every open track
             tracks = tracks[:0]
         self._last_epoch = epoch
         claimed = claimed_rows = np.zeros(0, dtype=np.int64)
-        if len(rec) and len(tracks):
-            tracks["id"] = np.arange(len(tracks))
+        if len(rec) and len(tracks):  # a track's id is its position
             index = build_zone_index(tracks, self.config.zone_height_deg)
             links = range_join(rec, index, self.config.match_radius_deg)
             claimed, first = np.unique(links.star_ids, return_index=True)
@@ -349,6 +382,7 @@ class CandidateTracker:
         rows = np.concatenate([claimed_rows, new_rows])
         for name in ("ra", "dec", "x", "y", "z"):
             tracks[name] = rec[name][rows]
+        tracks["id"] = np.arange(len(tracks))
         tracks["count"] += 1
         fire = (tracks["count"] >= self.mining.persistence) & ~tracks["alerted"]
         tracks["alerted"] |= fire
@@ -368,6 +402,10 @@ class CandidateTracker:
             )
             for t in fired
         ]
+
+    def restore(self) -> None:
+        """Undo the last ``update``."""
+        self._tracks, self._last_epoch = self._previous
 
 
 # ---------------------------------------------------------------------------

@@ -60,23 +60,21 @@ def partition_seed(seed: int, partition_id: int) -> int:
 
 @dataclass
 class StageTimings:
-    """Seconds a frame spent in each stage of ``PartitionWorker.process_frame``.
+    """Seconds a frame spent in ``PartitionWorker.process_frame``, by stage.
 
     ``match_s`` is the wall time of a multi-threaded stage: the join runs in
     row blocks on every core.  The segment write (``insert_s``, from the row
-    build until durable) overlaps the window bank's judge (part of
-    ``online_s``), so ``total_s``, the sum of the stages, is an upper bound on
-    the frame's wall time.
+    build until durable) overlaps both detectors (``online_s``, the window
+    bank's judge and absorb, and ``candidate_s``, the tracker), so the stages
+    can add up to more than the frame took.  ``total_s`` is the frame's measured
+    wall time, the join's start to the return.
     """
 
     match_s: float = 0.0
     insert_s: float = 0.0
     online_s: float = 0.0
     candidate_s: float = 0.0
-
-    @property
-    def total_s(self) -> float:
-        return self.match_s + self.insert_s + self.online_s + self.candidate_s
+    total_s: float = 0.0
 
 
 @dataclass
@@ -118,10 +116,11 @@ class PartitionWorker:
         """Match one frame, store it, and run the online detectors on it.
 
         The calling thread builds the store rows; one helper thread then makes
-        the segment's file-system calls while the calling thread judges the
-        frame against the pre-frame window baselines.  The bank and the tracker
-        absorb the frame only once the segment is durable, so a failed insert
-        raises here and leaves both as they were.
+        the segment's file-system calls while the calling thread runs both
+        detectors: the window bank judges the frame against the pre-frame
+        baselines and absorbs it, then the tracker takes the unmatched rows.
+        If the insert fails, the bank and the tracker are restored bit for bit
+        to their pre-frame state and the insert's error is raised here.
         """
         t0 = time.perf_counter()
         matches = range_join(
@@ -138,20 +137,28 @@ class PartitionWorker:
             insert = self._writer.submit(_durable_at, self.store.delta_insert, frame, rows)
             del rows  # freed once written
         rec, matched = frame.records, matches.matched_rows
+        undo, tracked = None, False
         try:
-            alerts, slots = self.bank.judge(
+            alerts, slots, mags = self.bank.judge(
                 frame.epoch, matches.star_ids, rec["calmag"], rec["mag_error"],
                 record_ids=rec["id"], camera_id=frame.camera_id, rows=matched,
             )
+            undo = self.bank.absorb(slots, mags)
             t3 = time.perf_counter()
+            unmatched = take_rows(rec, matches.unmatched_rows)
+            alerts.extend(self.tracker.update(frame.epoch, unmatched, frame.camera_id))
+            tracked = True
+            t4 = time.perf_counter()
         finally:  # the insert has ended, one way or the other, before any return
             if insert is not None:
-                durable = insert.result()  # raises the insert's error
-        self.bank.absorb(slots, rec["calmag"][matched])
-        t4 = time.perf_counter()
-        unmatched = take_rows(frame.records, matches.unmatched_rows)
-        alerts.extend(self.tracker.update(frame.epoch, unmatched, frame.camera_id))
-        t5 = time.perf_counter()
+                try:
+                    durable = insert.result()
+                except BaseException:
+                    if tracked:
+                        self.tracker.restore()
+                    if undo is not None:
+                        self.bank.restore(undo)
+                    raise
         return FrameOutcome(
             imageid=frame.imageid,
             epoch=frame.epoch,
@@ -163,9 +170,9 @@ class PartitionWorker:
             timings=StageTimings(
                 match_s=t1 - t0,
                 insert_s=durable - t1,
-                # the judge, then the absorb from when both it and the insert ended
-                online_s=(t3 - t2) + (t4 - max(t3, durable)),
-                candidate_s=t5 - t4,
+                online_s=t3 - t2,
+                candidate_s=t4 - t3,
+                total_s=time.perf_counter() - t0,
             ),
         )
 

@@ -254,6 +254,39 @@ def test_push_matches_the_unique_pass_push_bit_for_bit(k):
     assert bank._frames_since_refresh == reference._frames_since_refresh == 12
 
 
+def bank_state(bank):
+    return [getattr(bank, name).tobytes() for name in BANK_ARRAYS] + [
+        bank._frames_since_refresh
+    ]
+
+
+@pytest.mark.parametrize("k", [1, 2, 7])
+def test_restore_undoes_absorb_bit_for_bit(k):
+    """k matches per star and frame, a window shorter than k, past a refresh:
+    absorb then restore leaves every array as it was, and absorbing again
+    gives the same bank as the first absorb."""
+    cfg = MiningConfig(window=5, min_window=2, k_sigma=3.0)
+    stars = np.arange(60, dtype=np.int64) * 2 + 1
+    bank = WindowBank(stars, cfg)
+    rng = np.random.default_rng(k)
+    for f in range(_REFRESH_EVERY + 12):
+        present = stars[rng.random(len(stars)) < 0.8]
+        ids = rng.permutation(np.repeat(present, k))
+        mags = 12.0 + rng.standard_normal(len(ids)) * rng.choice([0.01, 0.3, 4.0], len(ids))
+        _, slots, point_mags = bank.judge(15.0 * f, ids, mags, np.full(len(ids), 0.02))
+        before = bank_state(bank)
+        undo = bank.absorb(slots, point_mags)
+        after = bank_state(bank)
+        if f == _REFRESH_EVERY - 1:  # the refresh moved sums of stars absent this frame
+            absent = np.setdiff1d(np.arange(len(stars)), slots)
+            assert undo[1][0][absent].tobytes() != bank._sum[absent].tobytes()
+        bank.restore(undo)
+        assert bank_state(bank) == before, f
+        bank.absorb(slots, point_mags)
+        assert bank_state(bank) == after, f
+    assert bank._frames_since_refresh == 12
+
+
 @pytest.mark.parametrize("chunk", [1, 7, 1 << 14])
 def test_refresh_in_star_chunks_matches_the_whole_array_refresh(monkeypatch, chunk):
     """Counts below, at and past the window (wrapped heads), any chunking."""
@@ -299,14 +332,15 @@ def test_judge_changes_nothing_and_absorb_completes_update():
         mags = 12.0 + rng.standard_normal(5) * (1.0 if f == 15 else 0.01)
         errs = np.full(5, 0.02)
         before = [getattr(split, name).tobytes() for name in BANK_ARRAYS]
-        alerts, slots = split.judge(15.0 * f, ids, mags, errs)
+        alerts, slots, point_mags = split.judge(15.0 * f, ids, mags, errs)
         assert [getattr(split, name).tobytes() for name in BANK_ARRAYS] == before
         # the frame's columns whole, points picked by row
-        picked, _ = split.judge(
+        picked, _, picked_mags = split.judge(
             15.0 * f, ids, np.concatenate([[0.0], mags]), np.concatenate([[0.0], errs]),
             rows=np.arange(1, 6),
         )
-        split.absorb(slots, mags)
+        assert point_mags.tobytes() == picked_mags.tobytes() == mags.tobytes()
+        split.absorb(slots, picked_mags)
         want = whole.update(15.0 * f, ids, mags, errs)
         assert [vars(a) for a in alerts] == [vars(a) for a in picked] == [vars(a) for a in want]
         for name in BANK_ARRAYS:
