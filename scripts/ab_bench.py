@@ -12,17 +12,20 @@ is even and the change first when it is odd.
         --scratch /tmp/tdcat-ab --workload cadence-full --pairs 10 --seed 1
 
 For every pair it prints both sides' end-to-end metrics, their digests, the
-minor page faults of each run (``ru_minflt`` of the child process) and its
-wall time and CPU seconds (user + sys of the child), so that a change which
-buys wall time with CPU shows it.  A pair whose two runs' page faults differ
-by more than ``FAULT_RATIO`` is marked: its sides ran in different page-fault
-modes, which move ``setup_s`` by about a quarter on the same tree (the gap
-follows the allocator, since ``MALLOC_ARENA_MAX=1`` closes it).  At the end
-it prints, per metric, both sides' medians and quartiles, the number of
-pairs in which the change was better and a verdict (see ``verdict``), the
-number of marked pairs, then each side's failed and attempted operations,
-page faults, wall time and CPU seconds.  It uses only git and the
-standard library, and it writes only under ``--scratch``.
+minor page faults of each run (``ru_minflt`` of the child process), its
+block input and output operations (``ru_inblock`` and ``ru_oublock``: reads
+and writes that reached the device, not the page cache) and its wall time
+and CPU seconds (user + sys of the child), so that a change which buys wall
+time with CPU, or with cold reads, shows it.  A pair whose two runs' page
+faults differ by more than ``FAULT_RATIO`` is marked: its sides ran in
+different page-fault modes, which move ``setup_s`` by about a quarter on the
+same tree (the gap follows the allocator, since ``MALLOC_ARENA_MAX=1``
+closes it).  At the end it prints, per metric, both sides' medians and
+quartiles, the number of pairs in which the change was better and a verdict
+(see ``verdict``), the number of marked pairs, then each side's failed and
+attempted operations, page faults, block input and output operations, wall
+time and CPU seconds.  It uses only git and the standard library, and it
+writes only under ``--scratch``.
 """
 
 from __future__ import annotations
@@ -94,6 +97,8 @@ def run_once(checkout: Path, tree: Path, workload: str, seed: int, seconds: int)
     out = {
         "exit": proc.returncode,
         "minflt": after.ru_minflt - before.ru_minflt,
+        "inblock": after.ru_inblock - before.ru_inblock,
+        "oublock": after.ru_oublock - before.ru_oublock,
         "wall_s": wall,
         "cpu_s": (after.ru_utime + after.ru_stime) - (before.ru_utime + before.ru_stime),
         "metrics": {},
@@ -154,6 +159,7 @@ def main(argv=None) -> int:
                 r = runs[side][-1]
                 shown = "  ".join(f"{k}={v:.6g}" for k, v in sorted(r["metrics"].items()))
                 print(f"  {side:6} exit={r['exit']} minflt={r['minflt']} "
+                      f"inblock={r['inblock']} oublock={r['oublock']} "
                       f"wall={r['wall_s']:.1f}s cpu={r['cpu_s']:.1f}s "
                       f"digest={r['digest']}  {shown}")
                 if "error" in r:
@@ -188,12 +194,15 @@ def main(argv=None) -> int:
             faults = [r["minflt"] for r in runs[side]]
             wall = statistics.median(r["wall_s"] for r in runs[side])
             cpu = statistics.median(r["cpu_s"] for r in runs[side])
+            inblock = statistics.median(r["inblock"] for r in runs[side])
+            oublock = statistics.median(r["oublock"] for r in runs[side])
             digests = sorted({r["digest"] for r in runs[side]})
             failed = sum(r.get("failed") or 0 for r in runs[side])
             attempted = sum(r.get("attempted") or 0 for r in runs[side])
             print(f"  {side:6} failed {failed} of {attempted} operations  "
                   f"minflt median {statistics.median(faults):.0f} "
-                  f"(min {min(faults)}, max {max(faults)})  wall median {wall:.1f}s  "
+                  f"(min {min(faults)}, max {max(faults)})  inblock median {inblock:.0f}  "
+                  f"oublock median {oublock:.0f}  wall median {wall:.1f}s  "
                   f"cpu median {cpu:.1f}s  digests {digests}")
     return 0
 

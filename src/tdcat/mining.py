@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ConfigError, DomainError, EngineConfig, InsufficientDataError
+from .core import ConfigError, DomainError, EngineConfig, InsufficientDataError, row_blocks
 from .crossmatch import build_zone_index, range_join
 
 DIMMING = "dimming"
@@ -34,7 +34,7 @@ BRIGHTENING = "brightening"
 NEW_SOURCE = "new_source"
 
 _REFRESH_EVERY = 512  # frames between exact recomputation of running sums
-_JUDGE_ROWS = 1 << 14  # points judged, or stars refreshed, at a time
+_REFRESH_ROWS = 1 << 14  # stars refreshed at a time
 
 
 @dataclass(frozen=True)
@@ -176,10 +176,10 @@ class WindowBank:
         return n, mean, var
 
     def _refresh_sums(self):
-        """Recompute the running sums from the rings, ``_JUDGE_ROWS`` stars at a time."""
+        """Recompute the running sums from the rings, ``_REFRESH_ROWS`` stars at a time."""
         slot = np.arange(self.config.window)
-        for lo in range(0, self.n_stars, _JUDGE_ROWS):
-            part = slice(lo, lo + _JUDGE_ROWS)
+        for lo in range(0, self.n_stars, _REFRESH_ROWS):
+            part = slice(lo, lo + _REFRESH_ROWS)
             vals = np.where(slot < self._count[part, None], self._ring[part], 0.0)
             self._sum[part] = vals.sum(axis=1)
             self._sumsq[part] = (vals * vals).sum(axis=1)
@@ -225,8 +225,9 @@ class WindowBank:
         Returns ``(alerts, slots, point_mags)``; ``absorb(slots, point_mags)``
         then adds the frame without reading ``mags`` again.  With ``rows``,
         point k takes entry ``rows[k]`` of ``mags``, ``mag_errors`` and
-        ``record_ids``.  Points are judged ``_JUDGE_ROWS`` at a time, which
-        keeps the temporaries small while a segment write overlaps.
+        ``record_ids``.  Points are judged in row blocks on every core
+        (``core.row_blocks``); alerts come in row order, and an unknown star id
+        raises ``DomainError`` for the lowest block that holds one.
         """
         star_ids = np.asarray(star_ids, dtype=np.int64)
         mags = np.asarray(mags, dtype=np.float64)
@@ -234,30 +235,31 @@ class WindowBank:
         rows = np.arange(len(star_ids)) if rows is None else rows
         slots = np.empty(len(star_ids), np.int64)
         point_mags = np.empty(len(star_ids))
-        cfg, alerts = self.config, []
-        for lo in range(0, len(slots), _JUDGE_ROWS):
-            part, pick = slice(lo, lo + _JUDGE_ROWS), rows[lo : lo + _JUDGE_ROWS]
+
+        def block(lo, hi):
+            part, pick = slice(lo, hi), rows[lo:hi]
             slots[part] = self._slots_of(star_ids[part])
             n, mean, var = self.baseline_stats(slots[part])
             point_mags[part] = mags[pick]
             err, mag = mag_errors[pick], point_mags[part]
             combined = np.sqrt(var + err * err)
             dev = mag - mean
-            hit = (n >= cfg.min_window) & (np.abs(dev) > cfg.k_sigma * combined)
-            for j in np.flatnonzero(hit):
-                i, c = lo + j, combined[j]
-                alerts.append(
-                    Alert(
-                        kind=DIMMING if dev[j] > 0 else BRIGHTENING,
-                        epoch=float(epoch),
-                        star_id=int(star_ids[i]),
-                        record_id=0 if record_ids is None else int(record_ids[rows[i]]),
-                        mag=float(mag[j]),
-                        baseline_mag=float(mean[j]),
-                        deviation_sigma=float(abs(dev[j]) / c) if c > 0 else math.inf,
-                        camera_id=camera_id,
-                    )
+            hit = (n >= self.config.min_window) & (np.abs(dev) > self.config.k_sigma * combined)
+            return [
+                Alert(
+                    kind=DIMMING if dev[j] > 0 else BRIGHTENING,
+                    epoch=float(epoch),
+                    star_id=int(star_ids[lo + j]),
+                    record_id=0 if record_ids is None else int(record_ids[pick[j]]),
+                    mag=float(mag[j]),
+                    baseline_mag=float(mean[j]),
+                    deviation_sigma=float(abs(dev[j]) / c) if c > 0 else math.inf,
+                    camera_id=camera_id,
                 )
+                for j, c in zip(np.flatnonzero(hit), combined[hit])
+            ]
+
+        alerts = [a for part in row_blocks(len(slots), block) for a in part]
         return alerts, slots, point_mags
 
     def absorb(self, slots, mags):

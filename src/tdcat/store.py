@@ -15,11 +15,12 @@ transient candidates), the frame ``epoch`` and a ``candidate`` flag byte
 (179 bytes per row).  The CSV interchange format carries the 22 catalog
 column names as its header, in column order.
 
-Crash safety is write-to-temp + atomic rename throughout, and every file is
-read by one rule: the newest base run, then the delta segments of the nights
-after it.  Readers never see a partial segment, and an interrupted merge
-either leaves the old base intact or leaves a committed new base whose stale
-inputs the rule already skips; only the next merge deletes them.
+A binary file is written to a temp file, which is fsynced and renamed, and its
+directory is then fsynced (segments and TDS1 files by direct I/O).  Every file
+is read by one rule: the newest base run, then the delta segments of the
+nights after it.  Readers never see a partial segment, and an interrupted
+merge either leaves the old base intact or leaves a committed new base whose
+stale inputs the rule already skips; only the next merge deletes them.
 
 Rows are moved as opaque 179-byte items (NumPy copies structured rows field
 by field, several times slower), and orders come from key columns alone.  A
@@ -31,6 +32,7 @@ with the history; it still rewrites the whole base.
 from __future__ import annotations
 
 import csv
+import errno
 import os
 import time
 from bisect import bisect_left, bisect_right
@@ -84,20 +86,67 @@ def night_of(epoch: float) -> int:
 # file primitives
 
 
-def _atomic_write(path: Path, chunks) -> None:
-    """Write chunks to ``path`` via temp + rename."""
-    path = Path(path)
-    tmp = path.with_suffix(path.suffix + ".tmp")
+_PAGE = os.sysconf("SC_PAGE_SIZE")  # O_DIRECT aligns memory, offsets and lengths to it
+
+
+def _page_buffer(header: bytes, nbytes: int) -> np.ndarray:
+    """Whole pages from a page boundary: ``header``, ``nbytes`` to fill, zeros.
+
+    Carved from an over-allocated ``np.empty``: a frame reuses the last one's heap.
+    """
+    size = len(header) + nbytes
+    raw = np.empty(-(-size // _PAGE) * _PAGE + _PAGE, np.uint8)
+    buf = raw[-raw.ctypes.data % _PAGE:][: len(raw) - _PAGE]
+    buf[:len(header)], buf[size:] = np.frombuffer(header, np.uint8), 0
+    return buf
+
+
+def _fsync_dir(path: Path) -> None:
+    fd = os.open(path, os.O_RDONLY)
     try:
-        with open(tmp, "wb") as fh:
-            for chunk in chunks:
-                fh.write(chunk)
-            fh.flush()
-            os.fsync(fh.fileno())
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def _write_framed(path: Path, header: bytes, rows: np.ndarray, new_dirs=()) -> None:
+    """Durably write ``header``, then the bytes of ``rows``, to ``path``.
+
+    Rows in a ``_page_buffer`` behind this header go out from it, others from
+    a copy, in one ``O_DIRECT`` write (buffered where that is ``EINVAL``); the
+    temp file is cut to size, fsynced and renamed, then the directories that
+    hold ``path`` and ``new_dirs`` (made for it) are fsynced.
+    """
+    size, raw, lo = len(header) + rows.nbytes, rows.base, -1
+    if isinstance(raw, np.ndarray) and raw.flags.c_contiguous and rows.flags.c_contiguous:
+        raw = raw.reshape(-1).view(np.uint8)
+        lo = rows.ctypes.data - len(header) - raw.ctypes.data
+    buf = raw[lo:lo + -(-size // _PAGE) * _PAGE] if lo >= 0 else None
+    if (buf is None or len(buf) % _PAGE or buf.ctypes.data % _PAGE
+            or buf[:len(header)].tobytes() != header):
+        buf = _page_buffer(header, rows.nbytes)
+        as_items(buf[len(header):size].view(rows.dtype))[:] = as_items(rows)
+    tmp, flags = path.with_suffix(path.suffix + ".tmp"), os.O_WRONLY | os.O_CREAT | os.O_TRUNC
+    try:
+        try:
+            fd = os.open(tmp, flags | os.O_DIRECT, 0o666)
+        except OSError as exc:
+            if exc.errno != errno.EINVAL:
+                raise
+            fd = os.open(tmp, flags, 0o666)
+        try:
+            view = memoryview(buf)
+            while view:
+                view = view[os.write(fd, view):]
+            os.ftruncate(fd, size)
+            os.fsync(fd)
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
+        for entry in (path, *new_dirs):  # an entry is durable once its directory is
+            _fsync_dir(entry.parent)
     except OSError as exc:
-        if tmp.exists():
-            tmp.unlink()
+        tmp.unlink(missing_ok=True)
         raise StorageError(f"write to {path} failed: {exc}") from exc
 
 
@@ -180,9 +229,8 @@ def _ordered(layers, keys) -> np.ndarray:
 
 def write_records_bin(path, records: np.ndarray) -> None:
     """Interchange TDS1 file of catalog rows."""
-    records = np.ascontiguousarray(records, dtype=RECORD_DTYPE)
-    header = TDS_MAGIC + np.uint64(len(records)).tobytes()
-    _atomic_write(Path(path), [header, records.view(np.uint8)])
+    records = np.asarray(records, dtype=RECORD_DTYPE)
+    _write_framed(Path(path), TDS_MAGIC + np.uint64(len(records)).tobytes(), records)
 
 
 def read_records_bin(path) -> np.ndarray:
@@ -258,7 +306,8 @@ def frame_to_store_records(frame, matches) -> np.ndarray:
     """Store rows for one frame: catalog columns plus match outcome.
 
     Built in contiguous row blocks on every core (``core.row_blocks``), each
-    block filling its own rows of the one output array.
+    block filling its own rows of the one output array, which sits in a page
+    buffer behind the frame's TDL1 header for ``NightStore.delta_insert``.
     """
     records = frame.records
     if records.dtype != RECORD_DTYPE:
@@ -269,8 +318,9 @@ def frame_to_store_records(frame, matches) -> np.ndarray:
         raise DomainError(
             f"match result covers {matches.n_frame} records, frame has {n}"
         )
-    out = np.empty(n, dtype=STORE_DTYPE)
-    row_bytes = out.view(np.uint8).reshape(n, STORE_RECORD_SIZE)
+    header = DELTA_MAGIC + np.uint64(n).tobytes() + np.float64(frame.epoch).tobytes()
+    out = _page_buffer(header, n * STORE_RECORD_SIZE)[len(header):][: n * STORE_RECORD_SIZE]
+    row_bytes = out.reshape(n, STORE_RECORD_SIZE)
     record_bytes = records.view(np.uint8).reshape(n, RECORD_SIZE)
     matched_rows = matches.matched_rows  # in row order
     if len(matched_rows) and len(matches.record_ids) != len(matched_rows):
@@ -296,7 +346,7 @@ def frame_to_store_records(frame, matches) -> np.ndarray:
         )
 
     row_blocks(n, block)
-    return out
+    return out.view(STORE_DTYPE)
 
 
 class NightStore:
@@ -399,8 +449,8 @@ class NightStore:
         ``rows`` is ``frame_to_store_records(frame, matches)``.  Epochs start
         at 0: the store's nights are ``night_of(epoch) >= 0``.  No record id
         may repeat within the frame, since reads order a frame's rows by id.
-        The rows are built by the caller and only written here, so this call
-        allocates nothing the size of the frame and may run on a helper thread.
+        Rows built for this frame are written from their page buffer, with no
+        copy, so this may run on a helper thread; a returned insert is durable.
         """
         if frame.epoch < 0:
             raise DomainError(f"frame epoch {frame.epoch} is negative")
@@ -424,9 +474,10 @@ class NightStore:
                     f"{self._last_epoch}"
                 )
             path = self._segment_path(frame)
+            made = [d for d in (self.root, self.delta_dir, path.parent) if not d.is_dir()]
             path.parent.mkdir(parents=True, exist_ok=True)
             count, epoch = np.uint64(len(rows)).tobytes(), np.float64(frame.epoch).tobytes()
-            _atomic_write(path, [DELTA_MAGIC + count + epoch, rows.view(np.uint8)])
+            _write_framed(path, DELTA_MAGIC + count + epoch, rows, made)
             self._last_epoch = frame.epoch
             self.stats.records_ingested += len(rows)
             return InsertAck(
@@ -515,11 +566,8 @@ class NightStore:
                 os.fsync(fh.fileno())
             os.replace(staging, final)  # commit point
             # the rename is durable only once its directory entry is on disk
-            dir_fd = os.open(self.base_dir, os.O_RDONLY)
-            try:
-                os.fsync(dir_fd)
-            finally:
-                os.close(dir_fd)
+            for directory in (self.base_dir, self.root):  # base/ may be new
+                _fsync_dir(directory)
             self.recover()  # sweeps old base + folded delta nights
             self._load_state()
             return MergeReport(

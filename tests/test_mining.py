@@ -13,7 +13,7 @@ from tdcat.core import (
     InsufficientDataError,
     records_from_radec,
 )
-from tdcat import mining
+from tdcat import core, mining
 from tdcat.mining import (
     BRIGHTENING,
     DIMMING,
@@ -290,7 +290,7 @@ def test_restore_undoes_absorb_bit_for_bit(k):
 @pytest.mark.parametrize("chunk", [1, 7, 1 << 14])
 def test_refresh_in_star_chunks_matches_the_whole_array_refresh(monkeypatch, chunk):
     """Counts below, at and past the window (wrapped heads), any chunking."""
-    monkeypatch.setattr(mining, "_JUDGE_ROWS", chunk)
+    monkeypatch.setattr(mining, "_REFRESH_ROWS", chunk)
     cfg = MiningConfig(window=6, min_window=2)
     stars = np.arange(50, dtype=np.int64)
     bank = WindowBank(stars, cfg)
@@ -345,6 +345,44 @@ def test_judge_changes_nothing_and_absorb_completes_update():
         assert [vars(a) for a in alerts] == [vars(a) for a in picked] == [vars(a) for a in want]
         for name in BANK_ARRAYS:
             assert getattr(split, name).tobytes() == getattr(whole, name).tobytes()
+
+
+@pytest.mark.parametrize("block_rows", [1, 7, 1 << 14])
+def test_judge_in_row_blocks_equals_one_block(monkeypatch, block_rows):
+    """Frames with duplicate-star rows, points picked by row: every blocking
+    gives the alerts, slots and point magnitudes of one block."""
+    cfg = MiningConfig(window=6, min_window=2, k_sigma=3.0)
+    stars = np.arange(40, dtype=np.int64) * 3 + 1
+    bank = WindowBank(stars, cfg)
+    rng = np.random.default_rng(block_rows)
+    alerted = 0
+    for f in range(30):
+        ids = rng.choice(stars, 60)  # most stars twice or more
+        width = len(ids) + 3
+        mags = 12.0 + rng.standard_normal(width) * np.where(rng.random(width) < 0.05, 2.0, 0.01)
+        errs = np.full(width, 0.02)
+        rows = rng.permutation(width)[: len(ids)]
+        args = (15.0 * f, ids, mags, errs, np.arange(width, dtype=np.uint64) + 1000, 2, rows)
+        monkeypatch.setattr(core, "_BLOCK_ROWS", 1 << 30)
+        want = bank.judge(*args)
+        monkeypatch.setattr(core, "_BLOCK_ROWS", block_rows)
+        got = bank.judge(*args)
+        assert [vars(a) for a in got[0]] == [vars(a) for a in want[0]]
+        assert got[1].tobytes() == want[1].tobytes()
+        assert got[2].tobytes() == want[2].tobytes()
+        alerted += len(want[0])
+        bank.absorb(want[1], want[2])
+    assert alerted > 5
+
+
+def test_judge_names_unknown_star_ids_of_the_lowest_failing_block(monkeypatch):
+    bank = WindowBank(np.arange(10, dtype=np.int64) * 2, MiningConfig())
+    ids = np.zeros(35, np.int64)
+    ids[16], ids[30] = 1001, 999  # in blocks 2 and 4 of 7 rows each; 999 sorts first
+    monkeypatch.setattr(core, "_BLOCK_ROWS", 7)
+    with pytest.raises(DomainError, match="1001") as raised:
+        bank.judge(0.0, ids, np.full(35, 12.0), np.full(35, 0.02))
+    assert "999" not in str(raised.value)
 
 
 def test_bank_rejects_unknown_and_unsorted_stars():

@@ -1,3 +1,4 @@
+import errno
 import os
 import shutil
 import stat
@@ -26,6 +27,7 @@ from tdcat.core import (
     EngineConfig,
     SequenceError,
     StorageError,
+    take_rows,
 )
 from tdcat.crossmatch import build_zone_index, range_join
 from tdcat.skygen import SkyModel, build_template, observe_frame
@@ -331,6 +333,145 @@ def test_delta_insert_refuses_a_repeated_record_id(tmp_path, sky):
     assert len(store.query_records()) == len(rows)
 
 
+# ---------------------------------------------------------------------------
+# the file writer
+
+
+def frame_of(sky, n, epoch=15.0):
+    """A frame of ``n`` rows: the sky frame's rows repeated, under new ids."""
+    frame, _ = frame_at(sky, epoch)
+    records = np.resize(frame.records, n)
+    records["id"] = frame.records["id"][0] + np.arange(n, dtype=np.uint64)
+    return replace(frame, records=records), range_join(records, sky[1], CFG.match_radius_deg)
+
+
+def segment_header(n, epoch):
+    return DELTA_MAGIC + np.uint64(n).tobytes() + np.float64(epoch).tobytes()
+
+
+@pytest.mark.parametrize("n", [0, 1, 3683, 3684, 3685])
+def test_written_files_are_the_header_then_the_rows(tmp_path, sky, n):
+    """At n = 3684 a segment, 20 + 179 n bytes, is exactly 161 pages."""
+    frame, matches = frame_of(sky, n)
+    rows = frame_to_store_records(frame, matches)
+    ack = NightStore(tmp_path, 0).delta_insert(frame, rows)
+    assert ack.segment_path.read_bytes() == segment_header(n, frame.epoch) + rows.tobytes()
+    path = tmp_path / "frame.tds"
+    write_records_bin(path, frame.records)
+    assert path.read_bytes() == b"TDS1" + np.uint64(n).tobytes() + frame.records.tobytes()
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
+@pytest.mark.parametrize(
+    "kind", ["built", "take_rows", "head", "page-aligned-tail", "strided", "other-epoch"]
+)
+def test_rows_outside_their_segment_buffer_are_copied(tmp_path, sky, monkeypatch, kind):
+    """Only rows built for the frame are written from their own buffer; any
+    other rows are copied, and no byte around the given rows is written."""
+    frame, matches = frame_of(sky, 5000)
+    rows = frame_to_store_records(frame, matches)
+    around = rows.base.tobytes()  # the buffer the rows sit in
+    given, epoch = {
+        "built": (rows, frame.epoch),
+        "take_rows": (take_rows(rows, np.arange(len(rows))), frame.epoch),
+        "head": (rows[:-1], frame.epoch),
+        "page-aligned-tail": (rows[4096:], frame.epoch),  # 179 * 4096 bytes in: a page boundary
+        "strided": (rows[::2], frame.epoch),
+        "other-epoch": (rows, frame.epoch + 15.0),
+    }[kind]
+    copies = []
+    page_buffer = store_mod._page_buffer
+    monkeypatch.setattr(
+        store_mod, "_page_buffer", lambda *args: copies.append(args) or page_buffer(*args)
+    )
+    ack = NightStore(tmp_path, 0).delta_insert(replace(frame, epoch=epoch), given)
+    assert ack.segment_path.read_bytes() == segment_header(len(given), epoch) + given.tobytes()
+    assert len(copies) == (kind != "built")
+    assert rows.base.tobytes() == around
+
+
+def test_file_write_without_direct_io_gives_the_same_bytes(tmp_path, sky, monkeypatch):
+    frame, matches = frame_at(sky, 15.0)
+    rows = frame_to_store_records(frame, matches)
+    want = NightStore(tmp_path / "direct", 0).delta_insert(frame, rows).segment_path.read_bytes()
+    real_open, opened = os.open, []
+
+    def refuse_direct_io(path, flags, *args):
+        opened.append(flags)
+        if flags & os.O_DIRECT:
+            raise OSError(errno.EINVAL, "direct I/O refused")
+        return real_open(path, flags, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(store_mod.os, "open", refuse_direct_io)
+        ack = NightStore(tmp_path / "buffered", 0).delta_insert(frame, rows)
+        path = tmp_path / "frame.tds"
+        write_records_bin(path, frame.records)
+    assert ack.segment_path.read_bytes() == want
+    assert path.read_bytes() == b"TDS1" + np.uint64(len(rows)).tobytes() + frame.records.tobytes()
+    assert [flags & os.O_DIRECT for flags in opened[:2]] == [os.O_DIRECT, 0]
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
+@pytest.mark.parametrize("call", ["write", "fsync"])
+def test_failed_file_write_raises_and_leaves_no_temp_file(tmp_path, sky, monkeypatch, call):
+    store = NightStore(tmp_path, 0)
+    frame, matches = frame_at(sky, 15.0)
+    rows = frame_to_store_records(frame, matches)
+
+    def fail(*args):
+        raise OSError(errno.EIO, f"injected {call} failure")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(store_mod.os, call, fail)
+        with pytest.raises(StorageError, match=f"injected {call} failure"):
+            store.delta_insert(frame, rows)
+        with pytest.raises(StorageError, match=f"injected {call} failure"):
+            write_records_bin(tmp_path / "frame.tds", frame.records)
+    assert not list(tmp_path.rglob("*.tmp"))
+    assert not list(tmp_path.rglob("seg_*.tdl")) and not (tmp_path / "frame.tds").exists()
+    ack = store.delta_insert(frame, rows)  # the failed insert left the store as it was
+    assert ack.segment_path.read_bytes() == segment_header(len(rows), frame.epoch) + rows.tobytes()
+
+
+def test_insert_fsyncs_its_directory_and_the_parent_of_each_it_made(tmp_path, sky, monkeypatch):
+    store = NightStore(tmp_path, 0)
+    events = []
+    real_fsync, real_replace = store_mod.os.fsync, store_mod.os.replace
+
+    def fsync(fd):
+        events.append(("fsync", os.fstat(fd)))
+        real_fsync(fd)
+
+    def replace_(src, dst):
+        real_replace(src, dst)
+        events.append(("replace", Path(dst)))
+
+    monkeypatch.setattr(store_mod.os, "fsync", fsync)
+    monkeypatch.setattr(store_mod.os, "replace", replace_)
+
+    def synced_after_commit(epoch):
+        events.clear()
+        frame, matches = frame_at(sky, epoch)
+        ack = store.delta_insert(frame, frame_to_store_records(frame, matches))
+        # the rename is the commit; the entries it needs must reach the disk after it
+        commit = events.index(("replace", ack.segment_path))
+        return {
+            (st.st_dev, st.st_ino)
+            for kind, st in events[commit + 1:]
+            if kind == "fsync" and stat.S_ISDIR(st.st_mode)
+        }
+
+    def dirs(*paths):
+        return {(os.stat(p).st_dev, os.stat(p).st_ino) for p in paths}
+
+    night0, night1 = store.delta_dir / "night_00000", store.delta_dir / "night_00001"
+    # the first insert made partition_00/, delta/ and night_00000/
+    assert synced_after_commit(15.0) == dirs(night0, store.delta_dir, store.root, tmp_path)
+    assert synced_after_commit(30.0) == dirs(night0)
+    assert synced_after_commit(86415.0) == dirs(night1, store.delta_dir)
+
+
 def test_bytes_on_disk_is_the_size_of_the_partition_files(tmp_path, sky):
     def file_bytes():
         files = [p for p in (tmp_path / "partition_00").rglob("*") if p.is_file()]
@@ -618,13 +759,14 @@ def test_merge_commit_fsyncs_base_directory(tmp_path, sky, monkeypatch):
     monkeypatch.undo()
     # the rename is the commit; its directory entry must reach the disk after it
     commit = events.index(("replace", report.base_path))
-    base_dir = os.stat(store.base_dir)
+    base_dir, root = os.stat(store.base_dir), os.stat(store.root)
     synced_dirs = [
         (st.st_dev, st.st_ino)
         for kind, st in events[commit + 1:]
         if kind == "fsync" and stat.S_ISDIR(st.st_mode)
     ]
     assert (base_dir.st_dev, base_dir.st_ino) in synced_dirs
+    assert (root.st_dev, root.st_ino) in synced_dirs  # this merge made base/
 
 
 def test_recover_completes_committed_merge(tmp_path, sky, monkeypatch):
