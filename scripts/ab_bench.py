@@ -11,21 +11,23 @@ is even and the change first when it is odd.
     python3 scripts/ab_bench.py --base HEAD~1 --change HEAD \\
         --scratch /tmp/tdcat-ab --workload cadence-full --pairs 10 --seed 1
 
-For every pair it prints both sides' end-to-end metrics, their digests, the
-minor page faults of each run (``ru_minflt`` of the child process), its
-block input and output operations (``ru_inblock`` and ``ru_oublock``: reads
-and writes that reached the device, not the page cache) and its wall time
-and CPU seconds (user + sys of the child), so that a change which buys wall
-time with CPU, or with cold reads, shows it.  A pair whose two runs' page
-faults differ by more than ``FAULT_RATIO`` is marked: its sides ran in
-different page-fault modes, which move ``setup_s`` by about a quarter on the
-same tree (the gap follows the allocator, since ``MALLOC_ARENA_MAX=1``
-closes it).  At the end it prints, per metric, both sides' medians and
-quartiles, the number of pairs in which the change was better and a verdict
-(see ``verdict``), the number of marked pairs, then each side's failed and
-attempted operations, page faults, block input and output operations, wall
-time and CPU seconds.  It uses only git and the standard library, and it
-writes only under ``--scratch``.
+For every pair it prints both sides' end-to-end metrics (the gated ones and
+the ungated ones of the run's record, such as history's ``query_p50_ms``),
+their digests, the minor page faults of each run (``ru_minflt`` of the child
+process), its block input and output operations (``ru_inblock`` and
+``ru_oublock``: reads and writes that reached the device, not the page
+cache) and its wall time and CPU seconds (user + sys of the child), so that
+a change which buys wall time with CPU, or with cold reads, shows it.  A
+pair whose two runs' page faults differ by more than ``FAULT_RATIO`` is
+marked: its sides ran in different page-fault modes, which move ``setup_s``
+by about a quarter on the same tree (the gap follows the allocator, since
+``MALLOC_ARENA_MAX=1`` closes it).  At the end it prints, per metric, both
+sides' medians and quartiles, the number of pairs in which the change was
+better and a verdict (see ``verdict``; "ungated" for a metric with no
+bound), the number of marked pairs, then each side's failed and attempted
+operations, page faults, block input and output operations, wall time and
+CPU seconds.  It uses only git and the standard library, and it writes only
+under ``--scratch``.
 """
 
 from __future__ import annotations
@@ -113,6 +115,11 @@ def run_once(checkout: Path, tree: Path, workload: str, seed: int, seconds: int)
     out["metrics"] = {
         name.split(".", 1)[-1]: m["value"] for name, m in result["metrics"].items()
     }
+    records = [line.split(" -> ", 1)[1] for line in lines if line.startswith("record -> ")]
+    if records:  # the end-to-end figures BENCHMARK.json does not gate
+        extra = json.loads(Path(records[0]).read_text())["end_to_end"]
+        out["metrics"] = {**extra, **out["metrics"]}
+        out["metrics"].pop("failed_ops_ratio", None)
     out["failed"], out["attempted"] = result.get("failed"), result.get("attempted")
     digests = [line.split()[-1] for line in lines if line.strip().startswith("digest:")]
     out["digest"] = ",".join(digests) or "-"
@@ -140,8 +147,8 @@ def main(argv=None) -> int:
         export(getattr(args, side), ["src"], scratch / "trees" / side)
     export(args.change, ["perfbench", "BENCHMARK.json"], checkout)
     spec = json.loads((checkout / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     bound = {m["name"]: m["bound"] for m in spec["end_to_end"]}
+    better = {m["name"]: m["better"] for m in spec["per_layer"] + spec["end_to_end"]}
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
 
     for workload in workloads:
@@ -173,7 +180,7 @@ def main(argv=None) -> int:
         print(f"{workload}: median [quartiles] over {args.pairs} pairs, "
               "and the pairs in which the change was better; "
               f"{marked} pairs marked for minflt (> {FAULT_RATIO}x)")
-        for name in sorted(better):
+        for name in sorted(better, key=lambda n: (n not in bound, n)):
             pairs = [
                 (b["metrics"][name], c["metrics"][name])
                 for b, c in zip(runs["base"], runs["change"])
@@ -187,9 +194,9 @@ def main(argv=None) -> int:
             rel = (change_q[1] / base_q[1] - 1.0) * 100.0 if base_q[1] else float("nan")
             print(f"  {name:14} base {base_q[1]:.6g} [{base_q[0]:.6g}, {base_q[2]:.6g}]  "
                   f"change {change_q[1]:.6g} [{change_q[0]:.6g}, {change_q[2]:.6g}]  "
-                  f"({rel:+.1f}%)  better in {wins} of {len(pairs)}  "
-                  f"{verdict(base_q, change_q, wins, len(pairs), better[name], bound[name])} "
-                  f"(bound {bound[name]:.0%})")
+                  f"({rel:+.1f}%)  better in {wins} of {len(pairs)}  " + (
+                      f"{verdict(base_q, change_q, wins, len(pairs), better[name], bound[name])} "
+                      f"(bound {bound[name]:.0%})" if name in bound else "ungated"))
         for side in SIDES:
             faults = [r["minflt"] for r in runs[side]]
             wall = statistics.median(r["wall_s"] for r in runs[side])

@@ -12,7 +12,6 @@ directory; there is no daemon and no hidden state.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 from dataclasses import fields as dc_fields
@@ -30,6 +29,7 @@ from .core import (
     FrameBatch,
     SequenceError,
     check_records,
+    write_csv,
 )
 from .crossmatch import build_zone_index, range_join
 from .lightcurve import query_curve
@@ -245,8 +245,7 @@ def cmd_merge(args) -> int:
     root = data_dir_of(args)
     store = NightStore(root, args.partition)
     if args.night is not None:
-        pending = store._delta_nights()
-        beyond = [n for n in pending if n > args.night]
+        beyond = [n for n in store._snapshot()[2] if n > args.night]
         if beyond:
             raise EngineError(
                 f"delta log extends past night {args.night}: nights {beyond}"
@@ -267,24 +266,20 @@ def cmd_crossmatch(args) -> int:
     config, _ = build_configs(args)
     template = _read_interchange(args.template, config)
     index = build_zone_index(template, config.zone_height_deg)
-    n_matched = n_unmatched = 0
-    with open(args.out_matches, "w", newline="") as mf, open(
-        args.out_candidates, "w", newline=""
-    ) as cf:
-        mw, cw = csv.writer(mf), csv.writer(cf)
-        mw.writerow(["record_id", "star_id", "separation_deg"])
-        cw.writerow(["record_id"])
+    kept = []  # (matched count, candidate ids) of each frame
+
+    def pairs():  # one frame's matches at a time
         for path in args.frame:
-            records = _read_interchange(path, config)
-            result = range_join(records, index, config.match_radius_deg)
-            for rid, sid, sep in result.pairs():
-                mw.writerow([int(rid), int(sid), repr(float(sep))])
-            for rid in result.unmatched_ids:
-                cw.writerow([int(rid)])
-            n_matched += result.n_matched
-            n_unmatched += result.n_unmatched
+            r = range_join(_read_interchange(path, config), index, config.match_radius_deg)
+            kept.append((r.n_matched, r.unmatched_ids))
+            yield from r.pairs()
+
+    write_csv(args.out_matches, ["record_id", "star_id", "separation_deg"], pairs())
+    write_csv(args.out_candidates, ["record_id"],
+              ([i] for _, ids in kept for i in ids.tolist()))
     print(
-        f"{n_matched} matched, {n_unmatched} candidates -> "
+        f"{sum(n for n, _ in kept)} matched, "
+        f"{sum(len(ids) for _, ids in kept)} candidates -> "
         f"{args.out_matches}, {args.out_candidates}"
     )
     return 0
@@ -331,19 +326,7 @@ def cmd_query(args) -> int:
         _stores_of(args, data_dir_of(args)), args.star,
         epoch_min=args.epoch_min, epoch_max=args.epoch_max,
     )
-    out = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
-        w = csv.writer(out)
-        w.writerow(["epoch", "calmag", "mag_error", "flux", "flux_err"])
-        for p in curve.points:
-            w.writerow(
-                [repr(float(p["epoch"])), repr(float(p["calmag"])),
-                 repr(float(p["mag_error"])), repr(float(p["flux"])),
-                 repr(float(p["flux_err"]))]
-            )
-    finally:
-        if args.out:
-            out.close()
+    write_csv(args.out, curve.points.dtype.names, curve.points.tolist())
     print(
         f"star {args.star}: {curve.n_points} points"
         + (f" -> {args.out}" if args.out else ""),
@@ -376,11 +359,7 @@ def cmd_mine_period(args) -> int:
     result = period_search(curve.epochs, curve.mags, mining)
     if args.out:
         freqs, power = result.scan
-        with open(args.out, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["frequency_hz", "power"])
-            for f, p in zip(freqs, power):
-                w.writerow([repr(float(f)), repr(float(p))])
+        write_csv(args.out, ["frequency_hz", "power"], zip(freqs, power))
         print(f"periodogram ({len(freqs)} frequencies) -> {args.out}")
     print(
         f"star {args.star}: best period {result.period_s:.6f} s "

@@ -7,11 +7,14 @@ degrees; magnitudes are instrumental unless stated otherwise.
 
 from __future__ import annotations
 
+import csv
 import math
 import os
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from pathlib import Path
 
 import numpy as np
 
@@ -387,3 +390,74 @@ class FrameBatch:
 
     def __len__(self) -> int:
         return len(self.records)
+
+
+# ---------------------------------------------------------------------------
+# CSV products
+
+
+def write_csv(path, header, rows) -> None:
+    """Write ``header``, then ``rows``, as CSV to ``path`` (stdout when None).
+
+    Floats are written as ``repr(float(v))``, which ``float`` reads back
+    exactly, and other values as ``str`` gives them.  A file is written to a
+    temp file beside it, then renamed over ``path``.
+    """
+    def emit(fh):
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(
+            [repr(float(v)) if isinstance(v, (float, np.floating)) else v for v in row]
+            for row in rows
+        )
+
+    if path is None:
+        return emit(sys.stdout)
+    tmp = Path(f"{path}.tmp")
+    try:
+        with open(tmp, "w", newline="") as fh:
+            emit(fh)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _parse_column(path, name, parse, values) -> list:
+    try:
+        return list(map(parse, values))
+    except ValueError:
+        for line, value in enumerate(values, 2):
+            try:
+                parse(value)
+            except ValueError as exc:
+                raise StorageError(f"{path}, line {line}: column {name}: {exc}") from None
+
+
+def read_csv(path, header, parsers) -> list:
+    """The columns of a CSV file as ``write_csv`` writes it, one list each.
+
+    The first row must be ``header`` and every later row must have one field
+    per column; column ``k`` is parsed by ``parsers[k]``.  A file that is not
+    CSV text, a wrong header, a ragged row or a value that does not parse
+    raises StorageError naming the file, and the line where there is one.
+    """
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            found = next(reader, None)
+            rows = list(reader)
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise StorageError(f"{path}: not a CSV file: {exc}") from None
+    if found != header:
+        raise StorageError(f"{path}: expected the header {header}, got {found}")
+    for line, row in enumerate(rows, 2):
+        if len(row) != len(header):
+            raise StorageError(f"{path}, line {line}: {len(row)} fields, not {len(header)}")
+    columns = list(zip(*rows)) or [()] * len(header)
+    return [_parse_column(path, *c) for c in zip(header, parsers, columns)]
+
+
+def csv_columns(cls) -> tuple:
+    """``(header, parsers)`` of a dataclass's CSV: its field names and types."""
+    parsers = {"str": str, "int": int, "float": float}
+    return [f.name for f in fields(cls)], [parsers[f.type] for f in fields(cls)]

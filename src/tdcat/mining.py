@@ -20,13 +20,15 @@ frequency grid with a local refinement pass around the top peak.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
-from .core import ConfigError, DomainError, EngineConfig, InsufficientDataError, row_blocks
+from .core import (
+    ConfigError, DomainError, EngineConfig, InsufficientDataError, csv_columns, read_csv,
+    row_blocks, write_csv,
+)
 from .crossmatch import build_zone_index, range_join
 
 DIMMING = "dimming"
@@ -83,44 +85,13 @@ class Alert:
     camera_id: int = 0
 
 
-ALERT_CSV_HEADER = [
-    "kind", "epoch", "star_id", "record_id", "mag", "baseline_mag",
-    "deviation_sigma", "ra", "dec", "n_frames", "camera_id",
-]
-
-
 def write_alerts_csv(path, alerts) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(ALERT_CSV_HEADER)
-        for a in alerts:
-            w.writerow(
-                [
-                    a.kind, repr(a.epoch), a.star_id, a.record_id, repr(a.mag),
-                    repr(a.baseline_mag), repr(a.deviation_sigma), repr(a.ra),
-                    repr(a.dec), a.n_frames, a.camera_id,
-                ]
-            )
+    """One row per alert, its fields as the columns."""
+    write_csv(path, csv_columns(Alert)[0], map(astuple, alerts))
 
 
 def read_alerts_csv(path):
-    alerts = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ALERT_CSV_HEADER:
-            raise DomainError(f"{path}: unexpected alert header {header}")
-        for row in reader:
-            alerts.append(
-                Alert(
-                    kind=row[0], epoch=float(row[1]), star_id=int(row[2]),
-                    record_id=int(row[3]), mag=float(row[4]),
-                    baseline_mag=float(row[5]), deviation_sigma=float(row[6]),
-                    ra=float(row[7]), dec=float(row[8]), n_frames=int(row[9]),
-                    camera_id=int(row[10]),
-                )
-            )
-    return alerts
+    return [Alert(*row) for row in zip(*read_csv(path, *csv_columns(Alert)))]
 
 
 # ---------------------------------------------------------------------------

@@ -17,19 +17,18 @@ are telemetry, not products.
 
 from __future__ import annotations
 
-import csv
 import json
 import time
 import weakref
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .core import DomainError, EngineConfig, take_rows
+from .core import DomainError, EngineConfig, take_rows, write_csv
 from .crossmatch import range_join
 from .mining import (
     CandidateTracker,
@@ -191,19 +190,11 @@ CADENCE_CSV_HEADER = [
 
 def write_cadence_csv(path, outcomes) -> None:
     """One row of counts and stage timings per ``FrameOutcome`` of a night."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(CADENCE_CSV_HEADER)
-        for f in outcomes:
-            t = f.timings
-            w.writerow(
-                [
-                    f.imageid, repr(f.epoch), f.n_records, f.n_matched,
-                    f.n_unmatched, f.n_ambiguous, len(f.alerts),
-                    repr(t.match_s), repr(t.insert_s), repr(t.online_s),
-                    repr(t.candidate_s), repr(t.total_s),
-                ]
-            )
+    write_csv(path, CADENCE_CSV_HEADER, (
+        [f.imageid, f.epoch, f.n_records, f.n_matched, f.n_unmatched, f.n_ambiguous,
+         len(f.alerts), t.match_s, t.insert_s, t.online_s, t.candidate_s, t.total_s]
+        for f in outcomes for t in [f.timings]
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -524,11 +515,4 @@ def scaling_benchmark(
 
 
 def write_scaling_csv(path, points) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(SCALING_CSV_HEADER)
-        for p in points:
-            w.writerow(
-                [p.workers, p.n_partitions, repr(p.wall_s), repr(p.speedup),
-                 repr(p.efficiency)]
-            )
+    write_csv(path, SCALING_CSV_HEADER, map(astuple, points))

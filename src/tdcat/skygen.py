@@ -7,10 +7,8 @@ with optional injected transients whose ground truth is logged for tests.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -20,9 +18,12 @@ from .core import (
     DomainError,
     EngineConfig,
     FrameBatch,
+    csv_columns,
     radec_to_cartesian,
+    read_csv,
     records_from_radec,
     sort_by_zone_ra,
+    write_csv,
     zone_of,
 )
 from .crossmatch import ZoneIndex, build_zone_index, range_join
@@ -57,19 +58,6 @@ TEMPLATE_DTYPE = np.dtype(
         ("z", "<f8"),
     ]
 )
-
-TRUTH_LOG_HEADER = [
-    "kind",
-    "epoch_on",
-    "epoch_off",
-    "ra",
-    "dec",
-    "delta_mag",
-    "target_star",
-    "mag",
-    "camera_id",
-]
-
 
 def footprint_area_deg2(footprint) -> float:
     ra_min, ra_max, dec_min, dec_max = footprint
@@ -435,46 +423,9 @@ def random_injections(
 
 def write_truth_log(path, injections) -> None:
     """Sidecar ground-truth log, one injection event per line."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(TRUTH_LOG_HEADER)
-        for inj in injections:
-            w.writerow(
-                [
-                    inj.kind,
-                    repr(inj.epoch_on),
-                    repr(inj.epoch_off),
-                    repr(inj.ra),
-                    repr(inj.dec),
-                    repr(inj.delta_mag),
-                    inj.target_star,
-                    repr(inj.mag),
-                    inj.camera_id,
-                ]
-            )
+    write_csv(path, csv_columns(TransientInjection)[0], map(astuple, injections))
 
 
 def read_truth_log(path):
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != TRUTH_LOG_HEADER:
-            raise DomainError(f"unexpected truth log header: {header}")
-        out = []
-        for row in reader:
-            out.append(
-                TransientInjection(
-                    kind=row[0],
-                    epoch_on=float(row[1]),
-                    epoch_off=float(row[2]),
-                    ra=float(row[3]),
-                    dec=float(row[4]),
-                    delta_mag=float(row[5]),
-                    target_star=int(row[6]),
-                    mag=float(row[7]),
-                    camera_id=int(row[8]),
-                )
-            )
-    return out
+    columns = read_csv(path, *csv_columns(TransientInjection))
+    return [TransientInjection(*row) for row in zip(*columns)]

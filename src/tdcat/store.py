@@ -31,7 +31,6 @@ with the history; it still rewrites the whole base.
 
 from __future__ import annotations
 
-import csv
 import errno
 import os
 import time
@@ -52,9 +51,11 @@ from .core import (
     StorageError,
     as_items,
     radec_to_cartesian,
+    read_csv,
     row_blocks,
     separation_to_chord,
     take_rows,
+    write_csv,
 )
 
 TDS_MAGIC = b"TDS1"
@@ -74,8 +75,6 @@ UNMATCHED_STAR_ID = -1
 MERGE_CHUNK_ROWS = 1 << 18
 
 SECONDS_PER_DAY = 86400.0
-
-_INT_COLUMNS = {"id", "imageid", "zone", "flag"}
 
 
 def night_of(epoch: float) -> int:
@@ -173,20 +172,18 @@ def _read_header(fh, path, magic: bytes, dtype):
     return count, epoch
 
 
-def _read_rows(path, magic: bytes, dtype, header_only: bool = False, star_id=None):
+def _read_rows(path, magic: bytes, dtype, star_id=None):
     """Check a binary file's header, then read its rows in one call.
 
-    Returns ``(rows, epoch)``: ``rows`` is a fresh writable array (None when
-    only the header is wanted) and ``epoch`` is the TDL1 frame epoch (None for
-    the other layouts).  With ``star_id`` (TDB1 only, whose rows are sorted by
-    star) only that star's rows are read: the file is mapped and its
-    ``star_id`` column bisected, touching O(log n) pages besides those rows.
+    Returns ``(rows, epoch)``: ``rows`` is a fresh writable array and ``epoch``
+    is the TDL1 frame epoch (None for the other layouts).  With ``star_id``
+    (TDB1 only, whose rows are sorted by star) only that star's rows are read:
+    the file is mapped and its ``star_id`` column bisected, touching O(log n)
+    pages besides those rows.
     """
     with open(path, "rb") as fh:
         count, epoch = _read_header(fh, path, magic, dtype)
-        if header_only:
-            rows = None
-        elif star_id is None:
+        if star_id is None:
             rows = np.fromfile(fh, dtype=dtype, count=count)
         else:  # the map spans the header too, so a 0-row base maps fine
             mapped = np.memmap(fh, dtype, "r", offset=fh.tell(), shape=(count,))
@@ -239,35 +236,18 @@ def read_records_bin(path) -> np.ndarray:
 
 def write_records_csv(path, records: np.ndarray) -> None:
     """Interchange CSV with the 22 catalog column names as header."""
-    path = Path(path)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(TABLE2_COLUMNS)
-        for row in records:
-            w.writerow(
-                [
-                    int(row[name]) if name in _INT_COLUMNS else repr(float(row[name]))
-                    for name in TABLE2_COLUMNS
-                ]
-            )
-    os.replace(tmp, path)
+    write_csv(path, TABLE2_COLUMNS, records[TABLE2_COLUMNS].tolist())
 
 
 def read_records_csv(path) -> np.ndarray:
-    path = Path(path)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != TABLE2_COLUMNS:
-            raise StorageError(f"{path}: unexpected CSV header {header}")
-        rows = list(reader)
-    if any(len(row) != len(TABLE2_COLUMNS) for row in rows):
-        raise StorageError(f"{path}: a row does not have {len(TABLE2_COLUMNS)} fields")
-    out = np.zeros(len(rows), dtype=RECORD_DTYPE)
-    for name, values in zip(TABLE2_COLUMNS, zip(*rows)):
-        parse = int if name in _INT_COLUMNS else float
-        out[name] = np.fromiter(map(parse, values), out.dtype[name], len(rows))
+    parsers = [int if RECORD_DTYPE[name].kind in "iu" else float for name in TABLE2_COLUMNS]
+    columns = read_csv(path, TABLE2_COLUMNS, parsers)
+    out = np.zeros(len(columns[0]), dtype=RECORD_DTYPE)
+    for name, values in zip(TABLE2_COLUMNS, columns):
+        try:
+            out[name] = values
+        except OverflowError as exc:
+            raise StorageError(f"{path}: column {name}: {exc}") from None
     return out
 
 
@@ -377,18 +357,6 @@ class NightStore:
         files = self._base_files()
         return files[-1] if files else None
 
-    def _base_night(self) -> int:
-        path = self.base_path()
-        if path is None:
-            return -1
-        return int(path.stem.split("_")[-1])
-
-    def _delta_nights(self):
-        """Nights after the base's night; earlier ones are already folded in."""
-        base_night = self._base_night()
-        nights = (int(p.name.split("_")[-1]) for p in self.delta_dir.glob("night_*"))
-        return sorted(n for n in nights if n > base_night)
-
     def _segments(self, night_id: int):
         return sorted((self.delta_dir / f"night_{night_id:05d}").glob("seg_*.tdl"))
 
@@ -396,33 +364,44 @@ class NightStore:
         night_dir = self.delta_dir / f"night_{night_of(frame.epoch):05d}"
         return night_dir / f"seg_{frame.imageid:08d}.tdl"
 
-    def all_segments(self):
-        for night in self._delta_nights():
+    def _snapshot(self):
+        """The newest base run (or None), its night, the later delta nights and their segments.
+
+        A read lists them all once, before it opens any, so a merge that commits
+        meanwhile cannot make it skip or repeat a night, only delete a listed file.
+        """
+        base = self.base_path()
+        base_night = -1 if base is None else int(base.stem.split("_")[-1])
+        nights = (int(p.name.split("_")[-1]) for p in self.delta_dir.glob("night_*"))
+        nights = sorted(n for n in nights if n > base_night)
+        return base, base_night, nights, list(self.all_segments(nights))
+
+    def all_segments(self, nights=None):
+        """The segments of ``nights``, by default of every night after the base's."""
+        for night in self._snapshot()[2] if nights is None else nights:
             yield from self._segments(night)
 
     def _layers(self, star_id=None):
         """Newest base run (only ``star_id``'s rows, if given), then each later segment."""
-        base = self.base_path()
-        if base is not None:
-            yield _read_rows(base, BASE_MAGIC, STORE_DTYPE, star_id=star_id)[0]
-        for seg in self.all_segments():
-            yield _read_rows(seg, DELTA_MAGIC, STORE_DTYPE)[0]
+        base, _, _, segments = self._snapshot()
+        listed = [] if base is None else [(base, BASE_MAGIC, star_id)]
+        for path, magic, star in listed + [(seg, DELTA_MAGIC, None) for seg in segments]:
+            try:
+                rows = _read_rows(path, magic, STORE_DTYPE, star_id=star)[0]
+            except FileNotFoundError:
+                raise StorageError(f"{path} was deleted by a merge during the read") from None
+            yield rows
 
     def _load_state(self):
+        _, base_night, _, segments = self._snapshot()
         # A merged night is closed: the next insert must land strictly after it.
-        base_night = self._base_night()
         self._last_epoch = (
             -np.inf if base_night < 0 else (base_night + 1) * SECONDS_PER_DAY - 1e-9
         )
-        # epochs only grow, so the newest segment holds the last one
-        for night in reversed(self._delta_nights()):
-            segs = self._segments(night)
-            if segs:
-                _, epoch = _read_rows(
-                    segs[-1], DELTA_MAGIC, STORE_DTYPE, header_only=True
-                )
-                self._last_epoch = max(self._last_epoch, epoch)
-                break
+        if segments:  # epochs only grow, so the newest segment holds the last one
+            with open(segments[-1], "rb") as fh:
+                _, epoch = _read_header(fh, segments[-1], DELTA_MAGIC, STORE_DTYPE)
+            self._last_epoch = max(self._last_epoch, epoch)
 
     def recover(self) -> None:
         """Delete what a crash left behind and every read already skips."""
@@ -434,7 +413,7 @@ class NightStore:
             old.unlink()
         # Delta nights at or below the base high-water mark were already
         # folded in by a committed merge whose cleanup did not finish.
-        base_night = self._base_night()
+        base_night = self._snapshot()[1]
         for night_dir in self.delta_dir.glob("night_*"):
             if int(night_dir.name.split("_")[-1]) <= base_night:
                 for seg in night_dir.glob("seg_*.tdl"):
@@ -500,12 +479,11 @@ class NightStore:
         # each side viewed as one opaque item: compared in place, never copied
         return bool((stored.view(f"V{n}") == rows.view(f"V{n}")).all())
 
-    def _unmerged_rows(self) -> np.ndarray:
-        """Every delta row after the base's night, sorted as the base is."""
-        base_night = self._base_night()
+    def _unmerged_rows(self, base_night: int, segments) -> np.ndarray:
+        """The rows of delta ``segments``, all after ``base_night``, sorted as the base is."""
         closed = -np.inf if base_night < 0 else (base_night + 1) * SECONDS_PER_DAY
         layers = []
-        for seg in self.all_segments():
+        for seg in segments:
             rows = _read_rows(seg, DELTA_MAGIC, STORE_DTYPE)[0]
             # the merge places delta rows after the base's rows of their star
             if len(rows) and not rows["epoch"].min() >= closed:
@@ -529,14 +507,13 @@ class NightStore:
         try:
             t0 = time.perf_counter()
             self.recover()
-            nights = self._delta_nights()
+            base, base_night, nights, segments = self._snapshot()
             if not nights:
                 return MergeReport(
-                    nights=[], records_merged=0, base_path=self.base_path(),
+                    nights=[], records_merged=0, base_path=base,
                     duration_s=time.perf_counter() - t0, noop=True,
                 )
-            delta = self._unmerged_rows()
-            base = self.base_path()
+            delta = self._unmerged_rows(base_night, segments)
             target = max(nights)
             final = self.base_dir / f"base_through_{target:05d}.tdb"
             staging = final.with_suffix(final.suffix + ".staging")

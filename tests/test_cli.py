@@ -258,7 +258,8 @@ def test_query_writes_curve_csv(workflow, tmp_path, capsys):
     rc = run_cli("query", "--data-dir", str(data), "--star", "3",
                  "--out", str(out))
     assert rc == 0
-    rows = list(csv.reader(open(out)))
+    with open(out) as fh:
+        rows = list(csv.reader(fh))
     assert rows[0] == ["epoch", "calmag", "mag_error", "flux", "flux_err"]
     assert len(rows) >= 9  # star 3 matched in nearly every frame
     epochs = [float(r[0]) for r in rows[1:]]
@@ -271,7 +272,8 @@ def test_query_epoch_window(workflow, tmp_path):
     rc = run_cli("query", "--data-dir", str(data), "--star", "3",
                  "--epoch-min", "30", "--epoch-max", "75", "--out", str(out))
     assert rc == 0
-    epochs = [float(r[0]) for r in list(csv.reader(open(out)))[1:]]
+    with open(out) as fh:
+        epochs = [float(r[0]) for r in list(csv.reader(fh))[1:]]
     assert all(30 <= e <= 75 for e in epochs)
 
 
@@ -323,7 +325,8 @@ def test_mine_period_reports_best_period(workflow, tmp_path, capsys, monkeypatch
     assert rc == 0
     stdout = capsys.readouterr().out
     assert "best period" in stdout
-    rows = list(csv.reader(open(out)))
+    with open(out) as fh:
+        rows = list(csv.reader(fh))
     assert rows[0] == ["frequency_hz", "power"]
     assert len(rows) > 2
     # one scan of the grid, then the 81-point refinement; the CSV is that scan
@@ -344,8 +347,8 @@ def test_crossmatch_files(workflow, tmp_path, capsys):
         "--out-matches", str(matches), "--out-candidates", str(cand),
     )
     assert rc == 0
-    m_rows = list(csv.reader(open(matches)))
-    c_rows = list(csv.reader(open(cand)))
+    with open(matches) as mf, open(cand) as cf:
+        m_rows, c_rows = list(csv.reader(mf)), list(csv.reader(cf))
     assert m_rows[0] == ["record_id", "star_id", "separation_deg"]
     assert c_rows[0] == ["record_id"]
     n_frame = len(read_records_bin(gen / "frame_00000000.tds"))
@@ -498,7 +501,8 @@ def test_templateless_ingest_then_online_mining_fits_in_1gib(tmp_path):
             text=True, env=env, timeout=120, preexec_fn=limit_address_space,
         )
         assert proc.returncode == 0, proc.stderr
-    kinds = [row[0] for row in csv.reader(open(out))][1:]
+    with open(out) as fh:
+        kinds = [row[0] for row in csv.reader(fh)][1:]
     assert kinds == ["new_source"] * 17_560
 
 
@@ -607,7 +611,8 @@ def test_query_refuses_a_star_id_from_two_cameras(tmp_path, capsys):
     out = tmp_path / "curve.csv"
     assert run_cli("query", "--data-dir", data, "--star", "3",
                    "--partitions", "0", "--out", str(out)) == 0
-    assert len(list(csv.reader(open(out)))) == 1 + 4
+    with open(out) as fh:
+        assert len(list(csv.reader(fh))) == 1 + 4
 
 
 def test_run_night_report_writes_telemetry(tmp_path, capsys):
@@ -620,6 +625,20 @@ def test_run_night_report_writes_telemetry(tmp_path, capsys):
     assert (tmp_path / "cadence_p00.csv").is_file()
     out = capsys.readouterr().out
     assert "within cadence" in out
+
+
+def test_run_night_rejects_a_ragged_truth_log_by_name(tmp_path, capsys):
+    truth = tmp_path / "truth.csv"
+    truth.write_text(
+        "kind,epoch_on,epoch_off,ra,dec,delta_mag,target_star,mag,camera_id\n"
+        "new_source,15.0,90.0\n"
+    )
+    rc = main(["run-night", "--data-dir", str(tmp_path / "data"), "--partitions", "1",
+               "--frames", "4", "--stars", "40", "--inject", str(truth)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and f"{truth}, line 2" in err
+    assert "Traceback" not in err
 
 
 def test_data_dir_env_var(tmp_path, monkeypatch, capsys):

@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 import time
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from tdcat.core import (
     DomainError,
     EngineConfig,
     FrameBatch,
+    StorageError,
     check_records,
     mag_to_flux,
     n_zones,
@@ -28,6 +30,9 @@ from tdcat.core import (
     take_rows,
     zone_of,
 )
+from tdcat.mining import DIMMING, Alert, read_alerts_csv, write_alerts_csv
+from tdcat.skygen import BRIGHTENING, TransientInjection, read_truth_log, write_truth_log
+from tdcat.store import read_records_csv
 
 from tdcat.store import STORE_DTYPE
 
@@ -586,3 +591,53 @@ def test_row_blocks_run_each_block_once_under_rapid_thread_switches(monkeypatch,
         sys.setswitchinterval(interval)
     assert outs == [[k * k for k in range(3000)]] * 2
     assert sorted(ran) == sorted(list(range(3000)) * 2)
+
+
+# ---------------------------------------------------------------------------
+# CSV products
+
+CSV_READERS = {
+    "alerts": (read_alerts_csv, [f.name for f in fields(Alert)]),
+    "truth_log": (read_truth_log, [f.name for f in fields(TransientInjection)]),
+    "records": (read_records_csv, TABLE2_COLUMNS),
+}
+
+
+@pytest.mark.parametrize("case, names", [
+    ("empty_file", "got None"),
+    ("wrong_header", "expected the header"),
+    ("short_row", "line 2: 2 fields"),
+    ("unparsable_value", "line 2: column"),
+])
+@pytest.mark.parametrize("kind", CSV_READERS)
+def test_csv_readers_name_the_file_of_malformed_input(tmp_path, kind, case, names):
+    read, header = CSV_READERS[kind]
+    path = tmp_path / f"{kind}_{case}.csv"
+    path.write_text({
+        "empty_file": "",
+        "wrong_header": ",".join(["bogus", *header[1:]]) + "\n",
+        "short_row": ",".join(header) + "\n1,2\n",
+        "unparsable_value": ",".join(header) + "\n1,x" + ",1" * (len(header) - 2) + "\n",
+    }[case])
+    with pytest.raises(StorageError, match=names) as raised:
+        read(path)
+    assert str(path) in str(raised.value)
+
+
+def test_csv_rows_are_exact_bytes(tmp_path):
+    alert = Alert(kind=DIMMING, epoch=0.1 + 0.2, star_id=42, record_id=2**63 + 7,
+                  mag=13.5, n_frames=3, camera_id=2)
+    injection = TransientInjection(kind=BRIGHTENING, epoch_on=1 / 3,
+                                   epoch_off=math.nextafter(15.0, 16.0),
+                                   delta_mag=-0.75, target_star=9, camera_id=1)
+    write_alerts_csv(tmp_path / "alerts.csv", [alert])
+    write_truth_log(tmp_path / "truth.csv", [injection])
+    assert (tmp_path / "alerts.csv").read_bytes() == (
+        b"kind,epoch,star_id,record_id,mag,baseline_mag,deviation_sigma,ra,dec,"
+        b"n_frames,camera_id\r\n"
+        b"dimming,0.30000000000000004,42,9223372036854775815,13.5,nan,nan,nan,nan,3,2\r\n"
+    )
+    assert (tmp_path / "truth.csv").read_bytes() == (
+        b"kind,epoch_on,epoch_off,ra,dec,delta_mag,target_star,mag,camera_id\r\n"
+        b"brightening,0.3333333333333333,15.000000000000002,nan,nan,-0.75,9,nan,1\r\n"
+    )

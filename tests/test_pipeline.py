@@ -79,7 +79,8 @@ def test_stage_timings_total():
 def test_night_summary_agrees_with_its_cadence_csv(tmp_path):
     [s] = run_night(tmp_path, CFG, MINING, seed=2, n_frames=3,
                     stars_per_partition=250, write_timing=True)
-    rows = list(csv.reader(open(s.cadence_path)))
+    with open(s.cadence_path) as fh:
+        rows = list(csv.reader(fh))
     assert rows[0] == CADENCE_CSV_HEADER
     assert len(rows) == 4
     totals = np.array([float(r[11]) for r in rows[1:]])
@@ -568,7 +569,8 @@ def test_scaling_benchmark_structure(tmp_path):
 
     path = tmp_path / "scaling.csv"
     write_scaling_csv(path, points)
-    rows = list(csv.reader(open(path)))
+    with open(path) as fh:
+        rows = list(csv.reader(fh))
     assert rows[0] == SCALING_CSV_HEADER
     assert len(rows) == 3
     assert int(rows[1][0]) == 1

@@ -489,7 +489,7 @@ def test_bytes_on_disk_is_the_size_of_the_partition_files(tmp_path, sky):
 
 def test_reopen_reads_one_segment_header(tmp_path, sky):
     fill_store(tmp_path, sky, [n * SECONDS_PER_DAY + e for n in range(3) for e in (15.0, 30.0)])
-    with mock.patch.object(store_mod, "_read_rows", wraps=store_mod._read_rows) as read:
+    with mock.patch.object(store_mod, "_read_header", wraps=store_mod._read_header) as read:
         reopened = NightStore(tmp_path, partition_id=0)
     assert read.call_count == 1
     frame, matches = frame_at(sky, 2 * SECONDS_PER_DAY + 30.0)
@@ -527,6 +527,34 @@ def fill_store(root, sky, epochs, partition_id=0):
 def canonical(records):
     order = np.lexsort((records["id"], records["epoch"]))
     return records[order].tobytes()
+
+
+@pytest.mark.parametrize("merge_after", [1, 2], ids=["after_base", "after_first_segment"])
+def test_read_racing_a_merge_sees_one_state_or_names_the_lost_file(tmp_path, sky, merge_after):
+    """A merge that commits between a reader's file reads cannot tear the read."""
+    epochs = [n * SECONDS_PER_DAY + e for n in range(2) for e in (15.0, 30.0, 45.0)]
+    writer, first = fill_store(tmp_path, sky, epochs[:3])
+    writer.nightly_merge()  # night 0 is the base; night 1 stays three segments
+    _, second = fill_store(tmp_path, sky, epochs[3:])
+    expected = canonical(np.concatenate([first, second]))
+    reader, real, reads = NightStore(tmp_path, partition_id=0), store_mod._read_rows, []
+
+    def read_then_merge(*args, **kwargs):
+        out = real(*args, **kwargs)
+        reads.append(args[0])
+        if len(reads) == merge_after:
+            writer.nightly_merge()
+        return out
+
+    with mock.patch.object(store_mod, "_read_rows", read_then_merge):
+        try:
+            got = reader.query_records()
+        except StorageError as exc:
+            assert "seg_" in str(exc)  # the segment the merge swept
+        else:
+            assert canonical(got) == expected
+    assert not any(writer.all_segments())  # the merge ran, mid-read
+    assert canonical(reader.query_records()) == expected
 
 
 def test_merge_preserves_record_multiset(tmp_path, sky):
