@@ -151,14 +151,8 @@ def _read_interchange(path, config: EngineConfig, fmt=None) -> np.ndarray:
 
 def _stores_of(args, root: Path) -> list:
     """The stores of ``--partitions``, else of every partition under ``root``."""
-    if args.partitions:
-        return open_partitions(root, [int(p) for p in args.partitions.split(",")])
-    found = sorted(
-        int(p.name.split("_")[-1]) for p in root.glob("partition_*") if p.is_dir()
-    )
-    if not found:
-        raise EngineError(f"no partitions found under {root}")
-    return open_partitions(root, found)
+    ids = [int(p) for p in args.partitions.split(",")] if args.partitions else None
+    return open_partitions(root, ids)
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +221,7 @@ def cmd_ingest(args) -> int:
             frame, range_join(records, index, config.match_radius_deg)
         )
         try:
-            ack = store.delta_insert(frame, rows)
+            store.delta_insert(frame, rows)
         except SequenceError:
             # a re-run after an interrupted ingest: only an identical frame passes
             if not store.holds(frame, rows):
@@ -235,8 +229,8 @@ def cmd_ingest(args) -> int:
             print(f"skipped {path}: already stored in partition {args.partition}")
             continue
         print(
-            f"ingested {path}: {ack.records} records -> partition "
-            f"{args.partition} night {ack.night_id}"
+            f"ingested {path}: {len(rows)} records -> partition "
+            f"{args.partition} night {night_of(epoch)}"
         )
     return 0
 

@@ -129,10 +129,6 @@ class EngineConfig:
             )
 
     @property
-    def n_zones(self) -> int:
-        return n_zones(self.zone_height_deg)
-
-    @property
     def frames_per_night(self) -> int:
         return int(round(NIGHT_SECONDS / self.cadence_s))
 

@@ -14,7 +14,6 @@ import numpy as np
 from .core import (
     ConfigError,
     DomainError,
-    n_zones,
     radec_to_cartesian,
     row_blocks,
     separation_to_chord,
@@ -48,10 +47,6 @@ class ZoneIndex:
     xyz: np.ndarray  # (n, 3) unit vectors
     zone: np.ndarray
     key: np.ndarray = field(repr=False)
-
-    @property
-    def n_zones(self) -> int:
-        return n_zones(self.zone_height_deg)
 
 
 @dataclass

@@ -52,10 +52,6 @@ class LightCurve:
     def mags(self) -> np.ndarray:
         return self.points["calmag"]
 
-    @property
-    def mag_errors(self) -> np.ndarray:
-        return self.points["mag_error"]
-
 
 def points_from_match(frame, matches) -> tuple:
     """(star_ids, points) for one frame's matched records."""

@@ -18,6 +18,7 @@ from .core import (
     DomainError,
     EngineConfig,
     FrameBatch,
+    StorageError,
     csv_columns,
     radec_to_cartesian,
     read_csv,
@@ -332,18 +333,17 @@ def random_injections(
     n_brightenings: int,
     night_id: int = 0,
     frames_per_night: int | None = None,
-    min_duration_frames: int = 2,
     max_duration_frames: int = 20,
     min_on_frame: int = 0,
     camera_id: int = 0,
-    isolation_factor: float = 2.0,
 ):
     """Draw a reproducible injection set with recoverable ground truth.
 
-    new_source positions are rejection-sampled at least
-    ``isolation_factor * match_radius`` away from every template star, so an
-    injected source can never be absorbed by a template match.  Brightening
-    amplitudes are drawn in [-1.5, -0.5] mag (always a strong brightening).
+    new_source positions are rejection-sampled at least twice the match
+    radius away from every template star, so an injected source can never be
+    absorbed by a template match.  Events last 2 to ``max_duration_frames``
+    frames.  Brightening amplitudes are drawn in [-1.5, -0.5] mag (always a
+    strong brightening).
     ``min_on_frame`` keeps event onsets clear of the online detector's
     baseline warm-up, so every drawn event is detectable in principle.
     """
@@ -355,13 +355,13 @@ def random_injections(
     out = []
 
     def _event_window():
-        dur = int(rng.integers(min_duration_frames, max_duration_frames + 1))
+        dur = int(rng.integers(2, max_duration_frames + 1))
         latest_on = max(frames - dur, 1)
         on_lo = min(min_on_frame, latest_on - 1)
         on = int(rng.integers(on_lo, latest_on))
         return night_start + on * cadence, night_start + (on + dur) * cadence
 
-    isolation = isolation_factor * config.match_radius_deg
+    isolation = 2.0 * config.match_radius_deg
     need = n_new_sources
     attempts = 0
     while need > 0:
@@ -427,5 +427,11 @@ def write_truth_log(path, injections) -> None:
 
 
 def read_truth_log(path):
-    columns = read_csv(path, *csv_columns(TransientInjection))
-    return [TransientInjection(*row) for row in zip(*columns)]
+    """The injections of a truth log; a row that is not one raises ``StorageError``."""
+    out = []
+    for line, row in enumerate(zip(*read_csv(path, *csv_columns(TransientInjection))), 2):
+        try:
+            out.append(TransientInjection(*row))
+        except DomainError as exc:
+            raise StorageError(f"{path}, line {line}: {exc}") from None
+    return out

@@ -267,13 +267,6 @@ class StorageStats:
 
 
 @dataclass
-class InsertAck:
-    records: int
-    night_id: int
-    segment_path: Path
-
-
-@dataclass
 class MergeReport:
     nights: list
     records_merged: int
@@ -335,8 +328,8 @@ class NightStore:
     Exactly one writer per partition.  Every read takes the newest base run
     plus the delta segments of the nights after it, so ``*.tmp`` and
     ``*.staging`` leftovers, older base runs and nights already folded into
-    the base are skipped, never deleted: opening a store creates and changes
-    nothing on disk, and only ``nightly_merge`` sweeps what a crash left behind.
+    the base are skipped, never deleted: opening a store reads nothing, and
+    only ``nightly_merge`` sweeps what a crash left behind.
     """
 
     def __init__(self, root, partition_id: int):
@@ -346,7 +339,7 @@ class NightStore:
         self.base_dir = self.root / "base"
         self.stats = StorageStats(self.root)
         self._busy = False
-        self._load_state()
+        self._last_epoch = None  # the insert epoch guard: the first insert reads it
 
     # -- state ----------------------------------------------------------
 
@@ -392,17 +385,6 @@ class NightStore:
                 raise StorageError(f"{path} was deleted by a merge during the read") from None
             yield rows
 
-    def _load_state(self):
-        _, base_night, _, segments = self._snapshot()
-        # A merged night is closed: the next insert must land strictly after it.
-        self._last_epoch = (
-            -np.inf if base_night < 0 else (base_night + 1) * SECONDS_PER_DAY - 1e-9
-        )
-        if segments:  # epochs only grow, so the newest segment holds the last one
-            with open(segments[-1], "rb") as fh:
-                _, epoch = _read_header(fh, segments[-1], DELTA_MAGIC, STORE_DTYPE)
-            self._last_epoch = max(self._last_epoch, epoch)
-
     def recover(self) -> None:
         """Delete what a crash left behind and every read already skips."""
         for leftover in self.root.rglob("*.tmp"):
@@ -422,8 +404,8 @@ class NightStore:
 
     # -- writes ---------------------------------------------------------
 
-    def delta_insert(self, frame, rows) -> InsertAck:
-        """Durably append one frame's store rows as its delta segment.
+    def delta_insert(self, frame, rows) -> Path:
+        """Durably append one frame's store rows as its delta segment; returns its path.
 
         ``rows`` is ``frame_to_store_records(frame, matches)``.  Epochs start
         at 0: the store's nights are ``night_of(epoch) >= 0``.  No record id
@@ -447,6 +429,14 @@ class NightStore:
             raise StorageError("delta_insert overlaps another store operation")
         self._busy = True
         try:
+            if self._last_epoch is None:
+                _, base_night, _, segments = self._snapshot()
+                # a merged night is closed to inserts; with no base, any epoch >= 0 passes
+                self._last_epoch = (base_night + 1) * SECONDS_PER_DAY - 1e-9
+                if segments:  # epochs only grow, so the newest segment holds the last one
+                    with open(segments[-1], "rb") as fh:
+                        _, epoch = _read_header(fh, segments[-1], DELTA_MAGIC, STORE_DTYPE)
+                    self._last_epoch = max(self._last_epoch, epoch)
             if not frame.epoch > self._last_epoch:
                 raise SequenceError(
                     f"frame epoch {frame.epoch} not after last appended epoch "
@@ -459,11 +449,7 @@ class NightStore:
             _write_framed(path, DELTA_MAGIC + count + epoch, rows, made)
             self._last_epoch = frame.epoch
             self.stats.records_ingested += len(rows)
-            return InsertAck(
-                records=len(rows),
-                night_id=night_of(frame.epoch),
-                segment_path=path,
-            )
+            return path
         finally:
             self._busy = False
 
@@ -546,7 +532,7 @@ class NightStore:
             for directory in (self.base_dir, self.root):  # base/ may be new
                 _fsync_dir(directory)
             self.recover()  # sweeps old base + folded delta nights
-            self._load_state()
+            self._last_epoch = None  # the next insert reads the new base's night
             return MergeReport(
                 nights=nights,
                 records_merged=merged,
@@ -564,9 +550,19 @@ class NightStore:
         star_id: int | None = None,
         epoch_min: float | None = None,
         epoch_max: float | None = None,
+        cone: tuple | None = None,
+        mag_min: float | None = None,
+        mag_max: float | None = None,
         include_candidates: bool = True,
     ) -> np.ndarray:
-        """Matching rows of all layers, (epoch, id) order; a star query bisects the base."""
+        """The rows of all layers that pass every ``QueryPredicate`` clause given.
+
+        Each layer is filtered as it is read, so only those rows reach the
+        (epoch, id) sort; a star query bisects the base.
+        """
+        if cone is not None:
+            ra, dec, radius = cone
+            (cx, cy, cz), chord2 = radec_to_cartesian(ra, dec), separation_to_chord(radius) ** 2
         layers = []
         for rec in self._layers(star_id):
             keep = np.ones(len(rec), dtype=bool)
@@ -576,6 +572,13 @@ class NightStore:
                 keep &= rec["epoch"] >= epoch_min
             if epoch_max is not None:
                 keep &= rec["epoch"] <= epoch_max
+            if cone is not None:
+                d2 = (rec["x"] - cx) ** 2 + (rec["y"] - cy) ** 2 + (rec["z"] - cz) ** 2
+                keep &= d2 <= chord2
+            if mag_min is not None:
+                keep &= rec["calmag"] >= mag_min
+            if mag_max is not None:
+                keep &= rec["calmag"] <= mag_max
             if not include_candidates:
                 keep &= rec["candidate"] == 0
             layers.append(rec if keep.all() else take_rows(rec, keep))
@@ -603,8 +606,16 @@ class QueryPredicate:
     include_candidates: bool = True
 
 
-def open_partitions(root, partition_ids) -> list:
-    """The ``partition_NN`` stores under ``root``; a missing one raises ``PartitionError``."""
+def open_partitions(root, partition_ids=None) -> list:
+    """The stores ``partition_ids`` under ``root``, by default every ``partition_NN`` there.
+
+    A missing partition, or none found, raises ``PartitionError``.
+    """
+    if partition_ids is None:
+        found = (p.name[len("partition_"):] for p in Path(root).glob("partition_*") if p.is_dir())
+        partition_ids = sorted(int(n) for n in found if n.isdecimal())
+        if not partition_ids:
+            raise PartitionError(f"no partitions found under {root}")
     stores = []
     for p in partition_ids:
         if not (Path(root) / f"partition_{p:02d}").is_dir():
@@ -616,24 +627,9 @@ def open_partitions(root, partition_ids) -> list:
 def _select(store: NightStore, predicate: QueryPredicate) -> np.ndarray:
     """One store's rows that satisfy ``predicate``, in (epoch, id) order."""
     try:
-        rec = store.query_records(
-            star_id=predicate.star_id,
-            epoch_min=predicate.epoch_min,
-            epoch_max=predicate.epoch_max,
-            include_candidates=predicate.include_candidates,
-        )
+        return store.query_records(**vars(predicate))
     except EngineError as exc:
         raise PartitionError(f"partition {store.partition_id}: {exc}") from exc
-    if predicate.cone is not None:
-        ra, dec, radius = predicate.cone
-        cx, cy, cz = radec_to_cartesian(ra, dec)
-        d2 = (rec["x"] - cx) ** 2 + (rec["y"] - cy) ** 2 + (rec["z"] - cz) ** 2
-        rec = take_rows(rec, d2 <= separation_to_chord(radius) ** 2)
-    if predicate.mag_min is not None:
-        rec = take_rows(rec, rec["calmag"] >= predicate.mag_min)
-    if predicate.mag_max is not None:
-        rec = take_rows(rec, rec["calmag"] <= predicate.mag_max)
-    return rec
 
 
 def query_stores(stores, predicate: QueryPredicate) -> np.ndarray:
@@ -645,6 +641,8 @@ def query_stores(stores, predicate: QueryPredicate) -> np.ndarray:
     query with a ``PartitionError`` naming it: a silent partial answer would
     look like a real catalog result.
     """
+    if predicate.cone is not None:  # a bad centre is the caller's error, not a partition's
+        radec_to_cartesian(*predicate.cone[:2])
     stores = list(stores)
     if len(stores) == 1:
         return _select(stores[0], predicate)

@@ -278,9 +278,12 @@ def test_query_epoch_window(workflow, tmp_path):
 
 
 def test_query_without_partitions_fails(tmp_path, capsys):
-    rc = run_cli("query", "--data-dir", str(tmp_path / "empty"), "--star", "1")
-    assert rc == 1
-    assert "no partitions" in capsys.readouterr().err
+    data = tmp_path / "data"
+    for _ in ("absent", "empty"):
+        rc = run_cli("query", "--data-dir", str(data), "--star", "1")
+        assert rc == 1
+        assert f"no partitions found under {data}" in capsys.readouterr().err
+        data.mkdir(exist_ok=True)
 
 
 def test_mine_online_replays_store(workflow, tmp_path, capsys):
@@ -629,16 +632,21 @@ def test_run_night_report_writes_telemetry(tmp_path, capsys):
 
 def test_run_night_rejects_a_ragged_truth_log_by_name(tmp_path, capsys):
     truth = tmp_path / "truth.csv"
-    truth.write_text(
-        "kind,epoch_on,epoch_off,ra,dec,delta_mag,target_star,mag,camera_id\n"
-        "new_source,15.0,90.0\n"
-    )
-    rc = main(["run-night", "--data-dir", str(tmp_path / "data"), "--partitions", "1",
-               "--frames", "4", "--stars", "40", "--inject", str(truth)])
-    err = capsys.readouterr().err
-    assert rc == 1
-    assert err.startswith("error: ") and f"{truth}, line 2" in err
-    assert "Traceback" not in err
+    for row, reason in [
+        ("new_source,15.0,90.0", "3 fields"),
+        ("supernova,15.0,90.0,1.0,0.0,0.0,-1,12.0,0", "unknown injection kind 'supernova'"),
+        ("new_source,90.0,90.0,1.0,0.0,0.0,-1,12.0,0", "epoch_on must precede epoch_off"),
+    ]:
+        truth.write_text(
+            "kind,epoch_on,epoch_off,ra,dec,delta_mag,target_star,mag,camera_id\n"
+            f"{row}\n"
+        )
+        rc = main(["run-night", "--data-dir", str(tmp_path / "data"), "--partitions", "1",
+                   "--frames", "4", "--stars", "40", "--inject", str(truth)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: {truth}, line 2: ") and reason in err, row
+        assert "Traceback" not in err
 
 
 def test_data_dir_env_var(tmp_path, monkeypatch, capsys):

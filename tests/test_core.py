@@ -102,7 +102,7 @@ def test_source_record_validate_collects_problems():
 def test_engine_config_defaults():
     cfg = EngineConfig()
     assert cfg.frames_per_night == 1920  # 8 h / 15 s
-    assert cfg.n_zones == 18000
+    assert n_zones(cfg.zone_height_deg) == 18000
     assert cfg.sources_per_frame == 175_600
 
 

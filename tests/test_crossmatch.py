@@ -88,9 +88,9 @@ def test_zone_index_structure():
     rec = make_records(rng.uniform(0, 360, 500), rng.uniform(-89, 89, 500))
     idx = build_zone_index(rec, 0.01)
     assert len(idx.ids) == 500
-    assert idx.n_zones == 18_000
+    assert n_zones(idx.zone_height_deg) == 18_000
     assert np.all(np.diff(idx.zone) >= 0)
-    assert 0 <= idx.zone[0] and idx.zone[-1] < idx.n_zones
+    assert 0 <= idx.zone[0] and idx.zone[-1] < n_zones(0.01)
     # rows sorted by (zone, ra); ra ascending within each zone
     assert np.all(np.diff(idx.key) >= 0)
     for z in np.unique(idx.zone):

@@ -27,6 +27,8 @@ from tdcat.core import (
     EngineConfig,
     SequenceError,
     StorageError,
+    radec_to_cartesian,
+    separation_to_chord,
     take_rows,
 )
 from tdcat.crossmatch import build_zone_index, range_join
@@ -40,6 +42,7 @@ from tdcat.store import (
     STORE_RECORD_SIZE,
     UNMATCHED_STAR_ID,
     NightStore,
+    PartitionError,
     QueryPredicate,
     _read_rows,
     capacity_plan,
@@ -285,14 +288,12 @@ def test_frame_to_store_records_rejects_other_row_layouts(sky):
 def test_delta_insert_ack_and_layout(tmp_path, sky):
     store = NightStore(tmp_path, partition_id=3)
     frame, matches = frame_at(sky, 15.0)
-    ack = store.delta_insert(frame, frame_to_store_records(frame, matches))
-    assert ack.records == len(frame.records)
-    assert ack.night_id == 0
+    path = store.delta_insert(frame, frame_to_store_records(frame, matches))
     expected = (
         tmp_path / "partition_03" / "delta" / "night_00000"
         / f"seg_{frame.imageid:08d}.tdl"
     )
-    assert ack.segment_path == expected
+    assert path == expected
     assert expected.is_file()
 
 
@@ -354,8 +355,8 @@ def test_written_files_are_the_header_then_the_rows(tmp_path, sky, n):
     """At n = 3684 a segment, 20 + 179 n bytes, is exactly 161 pages."""
     frame, matches = frame_of(sky, n)
     rows = frame_to_store_records(frame, matches)
-    ack = NightStore(tmp_path, 0).delta_insert(frame, rows)
-    assert ack.segment_path.read_bytes() == segment_header(n, frame.epoch) + rows.tobytes()
+    path = NightStore(tmp_path, 0).delta_insert(frame, rows)
+    assert path.read_bytes() == segment_header(n, frame.epoch) + rows.tobytes()
     path = tmp_path / "frame.tds"
     write_records_bin(path, frame.records)
     assert path.read_bytes() == b"TDS1" + np.uint64(n).tobytes() + frame.records.tobytes()
@@ -384,8 +385,8 @@ def test_rows_outside_their_segment_buffer_are_copied(tmp_path, sky, monkeypatch
     monkeypatch.setattr(
         store_mod, "_page_buffer", lambda *args: copies.append(args) or page_buffer(*args)
     )
-    ack = NightStore(tmp_path, 0).delta_insert(replace(frame, epoch=epoch), given)
-    assert ack.segment_path.read_bytes() == segment_header(len(given), epoch) + given.tobytes()
+    path = NightStore(tmp_path, 0).delta_insert(replace(frame, epoch=epoch), given)
+    assert path.read_bytes() == segment_header(len(given), epoch) + given.tobytes()
     assert len(copies) == (kind != "built")
     assert rows.base.tobytes() == around
 
@@ -393,7 +394,7 @@ def test_rows_outside_their_segment_buffer_are_copied(tmp_path, sky, monkeypatch
 def test_file_write_without_direct_io_gives_the_same_bytes(tmp_path, sky, monkeypatch):
     frame, matches = frame_at(sky, 15.0)
     rows = frame_to_store_records(frame, matches)
-    want = NightStore(tmp_path / "direct", 0).delta_insert(frame, rows).segment_path.read_bytes()
+    want = NightStore(tmp_path / "direct", 0).delta_insert(frame, rows).read_bytes()
     real_open, opened = os.open, []
 
     def refuse_direct_io(path, flags, *args):
@@ -404,10 +405,10 @@ def test_file_write_without_direct_io_gives_the_same_bytes(tmp_path, sky, monkey
 
     with monkeypatch.context() as patch:
         patch.setattr(store_mod.os, "open", refuse_direct_io)
-        ack = NightStore(tmp_path / "buffered", 0).delta_insert(frame, rows)
+        segment = NightStore(tmp_path / "buffered", 0).delta_insert(frame, rows)
         path = tmp_path / "frame.tds"
         write_records_bin(path, frame.records)
-    assert ack.segment_path.read_bytes() == want
+    assert segment.read_bytes() == want
     assert path.read_bytes() == b"TDS1" + np.uint64(len(rows)).tobytes() + frame.records.tobytes()
     assert [flags & os.O_DIRECT for flags in opened[:2]] == [os.O_DIRECT, 0]
     assert not list(tmp_path.rglob("*.tmp"))
@@ -430,8 +431,8 @@ def test_failed_file_write_raises_and_leaves_no_temp_file(tmp_path, sky, monkeyp
             write_records_bin(tmp_path / "frame.tds", frame.records)
     assert not list(tmp_path.rglob("*.tmp"))
     assert not list(tmp_path.rglob("seg_*.tdl")) and not (tmp_path / "frame.tds").exists()
-    ack = store.delta_insert(frame, rows)  # the failed insert left the store as it was
-    assert ack.segment_path.read_bytes() == segment_header(len(rows), frame.epoch) + rows.tobytes()
+    path = store.delta_insert(frame, rows)  # the failed insert left the store as it was
+    assert path.read_bytes() == segment_header(len(rows), frame.epoch) + rows.tobytes()
 
 
 def test_insert_fsyncs_its_directory_and_the_parent_of_each_it_made(tmp_path, sky, monkeypatch):
@@ -453,9 +454,9 @@ def test_insert_fsyncs_its_directory_and_the_parent_of_each_it_made(tmp_path, sk
     def synced_after_commit(epoch):
         events.clear()
         frame, matches = frame_at(sky, epoch)
-        ack = store.delta_insert(frame, frame_to_store_records(frame, matches))
+        path = store.delta_insert(frame, frame_to_store_records(frame, matches))
         # the rename is the commit; the entries it needs must reach the disk after it
-        commit = events.index(("replace", ack.segment_path))
+        commit = events.index(("replace", path))
         return {
             (st.st_dev, st.st_ino)
             for kind, st in events[commit + 1:]
@@ -491,10 +492,34 @@ def test_reopen_reads_one_segment_header(tmp_path, sky):
     fill_store(tmp_path, sky, [n * SECONDS_PER_DAY + e for n in range(3) for e in (15.0, 30.0)])
     with mock.patch.object(store_mod, "_read_header", wraps=store_mod._read_header) as read:
         reopened = NightStore(tmp_path, partition_id=0)
+        assert read.call_count == 0  # the open reads nothing; the first insert reads the guard
+        frame, matches = frame_at(sky, 2 * SECONDS_PER_DAY + 30.0)
+        with pytest.raises(SequenceError):  # the guard still comes from the newest segment
+            reopened.delta_insert(frame, frame_to_store_records(frame, matches))
     assert read.call_count == 1
-    frame, matches = frame_at(sky, 2 * SECONDS_PER_DAY + 30.0)
-    with pytest.raises(SequenceError):  # the guard still comes from the newest segment
-        reopened.delta_insert(frame, frame_to_store_records(frame, matches))
+
+
+def test_opening_a_store_reads_nothing(tmp_path, sky):
+    store, _ = fill_store(tmp_path, sky, [15.0, 30.0, SECONDS_PER_DAY + 15.0])
+    store.nightly_merge()
+    fill_store(tmp_path, sky, [2 * SECONDS_PER_DAY + 15.0])
+    with (mock.patch.object(NightStore, "_snapshot") as snapshot,
+          mock.patch.object(store_mod, "_read_header") as header):
+        opened = NightStore(tmp_path, partition_id=0)
+        [also] = open_partitions(tmp_path)
+    assert snapshot.call_count == header.call_count == 0
+    assert also.root == opened.root
+
+
+def test_open_partitions_finds_every_partition(tmp_path, sky):
+    with pytest.raises(PartitionError, match=f"no partitions found under {tmp_path}"):
+        open_partitions(tmp_path)
+    for p in (10, 2, 0):
+        fill_store(tmp_path, sky, [15.0], partition_id=p)
+    (tmp_path / "partition_07").write_text("not a partition")
+    (tmp_path / "partition_ab").mkdir()
+    assert [s.partition_id for s in open_partitions(tmp_path)] == [0, 2, 10]
+    assert open_partitions(tmp_path, []) == []
 
 
 def test_reopen_resumes_epoch_guard(tmp_path, sky):
@@ -506,8 +531,9 @@ def test_reopen_resumes_epoch_guard(tmp_path, sky):
     with pytest.raises(SequenceError):
         reopened.delta_insert(frame, frame_to_store_records(frame, matches))
     nxt, nxt_m = frame_at(sky, 30.0)
-    ack = reopened.delta_insert(nxt, frame_to_store_records(nxt, nxt_m))
-    assert ack.records == len(nxt.records)
+    rows = frame_to_store_records(nxt, nxt_m)
+    path = reopened.delta_insert(nxt, rows)
+    assert _read_rows(path, DELTA_MAGIC, STORE_DTYPE)[0].tobytes() == rows.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -598,8 +624,8 @@ def test_insert_into_merged_night_rejected(tmp_path, sky):
     with pytest.raises(SequenceError):
         store.delta_insert(frame, frame_to_store_records(frame, matches))
     day2, day2_m = frame_at(sky, 86400.0 + 15.0)
-    ack = store.delta_insert(day2, frame_to_store_records(day2, day2_m))
-    assert ack.night_id == 1
+    path = store.delta_insert(day2, frame_to_store_records(day2, day2_m))
+    assert path.parent.name == "night_00001"
 
 
 def test_incremental_merge_equals_single_merge(tmp_path, sky):
@@ -704,8 +730,9 @@ def test_merge_memory_grows_with_the_night_not_the_history(tmp_path, sky, monkey
     base = store.nightly_merge().base_path
     night_bytes = 0
     for frame, matches in night_frames(sky, 1, 10):
-        ack = store.delta_insert(frame, frame_to_store_records(frame, matches))
-        night_bytes += ack.records * STORE_RECORD_SIZE
+        rows = frame_to_store_records(frame, matches)
+        store.delta_insert(frame, rows)
+        night_bytes += rows.nbytes
     assert base.stat().st_size >= 20 * night_bytes
     tracemalloc.start()
     try:
@@ -1003,15 +1030,18 @@ def test_query_filters_match_bruteforce(tmp_path, sky):
         assert np.all(np.diff(got["epoch"]) >= 0)
 
 
-def full_scan_star_query(store, star_id, epoch_min=None, epoch_max=None,
-                         include_candidates=True):
-    """Every layer read whole, masked, then put in (epoch, id) order."""
+def full_scan_query(store, star_id=None, epoch_min=None, epoch_max=None, cone=None,
+                    mag_min=None, mag_max=None, include_candidates=True):
+    """Every layer read whole and masked by the star, epoch and candidate
+    clauses, put in (epoch, id) order, then cut by the cone and magnitudes."""
     layers = [_read_rows(store.base_path(), BASE_MAGIC, STORE_DTYPE)[0]]
     for seg in store.all_segments():
         layers.append(_read_rows(seg, DELTA_MAGIC, STORE_DTYPE)[0])
     parts = []
     for rec in layers:
-        keep = rec["star_id"] == star_id
+        keep = np.ones(len(rec), dtype=bool)
+        if star_id is not None:
+            keep &= rec["star_id"] == star_id
         if epoch_min is not None:
             keep &= rec["epoch"] >= epoch_min
         if epoch_max is not None:
@@ -1020,15 +1050,28 @@ def full_scan_star_query(store, star_id, epoch_min=None, epoch_max=None,
             keep &= rec["candidate"] == 0
         parts.append(rec[keep])
     out = np.concatenate(parts)
-    return out[np.lexsort((out["id"], out["epoch"]))]
+    out = out[np.lexsort((out["id"], out["epoch"]))]
+    if cone is not None:
+        ra, dec, radius = cone
+        cx, cy, cz = radec_to_cartesian(ra, dec)
+        d2 = (out["x"] - cx) ** 2 + (out["y"] - cy) ** 2 + (out["z"] - cz) ** 2
+        out = out[d2 <= separation_to_chord(radius) ** 2]
+    if mag_min is not None:
+        out = out[out["calmag"] >= mag_min]
+    if mag_max is not None:
+        out = out[out["calmag"] <= mag_max]
+    return out
 
 
-def test_star_query_equals_full_scan_byte_for_byte(tmp_path, sky):
-    # half the template is indexed, so every frame also stores candidates and
-    # the odd template stars never appear: ids missing between present ones
+def half_matched_store(root, sky):
+    """Nights 0 (merged), 1 and 2 (delta) against half the template.
+
+    Every frame also stores candidates, and the odd template stars never
+    appear: ids missing between present ones.
+    """
     template, _ = sky
     half = build_zone_index(template.to_records(CFG)[::2], CFG.zone_height_deg)
-    store = NightStore(tmp_path, 0)
+    store = NightStore(root, 0)
     for night in range(3):
         for k in range(1, 4):
             epoch = night * 86400.0 + 15.0 * k
@@ -1037,6 +1080,12 @@ def test_star_query_equals_full_scan_byte_for_byte(tmp_path, sky):
             store.delta_insert(frame, frame_to_store_records(frame, matches))
         if night == 0:
             store.nightly_merge()  # nights 1 and 2 stay in the delta log
+    return store
+
+
+def test_star_query_equals_full_scan_byte_for_byte(tmp_path, sky):
+    template, _ = sky
+    store = half_matched_store(tmp_path, sky)
     base, _ = _read_rows(store.base_path(), BASE_MAGIC, STORE_DTYPE)
     assert len(list(store.all_segments())) == 6
     present = set(base["star_id"].tolist())
@@ -1059,11 +1108,73 @@ def test_star_query_equals_full_scan_byte_for_byte(tmp_path, sky):
         assert rows.tobytes() == base[base["star_id"] == star_id].tobytes()
         for kw in windows:
             got = store.query_records(star_id=star_id, **kw)
-            want = full_scan_star_query(store, star_id, **kw)
+            want = full_scan_query(store, star_id, **kw)
             assert got.dtype == STORE_DTYPE
             assert got.tobytes() == want.tobytes(), (star_id, kw)
             hits += len(got) > 0
     assert hits > len(ids)
+
+
+def test_every_clause_equals_filtering_after_the_sort(tmp_path, sky):
+    """Each clause filters each layer before the sort, with the bytes of a full
+    scan whose cone and magnitude clauses cut the sorted rows."""
+    store = half_matched_store(tmp_path, sky)
+    rows = full_scan_query(store)
+    star = int(rows["star_id"][rows["star_id"] >= 0][7])
+    at = (float(rows["ra"][100]), float(rows["dec"][100]))
+    mid = float(np.median(rows["calmag"]))
+    star_mid = float(np.median(rows["calmag"][rows["star_id"] == star]))
+    cases = [
+        dict(),
+        dict(star_id=star),
+        dict(star_id=UNMATCHED_STAR_ID, epoch_min=30.0),
+        dict(epoch_min=45.0, epoch_max=2 * 86400.0 + 15.0),
+        dict(cone=(*at, 0.05)),
+        dict(cone=(*at, 0.5), epoch_max=86400.0 + 30.0),
+        dict(cone=(0.0, 0.0, 0.3)),  # reaches over the RA seam
+        dict(cone=(*at, 0.3), mag_max=mid, include_candidates=False),
+        dict(mag_max=mid),
+        dict(mag_min=mid, epoch_min=86400.0),
+        dict(mag_min=mid - 0.5, mag_max=mid + 0.5, epoch_max=86400.0 + 30.0),
+        dict(star_id=star, mag_max=star_mid),
+        dict(include_candidates=False),
+        dict(star_id=star, mag_min=99.0),  # no row passes
+    ]
+    for kw in cases:
+        got, want = store.query_records(**kw), full_scan_query(store, **kw)
+        assert got.dtype == STORE_DTYPE and got.tobytes() == want.tobytes(), kw
+        assert got.tobytes() == query_stores([store], QueryPredicate(**kw)).tobytes()
+    assert all(len(store.query_records(**kw)) for kw in cases[:-1])
+
+
+def test_cone_and_magnitude_queries_sort_only_the_rows_they_return(tmp_path, sky, monkeypatch):
+    store = half_matched_store(tmp_path, sky)
+    rows, sorted_rows, real = store.query_records(), [], store_mod._ordered
+
+    def counting(layers, keys):
+        sorted_rows.append(sum(len(layer) for layer in layers))
+        return real(layers, keys)
+
+    monkeypatch.setattr(store_mod, "_ordered", counting)
+    at = (float(rows["ra"][0]), float(rows["dec"][0]))
+    brightest = float(np.quantile(rows["calmag"], 0.05))
+    for predicate in (QueryPredicate(cone=(*at, 0.1)), QueryPredicate(mag_max=brightest)):
+        sorted_rows.clear()
+        got = query_stores([store], predicate)
+        assert 0 < len(got) < len(rows) / 10
+        assert sorted_rows == [len(got)]
+
+
+@pytest.mark.parametrize("centre", [(360.0, 0.0), (1.0, 90.5), (float("nan"), 0.0)])
+@pytest.mark.parametrize("partitions", [1, 2])
+def test_a_bad_cone_centre_fails_before_any_partition_is_read(tmp_path, sky, centre, partitions):
+    for p in range(partitions):
+        fill_store(tmp_path, sky, [15.0], partition_id=p)
+    stores = open_partitions(tmp_path)
+    with (mock.patch.object(NightStore, "_snapshot") as listed,
+          pytest.raises(DomainError, match="must be in") as raised):
+        query_stores(stores, QueryPredicate(cone=(*centre, 0.5)))
+    assert not isinstance(raised.value, PartitionError) and listed.call_count == 0
 
 
 def test_star_query_on_empty_base(tmp_path, sky):
