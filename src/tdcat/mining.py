@@ -106,6 +106,11 @@ class WindowBank:
     ``_REFRESH_EVERY`` frames to stop float drift.  Points sharing one frame
     are all judged against the pre-frame baseline before any of them is
     absorbed, so duplicate matches to one star cannot alert on each other.
+
+    The rings are laid out ``(window, stars)``: a pass writes one window slot
+    of many stars, so that slot is contiguous.  A star's slot is its position
+    in ``star_ids``: when they are strictly increasing from 0 to n - 1, its id.
+    A frame's stars seen once are absorbed in one pass, the rest per multiplicity.
     """
 
     def __init__(self, star_ids: np.ndarray, config: MiningConfig):
@@ -115,7 +120,8 @@ class WindowBank:
         self.star_ids = star_ids
         self.config = config
         n, w = len(star_ids), config.window
-        self._ring = np.zeros((n, w), dtype=np.float64)
+        self._ids_are_slots = n > 0 and star_ids[0] == 0 and star_ids[-1] == n - 1
+        self._ring = np.zeros((w, n), dtype=np.float64)
         self._head = np.zeros(n, dtype=np.int64)
         self._count = np.zeros(n, dtype=np.int64)
         self._sum = np.zeros(n, dtype=np.float64)
@@ -127,22 +133,25 @@ class WindowBank:
         return len(self.star_ids)
 
     def _slots_of(self, star_ids: np.ndarray) -> np.ndarray:
-        slots = np.searchsorted(self.star_ids, star_ids)
         n = self.n_stars
-        bad = (slots >= n) | (self.star_ids[np.minimum(slots, n - 1)] != star_ids)
-        if np.any(bad):
-            raise DomainError(
-                f"unknown star ids in update: {np.unique(star_ids[bad])[:5]}"
-            )
-        return slots
+        if self._ids_are_slots:
+            if not len(star_ids) or (star_ids.min() >= 0 and star_ids.max() < n):
+                return star_ids
+            bad = (star_ids < 0) | (star_ids >= n)
+        else:
+            slots = np.searchsorted(self.star_ids, star_ids)
+            bad = (slots >= n) | (self.star_ids[np.minimum(slots, n - 1)] != star_ids)
+            if not np.any(bad):
+                return slots
+        raise DomainError(f"unknown star ids in update: {np.unique(star_ids[bad])[:5]}")
 
     def baseline_stats(self, slots: np.ndarray):
         """(count, mean, sample variance) of the current baselines."""
         n, total, sumsq = self._count[slots], self._sum[slots], self._sumsq[slots]
         mean = total / np.maximum(n, 1)
-        var = np.zeros(len(slots))
-        two = n >= 2
-        var[two] = (sumsq[two] - total[two] ** 2 / n[two]) / (n[two] - 1)
+        with np.errstate(divide="ignore", invalid="ignore"):  # n < 2 is zeroed below
+            var = (sumsq - total**2 / n) / (n - 1)
+        var[n < 2] = 0.0
         np.clip(var, 0.0, None, out=var)
         return n, mean, var
 
@@ -151,40 +160,50 @@ class WindowBank:
         slot = np.arange(self.config.window)
         for lo in range(0, self.n_stars, _REFRESH_ROWS):
             part = slice(lo, lo + _REFRESH_ROWS)
-            vals = np.where(slot < self._count[part, None], self._ring[part], 0.0)
+            vals = np.ascontiguousarray(self._ring[:, part].T)  # sums in a star's row order
+            np.copyto(vals, 0.0, where=slot >= self._count[part, None])
             self._sum[part] = vals.sum(axis=1)
             self._sumsq[part] = (vals * vals).sum(axis=1)
         self._frames_since_refresh = 0
 
-    def _push(self, slots: np.ndarray, mags: np.ndarray) -> list:
-        """Absorb points; duplicate slots are applied in multiplicity passes.
-
-        A pass takes each star's first remaining point (a per-star minimum of
-        row positions); its slots are distinct, so update order changes no float.
-        Returns one ``(slots, heads, counts, sums, sumsqs, ring values)`` tuple
-        per pass: what the pass overwrote, for ``restore``.
-        """
+    def _push_distinct(self, sel: np.ndarray, mags: np.ndarray) -> tuple:
+        """Absorb one point for each of the distinct slots ``sel``; returns
+        ``(slots, heads, counts, sums, sumsqs, ring values)`` as they were."""
         w, ring = self.config.window, self._ring.reshape(-1)
+        head, count = self._head[sel], self._count[sel]
+        total, sumsq = self._sum[sel], self._sumsq[sel]
+        at = head * self.n_stars + sel
+        old = ring[at]
+        full = count == w
+        drop = np.where(full, old, 0.0)  # a full window's oldest point leaves first
+        self._sum[sel] = (total - drop) + mags
+        self._sumsq[sel] = (sumsq - drop * drop) + mags * mags
+        ring[at] = mags
+        step = head + 1
+        step[step == w] = 0
+        self._head[sel] = step
+        self._count[sel] = count + ~full
+        return sel, head, count, total, sumsq, old
+
+    def _push(self, slots: np.ndarray, mags: np.ndarray) -> list:
+        """Absorb points: stars seen once in one pass (in ``core.row_blocks``), the
+        rest in multiplicity passes.
+
+        A multiplicity pass takes each remaining star's first point (a per-star
+        minimum of row positions).  Each pass's slots are distinct, so update
+        order changes no float.  Returns each pass's record, for ``restore``.
+        """
+        once = np.bincount(slots, minlength=self.n_stars)[slots] == 1
+        sel, sel_mags = slots[once], mags[once]  # distinct stars, so row blocks are disjoint
+        passes = row_blocks(len(sel), lambda a, b: self._push_distinct(sel[a:b], sel_mags[a:b]))
+        slots, mags = slots[~once], mags[~once]
         first_at = np.empty(self.n_stars, dtype=np.int64)
-        passes = []
         while len(slots):
             rows = np.arange(len(slots))
             first_at[slots] = len(slots)
             np.minimum.at(first_at, slots, rows)
             first = first_at[slots] == rows
-            sel, sel_mags = slots[first], mags[first]
-            head, count = self._head[sel], self._count[sel]
-            total, sumsq = self._sum[sel], self._sumsq[sel]
-            at = sel * w + head
-            old = ring[at]
-            full = count == w
-            drop = np.where(full, old, 0.0)  # a full window's oldest point leaves first
-            self._sum[sel] = (total - drop) + sel_mags
-            self._sumsq[sel] = (sumsq - drop * drop) + sel_mags * sel_mags
-            ring[at] = sel_mags
-            self._head[sel] = (head + 1) % w
-            self._count[sel] = count + ~full
-            passes.append((sel, head, count, total, sumsq, old))
+            passes.append(self._push_distinct(slots[first], mags[first]))
             slots, mags = slots[~first], mags[~first]
         return passes
 
@@ -236,7 +255,7 @@ class WindowBank:
     def absorb(self, slots, mags):
         """Add one judged frame's points to the windows; returns its undo record.
 
-        The record holds what the frame overwrote: each multiplicity pass's
+        The record holds what the frame overwrote: each pass's
         slots, heads, counts, sums, sumsqs and ring values, the running sums
         from before a refresh if this frame ran one, and the refresh counter.
         ``restore`` takes it.
@@ -261,7 +280,7 @@ class WindowBank:
             self._sum, self._sumsq = refreshed
         ring = self._ring.reshape(-1)
         for sel, head, count, total, sumsq, old in reversed(passes):
-            ring[sel * self.config.window + head] = old
+            ring[head * self.n_stars + sel] = old
             self._head[sel], self._count[sel] = head, count
             self._sum[sel], self._sumsq[sel] = total, sumsq
         self._frames_since_refresh = frames_since_refresh

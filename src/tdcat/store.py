@@ -362,17 +362,15 @@ class NightStore:
 
         A read lists them all once, before it opens any, so a merge that commits
         meanwhile cannot make it skip or repeat a night, only delete a listed file.
+        The nights and their segments are listed before the base: a merge that
+        commits in between leaves a base that covers every night it swept.
         """
+        nights = sorted(int(p.name.split("_")[-1]) for p in self.delta_dir.glob("night_*"))
+        segments = {night: self._segments(night) for night in nights}
         base = self.base_path()
         base_night = -1 if base is None else int(base.stem.split("_")[-1])
-        nights = (int(p.name.split("_")[-1]) for p in self.delta_dir.glob("night_*"))
-        nights = sorted(n for n in nights if n > base_night)
-        return base, base_night, nights, list(self.all_segments(nights))
-
-    def all_segments(self, nights=None):
-        """The segments of ``nights``, by default of every night after the base's."""
-        for night in self._snapshot()[2] if nights is None else nights:
-            yield from self._segments(night)
+        nights = [night for night in nights if night > base_night]
+        return base, base_night, nights, [seg for night in nights for seg in segments[night]]
 
     def _layers(self, star_id=None):
         """Newest base run (only ``star_id``'s rows, if given), then each later segment."""

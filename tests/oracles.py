@@ -16,7 +16,8 @@ the streamed ``NightStore.nightly_merge`` must match byte for byte;
 ``SourceRecord.validate``, a one-row-at-a-time check of the row invariants,
 which the masks of ``check_records`` must match row for row;
 ``push_in_unique_passes``, the window bank's earlier ``np.unique`` absorb,
-which the current one must match bit for bit;
+and ``baseline_stats_in_masked_gathers``, its earlier variance, which the
+current ones must match bit for bit;
 ``brute_force_chord_match``, the join's own chord rule over every pair, which
 pins the join's zone and RA pruning at pairs that sit on the radius; and
 ``angular_separation``, the chord-length separation of two directions, which
@@ -240,17 +241,31 @@ def refresh_sums_whole_array(bank):
     the rebuilt ``(sum, sumsq)``, leaving the bank as it is.
     """
     mask = np.arange(bank.config.window) < bank._count[:, None]
-    vals = np.where(mask, bank._ring, 0.0)
+    vals = np.where(mask, np.ascontiguousarray(bank._ring.T), 0.0)  # star-major, as it was
     return vals.sum(axis=1), (vals * vals).sum(axis=1)
+
+
+def baseline_stats_in_masked_gathers(bank, slots):
+    """``WindowBank.baseline_stats`` as it was: the variance computed only
+    for the baselines of two or more points, through boolean-mask gathers."""
+    n, total, sumsq = bank._count[slots], bank._sum[slots], bank._sumsq[slots]
+    mean = total / np.maximum(n, 1)
+    var = np.zeros(len(slots))
+    two = n >= 2
+    var[two] = (sumsq[two] - total[two] ** 2 / n[two]) / (n[two] - 1)
+    np.clip(var, 0.0, None, out=var)
+    return n, mean, var
 
 
 def push_in_unique_passes(bank, slots, mags) -> None:
     """``WindowBank._push`` as it was: each pass takes every star's first
     remaining point through ``np.unique``, which sorts the slots.
 
-    The per-star-minimum ``_push`` must leave the rings, heads, counts and
-    running sums bit for bit the same.
+    The current ``_push`` must leave the rings, heads, counts and running
+    sums bit for bit the same.  The ring is read star-major, through
+    ``bank._ring.T``.
     """
+    ring = bank._ring.T
     while len(slots):
         _, first = np.unique(slots, return_index=True)
         sel_slots = slots[first]
@@ -258,11 +273,11 @@ def push_in_unique_passes(bank, slots, mags) -> None:
         full = bank._count[sel_slots] == bank.config.window
         if np.any(full):
             fs = sel_slots[full]
-            old = bank._ring[fs, bank._head[fs]]
+            old = ring[fs, bank._head[fs]]
             bank._sum[fs] -= old
             bank._sumsq[fs] -= old * old
             bank._count[fs] -= 1
-        bank._ring[sel_slots, bank._head[sel_slots]] = sel_mags
+        ring[sel_slots, bank._head[sel_slots]] = sel_mags
         bank._head[sel_slots] = (bank._head[sel_slots] + 1) % bank.config.window
         bank._count[sel_slots] += 1
         bank._sum[sel_slots] += sel_mags

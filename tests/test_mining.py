@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import types
 
@@ -35,6 +36,7 @@ from oracles import (
     DenseTracker,
     PureWindow,
     WindowState,
+    baseline_stats_in_masked_gathers,
     online_update,
     push_in_unique_passes,
     refresh_sums_whole_array,
@@ -209,7 +211,7 @@ def test_bank_running_sums_stay_exact_after_refresh():
     for f in range(520):
         bank.update(15.0 * f, [1], [12.0 + rng.standard_normal() * 0.05], [0.02])
     n, mean, var = bank.baseline_stats(np.array([0]))
-    window_vals = bank._ring[0]
+    window_vals = bank._ring.T[0]
     assert n[0] == 8
     assert mean[0] == pytest.approx(window_vals.mean(), rel=1e-12)
     assert var[0] == pytest.approx(window_vals.var(ddof=1), rel=1e-9)
@@ -258,6 +260,99 @@ def bank_state(bank):
     return [getattr(bank, name).tobytes() for name in BANK_ARRAYS] + [
         bank._frames_since_refresh
     ]
+
+
+@pytest.mark.parametrize("block_rows", [1 << 14, 37])
+@pytest.mark.parametrize("gaps", [False, True], ids=["ids_0_to_n", "every_9th_id_dropped"])
+def test_push_of_full_scale_shaped_frames_matches_the_unique_pass_push(
+    monkeypatch, gaps, block_rows
+):
+    """Most stars once a frame and a few 2-7 times, over 600 frames past a
+    refresh, the once-seen stars in one row block or many: alerts and every
+    array match the unique-pass push byte for byte, and restore undoes each
+    frame bit for bit."""
+    monkeypatch.setattr(core, "_BLOCK_ROWS", block_rows)
+    cfg = MiningConfig(window=8, min_window=3, k_sigma=4.0)
+    stars = np.arange(500, dtype=np.int64)
+    if gaps:
+        stars = stars[stars % 9 != 8]
+    bank, reference = WindowBank(stars, cfg), WindowBank(stars, cfg)
+    reference._push = types.MethodType(push_in_unique_passes, reference)
+    rng = np.random.default_rng(11)
+    for f in range(600):
+        present = stars[rng.random(len(stars)) < 0.95]
+        repeated = rng.choice(present, 0 if f % 10 == 0 else 6, replace=False)
+        extra = np.repeat(repeated, rng.integers(1, 7, len(repeated)))
+        ids = rng.permutation(np.concatenate([present, extra]))
+        mags = 12.0 + rng.standard_normal(len(ids)) * rng.choice([0.01, 0.3, 4.0], len(ids))
+        errs = np.full(len(ids), 0.02)
+        got, slots, point_mags = bank.judge(15.0 * f, ids, mags, errs)
+        before = bank_state(bank)
+        bank.restore(bank.absorb(slots, point_mags))
+        assert bank_state(bank) == before, f
+        bank.absorb(slots, point_mags)
+        want = reference.update(15.0 * f, ids, mags, errs)
+        assert [vars(a) for a in got] == [vars(a) for a in want], f
+        assert bank_state(bank) == bank_state(reference), f
+    assert bank._frames_since_refresh == reference._frames_since_refresh == 600 - _REFRESH_EVERY
+
+
+def test_a_bank_of_ids_0_to_n_takes_each_id_as_its_slot():
+    n = 50
+    bank = WindowBank(np.arange(n, dtype=np.int64), MiningConfig())
+    assert bank._ids_are_slots
+    ids = np.random.default_rng(4).integers(0, n, 300)
+    assert bank._slots_of(ids).tobytes() == np.searchsorted(bank.star_ids, ids).tobytes()
+    with pytest.raises(DomainError, match=rf"unknown star ids in update: \[-1 {n}\]"):
+        bank.judge(0.0, [3, -1, n, 4], np.full(4, 12.0), np.full(4, 0.02))
+
+
+@pytest.mark.parametrize(
+    "stars",
+    [
+        np.arange(900)[np.arange(900) % 9 != 0],  # as unmatched-heavy's template
+        np.arange(900)[np.arange(900) % 9 != 8],
+        np.r_[-3, 1:50],  # n ids ending at n - 1, but not 0..n-1
+    ],
+    ids=["drop_0_9_18", "drop_8_17_26", "negative_first"],
+)
+def test_a_bank_of_other_ids_returns_the_searchsorted_slots(stars):
+    stars = stars.astype(np.int64)
+    bank = WindowBank(stars, MiningConfig())
+    assert not bank._ids_are_slots
+    ids = np.random.default_rng(len(stars)).choice(stars, 500)
+    assert bank._slots_of(ids).tobytes() == np.searchsorted(stars, ids).tobytes()
+    unknown = np.setdiff1d(np.arange(-4, stars[-1] + 3), stars)[[0, -1]]
+    with pytest.raises(DomainError, match=re.escape(f"unknown star ids in update: {unknown}")):
+        bank._slots_of(np.r_[stars[0], unknown, stars[-1]])
+
+
+@pytest.mark.parametrize("chunk", [7, 1 << 14])
+def test_refresh_of_a_default_window_bank_matches_the_whole_array_refresh(monkeypatch, chunk):
+    """Window 40, long enough that a star's sum is not a plain left-to-right
+    one; every count from 0 to 40, and values past the count to be masked."""
+    monkeypatch.setattr(mining, "_REFRESH_ROWS", chunk)
+    bank = WindowBank(np.arange(300, dtype=np.int64), MiningConfig())
+    rng = np.random.default_rng(5)
+    bank._ring[:] = rng.normal(12.0, 0.3, bank._ring.shape)
+    bank._count[:] = np.arange(300) % (bank.config.window + 1)
+    want_sum, want_sumsq = refresh_sums_whole_array(bank)
+    bank._refresh_sums()
+    assert bank._sum.tobytes() == want_sum.tobytes()
+    assert bank._sumsq.tobytes() == want_sumsq.tobytes()
+
+
+def test_baseline_stats_match_the_masked_gathers_and_zero_short_baselines():
+    cfg = MiningConfig(window=5, min_window=2)
+    bank = WindowBank(np.arange(40, dtype=np.int64), cfg)
+    rng = np.random.default_rng(9)
+    for f in range(8):
+        ids = np.arange(40)[np.arange(40) // 5 > f]  # counts 0 to 5, windows wrapped
+        bank.absorb(ids, 12.0 + rng.standard_normal(len(ids)))
+    slots = rng.permutation(np.repeat(np.arange(40), 2))
+    got, want = bank.baseline_stats(slots), baseline_stats_in_masked_gathers(bank, slots)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    assert set(got[0][got[2] == 0.0]) >= {0, 1}
 
 
 @pytest.mark.parametrize("k", [1, 2, 7])

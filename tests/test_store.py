@@ -579,8 +579,37 @@ def test_read_racing_a_merge_sees_one_state_or_names_the_lost_file(tmp_path, sky
             assert "seg_" in str(exc)  # the segment the merge swept
         else:
             assert canonical(got) == expected
-    assert not any(writer.all_segments())  # the merge ran, mid-read
+    assert not writer._snapshot()[3]  # the merge ran, mid-read
     assert canonical(reader.query_records()) == expected
+
+
+@pytest.mark.parametrize("merge", ["before_base_listing", "after_base_listing"])
+def test_read_racing_a_first_merge_returns_every_row_or_names_the_lost_file(
+    tmp_path, sky, monkeypatch, merge
+):
+    """A partition's first merge commits and sweeps just before or just after a
+    reader lists the base: the read returns every row or fails by name."""
+    writer, inserted = fill_store(tmp_path, sky, [15.0, 30.0, 45.0])
+    assert len(inserted) == 900
+    reader = NightStore(tmp_path, partition_id=0)
+    real, merged = reader.base_path, []
+
+    def merge_around_the_listing():
+        if merge == "before_base_listing" and not merged:
+            merged.append(writer.nightly_merge())
+        base = real()
+        if merge == "after_base_listing" and not merged:
+            merged.append(writer.nightly_merge())
+        return base
+
+    monkeypatch.setattr(reader, "base_path", merge_around_the_listing)
+    if merge == "before_base_listing":  # the new base covers the listed nights
+        assert canonical(reader.query_records()) == canonical(inserted)
+    else:  # no base listed; the nights listed before it were swept
+        with pytest.raises(StorageError, match=r"seg_\d+\.tdl was deleted by a merge"):
+            reader.query_records()
+    assert merged and not merged[0].noop and not writer._snapshot()[3]
+    assert canonical(reader.query_records()) == canonical(inserted)
 
 
 def test_merge_preserves_record_multiset(tmp_path, sky):
@@ -650,7 +679,7 @@ def layer_rows(store):
     layers = []
     if store.base_path() is not None:
         layers.append(_read_rows(store.base_path(), BASE_MAGIC, STORE_DTYPE)[0])
-    for seg in store.all_segments():
+    for seg in store._snapshot()[3]:
         layers.append(_read_rows(seg, DELTA_MAGIC, STORE_DTYPE)[0])
     return layers
 
@@ -710,7 +739,7 @@ def test_merge_refuses_delta_rows_of_a_closed_night(tmp_path, sky):
     donor, _ = fill_store(tmp_path / "donor", sky, [30.0])
     planted = store.delta_dir / "night_00002" / "seg_00000777.tdl"
     planted.parent.mkdir(parents=True)
-    planted.write_bytes(next(donor.all_segments()).read_bytes())
+    planted.write_bytes(donor._snapshot()[3][0].read_bytes())
     payload = base.read_bytes()
     with pytest.raises(StorageError, match="seg_00000777"):
         store.nightly_merge()
@@ -1035,7 +1064,7 @@ def full_scan_query(store, star_id=None, epoch_min=None, epoch_max=None, cone=No
     """Every layer read whole and masked by the star, epoch and candidate
     clauses, put in (epoch, id) order, then cut by the cone and magnitudes."""
     layers = [_read_rows(store.base_path(), BASE_MAGIC, STORE_DTYPE)[0]]
-    for seg in store.all_segments():
+    for seg in store._snapshot()[3]:
         layers.append(_read_rows(seg, DELTA_MAGIC, STORE_DTYPE)[0])
     parts = []
     for rec in layers:
@@ -1087,7 +1116,7 @@ def test_star_query_equals_full_scan_byte_for_byte(tmp_path, sky):
     template, _ = sky
     store = half_matched_store(tmp_path, sky)
     base, _ = _read_rows(store.base_path(), BASE_MAGIC, STORE_DTYPE)
-    assert len(list(store.all_segments())) == 6
+    assert len(store._snapshot()[3]) == 6
     present = set(base["star_id"].tolist())
     stars = template.stars["id"].astype(int)
     missing = [s for s in range(min(present), max(present)) if s not in present]
