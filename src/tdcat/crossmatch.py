@@ -38,7 +38,8 @@ class ZoneIndex:
     """Immutable zone-strip index over a set of catalog positions.
 
     Rows are stored flat, sorted by (zone, ra); ``key`` is the combined sort
-    key ``zone * 361 + ra`` used for global binary search.
+    key ``zone * 361 + ra`` used for global binary search, followed by one
+    ``+inf`` so that a probe just past any window still lands in ``key``.
     """
 
     zone_height_deg: float
@@ -107,7 +108,7 @@ def build_zone_index(records, zone_height_deg: float) -> ZoneIndex:
         x, y, z = radec_to_cartesian(ra, dec[order]) if len(ra) else (ra, ra, ra)
         xyz = np.column_stack([x, y, z])
 
-    key = zone.astype(np.float64) * 361.0 + ra
+    key = np.append(zone.astype(np.float64) * 361.0 + ra, np.inf)
     return ZoneIndex(
         zone_height_deg=zone_height_deg,
         ids=ids,
@@ -141,32 +142,36 @@ def range_join(frame, template_index: ZoneIndex, radius_deg: float) -> MatchResu
     ``[dec - r - pad, dec + r + pad]`` reaches, both edges through
     ``zone_of``, and from inside a declination-inflated RA window: one lookup
     per zone the band reaches, seam intervals included (a window that crosses
-    the 0/360 seam adds an interval for its wrapped part).  Among candidates
-    within ``radius_deg`` the nearest wins; exact separation ties break toward
-    the smaller template star id.  Records with no in-radius candidate are
+    the 0/360 seam adds an interval for its wrapped part), each bisected
+    once; two probes give the window's length, and only a window of two or
+    more stars is bisected again for its end.  Among candidates within
+    ``radius_deg`` the nearest wins; exact separation ties break toward the
+    smaller template star id.  Records with no in-radius candidate are
     returned as unmatched transient candidates.  A ``dec`` outside [-90, 90]
     or an ``ra`` outside [0, 360), NaN included, raises DomainError naming
     the first such row.
 
     Rows are independent, so they are joined in contiguous blocks on every
-    core (``core.row_blocks``) and the blocks' results laid end to end; a
-    block whose lookups find more than ``_PAIR_BUDGET`` candidate pairs is
-    joined in halves.  The result is the same bytes for any blocking.
+    core (``core.row_blocks``), each reading its rows' fields, ``x/y/z``
+    included, in place, and the blocks' results laid end to end; a block
+    whose lookups find more than ``_PAIR_BUDGET`` candidate pairs is joined
+    in halves.  The result is the same bytes for any blocking.
     """
     if not 0 < radius_deg <= 90:
         raise ConfigError(f"radius_deg must be in (0, 90], got {radius_deg}")
     records = frame.records if hasattr(frame, "records") else frame
-    n = len(records)
-    ra = np.ascontiguousarray(records["ra"], dtype=np.float64)
-    dec = np.ascontiguousarray(records["dec"], dtype=np.float64)
-    if n and not (dec.min() >= -90.0 and dec.max() <= 90.0):  # NaN fails too
-        i = int(np.argmin((dec >= -90.0) & (dec <= 90.0)))
-        raise DomainError(f"row {i}: dec {float(dec[i])!r} is not in [-90, 90]")
 
     def block(lo, hi):
-        return _join_rows(records, ra, dec, lo, hi, template_index, radius_deg)
+        return _join_rows(records, lo, hi, template_index, radius_deg)
 
-    return _laid_end_to_end(row_blocks(n, block))
+    return _laid_end_to_end(row_blocks(len(records), block))
+
+
+def _check_dec(dec, lo=0) -> None:
+    """Raise DomainError naming the first row of ``dec`` outside [-90, 90]."""
+    if len(dec) and not (dec.min() >= -90.0 and dec.max() <= 90.0):  # NaN fails too
+        i = int(np.argmin((dec >= -90.0) & (dec <= 90.0)))
+        raise DomainError(f"row {lo + i}: dec {float(dec[i])!r} is not in [-90, 90]")
 
 
 def _laid_end_to_end(parts) -> MatchResult:
@@ -185,16 +190,18 @@ def _laid_end_to_end(parts) -> MatchResult:
     )
 
 
-def _join_rows(records, ra_all, dec_all, lo, hi, template_index, radius_deg):
+def _join_rows(records, lo, hi, template_index, radius_deg):
     """``range_join`` of rows ``[lo, hi)``, row numbers counted from row 0."""
     n = hi - lo
-    ra, dec = ra_all[lo:hi], dec_all[lo:hi]
+    ra = np.ascontiguousarray(records["ra"][lo:hi], dtype=np.float64)
+    dec = np.ascontiguousarray(records["dec"][lo:hi], dtype=np.float64)
+    _check_dec(dec, lo)
     h = template_index.zone_height_deg
 
-    # each record's zone band, both edges through one zone_of call
+    # each record's zone band, both edges through one zone_of call, in two rows
     reach = radius_deg + _WINDOW_PAD_DEG
-    edges = zone_of(np.clip(np.add.outer(dec, (-reach, reach)), -90.0, 90.0), h)
-    band_lo, band_span = edges[:, 0], edges[:, 1] - edges[:, 0]
+    edges = zone_of(np.clip(np.add.outer((-reach, reach), dec), -90.0, 90.0), h)
+    band_lo, band_span = edges[0], edges[1] - edges[0]
 
     halfw = _ra_halfwidth_deg(dec, radius_deg)
     w_lo, w_hi = ra - halfw, ra + halfw
@@ -205,7 +212,8 @@ def _join_rows(records, ra_all, dec_all, lo, hi, template_index, radius_deg):
     edge = wrap = np.flatnonzero(~((w_lo >= 0.0) & (w_hi <= 360.0)))
     if len(edge):
         bad = edge[~((ra[edge] >= 0.0) & (ra[edge] < 360.0))]
-        if len(bad):
+        if len(bad):  # an off-sky dec in any block is named first
+            _check_dec(records["dec"])
             i = bad[0]
             raise DomainError(f"row {lo + i}: ra {float(ra[i])!r} is not in [0, 360)")
         full = halfw[edge] >= 180.0
@@ -218,41 +226,45 @@ def _join_rows(records, ra_all, dec_all, lo, hi, template_index, radius_deg):
     q_zone, q_span = band_lo[q_rec], band_span[q_rec]
 
     # One lookup per zone step k, over the intervals whose band reaches
-    # ``band_lo + k``.
+    # ``band_lo + k``.  A window holds a star if ``key[start]`` is in it, and
+    # two or more if ``key[start + 1]`` is too (``key`` ends in +inf).
     key = template_index.key
-    hit_rec, hit_start, hit_len = [], [], []
+    hits = []
     for k in range(int(band_span.max(initial=0)) + 1):
         sel = np.flatnonzero(q_span >= k) if k else slice(None)
         base = (q_zone[sel] + k) * 361.0
         start = np.searchsorted(key, base + q_lo[sel], side="left")
-        length = np.searchsorted(key, base + q_hi[sel], side="right") - start
-        hit = np.flatnonzero(length)
-        hit_rec.append(q_rec[sel][hit])
-        hit_start.append(start[hit])
-        hit_len.append(length[hit])
-    start = np.concatenate(hit_start)
-    length = np.concatenate(hit_len)
+        w_end = base + q_hi[sel]
+        hit = np.flatnonzero(np.take(key, start) <= w_end)
+        start, w_end = start[hit], w_end[hit]
+        length = 1 + (np.take(key, start + 1) <= w_end)
+        more = np.flatnonzero(length > 1)
+        length[more] = np.searchsorted(key, w_end[more], side="right") - start[more]
+        hits.append((q_rec[sel][hit], start, length))
+    hit_rec, start, length = (np.concatenate(part) for part in zip(*hits))
     if n > 1 and length.sum() > _PAIR_BUDGET:  # crowded: join each half apart
         mid = lo + n // 2
         return _laid_end_to_end(
-            [_join_rows(records, ra_all, dec_all, a, b, template_index, radius_deg)
+            [_join_rows(records, a, b, template_index, radius_deg)
              for a, b in ((lo, mid), (mid, hi))]
         )
-    cand_rec = np.repeat(np.concatenate(hit_rec), length)
+    cand_rec = np.repeat(hit_rec, length)
     # each hit's run of index rows, laid end to end
     cand_tpl = np.arange(len(cand_rec)) + np.repeat(
         start - (np.cumsum(length) - length), length
     )
-    del base, hit_rec, hit_start, hit_len, start, length, hit, sel
+    del base, hits, hit_rec, start, length, hit, sel, w_end, more
     del edges, band_lo, band_span, halfw, w_lo, w_hi, q_rec, q_lo, q_hi, q_zone, q_span
 
-    if "x" in records.dtype.names:
-        fxyz = np.column_stack(
-            [records["x"][lo:hi], records["y"][lo:hi], records["z"][lo:hi]]
-        )
-    else:
+    f = records.dtype.fields
+    if "x" not in f:
         fxyz = np.column_stack(radec_to_cartesian(ra, dec))
-    diff = fxyz[cand_rec] - template_index.xyz[cand_tpl]
+    elif [f[c][:2] for c in "xyz" if c in f] == [("f8", f["x"][1] + d) for d in (0, 8, 16)]:
+        x = records["x"][lo:hi]  # x/y/z adjacent float64: an (n, 3) strided view in place
+        fxyz = np.lib.stride_tricks.as_strided(x, (n, 3), (x.strides[0], 8), writeable=False)
+    else:
+        fxyz = np.column_stack([records[c][lo:hi] for c in "xyz"])
+    diff = np.take(fxyz, cand_rec, axis=0) - np.take(template_index.xyz, cand_tpl, axis=0)
     chord2 = np.einsum("ij,ij->i", diff, diff)
     del diff  # the largest temporary; not needed past this point
     max_chord = separation_to_chord(radius_deg)
@@ -279,14 +291,14 @@ def _join_rows(records, ra_all, dec_all, lo, hi, template_index, radius_deg):
     sep = np.degrees(
         2.0 * np.arcsin(np.minimum(1.0, np.sqrt(chord2[chosen]) / 2.0))
     )
-    ids = records["id"][lo:hi]
-    record_ids, unmatched_ids = ids[matched].astype(np.uint64), ids[unmatched].astype(np.uint64)
+    ids = np.ascontiguousarray(records["id"][lo:hi]).astype(np.uint64, copy=False)
+    record_ids, unmatched_ids = np.take(ids, matched), np.take(ids, unmatched)
     if lo:  # row numbers from row 0
         matched += lo
         unmatched += lo
     return MatchResult(
         record_ids=record_ids,
-        star_ids=template_index.ids[cand_tpl[chosen]],
+        star_ids=np.take(template_index.ids, np.take(cand_tpl, chosen)),
         separations_deg=sep,
         unmatched_ids=unmatched_ids,
         matched_rows=matched,

@@ -222,7 +222,7 @@ class WindowBank:
         star_ids = np.asarray(star_ids, dtype=np.int64)
         mags = np.asarray(mags, dtype=np.float64)
         mag_errors = np.asarray(mag_errors, dtype=np.float64)
-        rows = np.arange(len(star_ids)) if rows is None else rows
+        rows = np.arange(len(star_ids)) if rows is None else np.asarray(rows)
         slots = np.empty(len(star_ids), np.int64)
         point_mags = np.empty(len(star_ids))
 
@@ -230,8 +230,10 @@ class WindowBank:
             part, pick = slice(lo, hi), rows[lo:hi]
             slots[part] = self._slots_of(star_ids[part])
             n, mean, var = self.baseline_stats(slots[part])
-            point_mags[part] = mags[pick]
-            err, mag = mag_errors[pick], point_mags[part]
+            first, last = (pick.min(), pick.max() + 1) if len(pick) else (0, 0)
+            at = pick - first  # gathered from the block's span, copied to 8-byte strides
+            point_mags[part] = np.ascontiguousarray(mags[first:last])[at]
+            err, mag = np.ascontiguousarray(mag_errors[first:last])[at], point_mags[part]
             combined = np.sqrt(var + err * err)
             dev = mag - mean
             hit = (n >= self.config.min_window) & (np.abs(dev) > self.config.k_sigma * combined)

@@ -301,18 +301,19 @@ def frame_to_store_records(frame, matches) -> np.ndarray:
 
     def block(lo, hi):
         a, b = np.searchsorted(matched_rows, [lo, hi])
-        rows = matched_rows[a:b]
-        if len(rows) and not np.array_equal(records["id"][rows], matches.record_ids[a:b]):
+        at = matched_rows[a:b] - lo
+        ids = np.ascontiguousarray(records["id"][lo:hi])  # gathered from 8-byte strides
+        if len(at) and not np.array_equal(ids[at], matches.record_ids[a:b]):
             raise DomainError("match result does not correspond to this frame")
         # The 17-byte tail is built apart, then each catalog row and its tail
         # are copied verbatim into their store row: two byte-block copies, no
         # strided pass over the output.
         tail = np.empty(hi - lo, _TAIL_DTYPE)
         tail["star_id"] = UNMATCHED_STAR_ID
-        tail["star_id"][rows - lo] = matches.star_ids[a:b]
+        tail["star_id"][at] = matches.star_ids[a:b]
         tail["epoch"] = frame.epoch
         tail["candidate"] = 1
-        tail["candidate"][rows - lo] = 0
+        tail["candidate"][at] = 0
         row_bytes[lo:hi, :RECORD_SIZE] = record_bytes[lo:hi]
         row_bytes[lo:hi, RECORD_SIZE:] = tail.view(np.uint8).reshape(
             hi - lo, _TAIL_DTYPE.itemsize

@@ -19,7 +19,10 @@ which the masks of ``check_records`` must match row for row;
 and ``baseline_stats_in_masked_gathers``, its earlier variance, which the
 current ones must match bit for bit;
 ``brute_force_chord_match``, the join's own chord rule over every pair, which
-pins the join's zone and RA pruning at pairs that sit on the radius; and
+pins the join's zone and RA pruning at pairs that sit on the radius;
+``range_join_with_two_bisections``, the zone join as it was, with two
+bisections per window and ``x/y/z`` copied out of the rows, whose
+``MatchResult`` the current ``range_join`` must match byte for byte; and
 ``angular_separation``, the chord-length separation of two directions, which
 the tests pin against ``haversine_deg``.
 """
@@ -33,6 +36,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from tdcat import crossmatch
 from tdcat.core import (
     PIXELS_PER_AXIS,
     RECORD_DTYPE,
@@ -41,9 +45,11 @@ from tdcat.core import (
     SequenceError,
     mag_to_flux,
     radec_to_cartesian,
+    row_blocks,
     separation_to_chord,
     zone_of,
 )
+from tdcat.crossmatch import MatchResult
 from tdcat.mining import BRIGHTENING, DIMMING, NEW_SOURCE, Alert, MiningConfig
 from tdcat.store import STORE_DTYPE, UNMATCHED_STAR_ID
 
@@ -143,6 +149,125 @@ def brute_force_chord_match(frame_xyz, tpl_ids, tpl_xyz, radius_deg):
         star[i], best_chord2[i] = ids[best], chord2[i, best]
     sep = np.degrees(2.0 * np.arcsin(np.minimum(1.0, np.sqrt(best_chord2) / 2.0)))
     return star, sep, inside.sum(axis=1)
+
+
+def range_join_with_two_bisections(frame, template_index, radius_deg) -> MatchResult:
+    """``crossmatch.range_join`` as it was: each window bisected twice, ``x/y/z``
+    copied out of the rows, and ``ra``/``dec`` copied whole before the blocks.
+
+    It runs in ``core.row_blocks`` and halves a block past
+    ``crossmatch._PAIR_BUDGET`` pairs, read at call time, so a test that
+    patches either blocks both joins alike.
+    """
+    records = frame.records if hasattr(frame, "records") else frame
+    n = len(records)
+    ra = np.ascontiguousarray(records["ra"], dtype=np.float64)
+    dec = np.ascontiguousarray(records["dec"], dtype=np.float64)
+    if n and not (dec.min() >= -90.0 and dec.max() <= 90.0):
+        i = int(np.argmin((dec >= -90.0) & (dec <= 90.0)))
+        raise DomainError(f"row {i}: dec {float(dec[i])!r} is not in [-90, 90]")
+
+    def block(lo, hi):
+        return _join_rows_with_two_bisections(records, ra, dec, lo, hi, template_index, radius_deg)
+
+    return crossmatch._laid_end_to_end(row_blocks(n, block))
+
+
+def _join_rows_with_two_bisections(records, ra_all, dec_all, lo, hi, template_index, radius_deg):
+    n = hi - lo
+    ra, dec = ra_all[lo:hi], dec_all[lo:hi]
+    h = template_index.zone_height_deg
+    reach = radius_deg + crossmatch._WINDOW_PAD_DEG
+    edges = zone_of(np.clip(np.add.outer(dec, (-reach, reach)), -90.0, 90.0), h)
+    band_lo, band_span = edges[:, 0], edges[:, 1] - edges[:, 0]
+
+    halfw = crossmatch._ra_halfwidth_deg(dec, radius_deg)
+    w_lo, w_hi = ra - halfw, ra + halfw
+    edge = wrap = np.flatnonzero(~((w_lo >= 0.0) & (w_hi <= 360.0)))
+    if len(edge):
+        bad = edge[~((ra[edge] >= 0.0) & (ra[edge] < 360.0))]
+        if len(bad):
+            i = bad[0]
+            raise DomainError(f"row {lo + i}: ra {float(ra[i])!r} is not in [0, 360)")
+        full = halfw[edge] >= 180.0
+        w_lo[edge[full]], w_hi[edge[full]] = 0.0, 360.0
+        wrap = edge[~full]
+    turn = np.where(w_lo[wrap] < 0.0, 360.0, -360.0)
+    q_rec = np.concatenate([np.arange(n), wrap])
+    q_lo = np.clip(np.concatenate([w_lo, w_lo[wrap] + turn]), 0.0, 360.0)
+    q_hi = np.clip(np.concatenate([w_hi, w_hi[wrap] + turn]), 0.0, 360.0)
+    q_zone, q_span = band_lo[q_rec], band_span[q_rec]
+
+    key = template_index.key
+    hit_rec, hit_start, hit_len = [], [], []
+    for k in range(int(band_span.max(initial=0)) + 1):
+        sel = np.flatnonzero(q_span >= k) if k else slice(None)
+        base = (q_zone[sel] + k) * 361.0
+        start = np.searchsorted(key, base + q_lo[sel], side="left")
+        length = np.searchsorted(key, base + q_hi[sel], side="right") - start
+        hit = np.flatnonzero(length)
+        hit_rec.append(q_rec[sel][hit])
+        hit_start.append(start[hit])
+        hit_len.append(length[hit])
+    start = np.concatenate(hit_start)
+    length = np.concatenate(hit_len)
+    if n > 1 and length.sum() > crossmatch._PAIR_BUDGET:
+        mid = lo + n // 2
+        return crossmatch._laid_end_to_end(
+            [_join_rows_with_two_bisections(records, ra_all, dec_all, a, b, template_index,
+                                            radius_deg)
+             for a, b in ((lo, mid), (mid, hi))]
+        )
+    cand_rec = np.repeat(np.concatenate(hit_rec), length)
+    cand_tpl = np.arange(len(cand_rec)) + np.repeat(
+        start - (np.cumsum(length) - length), length
+    )
+
+    if "x" in records.dtype.names:
+        fxyz = np.column_stack(
+            [records["x"][lo:hi], records["y"][lo:hi], records["z"][lo:hi]]
+        )
+    else:
+        fxyz = np.column_stack(radec_to_cartesian(ra, dec))
+    diff = fxyz[cand_rec] - template_index.xyz[cand_tpl]
+    chord2 = np.einsum("ij,ij->i", diff, diff)
+    max_chord = separation_to_chord(radius_deg)
+    in_radius = chord2 <= max_chord * max_chord
+    cand_rec = cand_rec[in_radius]
+    cand_tpl = cand_tpl[in_radius]
+    chord2 = chord2[in_radius]
+
+    per_rec = np.bincount(cand_rec, minlength=n)
+    ambiguous_count = int(np.count_nonzero(per_rec > 1))
+    single = per_rec[cand_rec] == 1
+    best = np.full(n, -1, np.int64)
+    best[cand_rec[single]] = np.flatnonzero(single)
+    multi = np.flatnonzero(~single)
+    star = template_index.ids[cand_tpl[multi]]
+    order = multi[np.lexsort((star, chord2[multi], cand_rec[multi]))]
+    first = order[np.unique(cand_rec[order], return_index=True)[1]]
+    best[cand_rec[first]] = first
+    matched = np.flatnonzero(best >= 0)
+    unmatched = np.flatnonzero(best < 0)
+    chosen = best[matched]
+    sep = np.degrees(
+        2.0 * np.arcsin(np.minimum(1.0, np.sqrt(chord2[chosen]) / 2.0))
+    )
+    ids = records["id"][lo:hi]
+    record_ids, unmatched_ids = ids[matched].astype(np.uint64), ids[unmatched].astype(np.uint64)
+    if lo:
+        matched += lo
+        unmatched += lo
+    return MatchResult(
+        record_ids=record_ids,
+        star_ids=template_index.ids[cand_tpl[chosen]],
+        separations_deg=sep,
+        unmatched_ids=unmatched_ids,
+        matched_rows=matched,
+        unmatched_rows=unmatched,
+        ambiguous_count=ambiguous_count,
+        n_frame=n,
+    )
 
 
 def brute_force_candidate_counts(frame_ra, frame_dec, tpl_ra, tpl_dec, radius_deg):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tdcat import core, crossmatch
+from tdcat import core, crossmatch, skygen
 from tdcat.core import (
     ConfigError,
     DomainError,
@@ -30,6 +30,7 @@ from oracles import (
     brute_force_match,
     brute_force_match_arrays,
     haversine_deg,
+    range_join_with_two_bisections,
 )
 
 CFG = EngineConfig()
@@ -707,3 +708,103 @@ def test_a_forked_child_joins_on_its_own_pool(monkeypatch, four_lanes):
         got, own_pool = pool.submit(join_in_a_child, frame, tpl).result(timeout=120)
     assert own_pool
     assert_same_result(got, want)
+
+
+# ---------------------------------------------------------------------------
+# the join against the two-bisection join it replaced
+
+
+def survey_case(rng, density, leave_out_every=0):
+    """A frame of a ``density`` sky against its template, every 9th star left out or not."""
+    model = skygen.SkyModel(seed=int(rng.integers(1 << 30)),
+                            star_count=skygen.DENSITY_PRESETS[density],
+                            footprint=skygen.DEFAULT_FOOTPRINT)
+    sky = skygen.build_template(model, CFG)
+    tpl = sky.to_records(CFG)
+    if leave_out_every:
+        tpl = tpl[np.arange(len(tpl)) % leave_out_every != 0]
+    frame = skygen.observe_frame(sky, 3 * CFG.cadence_s, [], model, CFG).records
+    return frame, tpl, (0.0005, CFG.match_radius_deg, 0.02)
+
+
+def one_star_case(rng):
+    """Rows on the one star, past it and before it in RA, and in the zones beside it."""
+    tpl = make_records([180.0], [0.004])
+    ra, dec = 180.0 + rng.uniform(-0.01, 0.01, 300), 0.004 + rng.uniform(-0.01, 0.01, 300)
+    frame = make_records(ra, dec)
+    return frame, tpl, (0.003, 0.02)
+
+
+def with_xyz_apart(rows):
+    """The same rows in a dtype whose x, y and z are not adjacent."""
+    out = np.zeros(len(rows), [("x", "<f8"), ("id", "<u8"), ("ra", "<f8"), ("y", "<f8"),
+                               ("dec", "<f8"), ("z", "<f8")])
+    for name in out.dtype.names:
+        out[name] = rows[name]
+    return out
+
+
+def crowded_case(centre, reshape=lambda rows: rows):
+    def case(rng):
+        ra0, dec0 = CROWDED_CENTRES[centre]
+        frame, tpl = crowded_field(rng, ra0, dec0, 0.02, 600, duplicate_every=2)
+        return reshape(frame), tpl, (0.002,)
+    return case
+
+
+REFERENCE_CASES = {
+    "survey-1/10-every-9th-left-out": lambda rng: survey_case(rng, "1/10", 9),
+    "survey-1/100": lambda rng: survey_case(rng, "1/100"),
+    # windows of 2 to about 40 stars
+    "crowded-patch": lambda rng: (*crowded_field(rng, 200.0, 30.0, 0.01, 400, 3), (0.002,)),
+    **{centre: crowded_case(centre) for centre in ("ra-seam", "north-pole", "south-pole")},
+    "empty-template": lambda rng: (make_records(rng.uniform(0, 360, 50), rng.uniform(-90, 90, 50)),
+                                   make_records([], []), (0.003,)),
+    "one-star-template": one_star_case,
+    "xyz-apart": crowded_case("mid-sky", with_xyz_apart),
+    "no-xyz": crowded_case("mid-sky", rows_without_xyz),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_join_gives_the_two_bisection_joins_bytes(monkeypatch, four_lanes, case):
+    """Every array and count, for whole-frame blocks, blocks of 1,000, 7 and 1 rows,
+    and pair budgets that halve the blocks."""
+    rng = np.random.default_rng(sorted(REFERENCE_CASES).index(case))
+    frame, tpl, radii = REFERENCE_CASES[case](rng)
+    index = build_zone_index(tpl, CFG.zone_height_deg)
+    n = len(frame)
+    blockings = [(n, None), (1000, None), (7, None), (n, 64)]
+    if n <= 1000:
+        blockings += [(1, None), (n, 3)]
+    budget = crossmatch._PAIR_BUDGET
+    for radius in radii:
+        monkeypatch.setattr(core, "_BLOCK_ROWS", n)
+        monkeypatch.setattr(crossmatch, "_PAIR_BUDGET", budget)
+        want = range_join_with_two_bisections(frame, index, radius)
+        for block_rows, pair_budget in blockings:
+            monkeypatch.setattr(core, "_BLOCK_ROWS", block_rows)
+            monkeypatch.setattr(crossmatch, "_PAIR_BUDGET", pair_budget or budget)
+            assert_same_result(range_join(frame, index, radius), want)
+    if case in ("crowded-patch", "one-star-template"):  # the cases hold what they say
+        counts = brute_force_candidate_counts(frame["ra"], frame["dec"], tpl["ra"], tpl["dec"],
+                                              radii[0])
+        assert 0 < np.count_nonzero(counts == 0) < n
+        assert counts.max() >= (10 if case == "crowded-patch" else 1)
+
+
+def test_only_windows_of_two_or_more_stars_are_bisected_for_their_end(monkeypatch):
+    """A window's length comes from two probes; its end is searched only when both hit."""
+    frame, tpl, _ = survey_case(np.random.default_rng(3), "1/100")
+    index = build_zone_index(tpl, CFG.zone_height_deg)
+    ends, searchsorted = [], np.searchsorted
+
+    def counted(a, v, side="left", sorter=None):
+        if side == "right":
+            ends.append(len(v))
+        return searchsorted(a, v, side=side, sorter=sorter)
+
+    monkeypatch.setattr(np, "searchsorted", counted)
+    result = range_join(frame, index, CFG.match_radius_deg)
+    assert result.n_matched == len(frame) and result.ambiguous_count == 0
+    assert sum(ends) <= len(frame) // 100
