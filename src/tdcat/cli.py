@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import fields as dc_fields
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +28,7 @@ from .core import (
     FrameBatch,
     SequenceError,
     check_records,
+    csv_columns,
     write_csv,
 )
 from .crossmatch import build_zone_index, range_join
@@ -71,10 +71,9 @@ from .store import (
 
 DATA_DIR_ENV = "TDCAT_DATA_DIR"
 
-_ENGINE_KEYS = {f.name: f.type for f in dc_fields(EngineConfig)}
-_MINING_KEYS = {f.name: f.type for f in dc_fields(MiningConfig)}
-_INT_KEYS = {"cameras", "sources_per_frame", "window", "min_window",
-             "persistence", "min_points", "oversample"}
+# config key -> parser, from the config dataclasses' field types
+_ENGINE_KEYS = dict(zip(*csv_columns(EngineConfig)))
+_MINING_KEYS = dict(zip(*csv_columns(MiningConfig)))
 
 
 def load_config_file(path) -> dict:
@@ -94,33 +93,25 @@ def load_config_file(path) -> dict:
     return values
 
 
-def _coerce(key: str, value):
+def _coerce(key: str, value, parse):
     try:
-        return int(value) if key in _INT_KEYS else float(value)
+        return parse(value)
     except ValueError as exc:
         raise ConfigError(f"config key {key}={value!r} is not numeric") from exc
 
 
 def build_configs(args) -> tuple:
-    """EngineConfig + MiningConfig from defaults, config file, then flags."""
-    values = {}
-    if getattr(args, "config", None):
-        values = load_config_file(args.config)
-    engine_kwargs = {k: _coerce(k, v) for k, v in values.items() if k in _ENGINE_KEYS}
-    mining_kwargs = {k: _coerce(k, v) for k, v in values.items() if k in _MINING_KEYS}
-    flag_map = {
-        "radius_deg": "match_radius_deg",
-        "zone_height_deg": "zone_height_deg",
-        "cadence_s": "cadence_s",
-        "cameras": "cameras",
-        "fap": "fap",
-        "oversample": "oversample",
-    }
-    for attr, key in flag_map.items():
-        val = getattr(args, attr, None)
-        if val is not None:
-            (engine_kwargs if key in _ENGINE_KEYS else mining_kwargs)[key] = val
-    return EngineConfig(**engine_kwargs), MiningConfig(**mining_kwargs)
+    """EngineConfig + MiningConfig from defaults, config file, then flags.
+
+    A flag overrides the config key named by its dest, if it was given.
+    """
+    values = load_config_file(args.config) if getattr(args, "config", None) else {}
+    configs = []
+    for cls, keys in ((EngineConfig, _ENGINE_KEYS), (MiningConfig, _MINING_KEYS)):
+        kwargs = {k: _coerce(k, v, keys[k]) for k, v in values.items() if k in keys}
+        kwargs.update((k, v) for k in keys if (v := getattr(args, k, None)) is not None)
+        configs.append(cls(**kwargs))
+    return tuple(configs)
 
 
 def data_dir_of(args) -> Path:
@@ -206,6 +197,9 @@ def cmd_ingest(args) -> int:
         imageids = np.unique(records["imageid"])
         if len(imageids) != 1:
             raise EngineError(f"{path}: mixed imageids {imageids[:5]}")
+        cameras = np.unique(records["id"] >> np.uint64(56))
+        if len(cameras) != 1:
+            raise EngineError(f"{path}: mixed cameras {cameras[:5]}")
         imageid = int(imageids[0])
         epoch = imageid * config.cadence_s
         if args.night is not None and night_of(epoch) != args.night:
@@ -213,9 +207,8 @@ def cmd_ingest(args) -> int:
                 f"{path}: frame epoch {epoch} lies in night {night_of(epoch)}, "
                 f"not --night {args.night}"
             )
-        camera = int(records["id"][0] >> np.uint64(56))
         frame = FrameBatch(
-            camera_id=camera, imageid=imageid, epoch=epoch, records=records
+            camera_id=int(cameras[0]), imageid=imageid, epoch=epoch, records=records
         )
         rows = frame_to_store_records(
             frame, range_join(records, index, config.match_radius_deg)
@@ -509,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--template", required=True)
     p.add_argument("--frame", nargs="+", required=True)
-    p.add_argument("--radius-deg", type=float, default=None)
+    p.add_argument("--radius-deg", dest="match_radius_deg", type=float, default=None)
     p.add_argument("--zone-height-deg", type=float, default=None)
     p.add_argument("--out-matches", default="matches.csv")
     p.add_argument("--out-candidates", default="candidates.csv")

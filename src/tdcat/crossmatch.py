@@ -11,14 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (
-    ConfigError,
-    DomainError,
-    radec_to_cartesian,
-    row_blocks,
-    separation_to_chord,
-    zone_of,
-)
+from .core import ConfigError, DomainError, row_blocks, separation_to_chord, zone_of
 
 # Above this absolute declination a 1/cos(dec) RA window degenerates; fall
 # back to scanning the full strip.
@@ -44,9 +37,7 @@ class ZoneIndex:
 
     zone_height_deg: float
     ids: np.ndarray  # int64, flat
-    ra: np.ndarray
     xyz: np.ndarray  # (n, 3) unit vectors
-    zone: np.ndarray
     key: np.ndarray = field(repr=False)
 
 
@@ -83,39 +74,39 @@ class MatchResult:
             yield int(rid), int(sid), float(sep)
 
 
+def xyz_of(rows) -> np.ndarray:
+    """The ``(n, 3)`` read-only view of ``rows``' unit vectors, in place.
+
+    ``rows`` must carry ``x``, ``y`` and ``z`` as adjacent native float64
+    fields, as the catalog, store, template and track rows all do; any other
+    layout raises DomainError.
+    """
+    f = rows.dtype.fields or {}
+    x_at = f["x"][1] if "x" in f else 0
+    if [f.get(c, ())[:2] for c in "xyz"] != [("f8", x_at + d) for d in (0, 8, 16)]:
+        raise DomainError("rows must carry x, y and z as adjacent native float64 fields")
+    x = rows["x"]
+    return np.lib.stride_tricks.as_strided(x, (len(x), 3), (x.strides[0], 8), writeable=False)
+
+
 def build_zone_index(records, zone_height_deg: float) -> ZoneIndex:
     """Index catalog rows by declination strip.
 
-    ``records`` is any structured array carrying ``id``, ``ra`` and ``dec``
-    fields (catalog rows and template star tables both qualify).  Zones are
-    recomputed from dec with the given strip height; a ``zone`` column in the
-    input, if any, is ignored so the index never inherits a stale height.
+    ``records`` is any structured array carrying ``id``, ``ra``, ``dec`` and
+    ``x/y/z`` as adjacent native float64 fields (``xyz_of``; DomainError
+    otherwise).  Zones are recomputed from dec with the given strip height; a
+    ``zone`` column in the input, if any, is ignored so the index never
+    inherits a stale height.
     """
+    xyz = xyz_of(records)
     ra = np.ascontiguousarray(records["ra"], dtype=np.float64)
-    dec = np.ascontiguousarray(records["dec"], dtype=np.float64)
-    ids = np.ascontiguousarray(records["id"]).astype(np.int64)
-    zone = zone_of(dec, zone_height_deg)
-
+    zone = zone_of(records["dec"], zone_height_deg)
     order = np.lexsort((ra, zone))
-    ra, ids, zone = ra[order], ids[order], zone[order]
-
-    names = records.dtype.names
-    if "x" in names and "y" in names and "z" in names:
-        xyz = np.column_stack(
-            [records["x"][order], records["y"][order], records["z"][order]]
-        ).astype(np.float64)
-    else:
-        x, y, z = radec_to_cartesian(ra, dec[order]) if len(ra) else (ra, ra, ra)
-        xyz = np.column_stack([x, y, z])
-
-    key = np.append(zone.astype(np.float64) * 361.0 + ra, np.inf)
     return ZoneIndex(
         zone_height_deg=zone_height_deg,
-        ids=ids,
-        ra=ra,
-        xyz=np.ascontiguousarray(xyz),
-        zone=zone,
-        key=key,
+        ids=np.take(records["id"], order).astype(np.int64, copy=False),
+        xyz=np.take(xyz, order, axis=0),
+        key=np.append(zone[order] * 361.0 + ra[order], np.inf),
     )
 
 
@@ -135,7 +126,7 @@ def _ra_halfwidth_deg(dec: np.ndarray, radius_deg: float) -> np.ndarray:
     return w
 
 
-def range_join(frame, template_index: ZoneIndex, radius_deg: float) -> MatchResult:
+def range_join(records, template_index: ZoneIndex, radius_deg: float) -> MatchResult:
     """Match each frame record to its nearest in-radius template star.
 
     Candidates are drawn from the zones that a record's declination band
@@ -151,18 +142,20 @@ def range_join(frame, template_index: ZoneIndex, radius_deg: float) -> MatchResu
     or an ``ra`` outside [0, 360), NaN included, raises DomainError naming
     the first such row.
 
+    ``records`` carry ``id``, ``ra``, ``dec`` and ``x/y/z`` as adjacent
+    native float64 fields (``xyz_of``); any other layout raises DomainError.
     Rows are independent, so they are joined in contiguous blocks on every
-    core (``core.row_blocks``), each reading its rows' fields, ``x/y/z``
-    included, in place, and the blocks' results laid end to end; a block
-    whose lookups find more than ``_PAIR_BUDGET`` candidate pairs is joined
-    in halves.  The result is the same bytes for any blocking.
+    core (``core.row_blocks``), each reading its rows' fields in place, and
+    the blocks' results laid end to end; a block whose lookups find more
+    than ``_PAIR_BUDGET`` candidate pairs is joined in halves.  The result
+    is the same bytes for any blocking.
     """
     if not 0 < radius_deg <= 90:
         raise ConfigError(f"radius_deg must be in (0, 90], got {radius_deg}")
-    records = frame.records if hasattr(frame, "records") else frame
+    xyz = xyz_of(records)
 
     def block(lo, hi):
-        return _join_rows(records, lo, hi, template_index, radius_deg)
+        return _join_rows(records, xyz, lo, hi, template_index, radius_deg)
 
     return _laid_end_to_end(row_blocks(len(records), block))
 
@@ -190,7 +183,7 @@ def _laid_end_to_end(parts) -> MatchResult:
     )
 
 
-def _join_rows(records, lo, hi, template_index, radius_deg):
+def _join_rows(records, xyz, lo, hi, template_index, radius_deg):
     """``range_join`` of rows ``[lo, hi)``, row numbers counted from row 0."""
     n = hi - lo
     ra = np.ascontiguousarray(records["ra"][lo:hi], dtype=np.float64)
@@ -245,7 +238,7 @@ def _join_rows(records, lo, hi, template_index, radius_deg):
     if n > 1 and length.sum() > _PAIR_BUDGET:  # crowded: join each half apart
         mid = lo + n // 2
         return _laid_end_to_end(
-            [_join_rows(records, a, b, template_index, radius_deg)
+            [_join_rows(records, xyz, a, b, template_index, radius_deg)
              for a, b in ((lo, mid), (mid, hi))]
         )
     cand_rec = np.repeat(hit_rec, length)
@@ -256,15 +249,7 @@ def _join_rows(records, lo, hi, template_index, radius_deg):
     del base, hits, hit_rec, start, length, hit, sel, w_end, more
     del edges, band_lo, band_span, halfw, w_lo, w_hi, q_rec, q_lo, q_hi, q_zone, q_span
 
-    f = records.dtype.fields
-    if "x" not in f:
-        fxyz = np.column_stack(radec_to_cartesian(ra, dec))
-    elif [f[c][:2] for c in "xyz" if c in f] == [("f8", f["x"][1] + d) for d in (0, 8, 16)]:
-        x = records["x"][lo:hi]  # x/y/z adjacent float64: an (n, 3) strided view in place
-        fxyz = np.lib.stride_tricks.as_strided(x, (n, 3), (x.strides[0], 8), writeable=False)
-    else:
-        fxyz = np.column_stack([records[c][lo:hi] for c in "xyz"])
-    diff = np.take(fxyz, cand_rec, axis=0) - np.take(template_index.xyz, cand_tpl, axis=0)
+    diff = np.take(xyz[lo:hi], cand_rec, axis=0) - np.take(template_index.xyz, cand_tpl, axis=0)
     chord2 = np.einsum("ij,ij->i", diff, diff)
     del diff  # the largest temporary; not needed past this point
     max_chord = separation_to_chord(radius_deg)

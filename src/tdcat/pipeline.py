@@ -3,9 +3,10 @@
 Each partition owns a disjoint footprint slice, its own template, store and
 detectors; partitions never share state, so a night can run serially or with
 one process per partition with identical results.  The per-frame chain is
-match -> append -> online mining -> candidate tracking, and every stage is
-timed so cadence compliance (a frame fully processed inside the 15 s exposure
-gap) is measured, not assumed.  ``replay_online`` re-runs the detectors over
+match, then the segment insert on a helper thread, overlapping both
+detectors (online mining, then candidate tracking), and every stage is timed
+so cadence compliance (a frame fully processed inside the 15 s exposure gap)
+is measured, not assumed.  ``replay_online`` re-runs the detectors over
 rows a caller read back.  Reads across partitions go through
 ``store.query_stores`` and its projection ``lightcurve.query_curve``; the
 chain keeps no in-memory copy of light curves.

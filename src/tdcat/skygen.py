@@ -149,18 +149,11 @@ class TemplateCatalog:
     """
 
     stars: np.ndarray  # TEMPLATE_DTYPE
-    zone_height_deg: float
     index: ZoneIndex = field(repr=False)
 
     @property
     def star_count(self) -> int:
         return len(self.stars)
-
-    def star_row(self, star_id: int) -> np.void:
-        pos = int(np.searchsorted(self.stars["id"], star_id))
-        if pos >= len(self.stars) or self.stars["id"][pos] != star_id:
-            raise DomainError(f"unknown star_id {star_id}")
-        return self.stars[pos]
 
     def to_records(self, config: EngineConfig) -> np.ndarray:
         """Export as catalog rows (imageid 0) for the interchange formats."""
@@ -184,8 +177,7 @@ class TemplateCatalog:
         stars["mag"] = records["mag"]
         stars["x"], stars["y"], stars["z"] = records["x"], records["y"], records["z"]
         stars = stars[np.argsort(stars["id"])]
-        index = build_zone_index(stars, config.zone_height_deg)
-        return cls(stars=stars, zone_height_deg=config.zone_height_deg, index=index)
+        return cls(stars=stars, index=build_zone_index(stars, config.zone_height_deg))
 
 
 def build_template(model: SkyModel, config: EngineConfig | None = None) -> TemplateCatalog:
@@ -218,8 +210,7 @@ def build_template(model: SkyModel, config: EngineConfig | None = None) -> Templ
     stars["mag"] = mag
     if n:
         stars["x"], stars["y"], stars["z"] = radec_to_cartesian(ra, dec)
-    index = build_zone_index(stars, config.zone_height_deg)
-    return TemplateCatalog(stars=stars, zone_height_deg=config.zone_height_deg, index=index)
+    return TemplateCatalog(stars=stars, index=build_zone_index(stars, config.zone_height_deg))
 
 
 def epoch_index(epoch: float, cadence_s: float) -> int:
@@ -369,13 +360,14 @@ def random_injections(
         if attempts > 1000:
             raise ConfigError("could not place isolated new_source injections")
         m = max(need * 4, 16)
-        probe = np.zeros(m, dtype=[("id", "<i8"), ("ra", "<f8"), ("dec", "<f8")])
+        probe = np.zeros(m, dtype=TEMPLATE_DTYPE)
         probe["id"] = np.arange(m)
         probe["ra"] = rng.uniform(ra_min, ra_max, m)
         sin_dec = rng.uniform(
             math.sin(math.radians(dec_min)), math.sin(math.radians(dec_max)), m
         )
         probe["dec"] = np.degrees(np.arcsin(sin_dec))
+        probe["x"], probe["y"], probe["z"] = radec_to_cartesian(probe["ra"], probe["dec"])
         if template.star_count:
             res = range_join(probe, template.index, isolation)
             free = res.unmatched_rows
@@ -404,7 +396,7 @@ def random_injections(
             raise ConfigError("not enough template stars for brightening injections")
         targets = rng.choice(template.star_count, size=n_brightenings, replace=False)
         for t in np.sort(targets):
-            star = template.star_row(int(template.stars["id"][t]))
+            star = template.stars[t]
             epoch_on, epoch_off = _event_window()
             out.append(
                 TransientInjection(

@@ -18,15 +18,17 @@ column names as its header, in column order.
 A binary file is written to a temp file, which is fsynced and renamed, and its
 directory is then fsynced (segments and TDS1 files by direct I/O).  Every file
 is read by one rule: the newest base run, then the delta segments of the
-nights after it.  Readers never see a partial segment, and an interrupted
-merge either leaves the old base intact or leaves a committed new base whose
-stale inputs the rule already skips; only the next merge deletes them.
+nights after it.  Readers never see a partial segment.  A merge deletes its
+stale inputs (the old base run and the folded nights) right after its own
+commit; an interrupted merge leaves either the old base intact or a committed
+new base whose stale inputs the rule already skips, and the next merge
+deletes them.
 
 Rows are moved as opaque 179-byte items (NumPy copies structured rows field
 by field, several times slower), and orders come from key columns alone.  A
-merge holds one night of delta rows, sorted, and streams the old base past
-them in ``MERGE_CHUNK_ROWS`` chunks, so its memory grows with the night, not
-with the history; it still rewrites the whole base.
+merge holds the unmerged nights' delta rows, sorted, and streams the old base
+past them in ``MERGE_CHUNK_ROWS`` chunks, so its memory grows with those
+nights, not with the history; it still rewrites the whole base.
 """
 
 from __future__ import annotations

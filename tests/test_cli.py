@@ -462,6 +462,23 @@ def test_ingest_refuses_a_repeated_record_id(tmp_path, capsys):
     assert [p.name for p in sorted(data.rglob("seg_*.tdl"))] == ["seg_00000000.tdl"]
 
 
+def test_ingest_refuses_a_frame_whose_ids_name_two_cameras(tmp_path, capsys):
+    gen, data = tmp_path / "gen", tmp_path / "d"
+    assert run_cli("generate", "--out", str(gen), "--frames", "1", "--stars", "300",
+                   "--seed", "2") == 0
+    frame = gen / "frame_00000000.tds"
+    records = read_records_bin(frame)
+    records["id"][5] |= np.uint64(1) << np.uint64(56)  # the id's top byte is its camera
+    write_records_bin(frame, records)
+    capsys.readouterr()
+    for template in (["--template", str(gen / "template.tds")], []):
+        rc = run_cli("ingest", "--data-dir", str(data), "--partition", "0", *template,
+                     "--input", str(frame))
+        assert rc == 1
+        assert f"{frame}: mixed cameras [0 1]" in capsys.readouterr().err
+        assert not list(data.rglob("seg_*.tdl"))
+
+
 def test_ingest_without_template_stores_candidates(workflow, tmp_path):
     gen, _ = workflow
     data = tmp_path / "d"

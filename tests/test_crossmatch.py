@@ -15,6 +15,7 @@ from tdcat.core import (
     ConfigError,
     DomainError,
     EngineConfig,
+    RECORD_DTYPE,
     FrameBatch,
     n_zones,
     records_from_radec,
@@ -22,7 +23,7 @@ from tdcat.core import (
     zone_of,
 )
 from tdcat.crossmatch import POLE_CLAMP_DEG, build_zone_index, range_join
-from tdcat.store import frame_to_store_records
+from tdcat.store import STORE_DTYPE, frame_to_store_records
 
 from oracles import (
     brute_force_candidate_counts,
@@ -90,22 +91,18 @@ def test_zone_index_structure():
     idx = build_zone_index(rec, 0.01)
     assert len(idx.ids) == 500
     assert n_zones(idx.zone_height_deg) == 18_000
-    assert np.all(np.diff(idx.zone) >= 0)
-    assert 0 <= idx.zone[0] and idx.zone[-1] < n_zones(0.01)
-    # rows sorted by (zone, ra); ra ascending within each zone
+    # rows sorted by (zone, ra): key is zone * 361 + ra, ra in [0, 360), then +inf
+    pos = np.argsort(rec["id"])[idx.ids]
+    zone = zone_of(rec["dec"][pos], 0.01)
+    assert 0 <= zone.min() and zone.max() < n_zones(0.01)
+    assert np.array_equal(idx.key, np.append(zone * 361.0 + rec["ra"][pos], np.inf))
     assert np.all(np.diff(idx.key) >= 0)
-    for z in np.unique(idx.zone):
-        members = slice(
-            np.searchsorted(idx.zone, z, side="left"),
-            np.searchsorted(idx.zone, z, side="right"),
-        )
-        assert np.all(np.diff(idx.ra[members]) >= 0)
-        assert np.all(idx.zone[members] == z)
+    assert np.array_equal(idx.xyz, xyz_of(rec[pos]))
     # zone recomputed from dec, not trusted from the input column
     tweaked = rec.copy()
     tweaked["zone"] += 5
     idx2 = build_zone_index(tweaked, 0.01)
-    assert np.array_equal(idx2.zone, idx.zone)
+    assert np.array_equal(idx2.key, idx.key)
 
 
 def test_zone_index_empty():
@@ -116,16 +113,7 @@ def test_zone_index_empty():
     assert result.n_unmatched == 1
 
 
-def plain_records(ids, ra, dec):
-    """Rows with only id/ra/dec, as ``skygen.random_injections`` probes with."""
-    out = np.zeros(len(ids), dtype=[("id", "<i8"), ("ra", "<f8"), ("dec", "<f8")])
-    out["id"], out["ra"], out["dec"] = ids, ra, dec
-    return out
-
-
-@pytest.mark.parametrize("case", [
-    "empty_frame", "empty_frame_empty_index", "no_candidates", "no_xyz_columns",
-])
+@pytest.mark.parametrize("case", ["empty_frame", "empty_frame_empty_index", "no_candidates"])
 def test_edge_joins_return_exact_arrays(case):
     """Empty frames and empty candidate sets go through the general path."""
     tpl = make_records([10.0, 10.001], [5.0, 5.0], ids=[7, 8])
@@ -138,12 +126,6 @@ def test_edge_joins_return_exact_arrays(case):
     elif case == "no_candidates":
         frame = make_records([200.0, 201.0], [-40.0, -40.0], ids=[3, 4])
         want = ([], [], [3, 4], [], [0, 1], 0, 2)
-    elif case == "no_xyz_columns":
-        # row 0 sits across the RA seam from two stars, row 2 near one,
-        # row 1 near none
-        tpl = plain_records([10, 11, 12], [359.999, 0.0005, 120.0], [0.0, 0.0, 30.0])
-        frame = plain_records([100, 101, 102], [0.0, 50.0, 120.001], [0.0, 50.0, 30.0])
-        want = ([100, 102], [11, 12], [101], [0, 2], [1], 1, 3)
     result = range_join(frame, build_zone_index(tpl, 0.01), 0.003)
     names = ("record_ids", "star_ids", "unmatched_ids", "matched_rows",
              "unmatched_rows")
@@ -584,26 +566,48 @@ def test_zone_band_edges_match_every_pair_oracle(h, radius):
     assert result.n_unmatched > 0
 
 
-def rows_without_xyz(rows):
-    out = np.zeros(len(rows), [("id", "<u8"), ("ra", "<f8"), ("dec", "<f8")])
+def in_dtype(rows, dtype):
+    """The same rows in ``dtype``; fields ``rows`` lacks are zero."""
+    out = np.zeros(len(rows), dtype)
     for name in out.dtype.names:
-        out[name] = rows[name]
+        if name in rows.dtype.names:
+            out[name] = rows[name]
     return out
 
 
-@pytest.mark.parametrize("with_xyz", [True, False])
+@pytest.mark.parametrize("catalog_rows", [True, False])
 @pytest.mark.parametrize("name,bad", [("ra", np.nan), ("ra", 360.0), ("ra", -1e-12),
                                       ("dec", np.nan), ("dec", 90.5)])
-def test_range_join_refuses_an_off_sky_row(with_xyz, name, bad):
+def test_range_join_refuses_an_off_sky_row(catalog_rows, name, bad):
+    """In catalog rows and in store rows (``STORE_DTYPE``, as replay feeds the tracker)."""
     tpl = make_records([10.0, 10.001, 0.0005], [0.0, 0.0005, 1.0])
     frame = make_records([10.0, 10.0005, 10.001, 10.0002, 359.9999], [0.0, 0.0, 0.0, 0.001, 1.0])
     frame[name][2] = bad
-    if not with_xyz:
-        frame = rows_without_xyz(frame)
+    if not catalog_rows:
+        frame = in_dtype(frame, STORE_DTYPE)
     rule = "[0, 360)" if name == "ra" else "[-90, 90]"
     with pytest.raises(DomainError, match=f"^row 2: {name} {re.escape(repr(bad))} is not in "
                        f"{re.escape(rule)}$"):
         range_join(frame, build_zone_index(tpl, 0.01), 0.003)
+
+
+XYZ_REFUSED = {
+    "no-xyz": [("id", "<u8"), ("ra", "<f8"), ("dec", "<f8")],
+    "xyz-apart": [("x", "<f8"), ("id", "<u8"), ("ra", "<f8"), ("y", "<f8"), ("dec", "<f8"),
+                  ("z", "<f8")],
+    "xyz-big-endian": [(n, ">f8" if n in ("x", "y", "z") else t) for n, t in RECORD_DTYPE.descr],
+}
+
+
+@pytest.mark.parametrize("layout", sorted(XYZ_REFUSED))
+def test_join_and_index_refuse_rows_without_adjacent_native_xyz(layout):
+    rows = make_records([10.0, 10.001], [0.0, 0.0005])
+    other = in_dtype(rows, XYZ_REFUSED[layout])
+    refusal = "^rows must carry x, y and z as adjacent native float64 fields$"
+    with pytest.raises(DomainError, match=refusal):
+        range_join(other, build_zone_index(rows, 0.01), 0.003)
+    with pytest.raises(DomainError, match=refusal):
+        build_zone_index(other, 0.01)
 
 
 # ---------------------------------------------------------------------------
@@ -634,15 +638,12 @@ def test_any_blocking_gives_the_same_bytes(monkeypatch, four_lanes, centre):
     radius = 0.002
     monkeypatch.setattr(core, "_BLOCK_ROWS", len(frame))
     want, want_rows = join_and_store_rows(frame, tpl, radius)
-    bare = rows_without_xyz(frame)
-    want_bare = range_join(bare, build_zone_index(tpl, 0.01), radius)
     for block_rows, budget in [(1, None), (7, None), (1000, None), (len(frame), 3)]:
         monkeypatch.setattr(core, "_BLOCK_ROWS", block_rows)
         monkeypatch.setattr(crossmatch, "_PAIR_BUDGET", budget or crossmatch._PAIR_BUDGET)
         got, got_rows = join_and_store_rows(frame, tpl, radius)
         assert_same_result(got, want)
         assert got_rows.dtype == want_rows.dtype and got_rows.tobytes() == want_rows.tobytes()
-        assert_same_result(range_join(bare, build_zone_index(tpl, 0.01), radius), want_bare)
 
     # ambiguous rows sit on both sides of some 7-row block edge
     counts = brute_force_candidate_counts(frame["ra"], frame["dec"], tpl["ra"], tpl["dec"], radius)
@@ -735,20 +736,11 @@ def one_star_case(rng):
     return frame, tpl, (0.003, 0.02)
 
 
-def with_xyz_apart(rows):
-    """The same rows in a dtype whose x, y and z are not adjacent."""
-    out = np.zeros(len(rows), [("x", "<f8"), ("id", "<u8"), ("ra", "<f8"), ("y", "<f8"),
-                               ("dec", "<f8"), ("z", "<f8")])
-    for name in out.dtype.names:
-        out[name] = rows[name]
-    return out
-
-
-def crowded_case(centre, reshape=lambda rows: rows):
+def crowded_case(centre):
     def case(rng):
         ra0, dec0 = CROWDED_CENTRES[centre]
         frame, tpl = crowded_field(rng, ra0, dec0, 0.02, 600, duplicate_every=2)
-        return reshape(frame), tpl, (0.002,)
+        return frame, tpl, (0.002,)
     return case
 
 
@@ -761,8 +753,6 @@ REFERENCE_CASES = {
     "empty-template": lambda rng: (make_records(rng.uniform(0, 360, 50), rng.uniform(-90, 90, 50)),
                                    make_records([], []), (0.003,)),
     "one-star-template": one_star_case,
-    "xyz-apart": crowded_case("mid-sky", with_xyz_apart),
-    "no-xyz": crowded_case("mid-sky", rows_without_xyz),
 }
 
 

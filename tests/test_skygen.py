@@ -109,14 +109,6 @@ def test_template_isotropy_in_sin_dec():
     assert abs(float(s.mean()) - expected_mean) < tol
 
 
-def test_template_star_row_lookup():
-    tpl = build_template(SkyModel(seed=2, star_count=100), CFG)
-    row = tpl.star_row(42)
-    assert row["id"] == 42
-    with pytest.raises(DomainError):
-        tpl.star_row(100)
-
-
 def test_template_records_roundtrip():
     from tdcat.skygen import TemplateCatalog
 
@@ -226,7 +218,7 @@ def test_brightening_injection_shifts_only_target():
     assert len(changed) == 1
     row = changed[0]
     assert diff[row] == pytest.approx(-0.7)
-    assert frame.records["ra"][row] == pytest.approx(float(tpl.star_row(17)["ra"]))
+    assert frame.records["ra"][row] == pytest.approx(float(tpl.stars[17]["ra"]))
     # outside the active window the frame is unchanged
     after = observe_frame(tpl, 30.0, (inj,), model, CFG)
     base_after = observe_frame(tpl, 30.0, (), model, CFG)
