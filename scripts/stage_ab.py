@@ -13,11 +13,13 @@ i is even and the change first when it is odd.
 
 For every run it prints the median of each ``StageTimings`` field
 (``match_s``, ``insert_s``, ``online_s``, ``candidate_s``, ``total_s``) over
-the frames after the first ``--warmup``, and a sha256 of the run's alerts
-and of its segment files' bytes, so that identical products show.  At the
-end it prints, per stage, the median over the runs of each side and the
-number of pairs in which the change was faster.  It writes only under
-``--scratch``, and removes each run's store when the run ends.
+the frames after the first ``--warmup``, the run's set-up wall time
+(``setup_s``: the template with its index, and the ``PartitionWorker``), and a
+sha256 of the run's alerts and of its segment files' bytes, so that identical
+products show.  At the end it prints, per stage and for the set-up, the
+median over the runs of each side and the number of pairs in which the
+change was faster.  It writes only under ``--scratch``, and removes each
+run's store when the run ends.
 """
 
 from __future__ import annotations
@@ -30,11 +32,13 @@ import shutil
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 from ab_bench import SIDES, export
 
 STAGES = ("match_s", "insert_s", "online_s", "candidate_s", "total_s")
+REPORTED = (*STAGES, "setup_s")
 
 
 def run_side(src: Path, store: Path, frames: int, warmup: int, seed: int) -> dict:
@@ -50,13 +54,17 @@ def run_side(src: Path, store: Path, frames: int, warmup: int, seed: int) -> dic
         star_count=skygen.DENSITY_PRESETS["full"],
         footprint=skygen.DEFAULT_FOOTPRINT,
     )
+    start = time.perf_counter()
     sky = skygen.build_template(model, config)
+    setup_s = time.perf_counter() - start
     injections = skygen.random_injections(
         sky, model, config, seed=model.seed, n_new_sources=2, n_brightenings=3,
         frames_per_night=frames, max_duration_frames=min(20, frames - mining.min_window - 2),
         min_on_frame=mining.min_window + 1,
     )
+    start = time.perf_counter()
     worker = pipeline.PartitionWorker(0, sky, config, mining, data_dir=store)
+    setup_s += time.perf_counter() - start
     timings, alerts = [], []
     for i in range(frames):
         frame = skygen.observe_frame(sky, i * config.cadence_s, injections, model, config)
@@ -69,6 +77,7 @@ def run_side(src: Path, store: Path, frames: int, warmup: int, seed: int) -> dic
     kept = timings[warmup:]
     return {
         **{s: statistics.median(getattr(t, s) for t in kept) for s in STAGES},
+        "setup_s": setup_s,
         "alerts": len(alerts),
         "digest": digest.hexdigest(),
     }
@@ -118,12 +127,12 @@ def main(argv=None) -> int:
                 return 1
             r = json.loads(proc.stdout.strip().splitlines()[-1])
             runs[side].append(r)
-            shown = "  ".join(f"{s}={r[s] * 1e3:.2f}ms" for s in STAGES)
+            shown = "  ".join(f"{s}={r[s] * 1e3:.2f}ms" for s in REPORTED)
             print(f"  {side:6} {shown}  alerts={r['alerts']} digest={r['digest'][:16]}")
             sys.stdout.flush()
     print(f"median over {args.pairs} runs per side, frames {args.warmup + 1}-{args.frames} "
-          "of each run, and the pairs in which the change was faster")
-    for s in STAGES:
+          "of each run (setup_s: once per run), and the pairs in which the change was faster")
+    for s in REPORTED:
         base = [r[s] for r in runs["base"]]
         change = [r[s] for r in runs["change"]]
         wins = sum(c < b for b, c in zip(base, change))

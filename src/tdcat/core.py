@@ -315,6 +315,21 @@ def take_rows(rows: np.ndarray, index) -> np.ndarray:
     return as_items(rows)[index].view(rows.dtype)
 
 
+def zone_ra_order(zone, ra) -> np.ndarray:
+    """``np.lexsort((ra, zone))``, found without a sort for rows already in that order.
+
+    Other rows take a stable sort by ``ra``, then one by ``zone``, which numpy
+    radix-sorts when it fits 16 bits.
+    """
+    if np.all((zone[1:] > zone[:-1]) | ((zone[1:] == zone[:-1]) & (ra[1:] >= ra[:-1]))):
+        return np.arange(len(zone))
+    order = np.argsort(ra, kind="stable")
+    key = zone[order]
+    if key.size and key.min() >= 0 and key.max() < 1 << 16:
+        key = key.astype(np.uint16)
+    return order[np.argsort(key, kind="stable")]
+
+
 def _lanes_and_pool():
     """This process's lane count and row-block pool, built on first use.
 
@@ -371,8 +386,7 @@ def row_blocks(n: int, fn) -> list:
 
 def sort_by_zone_ra(records: np.ndarray) -> np.ndarray:
     """Stable (zone, ra) ordering used for every emitted batch."""
-    order = np.lexsort((records["ra"], records["zone"]))
-    return records[order]
+    return take_rows(records, zone_ra_order(records["zone"], records["ra"]))
 
 
 @dataclass

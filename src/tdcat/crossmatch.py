@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ConfigError, DomainError, row_blocks, separation_to_chord, zone_of
+from .core import ConfigError, DomainError, row_blocks, separation_to_chord, zone_of, zone_ra_order
 
 # Above this absolute declination a 1/cos(dec) RA window degenerates; fall
 # back to scanning the full strip.
@@ -90,18 +90,18 @@ def xyz_of(rows) -> np.ndarray:
 
 
 def build_zone_index(records, zone_height_deg: float) -> ZoneIndex:
-    """Index catalog rows by declination strip.
+    """Index catalog rows by declination strip, in (zone, ra) order.
 
     ``records`` is any structured array carrying ``id``, ``ra``, ``dec`` and
     ``x/y/z`` as adjacent native float64 fields (``xyz_of``; DomainError
-    otherwise).  Zones are recomputed from dec with the given strip height; a
-    ``zone`` column in the input, if any, is ignored so the index never
-    inherits a stale height.
+    otherwise).  Zones come from dec at the given strip height, never from a
+    ``zone`` column, which may hold a stale height.  Rows already in (zone, ra)
+    order, as every template's are, are indexed without a sort (``zone_ra_order``).
     """
     xyz = xyz_of(records)
     ra = np.ascontiguousarray(records["ra"], dtype=np.float64)
     zone = zone_of(records["dec"], zone_height_deg)
-    order = np.lexsort((ra, zone))
+    order = zone_ra_order(zone, ra)
     return ZoneIndex(
         zone_height_deg=zone_height_deg,
         ids=np.take(records["id"], order).astype(np.int64, copy=False),

@@ -26,6 +26,7 @@ from .core import (
     sort_by_zone_ra,
     write_csv,
     zone_of,
+    zone_ra_order,
 )
 from .crossmatch import ZoneIndex, build_zone_index, range_join
 
@@ -176,7 +177,9 @@ class TemplateCatalog:
         stars["dec"] = records["dec"]
         stars["mag"] = records["mag"]
         stars["x"], stars["y"], stars["z"] = records["x"], records["y"], records["z"]
-        stars = stars[np.argsort(stars["id"])]
+        stars = stars[np.argsort(stars["id"], kind="stable")]
+        if (repeated := stars["id"][1:][np.diff(stars["id"]) == 0]).size:
+            raise DomainError(f"template star id {repeated[0]} is repeated")
         return cls(stars=stars, index=build_zone_index(stars, config.zone_height_deg))
 
 
@@ -200,16 +203,13 @@ def build_template(model: SkyModel, config: EngineConfig | None = None) -> Templ
     bright, faint = model.mag_range
     mag = rng.uniform(bright, faint, n)
 
-    order = np.lexsort((ra, zone_of(dec, config.zone_height_deg)))
+    order = zone_ra_order(zone_of(dec, config.zone_height_deg), ra)
     ra, dec, mag = ra[order], dec[order], mag[order]
 
     stars = np.zeros(n, dtype=TEMPLATE_DTYPE)
     stars["id"] = np.arange(n, dtype=np.int64)
-    stars["ra"] = ra
-    stars["dec"] = dec
-    stars["mag"] = mag
-    if n:
-        stars["x"], stars["y"], stars["z"] = radec_to_cartesian(ra, dec)
+    stars["ra"], stars["dec"], stars["mag"] = ra, dec, mag
+    stars["x"], stars["y"], stars["z"] = radec_to_cartesian(ra, dec)
     return TemplateCatalog(stars=stars, index=build_zone_index(stars, config.zone_height_deg))
 
 

@@ -22,7 +22,10 @@ current ones must match bit for bit;
 pins the join's zone and RA pruning at pairs that sit on the radius;
 ``range_join_with_two_bisections``, the zone join as it was, with two
 bisections per window and ``x/y/z`` copied out of the rows, whose
-``MatchResult`` the current ``range_join`` must match byte for byte; and
+``MatchResult`` the current ``range_join`` must match byte for byte;
+``zone_index_by_lexsort``, ``sort_by_lexsort`` and ``lexsort_zone_ra_order``,
+the zone index, the frame sort and the template's draw order as one
+``np.lexsort`` each, whose bytes the current ones must match; and
 ``angular_separation``, the chord-length separation of two directions, which
 the tests pin against ``haversine_deg``.
 """
@@ -267,6 +270,29 @@ def _join_rows_with_two_bisections(records, ra_all, dec_all, lo, hi, template_in
         unmatched_rows=unmatched,
         ambiguous_count=ambiguous_count,
         n_frame=n,
+    )
+
+
+def lexsort_zone_ra_order(zone, ra) -> np.ndarray:
+    """The (zone, ra) order of rows as one ``np.lexsort``, ties in row order."""
+    return np.lexsort((ra, zone))
+
+
+def sort_by_lexsort(records) -> np.ndarray:
+    """``core.sort_by_zone_ra`` as it was: one lexsort, rows copied field by field."""
+    return records[np.lexsort((records["ra"], records["zone"]))]
+
+
+def zone_index_by_lexsort(records, zone_height_deg) -> crossmatch.ZoneIndex:
+    """``crossmatch.build_zone_index`` as it was: every input lexsorted once."""
+    ra = np.ascontiguousarray(records["ra"], dtype=np.float64)
+    zone = zone_of(records["dec"], zone_height_deg)
+    order = np.lexsort((ra, zone))
+    return crossmatch.ZoneIndex(
+        zone_height_deg=zone_height_deg,
+        ids=np.take(records["id"], order).astype(np.int64, copy=False),
+        xyz=np.take(crossmatch.xyz_of(records), order, axis=0),
+        key=np.append(zone[order] * 361.0 + ra[order], np.inf),
     )
 
 

@@ -29,6 +29,7 @@ from tdcat.core import (
     sort_by_zone_ra,
     take_rows,
     zone_of,
+    zone_ra_order,
 )
 from tdcat.mining import DIMMING, Alert, read_alerts_csv, write_alerts_csv
 from tdcat.skygen import BRIGHTENING, TransientInjection, read_truth_log, write_truth_log
@@ -42,6 +43,8 @@ from oracles import (
     cartesian_to_radec,
     check_frame_batch,
     haversine_deg,
+    lexsort_zone_ra_order,
+    sort_by_lexsort,
     zone_by_fraction,
 )
 
@@ -310,6 +313,52 @@ def test_sort_by_zone_ra():
     key = srt["zone"].astype(np.float64) * 361.0 + srt["ra"]
     assert np.all(np.diff(key) >= 0)
     assert sorted(srt["id"]) == list(range(200))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.lists(st.tuples(st.integers(0, 4), st.sampled_from(
+        [0.0, -0.0, 1.5, 2.0, 359.5, math.nan, math.inf])), max_size=40),
+    zones=st.sampled_from([(np.int16, -2), (np.int16, 0), (np.int64, 0), (np.int64, 65_533),
+                           (np.int64, 200_000)]),
+    presort=st.booleans(),
+)
+def test_zone_ra_order_is_the_lexsort_order(rows, zones, presort):
+    dtype, offset = zones
+    zone = np.array([z + offset for z, _ in rows], dtype=dtype)
+    ra = np.array([r for _, r in rows], dtype=np.float64)
+    if presort:
+        order = np.lexsort((ra, zone))
+        zone, ra = zone[order], ra[order]
+    got = zone_ra_order(zone, ra)
+    want = lexsort_zone_ra_order(zone, ra)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "case", ["ordered", "shuffled", "ties", "reversed-view", "every-third-view", "empty", "one-row"]
+)
+def test_sort_by_zone_ra_gives_the_lexsort_bytes(case):
+    cfg = EngineConfig()
+    rng = np.random.default_rng(6)
+    n = 300
+    ra, dec = rng.uniform(0, 360, n), rng.uniform(-89, 89, n)
+    if case == "ties":  # 20 rows at one ra in one zone, and 20 copies of one place
+        ra[:20], dec[:20] = 42.0, -5.0 + rng.uniform(0.0, 0.009, 20)
+        ra[20:40], dec[20:40] = 7.5, 3.25
+    rec = records_from_radec(
+        ids=rng.permutation(n).astype(np.uint64), imageid=0, ra=ra, dec=dec,
+        mag=rng.uniform(10, 20, n), mag_error=np.full(n, 0.02), config=cfg,
+    )
+    rec = {
+        "ordered": sort_by_lexsort(rec), "shuffled": rec, "ties": rec,
+        "reversed-view": sort_by_lexsort(rec)[::-1], "every-third-view": rec[::3],
+        "empty": rec[:0], "one-row": rec[7:8],
+    }[case]
+    got, want = sort_by_zone_ra(rec), sort_by_lexsort(rec)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert not np.shares_memory(got, rec)
 
 
 def store_like_rows(n):

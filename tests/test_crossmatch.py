@@ -32,6 +32,7 @@ from oracles import (
     brute_force_match_arrays,
     haversine_deg,
     range_join_with_two_bisections,
+    zone_index_by_lexsort,
 )
 
 CFG = EngineConfig()
@@ -111,6 +112,71 @@ def test_zone_index_empty():
     result = range_join(make_records([10.0], [5.0]), idx, 0.003)
     assert result.n_matched == 0
     assert result.n_unmatched == 1
+
+
+def assert_same_index(got, want):
+    """Two zone indexes hold the same arrays: bytes, dtypes, shapes and flags."""
+    assert got.zone_height_deg == want.zone_height_deg
+    for name in ("ids", "xyz", "key"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape, a.flags) == (b.dtype, b.shape, b.flags), name
+        assert a.tobytes() == b.tobytes(), name
+
+
+def _index_input(case):
+    """Catalog rows for one index case, and the zone height to index them at."""
+    rng = np.random.default_rng(12)
+    n = 600
+    ordered = make_records(rng.uniform(0, 360, n), rng.uniform(-89, 89, n))
+    shuffle = rng.permutation(n)
+    # 30 rows at one ra inside one 0.01-degree zone, and 30 copies of one row
+    tied = make_records(
+        np.r_[rng.uniform(0, 360, n), np.full(30, 42.0), np.full(30, 7.5)],
+        np.r_[rng.uniform(-89, 89, n), -5.0 + rng.uniform(0.0, 0.009, 30), np.full(30, 3.25)],
+    )
+    fine_order = ordered[np.lexsort((ordered["ra"], zone_of(ordered["dec"], 0.001)))]
+    big_ids = ordered.copy()
+    big_ids["id"] = (np.uint64(1) << np.uint64(63)) | rng.permutation(n).astype(np.uint64)
+    return {
+        "ordered": (ordered, 0.01),
+        "reversed": (ordered[::-1], 0.01),
+        "shuffled": (ordered[shuffle], 0.01),
+        "ties-shuffled": (tied[rng.permutation(len(tied))], 0.01),
+        "ties-ordered": (tied, 0.01),
+        "uint64-ids-shuffled": (big_ids[shuffle], 0.01),
+        "template-rows": (skygen.build_template(skygen.SkyModel(seed=4, star_count=n)).stars, 0.01),
+        "empty": (ordered[:0], 0.01),
+        "one-row": (ordered[5:6], 0.01),
+        "one-row-strided": (ordered[::n], 0.01),
+        "180000-zones-ordered": (fine_order, 0.001),
+        "180000-zones-shuffled": (ordered[shuffle], 0.001),
+    }[case]
+
+
+INDEX_CASES = [
+    "ordered", "reversed", "shuffled", "ties-shuffled", "ties-ordered", "uint64-ids-shuffled",
+    "template-rows", "empty", "one-row", "one-row-strided", "180000-zones-ordered",
+    "180000-zones-shuffled",
+]
+
+
+@pytest.mark.parametrize("case", INDEX_CASES)
+def test_zone_index_gives_the_lexsort_index(case):
+    rows, h = _index_input(case)
+    assert_same_index(build_zone_index(rows, h), zone_index_by_lexsort(rows, h))
+
+
+def test_an_ordered_template_is_indexed_without_a_sort(monkeypatch):
+    sky = skygen.build_template(skygen.SkyModel(seed=5, star_count=5000), CFG)
+    subset = skygen.TemplateCatalog.from_records(sky.to_records(CFG)[np.arange(5000) % 9 != 0], CFG)
+
+    def no_sort(*args, **kwargs):
+        raise AssertionError("an ordered template was sorted")
+
+    monkeypatch.setattr(np, "argsort", no_sort)
+    monkeypatch.setattr(np, "lexsort", no_sort)
+    for tpl in (sky, subset):
+        assert_same_index(build_zone_index(tpl.stars, CFG.zone_height_deg), tpl.index)
 
 
 @pytest.mark.parametrize("case", ["empty_frame", "empty_frame_empty_index", "no_candidates"])

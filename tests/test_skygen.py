@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from tdcat import skygen
 from tdcat.core import (
     CadenceError,
     ConfigError,
@@ -26,7 +27,13 @@ from tdcat.skygen import (
     write_truth_log,
 )
 
-from oracles import check_frame_batch, haversine_deg
+from oracles import (
+    check_frame_batch,
+    haversine_deg,
+    lexsort_zone_ra_order,
+    sort_by_lexsort,
+    zone_index_by_lexsort,
+)
 
 CFG = EngineConfig()
 
@@ -117,6 +124,42 @@ def test_template_records_roundtrip():
     assert np.all(rec["imageid"] == 0)
     back = TemplateCatalog.from_records(rec, CFG)
     assert back.stars.tobytes() == tpl.stars.tobytes()
+    shuffled = TemplateCatalog.from_records(rec[np.random.default_rng(3).permutation(150)], CFG)
+    assert shuffled.stars.tobytes() == tpl.stars.tobytes()
+    assert shuffled.index.ids.tobytes() == tpl.index.ids.tobytes()
+
+
+def test_template_from_records_refuses_a_repeated_id():
+    rec = build_template(SkyModel(seed=2, star_count=150), CFG).to_records(CFG)
+    rec["id"][[40, 90]] = 17
+    with pytest.raises(DomainError, match="template star id 17 is repeated"):
+        skygen.TemplateCatalog.from_records(rec, CFG)
+
+
+@pytest.mark.parametrize("stars,zone_height", [(0, 0.01), (1, 0.01), (3000, 0.01), (3000, 0.001)])
+def test_build_template_gives_the_lexsort_bytes(monkeypatch, stars, zone_height):
+    config = EngineConfig(zone_height_deg=zone_height)
+    model = SkyModel(seed=7, star_count=stars)
+    got = build_template(model, config)
+    monkeypatch.setattr(skygen, "zone_ra_order", lexsort_zone_ra_order)
+    monkeypatch.setattr(skygen, "build_zone_index", zone_index_by_lexsort)
+    want = build_template(model, config)
+    assert got.stars.tobytes() == want.stars.tobytes()
+    for name in ("ids", "xyz", "key"):
+        assert getattr(got.index, name).tobytes() == getattr(want.index, name).tobytes()
+
+
+def test_observe_frame_gives_the_lexsort_bytes(monkeypatch):
+    model = SkyModel(seed=8, star_count=3000)
+    tpl = build_template(model, CFG)
+    injections = random_injections(
+        tpl, model, CFG, seed=8, n_new_sources=3, n_brightenings=3, frames_per_night=10,
+    )
+    got = [observe_frame(tpl, i * CFG.cadence_s, injections, model, CFG) for i in range(10)]
+    monkeypatch.setattr(skygen, "sort_by_zone_ra", sort_by_lexsort)
+    for i, frame in enumerate(got):
+        want = observe_frame(tpl, i * CFG.cadence_s, injections, model, CFG)
+        assert frame.records.tobytes() == want.records.tobytes()
 
 
 # ---------------------------------------------------------------------------
