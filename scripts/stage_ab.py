@@ -37,6 +37,10 @@ from pathlib import Path
 
 from ab_bench import SIDES, export
 
+# MiningConfig.min_window (10) + 4: the injected events need at least two
+# frames between the online baseline's warm-up and the end of the night.
+MIN_FRAMES = 14
+
 STAGES = ("match_s", "insert_s", "online_s", "candidate_s", "total_s")
 REPORTED = (*STAGES, "setup_s")
 
@@ -95,6 +99,8 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--run-side", type=Path, help=argparse.SUPPRESS)  # a child's src/
     args = ap.parse_args(argv)
+    if args.frames < MIN_FRAMES:
+        ap.error(f"--frames must be at least {MIN_FRAMES}")
     if not 0 <= args.warmup < args.frames:
         ap.error("--warmup must be at least 0 and below --frames")
     scratch = args.scratch.resolve()

@@ -189,7 +189,7 @@ def cmd_ingest(args) -> int:
         _read_interchange(args.template, config) if args.template
         else np.zeros(0, RECORD_DTYPE)
     )
-    index = build_zone_index(template, config.zone_height_deg)
+    index = build_zone_index(template, config.zone_height_deg, config.match_radius_deg)
     for path in args.input:
         records = _read_interchange(path, config, args.format)
         if not len(records):
@@ -252,7 +252,7 @@ def cmd_merge(args) -> int:
 def cmd_crossmatch(args) -> int:
     config, _ = build_configs(args)
     template = _read_interchange(args.template, config)
-    index = build_zone_index(template, config.zone_height_deg)
+    index = build_zone_index(template, config.zone_height_deg, config.match_radius_deg)
     kept = []  # (matched count, candidate ids) of each frame
 
     def pairs():  # one frame's matches at a time

@@ -218,7 +218,11 @@ def records_from_radec(
     Derived columns (zone, x/y/z, flux, flux_err, calmag) are computed here so
     every emitted record satisfies the row invariants by construction.  calmag
     is the instrumental mag passed through unchanged (no calibration model).
+    A ``zone_height_deg`` whose zones overflow int16 raises ConfigError.
     """
+    if n_zones(config.zone_height_deg) > 1 << 15:
+        raise ConfigError(f"zone_height_deg {config.zone_height_deg} is below {180 / (1 << 15)}, "
+                          "the smallest height whose zones fit the int16 zone column")
     ra = np.asarray(ra, dtype=np.float64)
     dec = np.asarray(dec, dtype=np.float64)
     n = ra.size
@@ -318,12 +322,15 @@ def take_rows(rows: np.ndarray, index) -> np.ndarray:
 def zone_ra_order(zone, ra) -> np.ndarray:
     """``np.lexsort((ra, zone))``, found without a sort for rows already in that order.
 
-    Other rows take a stable sort by ``ra``, then one by ``zone``, which numpy
-    radix-sorts when it fits 16 bits.
+    Other rows are sorted by ``ra``, by numpy's default sort when no two are
+    equal (``-0.0 == 0.0`` too) or NaN, since then its order is the stable one,
+    else stably; then stably by ``zone``, radix-sorted when it fits 16 bits.
     """
     if np.all((zone[1:] > zone[:-1]) | ((zone[1:] == zone[:-1]) & (ra[1:] >= ra[:-1]))):
         return np.arange(len(zone))
-    order = np.argsort(ra, kind="stable")
+    order = np.argsort(ra)
+    if not np.all((r := ra[order])[1:] > r[:-1]):  # a tie or a NaN
+        order = np.argsort(ra, kind="stable")
     key = zone[order]
     if key.size and key.min() >= 0 and key.max() < 1 << 16:
         key = key.astype(np.uint16)

@@ -1,8 +1,8 @@
 """Zone-partitioned spatial index and the distance-bounded RangeJoin operator.
 
 The sky is cut into horizontal declination strips ("zones") of fixed height.
-Each strip keeps its members sorted by right ascension, so candidate lookup
-for a query source is a handful of binary searches instead of a full scan.
+Each strip keeps, sorted by right ascension, every star whose match radius
+reaches into it, so a query source finds its candidates in one lookup.
 """
 
 from __future__ import annotations
@@ -30,12 +30,13 @@ _PAIR_BUDGET = 1 << 18
 class ZoneIndex:
     """Immutable zone-strip index over a set of catalog positions.
 
-    Rows are stored flat, sorted by (zone, ra); ``key`` is the combined sort
-    key ``zone * 361 + ra`` used for global binary search, followed by one
-    ``+inf`` so that a probe just past any window still lands in ``key``.
+    Each row is stored once in every strip its ``reach_deg`` touches, sorted
+    by ``key = strip * 361 + ra`` for global binary search; ``key`` ends in one
+    ``+inf``, so that a probe just past any window still lands in ``key``.
     """
 
     zone_height_deg: float
+    reach_deg: float
     ids: np.ndarray  # int64, flat
     xyz: np.ndarray  # (n, 3) unit vectors
     key: np.ndarray = field(repr=False)
@@ -89,24 +90,45 @@ def xyz_of(rows) -> np.ndarray:
     return np.lib.stride_tricks.as_strided(x, (len(x), 3), (x.strides[0], 8), writeable=False)
 
 
-def build_zone_index(records, zone_height_deg: float) -> ZoneIndex:
-    """Index catalog rows by declination strip, in (zone, ra) order.
+def build_zone_index(records, zone_height_deg: float, reach_deg: float) -> ZoneIndex:
+    """Index rows by declination strip, each row once in every strip that
+    ``[dec - reach - pad, dec + reach + pad]`` touches, so that a join at any
+    radius up to ``reach_deg`` finds a row's candidates in the row's own strip.
 
-    ``records`` is any structured array carrying ``id``, ``ra``, ``dec`` and
-    ``x/y/z`` as adjacent native float64 fields (``xyz_of``; DomainError
-    otherwise).  Zones come from dec at the given strip height, never from a
-    ``zone`` column, which may hold a stale height.  Rows already in (zone, ra)
-    order, as every template's are, are indexed without a sort (``zone_ra_order``).
+    Strips are ``zone_height_deg`` tall, or ``reach + 2 pad`` if taller, so a
+    row has at most 3 entries, in key order, equal keys in (own zone, ra, row)
+    order.  ``records`` carry ``id``, ``ra``, ``dec`` and ``x/y/z`` (``xyz_of``);
+    zones come from dec, not a ``zone`` column.  Rows in (zone, ra) order, as
+    templates are, take no sort and give three runs in key order, which one
+    stable sort merges.
     """
+    if not reach_deg > 0:
+        raise ConfigError(f"reach_deg must be > 0, got {reach_deg}")
+    band = reach_deg + _WINDOW_PAD_DEG
+    h = max(zone_height_deg, band + _WINDOW_PAD_DEG)
     xyz = xyz_of(records)
     ra = np.ascontiguousarray(records["ra"], dtype=np.float64)
-    zone = zone_of(records["dec"], zone_height_deg)
-    order = zone_ra_order(zone, ra)
+    dec = np.ascontiguousarray(records["dec"], dtype=np.float64)
+    zone = zone_of(dec, h)
+    rows = zone_ra_order(zone, ra)
+    zone, ra, dec = zone[rows], ra[rows], dec[rows]
+    # a band reaches at most one strip past its row's on each side; each
+    # temporary goes once used, as page faults bound the build
+    up = np.flatnonzero(zone_of(np.minimum(dec + band, 90.0), h) > zone)
+    down = np.flatnonzero(zone_of(np.maximum(dec - band, -90.0), h) < zone)
+    runs = np.concatenate([up, np.arange(len(rows)), down])
+    key = np.concatenate([zone[up] + 1, zone, zone[down] - 1]) * 361.0
+    key += ra[runs]
+    del zone, ra, dec
+    order = np.argsort(key, kind="stable")
+    entries, key = rows[runs[order]], np.append(key[order], np.inf)
+    del runs, rows, order
     return ZoneIndex(
-        zone_height_deg=zone_height_deg,
-        ids=np.take(records["id"], order).astype(np.int64, copy=False),
-        xyz=np.take(xyz, order, axis=0),
-        key=np.append(zone[order] * 361.0 + ra[order], np.inf),
+        zone_height_deg=h,
+        reach_deg=reach_deg,
+        ids=np.take(records["id"], entries).astype(np.int64, copy=False),
+        xyz=np.take(np.ascontiguousarray(xyz), entries, axis=0),  # a strided take is slower
+        key=key,
     )
 
 
@@ -129,18 +151,16 @@ def _ra_halfwidth_deg(dec: np.ndarray, radius_deg: float) -> np.ndarray:
 def range_join(records, template_index: ZoneIndex, radius_deg: float) -> MatchResult:
     """Match each frame record to its nearest in-radius template star.
 
-    Candidates are drawn from the zones that a record's declination band
-    ``[dec - r - pad, dec + r + pad]`` reaches, both edges through
-    ``zone_of``, and from inside a declination-inflated RA window: one lookup
-    per zone the band reaches, seam intervals included (a window that crosses
-    the 0/360 seam adds an interval for its wrapped part), each bisected
-    once; two probes give the window's length, and only a window of two or
-    more stars is bisected again for its end.  Among candidates within
-    ``radius_deg`` the nearest wins; exact separation ties break toward the
-    smaller template star id.  Records with no in-radius candidate are
-    returned as unmatched transient candidates.  A ``dec`` outside [-90, 90]
-    or an ``ra`` outside [0, 360), NaN included, raises DomainError naming
-    the first such row.
+    One lookup per row, in its own strip, which holds every star whose reach
+    touches it (``build_zone_index``), inside a declination-inflated RA
+    window; a window across the 0/360 seam adds an interval for its wrapped
+    part.  Each interval is bisected once; two probes give its length, and
+    only one of two or more stars is bisected again for its end.  The nearest
+    candidate within ``radius_deg`` wins, exact ties going to the smaller
+    star id; rows with none are unmatched transient candidates.  A
+    ``radius_deg`` past the index's ``reach_deg`` raises ConfigError; a
+    ``dec`` outside [-90, 90] or an ``ra`` outside [0, 360), NaN included,
+    raises DomainError naming the first such row.
 
     ``records`` carry ``id``, ``ra``, ``dec`` and ``x/y/z`` as adjacent
     native float64 fields (``xyz_of``); any other layout raises DomainError.
@@ -152,6 +172,8 @@ def range_join(records, template_index: ZoneIndex, radius_deg: float) -> MatchRe
     """
     if not 0 < radius_deg <= 90:
         raise ConfigError(f"radius_deg must be in (0, 90], got {radius_deg}")
+    if radius_deg > (reach := template_index.reach_deg):
+        raise ConfigError(f"radius_deg {radius_deg} is past the index's reach_deg {reach}")
     xyz = xyz_of(records)
 
     def block(lo, hi):
@@ -189,20 +211,15 @@ def _join_rows(records, xyz, lo, hi, template_index, radius_deg):
     ra = np.ascontiguousarray(records["ra"][lo:hi], dtype=np.float64)
     dec = np.ascontiguousarray(records["dec"][lo:hi], dtype=np.float64)
     _check_dec(dec, lo)
-    h = template_index.zone_height_deg
-
-    # each record's zone band, both edges through one zone_of call, in two rows
-    reach = radius_deg + _WINDOW_PAD_DEG
-    edges = zone_of(np.clip(np.add.outer((-reach, reach), dec), -90.0, 90.0), h)
-    band_lo, band_span = edges[0], edges[1] - edges[0]
-
     halfw = _ra_halfwidth_deg(dec, radius_deg)
-    w_lo, w_hi = ra - halfw, ra + halfw
+    q_lo, q_hi = ra - halfw, ra + halfw
+    base = zone_of(dec, template_index.zone_height_deg) * 361.0
+    hit_rec = None  # each interval's row, where seam intervals follow the rows'
     # A window that leaves [0, 360] crosses the seam or scans the full circle,
     # or its ra is itself outside [0, 360) or NaN: only these rows are looked
     # at again.  A seam window adds its wrapped part, the window moved a full
-    # turn to the other side; every interval is then clipped into [0, 360].
-    edge = wrap = np.flatnonzero(~((w_lo >= 0.0) & (w_hi <= 360.0)))
+    # turn to the other side; both intervals are then clipped into [0, 360].
+    edge = np.flatnonzero(~((q_lo >= 0.0) & (q_hi <= 360.0)))
     if len(edge):
         bad = edge[~((ra[edge] >= 0.0) & (ra[edge] < 360.0))]
         if len(bad):  # an off-sky dec in any block is named first
@@ -210,31 +227,25 @@ def _join_rows(records, xyz, lo, hi, template_index, radius_deg):
             i = bad[0]
             raise DomainError(f"row {lo + i}: ra {float(ra[i])!r} is not in [0, 360)")
         full = halfw[edge] >= 180.0
-        w_lo[edge[full]], w_hi[edge[full]] = 0.0, 360.0
+        q_lo[edge[full]], q_hi[edge[full]] = 0.0, 360.0
         wrap = edge[~full]
-    turn = np.where(w_lo[wrap] < 0.0, 360.0, -360.0)
-    q_rec = np.concatenate([np.arange(n), wrap])
-    q_lo = np.clip(np.concatenate([w_lo, w_lo[wrap] + turn]), 0.0, 360.0)
-    q_hi = np.clip(np.concatenate([w_hi, w_hi[wrap] + turn]), 0.0, 360.0)
-    q_zone, q_span = band_lo[q_rec], band_span[q_rec]
+        turn = np.where(q_lo[wrap] < 0.0, 360.0, -360.0)
+        hit_rec = np.concatenate([np.arange(n), wrap])
+        q_lo = np.clip(np.concatenate([q_lo, q_lo[wrap] + turn]), 0.0, 360.0)
+        q_hi = np.clip(np.concatenate([q_hi, q_hi[wrap] + turn]), 0.0, 360.0)
+        base = base[hit_rec]
 
-    # One lookup per zone step k, over the intervals whose band reaches
-    # ``band_lo + k``.  A window holds a star if ``key[start]`` is in it, and
-    # two or more if ``key[start + 1]`` is too (``key`` ends in +inf).
+    # An interval holds a star if ``key[start]`` is in it, and two or more if
+    # ``key[start + 1]`` is too (``key`` ends in +inf).
     key = template_index.key
-    hits = []
-    for k in range(int(band_span.max(initial=0)) + 1):
-        sel = np.flatnonzero(q_span >= k) if k else slice(None)
-        base = (q_zone[sel] + k) * 361.0
-        start = np.searchsorted(key, base + q_lo[sel], side="left")
-        w_end = base + q_hi[sel]
-        hit = np.flatnonzero(np.take(key, start) <= w_end)
-        start, w_end = start[hit], w_end[hit]
-        length = 1 + (np.take(key, start + 1) <= w_end)
-        more = np.flatnonzero(length > 1)
-        length[more] = np.searchsorted(key, w_end[more], side="right") - start[more]
-        hits.append((q_rec[sel][hit], start, length))
-    hit_rec, start, length = (np.concatenate(part) for part in zip(*hits))
+    start = np.searchsorted(key, base + q_lo, side="left")
+    w_end = base + q_hi
+    hit = np.flatnonzero(np.take(key, start) <= w_end)
+    start, w_end = start[hit], w_end[hit]
+    length = 1 + (np.take(key, start + 1) <= w_end)
+    more = np.flatnonzero(length > 1)
+    length[more] = np.searchsorted(key, w_end[more], side="right") - start[more]
+    hit_rec = hit if hit_rec is None else hit_rec[hit]
     if n > 1 and length.sum() > _PAIR_BUDGET:  # crowded: join each half apart
         mid = lo + n // 2
         return _laid_end_to_end(
@@ -246,8 +257,7 @@ def _join_rows(records, xyz, lo, hi, template_index, radius_deg):
     cand_tpl = np.arange(len(cand_rec)) + np.repeat(
         start - (np.cumsum(length) - length), length
     )
-    del base, hits, hit_rec, start, length, hit, sel, w_end, more
-    del edges, band_lo, band_span, halfw, w_lo, w_hi, q_rec, q_lo, q_hi, q_zone, q_span
+    del base, hit_rec, start, length, hit, w_end, more, halfw, q_lo, q_hi
 
     diff = np.take(xyz[lo:hi], cand_rec, axis=0) - np.take(template_index.xyz, cand_tpl, axis=0)
     chord2 = np.einsum("ij,ij->i", diff, diff)

@@ -362,8 +362,9 @@ class CandidateTracker:
         self._last_epoch = epoch
         claimed = claimed_rows = np.zeros(0, dtype=np.int64)
         if len(rec) and len(tracks):  # a track's id is its position
-            index = build_zone_index(tracks, self.config.zone_height_deg)
-            links = range_join(rec, index, self.config.match_radius_deg)
+            radius = self.config.match_radius_deg
+            index = build_zone_index(tracks, self.config.zone_height_deg, radius)
+            links = range_join(rec, index, radius)
             claimed, first = np.unique(links.star_ids, return_index=True)
             claimed_rows = links.matched_rows[first]
         opens = np.ones(len(rec), dtype=bool)

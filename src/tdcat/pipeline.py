@@ -109,6 +109,7 @@ class PartitionWorker:
         if self.store is not None:  # the writer's partition exists before its first frame
             self.store.root.mkdir(parents=True, exist_ok=True)
         self.bank = WindowBank(template.stars["id"], mining)
+        template.index  # built here, so that the set-up pays for it
         self.tracker = CandidateTracker(config, mining)
         self._writer = None  # the segment-write thread, started by the first frame
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -143,14 +144,20 @@ class TransientInjection:
 
 @dataclass
 class TemplateCatalog:
-    """Reference star table with stable ids plus its zone index.
+    """Reference star table with stable ids, and its zone index at the config's
+    strip height and match radius, built on first use.
 
     ``stars`` is sorted by id; ids are assigned in (zone, ra) order at build
     time so row position and id coincide for generated templates.
     """
 
     stars: np.ndarray  # TEMPLATE_DTYPE
-    index: ZoneIndex = field(repr=False)
+    config: EngineConfig = field(repr=False)
+
+    @cached_property
+    def index(self) -> ZoneIndex:
+        c = self.config
+        return build_zone_index(self.stars, c.zone_height_deg, c.match_radius_deg)
 
     @property
     def star_count(self) -> int:
@@ -180,7 +187,7 @@ class TemplateCatalog:
         stars = stars[np.argsort(stars["id"], kind="stable")]
         if (repeated := stars["id"][1:][np.diff(stars["id"]) == 0]).size:
             raise DomainError(f"template star id {repeated[0]} is repeated")
-        return cls(stars=stars, index=build_zone_index(stars, config.zone_height_deg))
+        return cls(stars, config)
 
 
 def build_template(model: SkyModel, config: EngineConfig | None = None) -> TemplateCatalog:
@@ -210,7 +217,7 @@ def build_template(model: SkyModel, config: EngineConfig | None = None) -> Templ
     stars["id"] = np.arange(n, dtype=np.int64)
     stars["ra"], stars["dec"], stars["mag"] = ra, dec, mag
     stars["x"], stars["y"], stars["z"] = radec_to_cartesian(ra, dec)
-    return TemplateCatalog(stars=stars, index=build_zone_index(stars, config.zone_height_deg))
+    return TemplateCatalog(stars, config)
 
 
 def epoch_index(epoch: float, cadence_s: float) -> int:
@@ -333,11 +340,13 @@ def random_injections(
     new_source positions are rejection-sampled at least twice the match
     radius away from every template star, so an injected source can never be
     absorbed by a template match.  Events last 2 to ``max_duration_frames``
-    frames.  Brightening amplitudes are drawn in [-1.5, -0.5] mag (always a
-    strong brightening).
+    frames (ConfigError below 2).  Brightening amplitudes are drawn in
+    [-1.5, -0.5] mag (always a strong brightening).
     ``min_on_frame`` keeps event onsets clear of the online detector's
     baseline warm-up, so every drawn event is detectable in principle.
     """
+    if max_duration_frames < 2:
+        raise ConfigError(f"max_duration_frames must be >= 2, got {max_duration_frames}")
     rng = np.random.default_rng((seed, 3, camera_id))
     frames = frames_per_night or config.frames_per_night
     night_start = night_id * 86400.0
@@ -353,6 +362,8 @@ def random_injections(
         return night_start + on * cadence, night_start + (on + dur) * cadence
 
     isolation = 2.0 * config.match_radius_deg
+    if n_new_sources:  # its own index, reaching 2r
+        isolation_index = build_zone_index(template.stars, config.zone_height_deg, isolation)
     need = n_new_sources
     attempts = 0
     while need > 0:
@@ -368,11 +379,7 @@ def random_injections(
         )
         probe["dec"] = np.degrees(np.arcsin(sin_dec))
         probe["x"], probe["y"], probe["z"] = radec_to_cartesian(probe["ra"], probe["dec"])
-        if template.star_count:
-            res = range_join(probe, template.index, isolation)
-            free = res.unmatched_rows
-        else:
-            free = np.arange(m)
+        free = range_join(probe, isolation_index, isolation).unmatched_rows
         bright, faint = model.mag_range
         mag_lo = bright + 0.25 * (faint - bright)
         mag_hi = bright + 0.75 * (faint - bright)

@@ -20,12 +20,14 @@ and ``baseline_stats_in_masked_gathers``, its earlier variance, which the
 current ones must match bit for bit;
 ``brute_force_chord_match``, the join's own chord rule over every pair, which
 pins the join's zone and RA pruning at pairs that sit on the radius;
-``range_join_with_two_bisections``, the zone join as it was, with two
-bisections per window and ``x/y/z`` copied out of the rows, whose
-``MatchResult`` the current ``range_join`` must match byte for byte;
-``zone_index_by_lexsort``, ``sort_by_lexsort`` and ``lexsort_zone_ra_order``,
-the zone index, the frame sort and the template's draw order as one
-``np.lexsort`` each, whose bytes the current ones must match; and
+``range_join_with_two_bisections``, the zone join as it was, with a lookup
+per zone its band reaches, two bisections per window and ``x/y/z`` copied
+out of the rows, over ``zone_index_with_one_entry_per_row``, the index as it
+was, whose ``MatchResult`` the current ``range_join`` must match byte for
+byte; ``zone_index_by_lexsort``, ``sort_by_lexsort`` and
+``lexsort_zone_ra_order``, the zone index, the frame sort and the template's
+draw order as one ``np.lexsort`` each, whose bytes the current ones must
+match; and
 ``angular_separation``, the chord-length separation of two directions, which
 the tests pin against ``haversine_deg``.
 """
@@ -283,13 +285,49 @@ def sort_by_lexsort(records) -> np.ndarray:
     return records[np.lexsort((records["ra"], records["zone"]))]
 
 
-def zone_index_by_lexsort(records, zone_height_deg) -> crossmatch.ZoneIndex:
-    """``crossmatch.build_zone_index`` as it was: every input lexsorted once."""
+def zone_index_by_lexsort(records, zone_height_deg, reach_deg) -> crossmatch.ZoneIndex:
+    """``crossmatch.build_zone_index`` as one lexsort of every (row, strip) entry.
+
+    Each row is entered in every strip from ``zone_of(dec - reach - pad)`` to
+    ``zone_of(dec + reach + pad)`` at the index's strip height, each entry
+    found by a Python loop over the rows; the entries are sorted by key
+    ``strip * 361 + ra``, then by the row's own zone, its ra and its position.
+    """
+    band = reach_deg + crossmatch._WINDOW_PAD_DEG
+    h = max(zone_height_deg, band + crossmatch._WINDOW_PAD_DEG)
+    dec = [float(d) for d in records["dec"]]
+    entries = [
+        (row, strip)
+        for row, d in enumerate(dec)
+        for strip in range(zone_of(max(d - band, -90.0), h), zone_of(min(d + band, 90.0), h) + 1)
+    ]
+    row = np.array([e[0] for e in entries], np.int64)
+    strip = np.array([e[1] for e in entries], np.int64)
+    ra = np.ascontiguousarray(records["ra"], dtype=np.float64)[row]
+    key = strip * 361.0 + ra
+    order = np.lexsort((row, ra, zone_of(records["dec"], h)[row], key))
+    row, key = row[order], key[order]
+    return crossmatch.ZoneIndex(
+        zone_height_deg=h,
+        reach_deg=reach_deg,
+        ids=np.take(records["id"], row).astype(np.int64, copy=False),
+        xyz=np.take(np.ascontiguousarray(crossmatch.xyz_of(records)), row, axis=0),
+        key=np.append(key, np.inf),
+    )
+
+
+def zone_index_with_one_entry_per_row(records, zone_height_deg) -> crossmatch.ZoneIndex:
+    """``crossmatch.build_zone_index`` as it was before rows were entered in
+    every strip their reach touches: one entry per row, in its own zone, by
+    one lexsort.  Its ``reach_deg`` is 0, so only
+    ``range_join_with_two_bisections`` joins against it.
+    """
     ra = np.ascontiguousarray(records["ra"], dtype=np.float64)
     zone = zone_of(records["dec"], zone_height_deg)
     order = np.lexsort((ra, zone))
     return crossmatch.ZoneIndex(
         zone_height_deg=zone_height_deg,
+        reach_deg=0.0,
         ids=np.take(records["id"], order).astype(np.int64, copy=False),
         xyz=np.take(crossmatch.xyz_of(records), order, axis=0),
         key=np.append(zone[order] * 361.0 + ra[order], np.inf),

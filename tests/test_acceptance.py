@@ -193,7 +193,7 @@ def test_criterion_3_crossmatch_equals_bruteforce_oracle():
             mag_error=np.full(len(t_ra), 0.02), config=CFG,
         ))
         result = range_join(
-            frame, build_zone_index(tpl, CFG.zone_height_deg), radius
+            frame, build_zone_index(tpl, CFG.zone_height_deg, radius), radius
         )
         got = {int(r): int(s) for r, s, _ in result.pairs()}
         got_unmatched = set(int(u) for u in result.unmatched_ids)

@@ -199,6 +199,16 @@ def test_config_file_errors_exit_two(tmp_path, capsys):
     assert run_cli("plan", "--config", str(bad_setting)) == 2
 
 
+def test_generate_refuses_zones_past_the_int16_column(tmp_path, capsys):
+    cfg = tmp_path / "fine.cfg"
+    cfg.write_text("zone_height_deg = 0.001\n")
+    gen = tmp_path / "gen"
+    assert run_cli("generate", "--config", str(cfg), "--out", str(gen), "--frames", "1",
+                   "--stars", "200") != 0
+    assert ("zone_height_deg 0.001 is below 0.0054931640625, the smallest height whose zones "
+            "fit the int16 zone column") in capsys.readouterr().err
+
+
 def test_unknown_config_key_rejected(tmp_path):
     cfg = tmp_path / "oops.cfg"
     cfg.write_text("radius = 0.003\n")

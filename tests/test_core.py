@@ -335,6 +335,49 @@ def test_zone_ra_order_is_the_lexsort_order(rows, zones, presort):
     assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
+def recorded_sorts(monkeypatch):
+    """Patch ``np.argsort`` to record each call's (dtype, kind); return the record."""
+    sorts, argsort = [], np.argsort
+
+    def recorded(a, *args, **kwargs):
+        sorts.append((a.dtype, kwargs.get("kind")))
+        return argsort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", recorded)
+    return sorts
+
+
+@pytest.mark.parametrize("ra", [[5.0, 1.0, 5.0, 3.0, 5.0], [2.0, 0.0, 1.0, -0.0],
+                                [5.0, math.nan, 1.0, math.nan, 3.0]])
+def test_zone_ra_order_takes_the_stable_sort_for_equal_or_nan_ra(monkeypatch, ra):
+    """An equal pair (``-0.0 == 0.0`` too) or a NaN: the stable sort, tied rows in row order."""
+    ra = np.array(ra)
+    zone = np.zeros(len(ra), np.int64)
+    sorts = recorded_sorts(monkeypatch)
+    assert zone_ra_order(zone, ra).tolist() == np.lexsort((ra, zone)).tolist()
+    assert (np.dtype(np.float64), "stable") in sorts
+
+
+def test_zone_ra_order_sorts_untied_ra_without_the_stable_sort(monkeypatch):
+    rng = np.random.default_rng(3)
+    ra, zone = rng.uniform(0, 360, 5000), rng.integers(0, 18_000, 5000)
+    sorts = recorded_sorts(monkeypatch)
+    assert np.array_equal(zone_ra_order(zone, ra), np.lexsort((ra, zone)))
+    assert sorts == [(np.dtype(np.float64), None), (np.dtype(np.uint16), "stable")]
+
+
+@pytest.mark.parametrize("h", [0.001, 0.0054])
+def test_records_from_radec_refuses_zones_past_the_int16_column(h):
+    with pytest.raises(ConfigError, match=rf"^zone_height_deg {h} is below 0\.0054931640625, "
+                       "the smallest height whose zones fit the int16 zone column$"):
+        records_from_radec(ids=[1], imageid=0, ra=[1.0], dec=[0.0], mag=[12.0],
+                           mag_error=[0.02], config=EngineConfig(zone_height_deg=h))
+    at_limit = EngineConfig(zone_height_deg=180 / 32_768)
+    rec = records_from_radec(ids=[1, 2], imageid=0, ra=[1.0, 2.0], dec=[-90.0, 90.0],
+                             mag=[12.0, 12.0], mag_error=[0.02, 0.02], config=at_limit)
+    assert rec["zone"].tolist() == [0, 32_767]
+
+
 @pytest.mark.parametrize(
     "case", ["ordered", "shuffled", "ties", "reversed-view", "every-third-view", "empty", "one-row"]
 )

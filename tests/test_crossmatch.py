@@ -33,6 +33,7 @@ from oracles import (
     haversine_deg,
     range_join_with_two_bisections,
     zone_index_by_lexsort,
+    zone_index_with_one_entry_per_row,
 )
 
 CFG = EngineConfig()
@@ -52,7 +53,7 @@ def make_records(ra, dec, ids=None, imageid=1):
 
 def assert_matches_oracle(frame_rec, tpl_rec, radius, zone_height=0.01):
     """range_join must agree exactly with the O(n*m) haversine oracle."""
-    index = build_zone_index(tpl_rec, zone_height)
+    index = build_zone_index(tpl_rec, zone_height, radius)
     result = range_join(frame_rec, index, radius)
     oracle = brute_force_match(
         frame_rec["ra"], frame_rec["dec"],
@@ -86,37 +87,93 @@ def assert_matches_oracle(frame_rec, tpl_rec, radius, zone_height=0.01):
 # index structure
 
 
-def test_zone_index_structure():
-    rng = np.random.default_rng(0)
-    rec = make_records(rng.uniform(0, 360, 500), rng.uniform(-89, 89, 500))
-    idx = build_zone_index(rec, 0.01)
-    assert len(idx.ids) == 500
-    assert n_zones(idx.zone_height_deg) == 18_000
-    # rows sorted by (zone, ra): key is zone * 361 + ra, ra in [0, 360), then +inf
-    pos = np.argsort(rec["id"])[idx.ids]
-    zone = zone_of(rec["dec"][pos], 0.01)
-    assert 0 <= zone.min() and zone.max() < n_zones(0.01)
-    assert np.array_equal(idx.key, np.append(zone * 361.0 + rec["ra"][pos], np.inf))
-    assert np.all(np.diff(idx.key) >= 0)
-    assert np.array_equal(idx.xyz, xyz_of(rec[pos]))
-    # zone recomputed from dec, not trusted from the input column
-    tweaked = rec.copy()
-    tweaked["zone"] += 5
-    idx2 = build_zone_index(tweaked, 0.01)
-    assert np.array_equal(idx2.key, idx.key)
+def index_strips(index):
+    """Each entry's strip, read back from its key ``strip * 361 + ra``."""
+    return np.floor(index.key[:-1] / 361.0).astype(np.int64)
+
+
+def assert_index_invariants(index, rows, zone_height, reach):
+    """Each row is entered once in every strip its band touches, and nowhere else."""
+    band = reach + crossmatch._WINDOW_PAD_DEG
+    h = max(zone_height, band + crossmatch._WINDOW_PAD_DEG)
+    assert (index.zone_height_deg, index.reach_deg) == (h, reach)
+    want = sorted(
+        (int(i), s)
+        for i, d in zip(rows["id"], rows["dec"])
+        for s in range(zone_of(max(d - band, -90.0), h), zone_of(min(d + band, 90.0), h) + 1)
+    )
+    assert sorted(zip(index.ids.tolist(), index_strips(index).tolist())) == want
+    assert np.all(np.diff(index.key) >= 0) and index.key[-1] == np.inf
+    assert np.unique(index.ids, return_counts=True)[1].max(initial=0) <= 3
+    row_of = {int(i): j for j, i in enumerate(rows["id"])}
+    at = [row_of[int(i)] for i in index.ids]
+    assert np.array_equal(index.xyz, xyz_of(rows)[at])
+    assert np.array_equal(index.key[:-1], index_strips(index) * 361.0 + rows["ra"][at])
+
+
+INDEX_REACHES = {  # (strip height, reach): reaches of 0.3 to 100 strips, and of 90 degrees
+    "cfg": (0.01, 0.003), "reach-is-strip": (0.01, 0.01), "reach-3.3-strips": (0.003, 0.01),
+    "reach-50-strips": (0.001, 0.05), "reach-100-strips": (0.01, 1.0), "reach-90": (0.01, 90.0),
+}
+
+
+@pytest.mark.parametrize("reach_case", sorted(INDEX_REACHES))
+@pytest.mark.parametrize("where", ["sky", "poles", "zone-edges"])
+def test_zone_index_enters_each_row_in_every_strip_its_reach_touches(reach_case, where):
+    h, reach = INDEX_REACHES[reach_case]
+    rng = np.random.default_rng(sorted(INDEX_REACHES).index(reach_case))
+    n = 400
+    dec = {
+        "sky": rng.uniform(-90, 90, n),
+        "poles": np.concatenate([90 - rng.uniform(0, 2 * reach, n // 2 - 1), [90.0, -90.0],
+                                 -90 + rng.uniform(0, 2 * reach, n // 2 - 1)]),
+        "zone-edges": np.clip(  # bands ending on either side of a strip edge
+            rng.integers(1, n_zones(h), n) * h - 90.0 + rng.choice([-1, 1], n) * reach
+            + rng.choice([-2e-7, -1e-7, -1e-9, 0.0, 1e-9, 1e-7, 2e-7], n), -90.0, 90.0),
+    }[where]
+    rows = make_records(rng.uniform(0, 360, n), dec)[rng.permutation(n)]
+    assert_index_invariants(build_zone_index(rows, h, reach), rows, h, reach)
 
 
 def test_zone_index_empty():
-    idx = build_zone_index(make_records([], []), 0.01)
-    assert len(idx.ids) == 0
+    idx = build_zone_index(make_records([], []), 0.01, 0.003)
+    assert len(idx.ids) == 0 and idx.key.tolist() == [np.inf]
     result = range_join(make_records([10.0], [5.0]), idx, 0.003)
     assert result.n_matched == 0
     assert result.n_unmatched == 1
 
 
+def test_zone_index_structure():
+    rng = np.random.default_rng(0)
+    rec = make_records(rng.uniform(0, 360, 500), rng.uniform(-89, 89, 500))
+    idx = build_zone_index(rec, 0.01, 0.003)
+    assert n_zones(idx.zone_height_deg) == 18_000
+    assert_index_invariants(idx, rec, 0.01, 0.003)
+    assert 1.3 < len(idx.ids) / len(rec) < 1.9  # the band crosses a strip edge for ~60% of rows
+    # zone recomputed from dec, not trusted from the input column
+    tweaked = rec.copy()
+    tweaked["zone"] += 5
+    assert_same_index(build_zone_index(tweaked, 0.01, 0.003), idx)
+
+
+@pytest.mark.parametrize("reach", [0.0, -0.003, np.nan])
+def test_zone_index_refuses_a_reach_that_is_not_positive(reach):
+    with pytest.raises(ConfigError, match=r"^reach_deg must be > 0, got "):
+        build_zone_index(make_records([10.0], [0.0]), 0.01, reach)
+
+
+def test_a_radius_past_the_index_reach_is_refused():
+    index = build_zone_index(make_records([10.0], [0.0]), 0.01, 0.003)
+    frame = make_records([10.0], [0.0])
+    with pytest.raises(ConfigError, match=r"^radius_deg 0\.0031 is past the index's reach_deg "
+                       r"0\.003$"):
+        range_join(frame, index, 0.0031)
+    assert range_join(frame, index, 0.003).n_matched == 1
+
+
 def assert_same_index(got, want):
     """Two zone indexes hold the same arrays: bytes, dtypes, shapes and flags."""
-    assert got.zone_height_deg == want.zone_height_deg
+    assert (got.zone_height_deg, got.reach_deg) == (want.zone_height_deg, want.reach_deg)
     for name in ("ids", "xyz", "key"):
         a, b = getattr(got, name), getattr(want, name)
         assert (a.dtype, a.shape, a.flags) == (b.dtype, b.shape, b.flags), name
@@ -124,7 +181,7 @@ def assert_same_index(got, want):
 
 
 def _index_input(case):
-    """Catalog rows for one index case, and the zone height to index them at."""
+    """Catalog rows for one index case, and the strip height and reach to index them at."""
     rng = np.random.default_rng(12)
     n = 600
     ordered = make_records(rng.uniform(0, 360, n), rng.uniform(-89, 89, n))
@@ -137,46 +194,65 @@ def _index_input(case):
     fine_order = ordered[np.lexsort((ordered["ra"], zone_of(ordered["dec"], 0.001)))]
     big_ids = ordered.copy()
     big_ids["id"] = (np.uint64(1) << np.uint64(63)) | rng.permutation(n).astype(np.uint64)
+    # rows whose strip keys round to one float though their ra differ, the row
+    # reaching up from the strip below with the largest ra
+    one_key = make_records([100.0 + 1e-11, 100.0, 100.0 - 1e-11], [0.0099, 0.0101, 0.0105])
     return {
-        "ordered": (ordered, 0.01),
-        "reversed": (ordered[::-1], 0.01),
-        "shuffled": (ordered[shuffle], 0.01),
-        "ties-shuffled": (tied[rng.permutation(len(tied))], 0.01),
-        "ties-ordered": (tied, 0.01),
-        "uint64-ids-shuffled": (big_ids[shuffle], 0.01),
-        "template-rows": (skygen.build_template(skygen.SkyModel(seed=4, star_count=n)).stars, 0.01),
-        "empty": (ordered[:0], 0.01),
-        "one-row": (ordered[5:6], 0.01),
-        "one-row-strided": (ordered[::n], 0.01),
-        "180000-zones-ordered": (fine_order, 0.001),
-        "180000-zones-shuffled": (ordered[shuffle], 0.001),
+        "ordered": (ordered, 0.01, 0.003),
+        "reversed": (ordered[::-1], 0.01, 0.003),
+        "shuffled": (ordered[shuffle], 0.01, 0.003),
+        "ties-shuffled": (tied[rng.permutation(len(tied))], 0.01, 0.003),
+        "ties-ordered": (tied, 0.01, 0.003),
+        "uint64-ids-shuffled": (big_ids[shuffle], 0.01, 0.003),
+        "template-rows": (skygen.build_template(skygen.SkyModel(seed=4, star_count=n)).stars,
+                          0.01, 0.003),
+        "empty": (ordered[:0], 0.01, 0.003),
+        "one-row": (ordered[5:6], 0.01, 0.003),
+        "one-row-strided": (ordered[::n], 0.01, 0.003),
+        "180000-zones-ordered": (fine_order, 0.001, 0.0005),
+        "180000-zones-shuffled": (ordered[shuffle], 0.001, 0.0005),
+        "reach-50-strips-shuffled": (ordered[shuffle], 0.001, 0.05),
+        "keys-rounded-together": (one_key, 0.01, 0.003),
     }[case]
 
 
 INDEX_CASES = [
     "ordered", "reversed", "shuffled", "ties-shuffled", "ties-ordered", "uint64-ids-shuffled",
     "template-rows", "empty", "one-row", "one-row-strided", "180000-zones-ordered",
-    "180000-zones-shuffled",
+    "180000-zones-shuffled", "reach-50-strips-shuffled", "keys-rounded-together",
 ]
 
 
 @pytest.mark.parametrize("case", INDEX_CASES)
 def test_zone_index_gives_the_lexsort_index(case):
-    rows, h = _index_input(case)
-    assert_same_index(build_zone_index(rows, h), zone_index_by_lexsort(rows, h))
+    rows, h, reach = _index_input(case)
+    got = build_zone_index(rows, h, reach)
+    assert_same_index(got, zone_index_by_lexsort(rows, h, reach))
+    if case == "keys-rounded-together":  # the case holds what it says
+        assert len(np.unique(got.key[:-1])) < len(got.key) - 1
 
 
-def test_an_ordered_template_is_indexed_without_a_sort(monkeypatch):
+def test_an_ordered_template_is_indexed_with_one_merge_of_its_runs(monkeypatch):
+    """The rows are not sorted; one stable sort of the entries' keys merges the strips' runs."""
     sky = skygen.build_template(skygen.SkyModel(seed=5, star_count=5000), CFG)
     subset = skygen.TemplateCatalog.from_records(sky.to_records(CFG)[np.arange(5000) % 9 != 0], CFG)
+    want = [sky.index, subset.index]  # built on first use, before the sorts are recorded
+    sorts, argsort = [], np.argsort
 
-    def no_sort(*args, **kwargs):
-        raise AssertionError("an ordered template was sorted")
+    def recorded(a, *args, **kwargs):
+        sorts.append((a.dtype, kwargs.get("kind"), len(a)))
+        return argsort(a, *args, **kwargs)
 
-    monkeypatch.setattr(np, "argsort", no_sort)
-    monkeypatch.setattr(np, "lexsort", no_sort)
-    for tpl in (sky, subset):
-        assert_same_index(build_zone_index(tpl.stars, CFG.zone_height_deg), tpl.index)
+    def no_lexsort(*args, **kwargs):
+        raise AssertionError("an ordered template was lexsorted")
+
+    monkeypatch.setattr(np, "argsort", recorded)
+    monkeypatch.setattr(np, "lexsort", no_lexsort)
+    for tpl, index in zip((sky, subset), want):
+        sorts.clear()
+        got = build_zone_index(tpl.stars, CFG.zone_height_deg, CFG.match_radius_deg)
+        assert_same_index(got, index)
+        assert sorts == [(np.dtype(np.float64), "stable", len(got.ids))]
 
 
 @pytest.mark.parametrize("case", ["empty_frame", "empty_frame_empty_index", "no_candidates"])
@@ -192,7 +268,7 @@ def test_edge_joins_return_exact_arrays(case):
     elif case == "no_candidates":
         frame = make_records([200.0, 201.0], [-40.0, -40.0], ids=[3, 4])
         want = ([], [], [3, 4], [], [0, 1], 0, 2)
-    result = range_join(frame, build_zone_index(tpl, 0.01), 0.003)
+    result = range_join(frame, build_zone_index(tpl, 0.01, 0.003), 0.003)
     names = ("record_ids", "star_ids", "unmatched_ids", "matched_rows",
              "unmatched_rows")
     dtypes = (np.uint64, np.int64, np.uint64, np.int64, np.int64)
@@ -221,7 +297,8 @@ def test_wide_zone_reach_stays_small_in_memory():
         t_ra + rng.normal(0, 1e-4, n), t_dec + rng.normal(0, 1e-4, n),
         ids=np.arange(n) + (1 << 20),
     )
-    index = build_zone_index(make_records(t_ra, t_dec), 0.001)
+    index = build_zone_index(make_records(t_ra, t_dec), 0.001, 0.05)
+    assert len(index.ids) <= 3 * n
     tracemalloc.start()
     try:
         result = range_join(frame, index, 0.05)
@@ -352,9 +429,11 @@ def crowded_field(rng, ra0, dec0, sigma, n_stars, duplicate_every):
     return frame, tpl
 
 
-def assert_result_arrays_match_oracle(frame, tpl, radius, zone_height):
-    """Every MatchResult array, dtype included, against the haversine scan."""
-    result = range_join(frame, build_zone_index(tpl, zone_height), radius)
+def assert_result_arrays_match_oracle(frame, tpl, radius, zone_height, reach=None):
+    """Every MatchResult array, dtype included, against the haversine scan,
+    joined at ``radius`` against an index reaching ``reach`` (``radius`` by default)."""
+    index = build_zone_index(tpl, zone_height, reach or radius)
+    result = range_join(frame, index, radius)
     tpl_ids = tpl["id"].astype(np.int64)
     oracle = brute_force_match_arrays(
         frame["ra"], frame["dec"], tpl_ids, tpl["ra"], tpl["dec"], radius
@@ -419,6 +498,25 @@ def test_every_row_ambiguous_matches_oracle(centre):
     assert np.all(counts[result.matched_rows] >= 2)
 
 
+JOIN_REACHES = [(0.003, 0.01), (0.01, 0.003), (0.05, 0.001), (90.0, 0.01)]  # (reach, strip)
+
+
+@pytest.mark.parametrize("reach,zone_height", JOIN_REACHES)
+@pytest.mark.parametrize("field", [*sorted(CROWDED_CENTRES), "empty-frame", "empty-template"])
+def test_join_at_or_below_the_reach_matches_oracle(reach, zone_height, field):
+    """Joins at the index's reach and at a quarter of it, one lookup per row."""
+    ra0, dec0 = CROWDED_CENTRES.get(field, CROWDED_CENTRES["mid-sky"])
+    rng = np.random.default_rng([int(reach * 1e3), int(zone_height * 1e3), int(ra0)])
+    frame, tpl = crowded_field(rng, ra0, dec0, min(reach, 30.0), 150, duplicate_every=4)
+    if field == "empty-frame":
+        frame = frame[:0]
+    elif field == "empty-template":
+        tpl = tpl[:0]
+    for radius in (reach, reach / 4):
+        result, _ = assert_result_arrays_match_oracle(frame, tpl, radius, zone_height, reach)
+        assert (result.n_matched > 0) == (not field.startswith("empty"))
+
+
 # ---------------------------------------------------------------------------
 # tie-breaking and ambiguity
 
@@ -427,7 +525,7 @@ def test_exact_tie_breaks_to_smaller_id():
     # two template stars symmetric about the frame record in RA
     frame = make_records([180.0], [0.0])
     tpl = make_records([180.0 - 1e-3, 180.0 + 1e-3], [0.0, 0.0], ids=[41, 17])
-    index = build_zone_index(tpl, 0.01)
+    index = build_zone_index(tpl, 0.01, 0.003)
     result = range_join(frame, index, 0.003)
     assert result.n_matched == 1
     assert int(result.star_ids[0]) == 17
@@ -438,7 +536,7 @@ def test_ambiguity_counts_multi_candidate_records():
     frame = make_records([100.0, 200.0], [10.0, 10.0])
     tpl = make_records([100.0 - 1e-3, 100.0 + 1e-3, 200.0], [10.0, 10.0, 10.0],
                        ids=[1, 2, 3])
-    index = build_zone_index(tpl, 0.01)
+    index = build_zone_index(tpl, 0.01, 0.003)
     result = range_join(frame, index, 0.003)
     assert result.n_matched == 2
     assert result.ambiguous_count == 1
@@ -449,7 +547,7 @@ def test_shared_star_is_not_ambiguous():
     # record saw a single candidate, so no ambiguity is flagged
     frame = make_records([100.0, 100.0006], [10.0, 10.0])
     tpl = make_records([100.0003], [10.0], ids=[5])
-    index = build_zone_index(tpl, 0.01)
+    index = build_zone_index(tpl, 0.01, 0.003)
     result = range_join(frame, index, 0.003)
     assert result.n_matched == 2
     assert set(result.star_ids) == {5}
@@ -460,7 +558,7 @@ def test_matched_rows_are_frame_ordered():
     rng = np.random.default_rng(3)
     frame = make_records(rng.uniform(50, 50.2, 100), rng.uniform(-5, -4.8, 100))
     tpl = make_records(rng.uniform(50, 50.2, 100), rng.uniform(-5, -4.8, 100))
-    result = range_join(frame, build_zone_index(tpl, 0.01), 0.05)
+    result = range_join(frame, build_zone_index(tpl, 0.01, 0.05), 0.05)
     assert np.all(np.diff(result.matched_rows) > 0)
     assert np.all(np.diff(result.unmatched_rows) > 0)
     together = np.sort(np.concatenate([result.matched_rows, result.unmatched_rows]))
@@ -469,7 +567,7 @@ def test_matched_rows_are_frame_ordered():
 
 def test_radius_validation():
     tpl = make_records([10.0], [0.0])
-    index = build_zone_index(tpl, 0.01)
+    index = build_zone_index(tpl, 0.01, 0.003)
     frame = make_records([10.0], [0.0])
     for bad in (0.0, -1.0, 90.1):
         with pytest.raises(ConfigError):
@@ -480,7 +578,7 @@ def test_generous_radius_matches_everything():
     rng = np.random.default_rng(11)
     frame = make_records(rng.uniform(0, 360, 50), rng.uniform(-90, 90, 50))
     tpl = make_records(rng.uniform(0, 360, 20), rng.uniform(-90, 90, 20))
-    result = range_join(frame, build_zone_index(tpl, 0.01), 90.0)
+    result = range_join(frame, build_zone_index(tpl, 0.01, 90.0), 90.0)
     # a 90 degree radius cannot reach antipodal stars, but with 20 spread
     # template stars every frame record has someone within 90 degrees
     assert result.n_matched == 50
@@ -611,7 +709,7 @@ def test_zone_band_edges_match_every_pair_oracle(h, radius):
     """dz = 1 (twice), 4 and 50: the join finds what the all-pairs chord scan finds."""
     rng = np.random.default_rng([int(h * 1e4), int(radius * 1e4)])
     frame, tpl = band_edge_field(h, radius, rng)
-    result = range_join(frame, build_zone_index(tpl, h), radius)
+    result = range_join(frame, build_zone_index(tpl, h, radius), radius)
     want_star, want_sep, want_count = brute_force_chord_match(
         xyz_of(frame), tpl["id"], xyz_of(tpl), radius
     )
@@ -654,7 +752,7 @@ def test_range_join_refuses_an_off_sky_row(catalog_rows, name, bad):
     rule = "[0, 360)" if name == "ra" else "[-90, 90]"
     with pytest.raises(DomainError, match=f"^row 2: {name} {re.escape(repr(bad))} is not in "
                        f"{re.escape(rule)}$"):
-        range_join(frame, build_zone_index(tpl, 0.01), 0.003)
+        range_join(frame, build_zone_index(tpl, 0.01, 0.003), 0.003)
 
 
 XYZ_REFUSED = {
@@ -671,9 +769,9 @@ def test_join_and_index_refuse_rows_without_adjacent_native_xyz(layout):
     other = in_dtype(rows, XYZ_REFUSED[layout])
     refusal = "^rows must carry x, y and z as adjacent native float64 fields$"
     with pytest.raises(DomainError, match=refusal):
-        range_join(other, build_zone_index(rows, 0.01), 0.003)
+        range_join(other, build_zone_index(rows, 0.01, 0.003), 0.003)
     with pytest.raises(DomainError, match=refusal):
-        build_zone_index(other, 0.01)
+        build_zone_index(other, 0.01, 0.003)
 
 
 # ---------------------------------------------------------------------------
@@ -691,7 +789,7 @@ def assert_same_result(got, want):
 
 
 def join_and_store_rows(frame, tpl, radius):
-    result = range_join(frame, build_zone_index(tpl, 0.01), radius)
+    result = range_join(frame, build_zone_index(tpl, 0.01, radius), radius)
     return result, frame_to_store_records(FrameBatch(3, 8, 120.0, frame), result)
 
 
@@ -722,7 +820,7 @@ def test_any_blocking_gives_the_same_bytes(monkeypatch, four_lanes, centre):
 def test_off_sky_rows_in_several_blocks_name_the_row_one_block_names(monkeypatch, four_lanes):
     tpl = make_records(np.linspace(10.0, 10.5, 40), np.zeros(40))
     frame = make_records(np.linspace(10.0, 10.5, 40) + 1e-4, np.zeros(40))
-    index = build_zone_index(tpl, 0.01)
+    index = build_zone_index(tpl, 0.01, 0.003)
     good = frame.copy()
     frame["ra"][[33, 21, 9]] = [-1.0, 360.0, np.nan]
     for block_rows in (4, 40):
@@ -743,7 +841,7 @@ def test_a_crowded_pile_is_joined_in_halves_in_bounded_memory(monkeypatch):
     """2,000 rows within 0.36 arcsec of each other, against an index of themselves."""
     rng = np.random.default_rng(8)
     pile = make_records(150.0 + rng.uniform(0, 5e-5, 2000), 20.0 + rng.uniform(0, 5e-5, 2000))
-    index = build_zone_index(pile, CFG.zone_height_deg)
+    index = build_zone_index(pile, CFG.zone_height_deg, CFG.match_radius_deg)
     tracemalloc.start()
     try:
         got = range_join(pile, index, CFG.match_radius_deg)
@@ -760,7 +858,7 @@ def test_a_crowded_pile_is_joined_in_halves_in_bounded_memory(monkeypatch):
 
 def join_in_a_child(frame, tpl):
     signal.alarm(60)  # a hang ends the child, and with it the parent's wait
-    result = range_join(frame, build_zone_index(tpl, 0.01), 0.002)
+    result = range_join(frame, build_zone_index(tpl, 0.01, 0.002), 0.002)
     signal.alarm(0)
     return result, core._rows_pool[0] == os.getpid()
 
@@ -768,7 +866,7 @@ def join_in_a_child(frame, tpl):
 def test_a_forked_child_joins_on_its_own_pool(monkeypatch, four_lanes):
     monkeypatch.setattr(core, "_BLOCK_ROWS", 7)
     frame, tpl = crowded_field(np.random.default_rng(4), 120.0, -35.0, 0.01, 300, 3)
-    want = range_join(frame, build_zone_index(tpl, 0.01), 0.002)
+    want = range_join(frame, build_zone_index(tpl, 0.01, 0.002), 0.002)
     assert core._rows_pool[2] is not None  # the parent's pool, inherited by the fork
     fork = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(1, mp_context=fork) as pool:
@@ -828,7 +926,8 @@ def test_join_gives_the_two_bisection_joins_bytes(monkeypatch, four_lanes, case)
     and pair budgets that halve the blocks."""
     rng = np.random.default_rng(sorted(REFERENCE_CASES).index(case))
     frame, tpl, radii = REFERENCE_CASES[case](rng)
-    index = build_zone_index(tpl, CFG.zone_height_deg)
+    index = build_zone_index(tpl, CFG.zone_height_deg, max(radii))  # every radius up to its reach
+    as_it_was = zone_index_with_one_entry_per_row(tpl, CFG.zone_height_deg)
     n = len(frame)
     blockings = [(n, None), (1000, None), (7, None), (n, 64)]
     if n <= 1000:
@@ -837,7 +936,7 @@ def test_join_gives_the_two_bisection_joins_bytes(monkeypatch, four_lanes, case)
     for radius in radii:
         monkeypatch.setattr(core, "_BLOCK_ROWS", n)
         monkeypatch.setattr(crossmatch, "_PAIR_BUDGET", budget)
-        want = range_join_with_two_bisections(frame, index, radius)
+        want = range_join_with_two_bisections(frame, as_it_was, radius)
         for block_rows, pair_budget in blockings:
             monkeypatch.setattr(core, "_BLOCK_ROWS", block_rows)
             monkeypatch.setattr(crossmatch, "_PAIR_BUDGET", pair_budget or budget)
@@ -849,18 +948,32 @@ def test_join_gives_the_two_bisection_joins_bytes(monkeypatch, four_lanes, case)
         assert counts.max() >= (10 if case == "crowded-patch" else 1)
 
 
-def test_only_windows_of_two_or_more_stars_are_bisected_for_their_end(monkeypatch):
-    """A window's length comes from two probes; its end is searched only when both hit."""
-    frame, tpl, _ = survey_case(np.random.default_rng(3), "1/100")
-    index = build_zone_index(tpl, CFG.zone_height_deg)
-    ends, searchsorted = [], np.searchsorted
+def joined_with_counted_bisections(monkeypatch, frame, tpl):
+    """The join's result, the lengths of its left and right bisections, and its seam rows."""
+    index = build_zone_index(tpl, CFG.zone_height_deg, CFG.match_radius_deg)
+    starts, ends, searchsorted = [], [], np.searchsorted
 
     def counted(a, v, side="left", sorter=None):
-        if side == "right":
-            ends.append(len(v))
+        (ends if side == "right" else starts).append(len(v))
         return searchsorted(a, v, side=side, sorter=sorter)
 
-    monkeypatch.setattr(np, "searchsorted", counted)
-    result = range_join(frame, index, CFG.match_radius_deg)
+    with monkeypatch.context() as patched:
+        patched.setattr(np, "searchsorted", counted)
+        result = range_join(frame, index, CFG.match_radius_deg)
+    halfw = crossmatch._ra_halfwidth_deg(frame["dec"], CFG.match_radius_deg)
+    seam = np.count_nonzero((frame["ra"] - halfw < 0) | (frame["ra"] + halfw > 360))
+    return result, starts, ends, seam
+
+
+def test_only_windows_of_two_or_more_stars_are_bisected_for_their_end(monkeypatch):
+    """Each row's window is bisected once, in its own strip, and a seam window's wrapped
+    part once more; an interval's end is searched only when both probes hit."""
+    rng = np.random.default_rng(3)
+    frame, tpl, _ = survey_case(rng, "1/100")
+    result, starts, ends, seam = joined_with_counted_bisections(monkeypatch, frame, tpl)
     assert result.n_matched == len(frame) and result.ambiguous_count == 0
+    assert starts == [len(frame) + seam]
     assert sum(ends) <= len(frame) // 100
+    frame, tpl = crowded_field(rng, 0.0, 20.0, 0.01, 300, 3)  # on the seam
+    result, starts, ends, seam = joined_with_counted_bisections(monkeypatch, frame, tpl)
+    assert seam > 0 and starts == [len(frame) + seam]

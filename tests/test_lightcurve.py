@@ -171,7 +171,7 @@ def test_curveset_validation():
 def sky():
     model = SkyModel(seed=6, star_count=200, footprint=(10.0, 12.0, -1.0, 1.0))
     template = build_template(model, CFG)
-    index = build_zone_index(template.to_records(CFG), CFG.zone_height_deg)
+    index = build_zone_index(template.to_records(CFG), CFG.zone_height_deg, CFG.match_radius_deg)
     return model, template, index
 
 

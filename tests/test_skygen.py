@@ -30,6 +30,7 @@ from tdcat.skygen import (
 from oracles import (
     check_frame_batch,
     haversine_deg,
+    haversine_matrix_deg,
     lexsort_zone_ra_order,
     sort_by_lexsort,
     zone_index_by_lexsort,
@@ -324,6 +325,31 @@ def test_random_injections_shape_and_isolation():
         else:
             assert 0 <= i.target_star < 500
             assert -1.5 <= i.delta_mag <= -0.5
+
+
+def test_random_injections_stay_isolated_in_a_crowded_field():
+    """Most probes land within twice the match radius of a star and are drawn again."""
+    model = SkyModel(seed=13, star_count=20_000, footprint=(10.0, 11.0, 5.0, 6.0))
+    tpl = build_template(model, CFG)
+    inj = random_injections(tpl, model, CFG, seed=13, n_new_sources=30, n_brightenings=0,
+                            frames_per_night=100)
+    assert len(inj) == 30
+    sep = haversine_matrix_deg([i.ra for i in inj], [i.dec for i in inj],
+                               tpl.stars["ra"], tpl.stars["dec"])
+    assert sep.min() >= 2.0 * CFG.match_radius_deg
+    probes = SkyModel(seed=14, star_count=100, footprint=model.footprint)
+    near = haversine_matrix_deg(*(build_template(probes, CFG).stars[c] for c in ("ra", "dec")),
+                                tpl.stars["ra"], tpl.stars["dec"]).min(axis=1)
+    assert np.mean(near < 2.0 * CFG.match_radius_deg) > 0.5  # the field holds what it says
+
+
+@pytest.mark.parametrize("frames", [1, 0, -3])
+def test_random_injections_refuse_events_shorter_than_two_frames(frames):
+    model = SkyModel(seed=12, star_count=300)
+    tpl = build_template(model, CFG)
+    with pytest.raises(ConfigError, match=rf"^max_duration_frames must be >= 2, got {frames}$"):
+        random_injections(tpl, model, CFG, seed=5, n_new_sources=1, n_brightenings=1,
+                          frames_per_night=50, max_duration_frames=frames)
 
 
 def test_random_injections_deterministic():

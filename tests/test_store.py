@@ -66,7 +66,7 @@ MODEL = SkyModel(seed=42, star_count=300, footprint=(0.0, 2.0, -1.0, 1.0))
 @pytest.fixture(scope="module")
 def sky():
     template = build_template(MODEL, CFG)
-    index = build_zone_index(template.to_records(CFG), CFG.zone_height_deg)
+    index = build_zone_index(template.to_records(CFG), CFG.zone_height_deg, CFG.match_radius_deg)
     return template, index
 
 
@@ -230,7 +230,8 @@ def assert_store_rows_match_reference(frame, matches):
 def test_store_rows_match_reference_with_unmatched_rows(sky):
     template, _ = sky
     frame = observe_frame(template, 75.0, [], MODEL, CFG)
-    half = build_zone_index(template.to_records(CFG)[::2], CFG.zone_height_deg)
+    half = build_zone_index(template.to_records(CFG)[::2], CFG.zone_height_deg,
+                            CFG.match_radius_deg)
     matches = range_join(frame.records, half, CFG.match_radius_deg)
     assert matches.n_matched and matches.n_unmatched
     rows = assert_store_rows_match_reference(frame, matches)
@@ -714,7 +715,7 @@ def test_streamed_merge_equals_concatenate_and_sort(
     store = NightStore(tmp_path, 0)
     merges = 0
     for night, (indexed, frames, empty, merge) in enumerate(MERGE_PLANS[plan]):
-        index = build_zone_index(indexes[indexed], CFG.zone_height_deg)
+        index = build_zone_index(indexes[indexed], CFG.zone_height_deg, CFG.match_radius_deg)
         for k in range(frames):
             frame = observe_frame(template, night * 86400.0 + 15.0 * (k + 1), [], MODEL, CFG)
             if k in empty:
@@ -1099,7 +1100,8 @@ def half_matched_store(root, sky):
     appear: ids missing between present ones.
     """
     template, _ = sky
-    half = build_zone_index(template.to_records(CFG)[::2], CFG.zone_height_deg)
+    half = build_zone_index(template.to_records(CFG)[::2], CFG.zone_height_deg,
+                            CFG.match_radius_deg)
     store = NightStore(root, 0)
     for night in range(3):
         for k in range(1, 4):
