@@ -20,6 +20,7 @@ import numpy as np
 
 # One observing night is 8 hours of continuous cadence.
 NIGHT_SECONDS = 8 * 3600
+SECONDS_PER_DAY = 86400.0
 
 # Boundary-safe zone arithmetic: (dec+90)/h lands a hair below integer
 # boundaries in floating point (e.g. 90/0.01 -> 8999.999...), so floor()
@@ -404,9 +405,6 @@ class FrameBatch:
     imageid: int
     epoch: float
     records: np.ndarray  # RECORD_DTYPE, sorted by (zone, ra)
-
-    def __len__(self) -> int:
-        return len(self.records)
 
 
 # ---------------------------------------------------------------------------

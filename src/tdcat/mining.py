@@ -288,26 +288,27 @@ class WindowBank:
         self._frames_since_refresh = frames_since_refresh
 
     def update(
-        self, epoch, star_ids, mags, mag_errors, record_ids=None, camera_id=0
+        self, epoch, star_ids, mags, mag_errors, record_ids=None, camera_id=0, rows=None
     ):
-        """Judge one frame's matched points, then absorb them; returns its alerts."""
+        """Judge one frame's matched points, then absorb them; returns its alerts.
+
+        ``rows`` picks the points by row position, as in ``judge``.
+        """
         alerts, slots, point_mags = self.judge(
-            epoch, star_ids, mags, mag_errors, record_ids, camera_id
+            epoch, star_ids, mags, mag_errors, record_ids, camera_id, rows
         )
         self.absorb(slots, point_mags)
         return alerts
 
     def update_from_match(self, frame, matches):
-        rows = matches.matched_rows
+        """Judge and absorb a frame's matched rows, read in place; returns
+        ``(alerts, undo)``, the undo record as ``absorb`` returns it."""
         rec = frame.records
-        return self.update(
-            frame.epoch,
-            matches.star_ids,
-            rec["calmag"][rows],
-            rec["mag_error"][rows],
-            record_ids=rec["id"][rows],
-            camera_id=frame.camera_id,
+        alerts, slots, point_mags = self.judge(
+            frame.epoch, matches.star_ids, rec["calmag"], rec["mag_error"],
+            record_ids=rec["id"], camera_id=frame.camera_id, rows=matches.matched_rows,
         )
+        return alerts, self.absorb(slots, point_mags)
 
 
 # ---------------------------------------------------------------------------

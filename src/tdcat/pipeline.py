@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DomainError, EngineConfig, take_rows, write_csv
+from .core import SECONDS_PER_DAY, DomainError, EngineConfig, take_rows, write_csv
 from .crossmatch import range_join
 from .mining import (
     CandidateTracker,
@@ -46,7 +46,7 @@ from .skygen import (
     split_footprint,
     write_truth_log,
 )
-from .store import SECONDS_PER_DAY, NightStore, frame_to_store_records
+from .store import NightStore, frame_to_store_records
 
 
 def partition_seed(seed: int, partition_id: int) -> int:
@@ -101,10 +101,8 @@ class PartitionWorker:
         data_dir=None,
     ):
         mining = mining or MiningConfig()
-        self.partition_id = partition_id
         self.template = template
         self.config = config
-        self.mining = mining
         self.store = NightStore(data_dir, partition_id) if data_dir is not None else None
         if self.store is not None:  # the writer's partition exists before its first frame
             self.store.root.mkdir(parents=True, exist_ok=True)
@@ -137,16 +135,11 @@ class PartitionWorker:
             t2 = time.perf_counter()
             insert = self._writer.submit(_durable_at, self.store.delta_insert, frame, rows)
             del rows  # freed once written
-        rec, matched = frame.records, matches.matched_rows
         undo, tracked = None, False
         try:
-            alerts, slots, mags = self.bank.judge(
-                frame.epoch, matches.star_ids, rec["calmag"], rec["mag_error"],
-                record_ids=rec["id"], camera_id=frame.camera_id, rows=matched,
-            )
-            undo = self.bank.absorb(slots, mags)
+            alerts, undo = self.bank.update_from_match(frame, matches)
             t3 = time.perf_counter()
-            unmatched = take_rows(rec, matches.unmatched_rows)
+            unmatched = take_rows(frame.records, matches.unmatched_rows)
             alerts.extend(self.tracker.update(frame.epoch, unmatched, frame.camera_id))
             tracked = True
             t4 = time.perf_counter()
@@ -406,7 +399,8 @@ def replay_online(
     DomainError.  The replay sees exactly what the live chain saw: matched
     rows feed the window bank, candidate rows feed the persistence tracker,
     and rows within a frame arrive in record-id order, which is the original
-    frame row order.
+    frame row order.  Star ids are per camera, so rows from more than one
+    camera raise DomainError.
     """
     mining = mining or MiningConfig()
     if not len(records):
@@ -419,6 +413,13 @@ def replay_online(
             f"row {int(np.argmin(ordered)) + 1} breaks the (epoch, id) order "
             "replay_online needs"
         )
+    # a record id's top byte is its camera; min/max, not np.unique, as in query_curve
+    camera_id = int(ids.min() >> np.uint64(56))
+    if ids.max() >> np.uint64(56) != camera_id:
+        raise DomainError(
+            f"rows from cameras {np.unique(ids >> np.uint64(56)).tolist()}; star ids "
+            "are per camera, so replay one camera's rows at a time"
+        )
     star_ids = np.unique(records["star_id"][records["star_id"] >= 0])
     bank = WindowBank(star_ids, mining)
     tracker = CandidateTracker(config, mining)
@@ -426,19 +427,13 @@ def replay_online(
     bounds = np.concatenate(([0], np.flatnonzero(later) + 1, [len(records)]))
     for epoch, lo, hi in zip(epochs[bounds[:-1]], bounds[:-1], bounds[1:]):
         chunk = records[lo:hi]
-        camera_id = int(chunk["id"][0] >> np.uint64(56))
-        matched = take_rows(chunk, chunk["star_id"] >= 0)
-        if len(matched):
-            alerts.extend(
-                bank.update(
-                    epoch,
-                    matched["star_id"],
-                    matched["calmag"],
-                    matched["mag_error"],
-                    record_ids=matched["id"],
-                    camera_id=camera_id,
-                )
+        m = np.flatnonzero(chunk["star_id"] >= 0)
+        alerts.extend(
+            bank.update(
+                epoch, chunk["star_id"][m], chunk["calmag"], chunk["mag_error"],
+                record_ids=chunk["id"], camera_id=camera_id, rows=m,
             )
+        )
         alerts.extend(
             tracker.update(
                 epoch, take_rows(chunk, chunk["candidate"] == 1), camera_id=camera_id

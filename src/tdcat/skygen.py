@@ -14,6 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import (
+    SECONDS_PER_DAY,
     CadenceError,
     ConfigError,
     DomainError,
@@ -349,7 +350,7 @@ def random_injections(
         raise ConfigError(f"max_duration_frames must be >= 2, got {max_duration_frames}")
     rng = np.random.default_rng((seed, 3, camera_id))
     frames = frames_per_night or config.frames_per_night
-    night_start = night_id * 86400.0
+    night_start = night_id * SECONDS_PER_DAY
     cadence = config.cadence_s
     ra_min, ra_max, dec_min, dec_max = model.footprint
     out = []

@@ -45,6 +45,7 @@ import numpy as np
 
 from .core import (
     RECORD_DTYPE,
+    SECONDS_PER_DAY,
     TABLE2_COLUMNS,
     DomainError,
     EngineConfig,
@@ -75,8 +76,6 @@ UNMATCHED_STAR_ID = -1
 # Base rows a merge reads at a time (45 MiB).  Above glibc's largest mmap
 # threshold (32 MiB), so each chunk is its own mapping, returned on free.
 MERGE_CHUNK_ROWS = 1 << 18
-
-SECONDS_PER_DAY = 86400.0
 
 
 def night_of(epoch: float) -> int:

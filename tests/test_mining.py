@@ -480,6 +480,57 @@ def test_judge_names_unknown_star_ids_of_the_lowest_failing_block(monkeypatch):
     assert "999" not in str(raised.value)
 
 
+def test_update_from_match_reads_the_frame_in_place_and_returns_its_undo(monkeypatch):
+    """Frames with duplicate-star matches, rows picked out of frame order, past
+    refreshes: ``update_from_match`` gives the alerts and the bank of ``update``
+    on the gathered columns, as does ``update(rows=)``; ``restore(undo)`` puts
+    the pre-frame bank back bit for bit; an unknown star id changes nothing."""
+    monkeypatch.setattr(mining, "_REFRESH_EVERY", 7)
+    cfg = MiningConfig(window=6, min_window=2, k_sigma=3.0)
+    stars = np.arange(40, dtype=np.int64) * 3 + 1
+    live, gathered, picked = (WindowBank(stars, cfg) for _ in range(3))
+    rng = np.random.default_rng(11)
+    alerted, width = 0, 70
+    for f in range(30):
+        mags = 12.0 + rng.standard_normal(width) * np.where(rng.random(width) < 0.05, 2.0, 0.01)
+        records = records_from_radec(
+            np.arange(width) + 1000 * f, f, rng.uniform(10.0, 11.0, width),
+            rng.uniform(-1.0, 1.0, width), mags, np.full(width, 0.02), CFG,
+        )
+        frame = core.FrameBatch(camera_id=2, imageid=f, epoch=15.0 * f, records=records)
+        rows = rng.permutation(width)[:60]
+        star_ids = rng.choice(stars, 60)  # most stars twice or more
+        if f == 20:
+            star_ids[33] = 2  # not in the bank
+        matches = types.SimpleNamespace(star_ids=star_ids, matched_rows=rows)
+        rec, before = frame.records, bank_state(live)
+        gather = (15.0 * f, star_ids, rec["calmag"][rows], rec["mag_error"][rows])
+        if f == 20:
+            with pytest.raises(DomainError, match=r"\[2\]"):
+                live.update_from_match(frame, matches)
+            with pytest.raises(DomainError, match=r"\[2\]"):
+                gathered.update(*gather, record_ids=rec["id"][rows], camera_id=2)
+            assert bank_state(live) == bank_state(gathered) == before
+            continue
+        alerts, undo = live.update_from_match(frame, matches)
+        after = bank_state(live)
+        live.restore(undo)
+        assert bank_state(live) == before, f
+        assert [vars(a) for a in live.update_from_match(frame, matches)[0]] == [
+            vars(a) for a in alerts
+        ]
+        assert bank_state(live) == after, f
+        want = gathered.update(*gather, record_ids=rec["id"][rows], camera_id=2)
+        got = picked.update(
+            15.0 * f, star_ids, rec["calmag"], rec["mag_error"], record_ids=rec["id"],
+            camera_id=2, rows=rows,
+        )
+        assert [vars(a) for a in alerts] == [vars(a) for a in want] == [vars(a) for a in got]
+        assert after == bank_state(gathered) == bank_state(picked), f
+        alerted += len(alerts)
+    assert alerted > 5
+
+
 def test_bank_rejects_unknown_and_unsorted_stars():
     cfg = MiningConfig()
     with pytest.raises(DomainError):

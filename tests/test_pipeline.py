@@ -491,6 +491,16 @@ def all_rows(root):
     return rec[np.lexsort((rec["id"], rec["epoch"]))]
 
 
+def test_replay_refuses_rows_from_more_than_one_camera(night_root):
+    # star ids are per camera: star 5 of camera 0 is not star 5 of camera 1
+    both = gather(night_root, [0, 1], QueryPredicate())
+    with pytest.raises(DomainError, match=r"cameras \[0, 1\]"):
+        replay_online(both, CFG, MINING)
+    [one] = open_partitions(night_root, [1])
+    alerts = replay_online(one.query_records(), CFG, MINING)
+    assert alerts and {a.camera_id for a in alerts} == {1}
+
+
 def test_scatter_gather_equals_manual_concat(night_root):
     rec = all_rows(night_root)
     got = gather(night_root, [0, 1], QueryPredicate())
