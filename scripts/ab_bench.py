@@ -23,10 +23,10 @@ marked: its sides ran in different page-fault modes, which move ``setup_s``
 by about a quarter on the same tree (the gap follows the allocator, since
 ``MALLOC_ARENA_MAX=1`` closes it).  At the end it prints, per metric, both
 sides' medians and quartiles, the number of pairs in which the change was
-better and a verdict (see ``verdict``; "ungated" for a metric with no
-bound), the number of marked pairs, then each side's failed and attempted
-operations, page faults, block input and output operations, wall time and
-CPU seconds.  It uses only git and the standard library, and it writes only
+better and a verdict (see ``verdict``: "unresolved" when the base runs
+spread wider than the bound; "ungated" for a metric with no bound), the
+number of marked pairs, then each side's failed and attempted operations,
+page faults, block input and output operations, wall time and CPU seconds.  It uses only git and the standard library, and it writes only
 under ``--scratch``.
 """
 
@@ -68,19 +68,35 @@ def quartiles(values) -> tuple:
     return q1, q2, q3
 
 
-def verdict(base_q, change_q, wins: int, pairs: int, better: str, bound: float) -> str:
-    """"gain", "worse than bound" or "within bound" for one metric.
+def summarize(pairs, better: str) -> tuple:
+    """(base quartiles, change quartiles, pairs the change won) of (base, change) pairs."""
+    sign = 1.0 if better == "lower" else -1.0
+    wins = sum(sign * (b - c) > 0 for b, c in pairs)
+    return quartiles([b for b, _ in pairs]), quartiles([c for _, c in pairs]), wins
+
+
+def verdict(pairs, better: str, bound: float) -> str:
+    """"gain", "worse than bound", "unresolved" or "within bound" for one
+    metric's (base, change) pairs.
 
     A gain needs the change better in at least nine tenths of the pairs and
     the medians apart, in the change's favour, by more than the base's
     interquartile range.  Worse than bound means the change's median is worse
     than the base's by more than ``bound``, a fraction of the base median.
+    Otherwise, when the base's interquartile range is wider than that bound,
+    the runs spread too widely to show the change within it: "unresolved",
+    unless every change run is better than every base run.
     """
-    gain = (base_q[1] - change_q[1]) * (1.0 if better == "lower" else -1.0)
-    if 10 * wins >= 9 * pairs and gain > base_q[2] - base_q[0]:
+    base_q, change_q, wins = summarize(pairs, better)
+    sign = 1.0 if better == "lower" else -1.0
+    gain = (base_q[1] - change_q[1]) * sign
+    if 10 * wins >= 9 * len(pairs) and gain > base_q[2] - base_q[0]:
         return "gain"
     if -gain > bound * abs(base_q[1]):
         return "worse than bound"
+    separated = max(sign * c for _, c in pairs) < min(sign * b for b, _ in pairs)
+    if base_q[2] - base_q[0] > bound * abs(base_q[1]) and not separated:
+        return "unresolved"
     return "within bound"
 
 
@@ -188,14 +204,12 @@ def main(argv=None) -> int:
             ]
             if not pairs:
                 continue
-            base_q = quartiles([b for b, _ in pairs])
-            change_q = quartiles([c for _, c in pairs])
-            wins = sum((c < b) if better[name] == "lower" else (c > b) for b, c in pairs)
+            base_q, change_q, wins = summarize(pairs, better[name])
             rel = (change_q[1] / base_q[1] - 1.0) * 100.0 if base_q[1] else float("nan")
             print(f"  {name:14} base {base_q[1]:.6g} [{base_q[0]:.6g}, {base_q[2]:.6g}]  "
                   f"change {change_q[1]:.6g} [{change_q[0]:.6g}, {change_q[2]:.6g}]  "
                   f"({rel:+.1f}%)  better in {wins} of {len(pairs)}  " + (
-                      f"{verdict(base_q, change_q, wins, len(pairs), better[name], bound[name])} "
+                      f"{verdict(pairs, better[name], bound[name])} "
                       f"(bound {bound[name]:.0%})" if name in bound else "ungated"))
         for side in SIDES:
             faults = [r["minflt"] for r in runs[side]]

@@ -213,13 +213,16 @@ def records_from_radec(
     threshold=0.0,
     ellipticity=0.0,
     class_star=1.0,
+    xyz=None,
 ) -> np.ndarray:
     """Assemble full catalog rows from observed (ra, dec, mag).
 
     Derived columns (zone, x/y/z, flux, flux_err, calmag) are computed here so
-    every emitted record satisfies the row invariants by construction.  calmag
-    is the instrumental mag passed through unchanged (no calibration model).
-    A ``zone_height_deg`` whose zones overflow int16 raises ConfigError.
+    every emitted record satisfies the row invariants by construction; a
+    caller that holds ``radec_to_cartesian(ra, dec)`` already passes it as
+    ``xyz``.  calmag is the instrumental mag passed through unchanged (no
+    calibration model).  A ``zone_height_deg`` whose zones overflow int16
+    raises ConfigError.
     """
     if n_zones(config.zone_height_deg) > 1 << 15:
         raise ConfigError(f"zone_height_deg {config.zone_height_deg} is below {180 / (1 << 15)}, "
@@ -229,30 +232,24 @@ def records_from_radec(
     n = ra.size
     out = np.zeros(n, dtype=RECORD_DTYPE)
     out["id"] = ids
-    out["imageid"] = imageid
     out["ra"] = ra
     out["dec"] = dec
     out["zone"] = zone_of(dec, config.zone_height_deg)
-    x, y, z = radec_to_cartesian(ra, dec)
-    out["x"], out["y"], out["z"] = x, y, z
+    out["x"], out["y"], out["z"] = radec_to_cartesian(ra, dec) if xyz is None else xyz
     out["mag"] = mag
-    out["mag_error"] = mag_error
+    for name, value in [
+        ("imageid", imageid), ("mag_error", mag_error), ("ra_err", ra_err), ("dec_err", dec_err),
+        ("flag", flag), ("background", background), ("threshold", threshold),
+        ("ellipticity", ellipticity), ("class_star", class_star),
+    ]:
+        if np.ndim(value) or value != 0 or np.signbit(value):  # ``out`` starts as +0 bytes
+            out[name] = value
     out["calmag"] = out["mag"]
     out["flux"] = mag_to_flux(out["mag"], config.mag_zero_point)
     out["flux_err"] = propagate_flux_error(out["flux"], out["mag_error"])
-    if pixel_x is None:
-        pixel_x = np.zeros(n)
-    if pixel_y is None:
-        pixel_y = np.zeros(n)
-    out["pixel_x"] = np.clip(pixel_x, 0.0, np.nextafter(PIXELS_PER_AXIS, 0.0))
-    out["pixel_y"] = np.clip(pixel_y, 0.0, np.nextafter(PIXELS_PER_AXIS, 0.0))
-    out["ra_err"] = ra_err
-    out["dec_err"] = dec_err
-    out["flag"] = flag
-    out["background"] = background
-    out["threshold"] = threshold
-    out["ellipticity"] = ellipticity
-    out["class_star"] = class_star
+    for name, pixel in [("pixel_x", pixel_x), ("pixel_y", pixel_y)]:
+        if pixel is not None:
+            out[name] = np.clip(pixel, 0.0, np.nextafter(PIXELS_PER_AXIS, 0.0))
     return out
 
 

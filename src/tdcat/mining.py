@@ -35,8 +35,10 @@ DIMMING = "dimming"
 BRIGHTENING = "brightening"
 NEW_SOURCE = "new_source"
 
-_REFRESH_EVERY = 512  # frames between exact recomputation of running sums
-_REFRESH_ROWS = 1 << 14  # stars refreshed at a time
+QUANTA_PER_MAG = 100_000  # a window bank point is a whole number of 1e-5 mag
+MAX_ABS_MAG = 100.0  # so a point's quanta fit int32, at most 1e7 in size
+# the longest window whose (window · 1e7)², bounding n·Σq² and (Σq)², fits int64: 303
+MAX_WINDOW = math.isqrt(2**63 - 1) // (int(MAX_ABS_MAG) * QUANTA_PER_MAG)
 
 
 @dataclass(frozen=True)
@@ -52,8 +54,8 @@ class MiningConfig:
     fap: float = 0.01
 
     def __post_init__(self):
-        if self.window < 2:
-            raise ConfigError(f"window must be >= 2, got {self.window}")
+        if not 2 <= self.window <= MAX_WINDOW:
+            raise ConfigError(f"window must be in [2, {MAX_WINDOW}], got {self.window}")
         if not 2 <= self.min_window <= self.window:
             raise ConfigError(
                 f"min_window must be in [2, window], got {self.min_window}"
@@ -101,16 +103,17 @@ def read_alerts_csv(path):
 class WindowBank:
     """Sliding magnitude windows for a fixed star population.
 
-    Ring buffers plus running first and second moments give O(matches) work
-    per frame; the moments are recomputed exactly from the rings every
-    ``_REFRESH_EVERY`` frames to stop float drift.  Points sharing one frame
-    are all judged against the pre-frame baseline before any of them is
-    absorbed, so duplicate matches to one star cannot alert on each other.
+    A point is held as a whole number of quanta, ``1 / QUANTA_PER_MAG`` mag
+    each, in an int32 ring, and each window keeps the exact int64 sums of its
+    quanta and of their squares.  Integer sums do not depend on the order in
+    which points arrive, so they never drift and nothing recomputes them.
+    Points sharing one frame are all judged against the pre-frame baseline
+    before any of them is absorbed, so duplicate matches to one star cannot
+    alert on each other.
 
-    The rings are laid out ``(window, stars)``: a pass writes one window slot
+    The rings are laid out ``(window, stars)``: a frame writes one window slot
     of many stars, so that slot is contiguous.  A star's slot is its position
     in ``star_ids``: when they are strictly increasing from 0 to n - 1, its id.
-    A frame's stars seen once are absorbed in one pass, the rest per multiplicity.
     """
 
     def __init__(self, star_ids: np.ndarray, config: MiningConfig):
@@ -121,12 +124,11 @@ class WindowBank:
         self.config = config
         n, w = len(star_ids), config.window
         self._ids_are_slots = n > 0 and star_ids[0] == 0 and star_ids[-1] == n - 1
-        self._ring = np.zeros((w, n), dtype=np.float64)
+        self._ring = np.zeros((w, n), dtype=np.int32)
         self._head = np.zeros(n, dtype=np.int64)
         self._count = np.zeros(n, dtype=np.int64)
-        self._sum = np.zeros(n, dtype=np.float64)
-        self._sumsq = np.zeros(n, dtype=np.float64)
-        self._frames_since_refresh = 0
+        self._sum = np.zeros(n, dtype=np.int64)
+        self._sumsq = np.zeros(n, dtype=np.int64)
 
     @property
     def n_stars(self) -> int:
@@ -146,85 +148,36 @@ class WindowBank:
         raise DomainError(f"unknown star ids in update: {np.unique(star_ids[bad])[:5]}")
 
     def baseline_stats(self, slots: np.ndarray):
-        """(count, mean, sample variance) of the current baselines."""
-        n, total, sumsq = self._count[slots], self._sum[slots], self._sumsq[slots]
-        mean = total / np.maximum(n, 1)
-        with np.errstate(divide="ignore", invalid="ignore"):  # n < 2 is zeroed below
-            var = (sumsq - total**2 / n) / (n - 1)
-        var[n < 2] = 0.0
-        np.clip(var, 0.0, None, out=var)
-        return n, mean, var
+        """(count, mean, sample variance) of the current baselines, in mag.
 
-    def _refresh_sums(self):
-        """Recompute the running sums from the rings, ``_REFRESH_ROWS`` stars at a time."""
-        slot = np.arange(self.config.window)
-        for lo in range(0, self.n_stars, _REFRESH_ROWS):
-            part = slice(lo, lo + _REFRESH_ROWS)
-            vals = np.ascontiguousarray(self._ring[:, part].T)  # sums in a star's row order
-            np.copyto(vals, 0.0, where=slot >= self._count[part, None])
-            self._sum[part] = vals.sum(axis=1)
-            self._sumsq[part] = (vals * vals).sum(axis=1)
-        self._frames_since_refresh = 0
-
-    def _push_distinct(self, sel: np.ndarray, mags: np.ndarray) -> tuple:
-        """Absorb one point for each of the distinct slots ``sel``; returns
-        ``(slots, heads, counts, sums, sumsqs, ring values)`` as they were."""
-        w, ring = self.config.window, self._ring.reshape(-1)
-        head, count = self._head[sel], self._count[sel]
-        total, sumsq = self._sum[sel], self._sumsq[sel]
-        at = head * self.n_stars + sel
-        old = ring[at]
-        full = count == w
-        drop = np.where(full, old, 0.0)  # a full window's oldest point leaves first
-        self._sum[sel] = (total - drop) + mags
-        self._sumsq[sel] = (sumsq - drop * drop) + mags * mags
-        ring[at] = mags
-        step = head + 1
-        step[step == w] = 0
-        self._head[sel] = step
-        self._count[sel] = count + ~full
-        return sel, head, count, total, sumsq, old
-
-    def _push(self, slots: np.ndarray, mags: np.ndarray) -> list:
-        """Absorb points: stars seen once in one pass (in ``core.row_blocks``), the
-        rest in multiplicity passes.
-
-        A multiplicity pass takes each remaining star's first point (a per-star
-        minimum of row positions).  Each pass's slots are distinct, so update
-        order changes no float.  Returns each pass's record, for ``restore``.
+        Both come from the exact sums, converted to float last: the variance
+        is ``(n·Σq² − (Σq)²) / (n·(n − 1))``, which is 0 below two points.
         """
-        once = np.bincount(slots, minlength=self.n_stars)[slots] == 1
-        sel, sel_mags = slots[once], mags[once]  # distinct stars, so row blocks are disjoint
-        passes = row_blocks(len(sel), lambda a, b: self._push_distinct(sel[a:b], sel_mags[a:b]))
-        slots, mags = slots[~once], mags[~once]
-        first_at = np.empty(self.n_stars, dtype=np.int64)
-        while len(slots):
-            rows = np.arange(len(slots))
-            first_at[slots] = len(slots)
-            np.minimum.at(first_at, slots, rows)
-            first = first_at[slots] == rows
-            passes.append(self._push_distinct(slots[first], mags[first]))
-            slots, mags = slots[~first], mags[~first]
-        return passes
+        n, total, sumsq = self._count[slots], self._sum[slots], self._sumsq[slots]
+        mean = total / (np.maximum(n, 1) * QUANTA_PER_MAG)
+        var = (n * sumsq - total * total) / (np.maximum(n * (n - 1), 1) * QUANTA_PER_MAG**2)
+        return n, mean, var
 
     def judge(
         self, epoch, star_ids, mags, mag_errors, record_ids=None, camera_id=0, rows=None
     ):
         """One frame's alerts against the pre-frame baselines; changes nothing.
 
-        Returns ``(alerts, slots, point_mags)``; ``absorb(slots, point_mags)``
-        then adds the frame without reading ``mags`` again.  With ``rows``,
-        point k takes entry ``rows[k]`` of ``mags``, ``mag_errors`` and
-        ``record_ids``.  Points are judged in row blocks on every core
-        (``core.row_blocks``); alerts come in row order, and an unknown star id
-        raises ``DomainError`` for the lowest block that holds one.
+        Returns ``(alerts, slots, quanta)``, the points as whole quanta;
+        ``absorb(slots, quanta)`` then adds the frame without reading ``mags``
+        again.  With ``rows``, point k takes entry ``rows[k]`` of ``mags``,
+        ``mag_errors`` and ``record_ids``.  Points are judged in row blocks on
+        every core (``core.row_blocks``); alerts come in row order.  An unknown
+        star id, or a magnitude that is NaN or not inside
+        ``(-MAX_ABS_MAG, MAX_ABS_MAG)``, raises ``DomainError`` for the lowest
+        block that holds one.
         """
         star_ids = np.asarray(star_ids, dtype=np.int64)
         mags = np.asarray(mags, dtype=np.float64)
         mag_errors = np.asarray(mag_errors, dtype=np.float64)
         rows = np.arange(len(star_ids)) if rows is None else np.asarray(rows)
         slots = np.empty(len(star_ids), np.int64)
-        point_mags = np.empty(len(star_ids))
+        quanta = np.empty(len(star_ids), np.int32)
 
         def block(lo, hi):
             part, pick = slice(lo, hi), rows[lo:hi]
@@ -232,8 +185,16 @@ class WindowBank:
             n, mean, var = self.baseline_stats(slots[part])
             first, last = (pick.min(), pick.max() + 1) if len(pick) else (0, 0)
             at = pick - first  # gathered from the block's span, copied to 8-byte strides
-            point_mags[part] = np.ascontiguousarray(mags[first:last])[at]
-            err, mag = np.ascontiguousarray(mag_errors[first:last])[at], point_mags[part]
+            mag = np.ascontiguousarray(mags[first:last])[at]
+            err = np.ascontiguousarray(mag_errors[first:last])[at]
+            inside = np.abs(mag) < MAX_ABS_MAG  # NaN is not
+            if not inside.all():
+                k = np.argmin(inside)
+                raise DomainError(
+                    f"magnitude {mag[k]} of star {star_ids[lo + k]} is outside the window "
+                    f"bank's range (-{MAX_ABS_MAG:g}, {MAX_ABS_MAG:g})"
+                )
+            quanta[part] = np.rint(mag * QUANTA_PER_MAG)
             combined = np.sqrt(var + err * err)
             dev = mag - mean
             hit = (n >= self.config.min_window) & (np.abs(dev) > self.config.k_sigma * combined)
@@ -252,40 +213,76 @@ class WindowBank:
             ]
 
         alerts = [a for part in row_blocks(len(slots), block) for a in part]
-        return alerts, slots, point_mags
+        return alerts, slots, quanta
 
-    def absorb(self, slots, mags):
+    def absorb(self, slots, quanta):
         """Add one judged frame's points to the windows; returns its undo record.
 
-        The record holds what the frame overwrote: each pass's
-        slots, heads, counts, sums, sumsqs and ring values, the running sums
-        from before a refresh if this frame ran one, and the refresh counter.
-        ``restore`` takes it.
+        One stable sort by slot ranks each star's points in row order; the
+        sorted points are then absorbed in row blocks on every core
+        (``core.row_blocks``), each block's ends moved back to the first point
+        of their star, so that no two blocks share a star.  The record is the
+        list of the blocks' ``_absorb_sorted`` records; ``restore`` takes it.
         """
-        passes, refreshed, frames_since_refresh = [], None, self._frames_since_refresh
-        if len(slots):
-            passes = self._push(slots, np.asarray(mags, dtype=np.float64))
-            self._frames_since_refresh += 1
-            if self._frames_since_refresh >= _REFRESH_EVERY:
-                refreshed = (self._sum.copy(), self._sumsq.copy())
-                self._refresh_sums()
-        return passes, refreshed, frames_since_refresh
+        slots = np.asarray(slots, dtype=np.int64)
+        order = np.argsort(slots, kind="stable")
+        slots, quanta = slots[order], np.asarray(quanta)[order]
+
+        def block(lo, hi):
+            lo, hi = (np.searchsorted(slots, slots[k]) if 0 < k < len(slots) else k
+                      for k in (lo, hi))  # the first point of the star at each end
+            return self._absorb_sorted(slots[lo:hi], quanta[lo:hi])
+
+        return row_blocks(len(slots), block)
+
+    def _absorb_sorted(self, slots, quanta) -> tuple:
+        """Absorb points sorted by slot, each star's in row order.
+
+        The ring ends as pushing the points one at a time would leave it: a
+        star's last ``window`` points are written in one scatter to the cells
+        after its head, and the head moves past all of its points.  Its sums
+        gain the quanta that enter less those that leave.  Returns what was
+        overwritten: the stars' slots, heads, counts and sums, and the ring
+        cells written with their old quanta.
+        """
+        w, n = self.config.window, self.n_stars
+        stars, points, place = slots, 1, 0
+        spread = add_up = lambda per: per  # one point per star: nothing to spread or add
+        if np.any(slots[1:] == slots[:-1]):
+            starts = np.flatnonzero(np.diff(slots, prepend=-1))
+            stars, points = slots[starts], np.diff(starts, append=len(slots))
+            kept = np.minimum(points, w)
+            rank = np.arange(len(slots)) - np.repeat(starts, points)  # among the star's points
+            keep = rank >= np.repeat(points - w, points)
+            place, quanta, slots = rank[keep] % w, quanta[keep], slots[keep]
+            group = np.cumsum(kept) - kept
+            spread = lambda per_star: np.repeat(per_star, kept)
+            add_up = lambda per_point: np.add.reduceat(per_point, group)
+        head, count = self._head[stars], self._count[stars]
+        total, sumsq = self._sum[stars], self._sumsq[stars]
+        cell = spread(head) + place
+        cell[cell >= w] -= w
+        at = cell * n + slots
+        ring = self._ring.reshape(-1)
+        old = ring[at]
+        enter = quanta.astype(np.int64)
+        # the cells past a star's free ones hold its oldest points, which leave
+        leave = np.where(place >= spread(w - count), old, 0)
+        change = enter - leave
+        self._sum[stars] = total + add_up(change)
+        self._sumsq[stars] = sumsq + add_up(change * (enter + leave))  # enter² − leave²
+        ring[at] = quanta
+        self._head[stars] = (head + points) % w
+        self._count[stars] = np.minimum(count + points, w)
+        return stars, head, count, total, sumsq, at, old
 
     def restore(self, undo) -> None:
-        """Put back, bit for bit, what the ``absorb`` that returned ``undo`` changed.
-
-        Steps are undone in reverse: the refresh, then the passes last to first,
-        since later passes overwrote what earlier ones wrote.
-        """
-        passes, refreshed, frames_since_refresh = undo
-        if refreshed is not None:
-            self._sum, self._sumsq = refreshed
+        """Put back, bit for bit, what the ``absorb`` that returned ``undo`` changed."""
         ring = self._ring.reshape(-1)
-        for sel, head, count, total, sumsq, old in reversed(passes):
-            ring[head * self.n_stars + sel] = old
-            self._head[sel], self._count[sel] = head, count
-            self._sum[sel], self._sumsq[sel] = total, sumsq
-        self._frames_since_refresh = frames_since_refresh
+        for stars, head, count, total, sumsq, at, old in undo:
+            ring[at] = old
+            self._head[stars], self._count[stars] = head, count
+            self._sum[stars], self._sumsq[stars] = total, sumsq
 
     def update(
         self, epoch, star_ids, mags, mag_errors, record_ids=None, camera_id=0, rows=None
@@ -294,21 +291,21 @@ class WindowBank:
 
         ``rows`` picks the points by row position, as in ``judge``.
         """
-        alerts, slots, point_mags = self.judge(
+        alerts, slots, quanta = self.judge(
             epoch, star_ids, mags, mag_errors, record_ids, camera_id, rows
         )
-        self.absorb(slots, point_mags)
+        self.absorb(slots, quanta)
         return alerts
 
     def update_from_match(self, frame, matches):
         """Judge and absorb a frame's matched rows, read in place; returns
         ``(alerts, undo)``, the undo record as ``absorb`` returns it."""
         rec = frame.records
-        alerts, slots, point_mags = self.judge(
+        alerts, slots, quanta = self.judge(
             frame.epoch, matches.star_ids, rec["calmag"], rec["mag_error"],
             record_ids=rec["id"], camera_id=frame.camera_id, rows=matches.matched_rows,
         )
-        return alerts, self.absorb(slots, point_mags)
+        return alerts, self.absorb(slots, quanta)
 
 
 # ---------------------------------------------------------------------------

@@ -175,6 +175,7 @@ class TemplateCatalog:
             mag=s["mag"],
             mag_error=0.0,
             config=config,
+            xyz=(s["x"], s["y"], s["z"]),
         )
 
     @classmethod
@@ -185,7 +186,8 @@ class TemplateCatalog:
         stars["dec"] = records["dec"]
         stars["mag"] = records["mag"]
         stars["x"], stars["y"], stars["z"] = records["x"], records["y"], records["z"]
-        stars = stars[np.argsort(stars["id"], kind="stable")]
+        if np.any(np.diff(stars["id"]) < 0):  # a template's own rows come in id order
+            stars = stars[np.argsort(stars["id"], kind="stable")]
         if (repeated := stars["id"][1:][np.diff(stars["id"]) == 0]).size:
             raise DomainError(f"template star id {repeated[0]} is repeated")
         return cls(stars, config)

@@ -16,8 +16,10 @@ the streamed ``NightStore.nightly_merge`` must match byte for byte;
 ``SourceRecord.validate``, a one-row-at-a-time check of the row invariants,
 which the masks of ``check_records`` must match row for row;
 ``push_in_unique_passes``, the window bank's earlier ``np.unique`` absorb,
-and ``baseline_stats_in_masked_gathers``, its earlier variance, which the
-current ones must match bit for bit;
+and ``baseline_stats_in_masked_gathers``, its variance through masked
+gathers, which the current ones must match bit for bit;
+``IntegerWindows``, one Python-int deque of quanta per star, which the
+window bank's rings, sums and alerts must match exactly;
 ``brute_force_chord_match``, the join's own chord rule over every pair, which
 pins the join's zone and RA pruning at pairs that sit on the radius;
 ``range_join_with_two_bisections``, the zone join as it was, with a lookup
@@ -55,7 +57,9 @@ from tdcat.core import (
     zone_of,
 )
 from tdcat.crossmatch import MatchResult
-from tdcat.mining import BRIGHTENING, DIMMING, NEW_SOURCE, Alert, MiningConfig
+from tdcat.mining import (
+    BRIGHTENING, DIMMING, NEW_SOURCE, QUANTA_PER_MAG, Alert, MiningConfig,
+)
 from tdcat.store import STORE_DTYPE, UNMATCHED_STAR_ID
 
 
@@ -425,55 +429,87 @@ def online_update(state: WindowState, epoch, mag, mag_error, config: MiningConfi
     return alert
 
 
-def refresh_sums_whole_array(bank):
-    """``WindowBank._refresh_sums`` as it was, over every star at once:
-    the rebuilt ``(sum, sumsq)``, leaving the bank as it is.
-    """
-    mask = np.arange(bank.config.window) < bank._count[:, None]
-    vals = np.where(mask, np.ascontiguousarray(bank._ring.T), 0.0)  # star-major, as it was
-    return vals.sum(axis=1), (vals * vals).sum(axis=1)
-
-
 def baseline_stats_in_masked_gathers(bank, slots):
-    """``WindowBank.baseline_stats`` as it was: the variance computed only
-    for the baselines of two or more points, through boolean-mask gathers."""
+    """``WindowBank.baseline_stats`` with the variance computed only for the
+    baselines of two or more points, through boolean-mask gathers."""
     n, total, sumsq = bank._count[slots], bank._sum[slots], bank._sumsq[slots]
-    mean = total / np.maximum(n, 1)
+    mean = total / (np.maximum(n, 1) * QUANTA_PER_MAG)
     var = np.zeros(len(slots))
     two = n >= 2
-    var[two] = (sumsq[two] - total[two] ** 2 / n[two]) / (n[two] - 1)
-    np.clip(var, 0.0, None, out=var)
+    var[two] = (n[two] * sumsq[two] - total[two] ** 2) / (n[two] * (n[two] - 1) * QUANTA_PER_MAG**2)
     return n, mean, var
 
 
-def push_in_unique_passes(bank, slots, mags) -> None:
-    """``WindowBank._push`` as it was: each pass takes every star's first
-    remaining point through ``np.unique``, which sorts the slots.
+def push_in_unique_passes(bank, slots, quanta) -> None:
+    """``WindowBank.absorb`` in one pass per multiplicity, as the bank once
+    pushed: each pass takes every star's first remaining point through
+    ``np.unique``, which sorts the slots.
 
-    The current ``_push`` must leave the rings, heads, counts and running
-    sums bit for bit the same.  The ring is read star-major, through
-    ``bank._ring.T``.
+    The current ``absorb`` must leave the rings, heads, counts and sums bit
+    for bit the same.  The ring is read star-major, through ``bank._ring.T``.
     """
     ring = bank._ring.T
+    quanta = np.asarray(quanta, dtype=np.int64)
     while len(slots):
         _, first = np.unique(slots, return_index=True)
         sel_slots = slots[first]
-        sel_mags = mags[first]
+        sel_quanta = quanta[first]
         full = bank._count[sel_slots] == bank.config.window
         if np.any(full):
             fs = sel_slots[full]
-            old = ring[fs, bank._head[fs]]
+            old = ring[fs, bank._head[fs]].astype(np.int64)
             bank._sum[fs] -= old
             bank._sumsq[fs] -= old * old
             bank._count[fs] -= 1
-        ring[sel_slots, bank._head[sel_slots]] = sel_mags
+        ring[sel_slots, bank._head[sel_slots]] = sel_quanta
         bank._head[sel_slots] = (bank._head[sel_slots] + 1) % bank.config.window
         bank._count[sel_slots] += 1
-        bank._sum[sel_slots] += sel_mags
-        bank._sumsq[sel_slots] += sel_mags * sel_mags
+        bank._sum[sel_slots] += sel_quanta
+        bank._sumsq[sel_slots] += sel_quanta * sel_quanta
         rest = np.ones(len(slots), dtype=bool)
         rest[first] = False
-        slots, mags = slots[rest], mags[rest]
+        slots, quanta = slots[rest], quanta[rest]
+
+
+class IntegerWindows:
+    """Reference window bank: a deque of Python-int quanta per star.
+
+    A point is ``round(mag * QUANTA_PER_MAG)``, appended one at a time in row
+    order to its star's deque of ``window`` points.  A frame is judged first,
+    every point against its star's pre-frame window, with the bank's formulas
+    over Python-int sums; an unknown star id raises ``DomainError`` before
+    anything changes.
+    """
+
+    def __init__(self, star_ids, config: MiningConfig):
+        self.config = config
+        self.windows = {int(s): deque(maxlen=config.window) for s in star_ids}
+
+    def baseline(self, star_id):
+        """(count, mean, sample variance) of one star's window, in mag."""
+        q = self.windows[star_id]
+        n, total, sumsq = len(q), sum(q), sum(x * x for x in q)
+        mean = float(total) / float(max(n, 1) * QUANTA_PER_MAG)
+        var = float(n * sumsq - total * total) / float(max(n * (n - 1), 1) * QUANTA_PER_MAG**2)
+        return n, mean, var
+
+    def update(self, epoch, star_ids, mags, mag_errors):
+        """Judge the frame, then absorb it; returns ``(star_id, kind, mean, sigma)``
+        for each alert, in row order."""
+        star_ids = [int(s) for s in star_ids]
+        unknown = sorted(set(star_ids) - self.windows.keys())
+        if unknown:
+            raise DomainError(f"unknown star ids: {unknown}")
+        alerts = []
+        for s, mag, err in zip(star_ids, mags, mag_errors):
+            n, mean, var = self.baseline(s)
+            dev, combined = mag - mean, math.sqrt(var + err * err)
+            if n >= self.config.min_window and abs(dev) > self.config.k_sigma * combined:
+                kind = DIMMING if dev > 0 else BRIGHTENING
+                alerts.append((s, kind, mean, abs(dev) / combined if combined > 0 else math.inf))
+        for s, mag in zip(star_ids, mags):
+            self.windows[s].append(round(mag * QUANTA_PER_MAG))
+        return alerts
 
 
 class DenseTracker:

@@ -1,11 +1,15 @@
 import math
 import re
+import time
 import tracemalloc
 import types
+from collections import Counter
 
 import numpy as np
 import pytest
 import scipy.signal
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tdcat.core import (
     ConfigError,
@@ -14,7 +18,7 @@ from tdcat.core import (
     InsufficientDataError,
     records_from_radec,
 )
-from tdcat import core, mining
+from tdcat import core
 from tdcat.mining import (
     BRIGHTENING,
     DIMMING,
@@ -22,8 +26,10 @@ from tdcat.mining import (
     Alert,
     CandidateTracker,
     MiningConfig,
+    MAX_ABS_MAG,
+    MAX_WINDOW,
+    QUANTA_PER_MAG,
     WindowBank,
-    _REFRESH_EVERY,
     default_freq_grid,
     false_alarm_level,
     lomb_scargle,
@@ -34,12 +40,12 @@ from tdcat.mining import (
 
 from oracles import (
     DenseTracker,
+    IntegerWindows,
     PureWindow,
     WindowState,
     baseline_stats_in_masked_gathers,
     online_update,
     push_in_unique_passes,
-    refresh_sums_whole_array,
 )
 
 CFG = EngineConfig()
@@ -74,6 +80,7 @@ def test_mining_config_defaults():
     "kw",
     [
         dict(window=0),
+        dict(window=MAX_WINDOW + 1),
         dict(min_window=1),
         dict(min_window=50),  # larger than window
         dict(k_sigma=0.0),
@@ -151,7 +158,10 @@ def test_window_is_bounded():
 
 
 def run_streams(seed, n_stars, n_frames, cfg, dropout=0.1):
-    """Same random mag streams through WindowBank, online_update, PureWindow."""
+    """Same random mag streams through WindowBank, online_update, PureWindow.
+
+    The magnitudes are whole quanta (1e-5 mag), so the bank's baselines hold
+    the same values as the float references'."""
     rng = np.random.default_rng(seed)
     stars = np.arange(n_stars, dtype=np.int64) * 3 + 5
     bank = WindowBank(stars, cfg)
@@ -169,6 +179,7 @@ def run_streams(seed, n_stars, n_frames, cfg, dropout=0.1):
         mags = 12.0 + rng.standard_normal(len(ids)) * 0.02
         if f in (n_frames // 2, n_frames - 3):  # force outliers on some frames
             mags[0] += 1.0
+        mags = np.round(mags, 5)  # whole quanta, which the bank holds exactly
         errs = np.full(len(ids), 0.02)
         for a in bank.update(epoch, ids, mags, errs):
             bank_alerts.append((a.star_id, a.epoch, a.kind, a.deviation_sigma))
@@ -198,7 +209,7 @@ def test_bank_matches_scalar_and_pure_oracles():
 
 
 def test_bank_matches_oracle_across_refresh_boundary():
-    # more than 512 frames so the exact running-sum refresh kicks in
+    # 600 frames: integer running sums keep the baselines of a long run exact
     cfg = MiningConfig(window=30, min_window=10, k_sigma=4.0)
     bank_alerts, scalar_alerts, _ = run_streams(23, 4, 600, cfg, dropout=0.05)
     assert_same_alert_stream(bank_alerts, scalar_alerts)
@@ -211,10 +222,11 @@ def test_bank_running_sums_stay_exact_after_refresh():
     for f in range(520):
         bank.update(15.0 * f, [1], [12.0 + rng.standard_normal() * 0.05], [0.02])
     n, mean, var = bank.baseline_stats(np.array([0]))
-    window_vals = bank._ring.T[0]
+    window_vals = bank._ring.T[0].astype(np.int64)
     assert n[0] == 8
-    assert mean[0] == pytest.approx(window_vals.mean(), rel=1e-12)
-    assert var[0] == pytest.approx(window_vals.var(ddof=1), rel=1e-9)
+    assert bank._sum[0] == window_vals.sum() and bank._sumsq[0] == (window_vals**2).sum()
+    assert mean[0] == pytest.approx(window_vals.mean() / QUANTA_PER_MAG, rel=1e-12)
+    assert var[0] == pytest.approx(window_vals.var(ddof=1) / QUANTA_PER_MAG**2, rel=1e-9)
 
 
 def test_duplicate_star_in_one_frame_judged_against_snapshot():
@@ -235,15 +247,20 @@ def test_duplicate_star_in_one_frame_judged_against_snapshot():
 BANK_ARRAYS = ("_ring", "_head", "_count", "_sum", "_sumsq")
 
 
+def quanta(mags):
+    """Magnitudes as the window bank holds them."""
+    return np.rint(np.asarray(mags) * QUANTA_PER_MAG).astype(np.int32)
+
+
 @pytest.mark.parametrize("k", [1, 2, 7])
 def test_push_matches_the_unique_pass_push_bit_for_bit(k):
-    """k matches per star and frame, a window shorter than k, past a refresh."""
+    """k matches per star and frame, a window shorter than k, over 524 frames."""
     cfg = MiningConfig(window=5, min_window=2, k_sigma=3.0)
     stars = np.arange(60, dtype=np.int64) * 2 + 1
     bank, reference = WindowBank(stars, cfg), WindowBank(stars, cfg)
-    reference._push = types.MethodType(push_in_unique_passes, reference)
+    reference.absorb = types.MethodType(push_in_unique_passes, reference)
     rng = np.random.default_rng(k)
-    for f in range(_REFRESH_EVERY + 12):
+    for f in range(524):
         present = stars[rng.random(len(stars)) < 0.8]
         ids = rng.permutation(np.repeat(present, k))
         mags = 12.0 + rng.standard_normal(len(ids)) * rng.choice([0.01, 0.3, 4.0], len(ids))
@@ -253,13 +270,10 @@ def test_push_matches_the_unique_pass_push_bit_for_bit(k):
         assert [vars(a) for a in got] == [vars(a) for a in want]
         for name in BANK_ARRAYS:
             assert getattr(bank, name).tobytes() == getattr(reference, name).tobytes(), (f, name)
-    assert bank._frames_since_refresh == reference._frames_since_refresh == 12
 
 
 def bank_state(bank):
-    return [getattr(bank, name).tobytes() for name in BANK_ARRAYS] + [
-        bank._frames_since_refresh
-    ]
+    return [getattr(bank, name).tobytes() for name in BANK_ARRAYS]
 
 
 @pytest.mark.parametrize("block_rows", [1 << 14, 37])
@@ -267,17 +281,16 @@ def bank_state(bank):
 def test_push_of_full_scale_shaped_frames_matches_the_unique_pass_push(
     monkeypatch, gaps, block_rows
 ):
-    """Most stars once a frame and a few 2-7 times, over 600 frames past a
-    refresh, the once-seen stars in one row block or many: alerts and every
-    array match the unique-pass push byte for byte, and restore undoes each
-    frame bit for bit."""
+    """Most stars once a frame and a few 2-7 times, over 600 frames, the
+    points in one row block or many: alerts and every array match the
+    unique-pass push byte for byte, and restore undoes each frame bit for bit."""
     monkeypatch.setattr(core, "_BLOCK_ROWS", block_rows)
     cfg = MiningConfig(window=8, min_window=3, k_sigma=4.0)
     stars = np.arange(500, dtype=np.int64)
     if gaps:
         stars = stars[stars % 9 != 8]
     bank, reference = WindowBank(stars, cfg), WindowBank(stars, cfg)
-    reference._push = types.MethodType(push_in_unique_passes, reference)
+    reference.absorb = types.MethodType(push_in_unique_passes, reference)
     rng = np.random.default_rng(11)
     for f in range(600):
         present = stars[rng.random(len(stars)) < 0.95]
@@ -286,15 +299,14 @@ def test_push_of_full_scale_shaped_frames_matches_the_unique_pass_push(
         ids = rng.permutation(np.concatenate([present, extra]))
         mags = 12.0 + rng.standard_normal(len(ids)) * rng.choice([0.01, 0.3, 4.0], len(ids))
         errs = np.full(len(ids), 0.02)
-        got, slots, point_mags = bank.judge(15.0 * f, ids, mags, errs)
+        got, slots, point_quanta = bank.judge(15.0 * f, ids, mags, errs)
         before = bank_state(bank)
-        bank.restore(bank.absorb(slots, point_mags))
+        bank.restore(bank.absorb(slots, point_quanta))
         assert bank_state(bank) == before, f
-        bank.absorb(slots, point_mags)
+        bank.absorb(slots, point_quanta)
         want = reference.update(15.0 * f, ids, mags, errs)
         assert [vars(a) for a in got] == [vars(a) for a in want], f
         assert bank_state(bank) == bank_state(reference), f
-    assert bank._frames_since_refresh == reference._frames_since_refresh == 600 - _REFRESH_EVERY
 
 
 def test_a_bank_of_ids_0_to_n_takes_each_id_as_its_slot():
@@ -327,28 +339,13 @@ def test_a_bank_of_other_ids_returns_the_searchsorted_slots(stars):
         bank._slots_of(np.r_[stars[0], unknown, stars[-1]])
 
 
-@pytest.mark.parametrize("chunk", [7, 1 << 14])
-def test_refresh_of_a_default_window_bank_matches_the_whole_array_refresh(monkeypatch, chunk):
-    """Window 40, long enough that a star's sum is not a plain left-to-right
-    one; every count from 0 to 40, and values past the count to be masked."""
-    monkeypatch.setattr(mining, "_REFRESH_ROWS", chunk)
-    bank = WindowBank(np.arange(300, dtype=np.int64), MiningConfig())
-    rng = np.random.default_rng(5)
-    bank._ring[:] = rng.normal(12.0, 0.3, bank._ring.shape)
-    bank._count[:] = np.arange(300) % (bank.config.window + 1)
-    want_sum, want_sumsq = refresh_sums_whole_array(bank)
-    bank._refresh_sums()
-    assert bank._sum.tobytes() == want_sum.tobytes()
-    assert bank._sumsq.tobytes() == want_sumsq.tobytes()
-
-
 def test_baseline_stats_match_the_masked_gathers_and_zero_short_baselines():
     cfg = MiningConfig(window=5, min_window=2)
     bank = WindowBank(np.arange(40, dtype=np.int64), cfg)
     rng = np.random.default_rng(9)
     for f in range(8):
         ids = np.arange(40)[np.arange(40) // 5 > f]  # counts 0 to 5, windows wrapped
-        bank.absorb(ids, 12.0 + rng.standard_normal(len(ids)))
+        bank.absorb(ids, quanta(12.0 + rng.standard_normal(len(ids))))
     slots = rng.permutation(np.repeat(np.arange(40), 2))
     got, want = bank.baseline_stats(slots), baseline_stats_in_masked_gathers(bank, slots)
     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
@@ -357,64 +354,25 @@ def test_baseline_stats_match_the_masked_gathers_and_zero_short_baselines():
 
 @pytest.mark.parametrize("k", [1, 2, 7])
 def test_restore_undoes_absorb_bit_for_bit(k):
-    """k matches per star and frame, a window shorter than k, past a refresh:
+    """k matches per star and frame, a window shorter than k, over 524 frames:
     absorb then restore leaves every array as it was, and absorbing again
     gives the same bank as the first absorb."""
     cfg = MiningConfig(window=5, min_window=2, k_sigma=3.0)
     stars = np.arange(60, dtype=np.int64) * 2 + 1
     bank = WindowBank(stars, cfg)
     rng = np.random.default_rng(k)
-    for f in range(_REFRESH_EVERY + 12):
+    for f in range(524):
         present = stars[rng.random(len(stars)) < 0.8]
         ids = rng.permutation(np.repeat(present, k))
         mags = 12.0 + rng.standard_normal(len(ids)) * rng.choice([0.01, 0.3, 4.0], len(ids))
-        _, slots, point_mags = bank.judge(15.0 * f, ids, mags, np.full(len(ids), 0.02))
+        _, slots, point_quanta = bank.judge(15.0 * f, ids, mags, np.full(len(ids), 0.02))
         before = bank_state(bank)
-        undo = bank.absorb(slots, point_mags)
+        undo = bank.absorb(slots, point_quanta)
         after = bank_state(bank)
-        if f == _REFRESH_EVERY - 1:  # the refresh moved sums of stars absent this frame
-            absent = np.setdiff1d(np.arange(len(stars)), slots)
-            assert undo[1][0][absent].tobytes() != bank._sum[absent].tobytes()
         bank.restore(undo)
         assert bank_state(bank) == before, f
-        bank.absorb(slots, point_mags)
+        bank.absorb(slots, point_quanta)
         assert bank_state(bank) == after, f
-    assert bank._frames_since_refresh == 12
-
-
-@pytest.mark.parametrize("chunk", [1, 7, 1 << 14])
-def test_refresh_in_star_chunks_matches_the_whole_array_refresh(monkeypatch, chunk):
-    """Counts below, at and past the window (wrapped heads), any chunking."""
-    monkeypatch.setattr(mining, "_REFRESH_ROWS", chunk)
-    cfg = MiningConfig(window=6, min_window=2)
-    stars = np.arange(50, dtype=np.int64)
-    bank = WindowBank(stars, cfg)
-    rng = np.random.default_rng(chunk)
-    for f in range(3 * cfg.window):
-        ids = stars[stars // 3 > f]  # star s takes min(s // 3, 3 * window) points
-        bank.absorb(bank._slots_of(ids), 12.0 + rng.standard_normal(len(ids)))
-    counts = set(bank._count.tolist())
-    assert {0, 1, cfg.window - 1, cfg.window} <= counts
-    assert np.any(bank._head[bank._count == cfg.window] != 0)  # wrapped rings
-    want_sum, want_sumsq = refresh_sums_whole_array(bank)
-    bank._refresh_sums()
-    assert bank._sum.tobytes() == want_sum.tobytes()
-    assert bank._sumsq.tobytes() == want_sumsq.tobytes()
-    assert bank._frames_since_refresh == 0
-
-
-def test_refresh_of_a_full_scale_bank_stays_small_in_memory():
-    bank = WindowBank(np.arange(175_600, dtype=np.int64), MiningConfig())
-    bank._ring[:] = np.random.default_rng(2).normal(12.0, 0.1, bank._ring.shape)
-    bank._count[:] = bank.config.window
-    tracemalloc.start()
-    try:
-        bank._refresh_sums()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # the whole-array refresh peaked at ~117 MiB over live memory here
-    assert peak < 24 * 2**20
 
 
 def test_judge_changes_nothing_and_absorb_completes_update():
@@ -427,15 +385,15 @@ def test_judge_changes_nothing_and_absorb_completes_update():
         mags = 12.0 + rng.standard_normal(5) * (1.0 if f == 15 else 0.01)
         errs = np.full(5, 0.02)
         before = [getattr(split, name).tobytes() for name in BANK_ARRAYS]
-        alerts, slots, point_mags = split.judge(15.0 * f, ids, mags, errs)
+        alerts, slots, point_quanta = split.judge(15.0 * f, ids, mags, errs)
         assert [getattr(split, name).tobytes() for name in BANK_ARRAYS] == before
         # the frame's columns whole, points picked by row
-        picked, _, picked_mags = split.judge(
+        picked, _, picked_quanta = split.judge(
             15.0 * f, ids, np.concatenate([[0.0], mags]), np.concatenate([[0.0], errs]),
             rows=np.arange(1, 6),
         )
-        assert point_mags.tobytes() == picked_mags.tobytes() == mags.tobytes()
-        split.absorb(slots, picked_mags)
+        assert point_quanta.tobytes() == picked_quanta.tobytes() == quanta(mags).tobytes()
+        split.absorb(slots, picked_quanta)
         want = whole.update(15.0 * f, ids, mags, errs)
         assert [vars(a) for a in alerts] == [vars(a) for a in picked] == [vars(a) for a in want]
         for name in BANK_ARRAYS:
@@ -480,12 +438,11 @@ def test_judge_names_unknown_star_ids_of_the_lowest_failing_block(monkeypatch):
     assert "999" not in str(raised.value)
 
 
-def test_update_from_match_reads_the_frame_in_place_and_returns_its_undo(monkeypatch):
-    """Frames with duplicate-star matches, rows picked out of frame order, past
-    refreshes: ``update_from_match`` gives the alerts and the bank of ``update``
-    on the gathered columns, as does ``update(rows=)``; ``restore(undo)`` puts
-    the pre-frame bank back bit for bit; an unknown star id changes nothing."""
-    monkeypatch.setattr(mining, "_REFRESH_EVERY", 7)
+def test_update_from_match_reads_the_frame_in_place_and_returns_its_undo():
+    """Frames with duplicate-star matches, rows picked out of frame order:
+    ``update_from_match`` gives the alerts and the bank of ``update`` on the
+    gathered columns, as does ``update(rows=)``; ``restore(undo)`` puts the
+    pre-frame bank back bit for bit; an unknown star id changes nothing."""
     cfg = MiningConfig(window=6, min_window=2, k_sigma=3.0)
     stars = np.arange(40, dtype=np.int64) * 3 + 1
     live, gathered, picked = (WindowBank(stars, cfg) for _ in range(3))
@@ -529,6 +486,126 @@ def test_update_from_match_reads_the_frame_in_place_and_returns_its_undo(monkeyp
         assert after == bank_state(gathered) == bank_state(picked), f
         alerted += len(alerts)
     assert alerted > 5
+
+
+def assert_bank_equals(bank, reference, pushed):
+    """Each star's ring cells before its head hold its reference window in
+    order, its head has moved past every point it took, and its count and
+    sums are the window's."""
+    w = bank.config.window
+    for slot, star in enumerate(bank.star_ids.tolist()):
+        window = list(reference.windows[star])
+        count, head = int(bank._count[slot]), int(bank._head[slot])
+        assert count == len(window) and head == pushed[star] % w, star
+        cells = [(head - count + k) % w for k in range(count)]
+        assert bank._ring[cells, slot].tolist() == window, star
+        assert bank._sum[slot] == sum(window), star
+        assert bank._sumsq[slot] == sum(q * q for q in window), star
+
+
+@pytest.mark.parametrize("block_rows", [5, 1 << 14])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_bank_equals_the_integer_reference_after_every_frame(block_rows, data):
+    """Frames that repeat stars more than ``window`` times, pick their rows
+    out of order and sometimes name an unknown star: after every frame the
+    bank's rings, heads, counts, sums and alerts equal ``IntegerWindows``
+    exactly, and ``restore(undo)`` puts the pre-frame bank back bit for bit.
+    A frame with an unknown star is refused and changes nothing."""
+    window = data.draw(st.integers(2, 5), "window")
+    cfg = MiningConfig(window=window, min_window=2, k_sigma=2.0)
+    stars = sorted(data.draw(st.sets(st.integers(0, 30), min_size=1, max_size=6), "stars"))
+    bank, reference = WindowBank(np.array(stars, np.int64), cfg), IntegerWindows(stars, cfg)
+    pushed = Counter()
+    mag = st.one_of(st.floats(11.9, 12.1), st.floats(-99.99999, 99.99999))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(core, "_BLOCK_ROWS", block_rows)
+        for f in range(data.draw(st.integers(1, 6), "frames")):
+            ids = data.draw(st.lists(st.sampled_from(stars), max_size=3 * window + 4), "ids")
+            if ids and data.draw(st.integers(0, 4), "unknown") == 0:
+                ids[-1] = min(set(range(-1, 32)) - set(stars))
+            n = len(ids)
+            mags = data.draw(st.lists(mag, min_size=n, max_size=n), "mags")
+            errs = data.draw(st.lists(st.floats(0.0, 0.05), min_size=n, max_size=n), "errs")
+            width = n + data.draw(st.integers(0, 3), "spare rows")
+            rows = np.array(data.draw(st.permutations(range(width)), "rows")[:n], np.int64)
+            mag_col, err_col = np.full(width, np.nan), np.full(width, np.nan)
+            mag_col[rows], err_col[rows] = mags, errs  # unpicked rows are NaN, never read
+            before = bank_state(bank)
+            if set(ids) - set(stars):
+                with pytest.raises(DomainError, match="unknown star ids"):
+                    bank.update(15.0 * f, ids, mag_col, err_col, rows=rows)
+                with pytest.raises(DomainError):
+                    reference.update(15.0 * f, ids, mags, errs)
+                assert bank_state(bank) == before
+                continue
+            alerts, slots, point_quanta = bank.judge(15.0 * f, ids, mag_col, err_col, rows=rows)
+            undo = bank.absorb(slots, point_quanta)
+            after = bank_state(bank)
+            bank.restore(undo)
+            assert bank_state(bank) == before, f
+            bank.absorb(slots, point_quanta)
+            assert bank_state(bank) == after, f
+            want = reference.update(15.0 * f, ids, mags, errs)
+            got = [(a.star_id, a.kind, a.baseline_mag, a.deviation_sigma) for a in alerts]
+            assert got == want, f
+            pushed.update(ids)
+            assert_bank_equals(bank, reference, pushed)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 100.0, -100.0, 1e300])
+def test_judge_refuses_a_magnitude_outside_the_bank_range_by_name(bad):
+    bank = WindowBank(np.arange(5, dtype=np.int64), MiningConfig())
+    before = bank_state(bank)
+    message = re.escape(f"magnitude {bad} of star 3 is outside the window bank's range (-100, 100)")
+    with pytest.raises(DomainError, match=message):
+        bank.update(0.0, [1, 3, 4], [12.0, bad, 12.0], [0.02] * 3)
+    assert bank_state(bank) == before
+    bank.update(0.0, [1, 3], [-99.99999, 99.99999], [0.02, 0.02])
+    assert bank._sum[[1, 3]].tolist() == [-9_999_999, 9_999_999]
+
+
+def test_the_longest_window_keeps_exact_int64_sums():
+    top = round(MAX_ABS_MAG * QUANTA_PER_MAG)
+    assert (MAX_WINDOW * top) ** 2 < 2**63 <= ((MAX_WINDOW + 1) * top) ** 2
+    cfg = MiningConfig(window=MAX_WINDOW, min_window=2)
+    bank = WindowBank(np.arange(2, dtype=np.int64), cfg)
+    extremes = [99.99999 if k % 3 else -99.99999 for k in range(MAX_WINDOW)]
+    for f, m in enumerate(extremes):
+        bank.update(15.0 * f, [0, 1], [99.99999, m], [0.02, 0.02])
+    n, mean, var = bank.baseline_stats(np.arange(2))
+    assert n.tolist() == [MAX_WINDOW] * 2 and bank._sum[0] == MAX_WINDOW * (top - 1)
+    assert mean[0] == 99.99999 and var[0] == 0.0
+    q = [round(m * QUANTA_PER_MAG) for m in extremes]
+    assert bank._sumsq[1] == sum(x * x for x in q)
+    assert var[1] == pytest.approx(np.var(extremes, ddof=1), rel=1e-12)
+
+
+def test_absorb_is_linear_in_repeated_points_and_holds_4_bytes_a_point():
+    """A full-scale bank: 16,000 extra points on one star cost at most 4x the
+    absorb of 1,000 (one pass over the stars per repeat would be quadratic),
+    and after 40 frames the bank's arrays hold 4 bytes a ring point and 40
+    bytes a star."""
+    n, cfg = 175_600, MiningConfig()
+    bank = WindowBank(np.arange(n, dtype=np.int64), cfg)
+    rng = np.random.default_rng(7)
+    for f in range(40):
+        bank.absorb(np.arange(n), rng.integers(1_100_000, 1_300_000, n, dtype=np.int32))
+    arrays = [a for a in vars(bank).values() if isinstance(a, np.ndarray)]
+    assert sum(a.nbytes for a in arrays) <= 4 * cfg.window * n + 40 * n
+
+    def absorb_s(k):
+        slots = np.r_[np.arange(n), np.zeros(k, np.int64)]
+        points = rng.integers(1_100_000, 1_300_000, len(slots), dtype=np.int32)
+        best = math.inf
+        for _ in range(3):
+            t0 = time.perf_counter()
+            undo = bank.absorb(slots, points)
+            best = min(best, time.perf_counter() - t0)
+            bank.restore(undo)
+        return best
+
+    assert absorb_s(16_000) <= 4 * absorb_s(1_000)
 
 
 def test_bank_rejects_unknown_and_unsorted_stars():

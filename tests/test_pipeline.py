@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from tdcat.core import DomainError, EngineConfig, SequenceError, StorageError
-from tdcat import mining
 from tdcat.crossmatch import build_zone_index, range_join
 from tdcat.mining import NEW_SOURCE, MiningConfig, read_alerts_csv
 from tdcat.pipeline import (
@@ -164,7 +163,7 @@ def detector_state(worker):
     """Every array and counter of the worker's window bank and tracker."""
     bank, tracker = worker.bank, worker.tracker
     arrays = (bank._ring, bank._head, bank._count, bank._sum, bank._sumsq, tracker._tracks)
-    return [a.tobytes() for a in arrays] + [bank._frames_since_refresh, tracker._last_epoch]
+    return [a.tobytes() for a in arrays] + [tracker._last_epoch]
 
 
 def insert_threads():
@@ -172,12 +171,8 @@ def insert_threads():
     return {t for t in threading.enumerate() if t.name.startswith("tdcat-")}
 
 
-@pytest.mark.parametrize(
-    "failure", ["stale-epoch", "fsync", "repeated-id", "refresh-frame", "duplicate-star"]
-)
+@pytest.mark.parametrize("failure", ["stale-epoch", "fsync", "repeated-id", "duplicate-star"])
 def test_failed_insert_leaves_every_detector_as_it_was(tmp_path, monkeypatch, failure):
-    if failure == "refresh-frame":  # frame 11 is the 12th absorbed: the bank refreshes
-        monkeypatch.setattr(mining, "_REFRESH_EVERY", 12)
     make_worker()
     frames = [
         observe_frame(_WORKER_TEMPLATE, 15.0 * k, EVENTS, WORKER_MODEL, CFG) for k in range(15)
@@ -186,8 +181,6 @@ def test_failed_insert_leaves_every_detector_as_it_was(tmp_path, monkeypatch, fa
     reference = make_worker(data_dir=tmp_path / "reference")
     want = [[asdict(a) for a in reference.process_frame(f).alerts] for f in frames]
     assert want[11] and reference.tracker.open_tracks, "frame 11 must exercise both detectors"
-    if failure == "refresh-frame":
-        assert reference.bank._frames_since_refresh == 3  # refreshed at frame 11
 
     worker = make_worker(data_dir=tmp_path / "worker")
     for f in frames[:11]:
