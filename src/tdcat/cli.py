@@ -27,6 +27,7 @@ from .core import (
     EngineError,
     FrameBatch,
     SequenceError,
+    camera_of,
     check_records,
     csv_columns,
     write_csv,
@@ -197,9 +198,7 @@ def cmd_ingest(args) -> int:
         imageids = np.unique(records["imageid"])
         if len(imageids) != 1:
             raise EngineError(f"{path}: mixed imageids {imageids[:5]}")
-        cameras = np.unique(records["id"] >> np.uint64(56))
-        if len(cameras) != 1:
-            raise EngineError(f"{path}: mixed cameras {cameras[:5]}")
+        camera = camera_of(records["id"], f"{path}: rows", "split the file by camera")
         imageid = int(imageids[0])
         epoch = imageid * config.cadence_s
         if args.night is not None and night_of(epoch) != args.night:
@@ -207,9 +206,7 @@ def cmd_ingest(args) -> int:
                 f"{path}: frame epoch {epoch} lies in night {night_of(epoch)}, "
                 f"not --night {args.night}"
             )
-        frame = FrameBatch(
-            camera_id=int(cameras[0]), imageid=imageid, epoch=epoch, records=records
-        )
+        frame = FrameBatch(camera_id=camera, imageid=imageid, epoch=epoch, records=records)
         rows = frame_to_store_records(
             frame, range_join(records, index, config.match_radius_deg)
         )

@@ -8,6 +8,7 @@ reaches into it, so a query source finds its candidates in one lookup.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -42,36 +43,51 @@ class ZoneIndex:
     key: np.ndarray = field(repr=False)
 
 
+UNMATCHED_STAR_ID = -1  # the star id of a row with no star in radius
+
+
 @dataclass
 class MatchResult:
-    """Outcome of joining one frame against a template index.
+    """Outcome of joining one frame against a template index, one entry per row.
 
-    ``record_ids``/``star_ids``/``separations_deg`` are parallel arrays over
-    matched frame records (frame order); ``unmatched_ids`` are the transient
-    candidates.  ``matched_rows``/``unmatched_rows`` are the corresponding row
-    positions within the frame, kept so downstream stages avoid id lookups.
+    ``ids`` is the frame's own id column, in place; ``star_ids`` holds each
+    row's nearest in-radius star, ``UNMATCHED_STAR_ID`` for a transient
+    candidate, and ``separations_deg`` its separation, NaN for a candidate.
     """
 
-    record_ids: np.ndarray
+    ids: np.ndarray
     star_ids: np.ndarray
     separations_deg: np.ndarray
-    unmatched_ids: np.ndarray
-    matched_rows: np.ndarray
-    unmatched_rows: np.ndarray
     ambiguous_count: int
-    n_frame: int
+
+    @property
+    def n_frame(self) -> int:
+        return len(self.ids)
+
+    @cached_property
+    def matched_rows(self) -> np.ndarray:
+        return np.flatnonzero(self.star_ids >= 0)
+
+    @cached_property
+    def unmatched_rows(self) -> np.ndarray:
+        return np.flatnonzero(self.star_ids < 0)
 
     @property
     def n_matched(self) -> int:
-        return len(self.record_ids)
+        return len(self.matched_rows)
 
     @property
     def n_unmatched(self) -> int:
-        return len(self.unmatched_ids)
+        return len(self.unmatched_rows)
+
+    @property
+    def unmatched_ids(self) -> np.ndarray:
+        return self.ids[self.unmatched_rows]
 
     def pairs(self):
         """Iterate (frame record id, template star id, separation deg)."""
-        for rid, sid, sep in zip(self.record_ids, self.star_ids, self.separations_deg):
+        rows = self.matched_rows
+        for rid, sid, sep in zip(self.ids[rows], self.star_ids[rows], self.separations_deg[rows]):
             yield int(rid), int(sid), float(sep)
 
 
@@ -165,21 +181,22 @@ def range_join(records, template_index: ZoneIndex, radius_deg: float) -> MatchRe
     ``records`` carry ``id``, ``ra``, ``dec`` and ``x/y/z`` as adjacent
     native float64 fields (``xyz_of``); any other layout raises DomainError.
     Rows are independent, so they are joined in contiguous blocks on every
-    core (``core.row_blocks``), each reading its rows' fields in place, and
-    the blocks' results laid end to end; a block whose lookups find more
-    than ``_PAIR_BUDGET`` candidate pairs is joined in halves.  The result
-    is the same bytes for any blocking.
+    core (``core.row_blocks``), each reading its rows' fields in place and
+    writing its rows of the result; a block whose lookups find more than
+    ``_PAIR_BUDGET`` candidate pairs is joined in halves.  The result is the
+    same bytes for any blocking.
     """
     if not 0 < radius_deg <= 90:
         raise ConfigError(f"radius_deg must be in (0, 90], got {radius_deg}")
     if radius_deg > (reach := template_index.reach_deg):
         raise ConfigError(f"radius_deg {radius_deg} is past the index's reach_deg {reach}")
     xyz = xyz_of(records)
+    out = np.empty(len(records), np.int64), np.empty(len(records))  # star ids, separations
 
     def block(lo, hi):
-        return _join_rows(records, xyz, lo, hi, template_index, radius_deg)
+        return _join_rows(records, xyz, lo, hi, template_index, radius_deg, out)
 
-    return _laid_end_to_end(row_blocks(len(records), block))
+    return MatchResult(records["id"], *out, ambiguous_count=sum(row_blocks(len(records), block)))
 
 
 def _check_dec(dec, lo=0) -> None:
@@ -189,24 +206,9 @@ def _check_dec(dec, lo=0) -> None:
         raise DomainError(f"row {lo + i}: dec {float(dec[i])!r} is not in [-90, 90]")
 
 
-def _laid_end_to_end(parts) -> MatchResult:
-    """One result from the results of consecutive row ranges, in row order."""
-    if len(parts) == 1:
-        return parts[0]
-    arrays = {
-        name: np.concatenate([getattr(p, name) for p in parts])
-        for name in ("record_ids", "star_ids", "separations_deg", "unmatched_ids",
-                     "matched_rows", "unmatched_rows")
-    }
-    return MatchResult(
-        **arrays,
-        ambiguous_count=sum(p.ambiguous_count for p in parts),
-        n_frame=sum(p.n_frame for p in parts),
-    )
-
-
-def _join_rows(records, xyz, lo, hi, template_index, radius_deg):
-    """``range_join`` of rows ``[lo, hi)``, row numbers counted from row 0."""
+def _join_rows(records, xyz, lo, hi, template_index, radius_deg, out):
+    """``range_join`` of rows ``[lo, hi)`` into those rows of ``out`` (star ids,
+    separations); returns their ambiguous count.  Errors count rows from row 0."""
     n = hi - lo
     ra = np.ascontiguousarray(records["ra"][lo:hi], dtype=np.float64)
     dec = np.ascontiguousarray(records["dec"][lo:hi], dtype=np.float64)
@@ -248,10 +250,8 @@ def _join_rows(records, xyz, lo, hi, template_index, radius_deg):
     hit_rec = hit if hit_rec is None else hit_rec[hit]
     if n > 1 and length.sum() > _PAIR_BUDGET:  # crowded: join each half apart
         mid = lo + n // 2
-        return _laid_end_to_end(
-            [_join_rows(records, xyz, a, b, template_index, radius_deg)
-             for a, b in ((lo, mid), (mid, hi))]
-        )
+        return sum(_join_rows(records, xyz, a, b, template_index, radius_deg, out)
+                   for a, b in ((lo, mid), (mid, hi)))
     cand_rec = np.repeat(hit_rec, length)
     # each hit's run of index rows, laid end to end
     cand_tpl = np.arange(len(cand_rec)) + np.repeat(
@@ -281,23 +281,11 @@ def _join_rows(records, xyz, lo, hi, template_index, radius_deg):
     first = order[np.unique(cand_rec[order], return_index=True)[1]]
     best[cand_rec[first]] = first
     matched = np.flatnonzero(best >= 0)
-    unmatched = np.flatnonzero(best < 0)
     chosen = best[matched]
-    sep = np.degrees(
+    star_ids, separations = out[0][lo:hi], out[1][lo:hi]
+    star_ids[:], separations[:] = UNMATCHED_STAR_ID, np.nan
+    star_ids[matched] = np.take(template_index.ids, np.take(cand_tpl, chosen))
+    separations[matched] = np.degrees(
         2.0 * np.arcsin(np.minimum(1.0, np.sqrt(chord2[chosen]) / 2.0))
     )
-    ids = np.ascontiguousarray(records["id"][lo:hi]).astype(np.uint64, copy=False)
-    record_ids, unmatched_ids = np.take(ids, matched), np.take(ids, unmatched)
-    if lo:  # row numbers from row 0
-        matched += lo
-        unmatched += lo
-    return MatchResult(
-        record_ids=record_ids,
-        star_ids=np.take(template_index.ids, np.take(cand_tpl, chosen)),
-        separations_deg=sep,
-        unmatched_ids=unmatched_ids,
-        matched_rows=matched,
-        unmatched_rows=unmatched,
-        ambiguous_count=ambiguous_count,
-        n_frame=n,
-    )
+    return ambiguous_count

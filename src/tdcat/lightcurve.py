@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, SequenceError
+from .core import DomainError, SequenceError, camera_of
 from .store import QueryPredicate, query_stores
 
 POINT_DTYPE = np.dtype(
@@ -58,16 +58,14 @@ def points_from_match(frame, matches) -> tuple:
     rows = matches.matched_rows
     rec = frame.records
     if matches.n_frame != len(rec):
-        raise DomainError(
-            f"match result covers {matches.n_frame} records, frame has {len(rec)}"
-        )
+        raise DomainError(f"match result covers {matches.n_frame} records, frame has {len(rec)}")
     pts = np.zeros(len(rows), dtype=POINT_DTYPE)
     pts["epoch"] = frame.epoch
     pts["calmag"] = rec["calmag"][rows]
     pts["mag_error"] = rec["mag_error"][rows]
     pts["flux"] = rec["flux"][rows]
     pts["flux_err"] = rec["flux_err"][rows]
-    return matches.star_ids, pts
+    return matches.star_ids[rows], pts
 
 
 class CurveSet:
@@ -171,14 +169,7 @@ def query_curve(
     """Assemble one star's curve from persisted partition stores."""
     pred = QueryPredicate(star_id, epoch_min, epoch_max, include_candidates=False)
     rec = query_stores(stores, pred)
-    # the same id in two cameras' templates is two stars.  min/max, not
-    # np.unique: its sort raised the history benchmark's peak RSS by 40 MiB
-    camera = rec["id"] >> np.uint64(56)
-    if len(rec) and camera.min() != camera.max():
-        raise DomainError(
-            f"star {star_id} has rows from cameras {np.unique(camera).tolist()}; "
-            "star ids are per camera, so read one camera's partition (--partitions)"
-        )
+    camera_of(rec["id"], f"star {star_id} has rows", "read one camera's partition (--partitions)")
     points = np.zeros(len(rec), dtype=POINT_DTYPE)
     for name in POINT_DTYPE.names:
         points[name] = rec[name]

@@ -26,8 +26,8 @@ from dataclasses import astuple, dataclass, field
 import numpy as np
 
 from .core import (
-    ConfigError, DomainError, EngineConfig, InsufficientDataError, csv_columns, read_csv,
-    row_blocks, write_csv,
+    MAX_ABS_MAG, ConfigError, DomainError, EngineConfig, InsufficientDataError, csv_columns,
+    read_csv, row_blocks, write_csv,
 )
 from .crossmatch import build_zone_index, range_join
 
@@ -36,7 +36,6 @@ BRIGHTENING = "brightening"
 NEW_SOURCE = "new_source"
 
 QUANTA_PER_MAG = 100_000  # a window bank point is a whole number of 1e-5 mag
-MAX_ABS_MAG = 100.0  # so a point's quanta fit int32, at most 1e7 in size
 # the longest window whose (window · 1e7)², bounding n·Σq² and (Σq)², fits int64: 303
 MAX_WINDOW = math.isqrt(2**63 - 1) // (int(MAX_ABS_MAG) * QUANTA_PER_MAG)
 
@@ -300,10 +299,10 @@ class WindowBank:
     def update_from_match(self, frame, matches):
         """Judge and absorb a frame's matched rows, read in place; returns
         ``(alerts, undo)``, the undo record as ``absorb`` returns it."""
-        rec = frame.records
+        rec, rows = frame.records, matches.matched_rows
         alerts, slots, quanta = self.judge(
-            frame.epoch, matches.star_ids, rec["calmag"], rec["mag_error"],
-            record_ids=rec["id"], camera_id=frame.camera_id, rows=matches.matched_rows,
+            frame.epoch, matches.star_ids[rows], rec["calmag"], rec["mag_error"],
+            record_ids=rec["id"], camera_id=frame.camera_id, rows=rows,
         )
         return alerts, self.absorb(slots, quanta)
 
@@ -363,8 +362,9 @@ class CandidateTracker:
             radius = self.config.match_radius_deg
             index = build_zone_index(tracks, self.config.zone_height_deg, radius)
             links = range_join(rec, index, radius)
-            claimed, first = np.unique(links.star_ids, return_index=True)
-            claimed_rows = links.matched_rows[first]
+            linked = links.matched_rows
+            claimed, first = np.unique(links.star_ids[linked], return_index=True)
+            claimed_rows = linked[first]
         opens = np.ones(len(rec), dtype=bool)
         opens[claimed_rows] = False
         new_rows = np.flatnonzero(opens)

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import SECONDS_PER_DAY, DomainError, EngineConfig, take_rows, write_csv
+from .core import SECONDS_PER_DAY, DomainError, EngineConfig, camera_of, take_rows, write_csv
 from .crossmatch import range_join
 from .mining import (
     CandidateTracker,
@@ -413,13 +413,7 @@ def replay_online(
             f"row {int(np.argmin(ordered)) + 1} breaks the (epoch, id) order "
             "replay_online needs"
         )
-    # a record id's top byte is its camera; min/max, not np.unique, as in query_curve
-    camera_id = int(ids.min() >> np.uint64(56))
-    if ids.max() >> np.uint64(56) != camera_id:
-        raise DomainError(
-            f"rows from cameras {np.unique(ids >> np.uint64(56)).tolist()}; star ids "
-            "are per camera, so replay one camera's rows at a time"
-        )
+    camera_id = camera_of(ids, "rows", "replay one camera's rows at a time")
     star_ids = np.unique(records["star_id"][records["star_id"] >= 0])
     bank = WindowBank(star_ids, mining)
     tracker = CandidateTracker(config, mining)

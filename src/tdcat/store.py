@@ -44,6 +44,8 @@ from pathlib import Path
 import numpy as np
 
 from .core import (
+    MAG_RULE,
+    MAX_ABS_MAG,
     RECORD_DTYPE,
     SECONDS_PER_DAY,
     TABLE2_COLUMNS,
@@ -60,6 +62,7 @@ from .core import (
     take_rows,
     write_csv,
 )
+from .crossmatch import UNMATCHED_STAR_ID
 
 TDS_MAGIC = b"TDS1"
 DELTA_MAGIC = b"TDL1"
@@ -70,8 +73,6 @@ _TAIL_DTYPE = np.dtype([("star_id", "<i8"), ("epoch", "<f8"), ("candidate", "u1"
 STORE_DTYPE = np.dtype(RECORD_DTYPE.descr + _TAIL_DTYPE.descr)
 RECORD_SIZE = RECORD_DTYPE.itemsize  # 162
 STORE_RECORD_SIZE = STORE_DTYPE.itemsize  # 179
-
-UNMATCHED_STAR_ID = -1
 
 # Base rows a merge reads at a time (45 MiB).  Above glibc's largest mmap
 # threshold (32 MiB), so each chunk is its own mapping, returned on free.
@@ -282,6 +283,8 @@ def frame_to_store_records(frame, matches) -> np.ndarray:
     Built in contiguous row blocks on every core (``core.row_blocks``), each
     block filling its own rows of the one output array, which sits in a page
     buffer behind the frame's TDL1 header for ``NightStore.delta_insert``.
+    A row whose id is not the result's, or whose ``calmag`` is NaN or not
+    inside ``(-MAX_ABS_MAG, MAX_ABS_MAG)``, raises DomainError.
     """
     records = frame.records
     if records.dtype != RECORD_DTYPE:
@@ -289,32 +292,26 @@ def frame_to_store_records(frame, matches) -> np.ndarray:
     records = np.ascontiguousarray(records)
     n = len(records)
     if matches.n_frame != n:
-        raise DomainError(
-            f"match result covers {matches.n_frame} records, frame has {n}"
-        )
+        raise DomainError(f"match result covers {matches.n_frame} records, frame has {n}")
     header = DELTA_MAGIC + np.uint64(n).tobytes() + np.float64(frame.epoch).tobytes()
     out = _page_buffer(header, n * STORE_RECORD_SIZE)[len(header):][: n * STORE_RECORD_SIZE]
     row_bytes = out.reshape(n, STORE_RECORD_SIZE)
     record_bytes = records.view(np.uint8).reshape(n, RECORD_SIZE)
-    matched_rows = matches.matched_rows  # in row order
-    if len(matched_rows) and len(matches.record_ids) != len(matched_rows):
-        raise DomainError("match result does not correspond to this frame")
 
     def block(lo, hi):
-        a, b = np.searchsorted(matched_rows, [lo, hi])
-        at = matched_rows[a:b] - lo
-        ids = np.ascontiguousarray(records["id"][lo:hi])  # gathered from 8-byte strides
-        if len(at) and not np.array_equal(ids[at], matches.record_ids[a:b]):
+        if not np.array_equal(records["id"][lo:hi], matches.ids[lo:hi]):
             raise DomainError("match result does not correspond to this frame")
+        inside = np.abs(records["calmag"][lo:hi]) < MAX_ABS_MAG  # NaN is not; before any write
+        if not inside.all():
+            i = lo + int(np.argmin(inside))
+            raise DomainError(f"row {i}: calmag {records['calmag'][i].item()!r} is not {MAG_RULE}")
         # The 17-byte tail is built apart, then each catalog row and its tail
         # are copied verbatim into their store row: two byte-block copies, no
         # strided pass over the output.
         tail = np.empty(hi - lo, _TAIL_DTYPE)
-        tail["star_id"] = UNMATCHED_STAR_ID
-        tail["star_id"][at] = matches.star_ids[a:b]
+        tail["star_id"] = matches.star_ids[lo:hi]
         tail["epoch"] = frame.epoch
-        tail["candidate"] = 1
-        tail["candidate"][at] = 0
+        tail["candidate"] = tail["star_id"] < 0
         row_bytes[lo:hi, :RECORD_SIZE] = record_bytes[lo:hi]
         row_bytes[lo:hi, RECORD_SIZE:] = tail.view(np.uint8).reshape(
             hi - lo, _TAIL_DTYPE.itemsize

@@ -166,7 +166,9 @@ def range_join_with_two_bisections(frame, template_index, radius_deg) -> MatchRe
 
     It runs in ``core.row_blocks`` and halves a block past
     ``crossmatch._PAIR_BUDGET`` pairs, read at call time, so a test that
-    patches either blocks both joins alike.
+    patches either blocks both joins alike; each block returns its rows'
+    star ids, separations and ambiguous count, and the blocks' are laid end
+    to end.
     """
     records = frame.records if hasattr(frame, "records") else frame
     n = len(records)
@@ -179,7 +181,13 @@ def range_join_with_two_bisections(frame, template_index, radius_deg) -> MatchRe
     def block(lo, hi):
         return _join_rows_with_two_bisections(records, ra, dec, lo, hi, template_index, radius_deg)
 
-    return crossmatch._laid_end_to_end(row_blocks(n, block))
+    return MatchResult(records["id"], *_laid_end_to_end(row_blocks(n, block)))
+
+
+def _laid_end_to_end(parts) -> tuple:
+    """The (star ids, separations, ambiguous count) of consecutive row ranges as one."""
+    star_ids, seps, ambiguous = zip(*parts)
+    return np.concatenate(star_ids), np.concatenate(seps), sum(ambiguous)
 
 
 def _join_rows_with_two_bisections(records, ra_all, dec_all, lo, hi, template_index, radius_deg):
@@ -222,7 +230,7 @@ def _join_rows_with_two_bisections(records, ra_all, dec_all, lo, hi, template_in
     length = np.concatenate(hit_len)
     if n > 1 and length.sum() > crossmatch._PAIR_BUDGET:
         mid = lo + n // 2
-        return crossmatch._laid_end_to_end(
+        return _laid_end_to_end(
             [_join_rows_with_two_bisections(records, ra_all, dec_all, a, b, template_index,
                                             radius_deg)
              for a, b in ((lo, mid), (mid, hi))]
@@ -257,26 +265,14 @@ def _join_rows_with_two_bisections(records, ra_all, dec_all, lo, hi, template_in
     first = order[np.unique(cand_rec[order], return_index=True)[1]]
     best[cand_rec[first]] = first
     matched = np.flatnonzero(best >= 0)
-    unmatched = np.flatnonzero(best < 0)
     chosen = best[matched]
-    sep = np.degrees(
+    sep = np.full(n, np.nan)
+    sep[matched] = np.degrees(
         2.0 * np.arcsin(np.minimum(1.0, np.sqrt(chord2[chosen]) / 2.0))
     )
-    ids = records["id"][lo:hi]
-    record_ids, unmatched_ids = ids[matched].astype(np.uint64), ids[unmatched].astype(np.uint64)
-    if lo:
-        matched += lo
-        unmatched += lo
-    return MatchResult(
-        record_ids=record_ids,
-        star_ids=template_index.ids[cand_tpl[chosen]],
-        separations_deg=sep,
-        unmatched_ids=unmatched_ids,
-        matched_rows=matched,
-        unmatched_rows=unmatched,
-        ambiguous_count=ambiguous_count,
-        n_frame=n,
-    )
+    star_ids = np.full(n, UNMATCHED_STAR_ID, np.int64)
+    star_ids[matched] = template_index.ids[cand_tpl[chosen]]
+    return star_ids, sep, ambiguous_count
 
 
 def lexsort_zone_ra_order(zone, ra) -> np.ndarray:
@@ -353,7 +349,7 @@ def column_store_records(frame, matches) -> np.ndarray:
     for name in TABLE2_COLUMNS:
         out[name] = records[name]
     out["star_id"] = UNMATCHED_STAR_ID
-    out["star_id"][matches.matched_rows] = matches.star_ids
+    out["star_id"][matches.matched_rows] = matches.star_ids[matches.matched_rows]
     out["candidate"] = 1
     out["candidate"][matches.matched_rows] = 0
     out["epoch"] = frame.epoch
@@ -719,6 +715,8 @@ class SourceRecord:
             v = getattr(self, name)
             if not (0.0 <= v <= 1.0):
                 problems.append(f"{name}={v} outside [0, 1]")
+        if not (-100.0 < self.calmag < 100.0):  # the window bank's range
+            problems.append(f"calmag={self.calmag} outside (-100, 100)")
         if problems:
             raise DomainError("invalid SourceRecord: " + "; ".join(problems))
 

@@ -485,8 +485,32 @@ def test_ingest_refuses_a_frame_whose_ids_name_two_cameras(tmp_path, capsys):
         rc = run_cli("ingest", "--data-dir", str(data), "--partition", "0", *template,
                      "--input", str(frame))
         assert rc == 1
-        assert f"{frame}: mixed cameras [0 1]" in capsys.readouterr().err
+        assert f"{frame}: rows from cameras [0, 1]; star ids are per camera" in (
+            capsys.readouterr().err
+        )
         assert not list(data.rglob("seg_*.tdl"))
+
+
+@pytest.mark.parametrize("calmag", [np.nan, 100.0])
+def test_ingest_and_crossmatch_refuse_a_frame_file_by_its_calmag_row(tmp_path, capsys, calmag):
+    gen, data = tmp_path / "gen", tmp_path / "d"
+    assert run_cli("generate", "--out", str(gen), "--frames", "2", "--stars", "60",
+                   "--seed", "2") == 0
+    frames = sorted(gen.glob("frame_*.tds"))
+    records = read_records_bin(frames[1])
+    records["calmag"][7] = calmag
+    write_records_bin(frames[1], records)
+    capsys.readouterr()
+    refusal = f"{frames[1]}: row 7: calmag {calmag!r} is not inside (-100, 100)"
+    template = ["--template", str(gen / "template.tds")]
+    assert run_cli("ingest", "--data-dir", str(data), "--partition", "0", *template,
+                   "--input", *map(str, frames)) == 1
+    assert refusal in capsys.readouterr().err
+    assert [p.name for p in sorted(data.rglob("seg_*.tdl"))] == ["seg_00000000.tdl"]
+    assert run_cli("crossmatch", *template, "--frame", *map(str, frames),
+                   "--out-matches", str(tmp_path / "m.csv"),
+                   "--out-candidates", str(tmp_path / "c.csv")) == 1
+    assert refusal in capsys.readouterr().err
 
 
 def test_ingest_without_template_stores_candidates(workflow, tmp_path):

@@ -494,7 +494,7 @@ CORRUPTIONS = {
     "ellipticity": [nan, -0.01, 1.01, 1.0],
     "class_star": [nan, 1.0 + 1e-12, -1e-12, 0.0],
     "background": [nan, -inf],
-    "calmag": [nan],
+    "calmag": [nan, inf, -inf, 100.0, -100.0, math.nextafter(100.0, 0.0), -99.5],
     "flux_err": [nan, -1.0],
     "flag": [-1],
 }

@@ -71,7 +71,7 @@ def assert_matches_oracle(frame_rec, tpl_rec, radius, zone_height=0.01):
     }
     assert set(int(u) for u in result.unmatched_ids) == want_unmatched
     # separations agree with the independent haversine formula
-    for row, sep in zip(result.matched_rows, result.separations_deg):
+    for row, sep in zip(result.matched_rows, result.separations_deg[result.matched_rows]):
         i = int(row)
         sid = got[int(frame_rec["id"][i])]
         j = int(np.nonzero(tpl_rec["id"] == sid)[0][0])
@@ -260,16 +260,16 @@ def test_edge_joins_return_exact_arrays(case):
     """Empty frames and empty candidate sets go through the general path."""
     tpl = make_records([10.0, 10.001], [5.0, 5.0], ids=[7, 8])
     frame = make_records([], [])
-    # record_ids, star_ids, unmatched_ids, matched_rows, unmatched_rows,
+    # ids, star_ids, unmatched_ids, matched_rows, unmatched_rows,
     # ambiguous_count, n_frame
     want = ([], [], [], [], [], 0, 0)
     if case == "empty_frame_empty_index":
         tpl = make_records([], [])
     elif case == "no_candidates":
         frame = make_records([200.0, 201.0], [-40.0, -40.0], ids=[3, 4])
-        want = ([], [], [3, 4], [], [0, 1], 0, 2)
+        want = ([3, 4], [-1, -1], [3, 4], [], [0, 1], 0, 2)
     result = range_join(frame, build_zone_index(tpl, 0.01, 0.003), 0.003)
-    names = ("record_ids", "star_ids", "unmatched_ids", "matched_rows",
+    names = ("ids", "star_ids", "unmatched_ids", "matched_rows",
              "unmatched_rows")
     dtypes = (np.uint64, np.int64, np.uint64, np.int64, np.int64)
     for name, dtype, values in zip(names, dtypes, want):
@@ -277,13 +277,8 @@ def test_edge_joins_return_exact_arrays(case):
         assert got.dtype == dtype and got.ndim == 1, name
         assert got.tolist() == values, name
     assert result.separations_deg.dtype == np.float64
-    tpl_row = {int(i): j for j, i in enumerate(tpl["id"])}
-    want_sep = [
-        haversine_deg(frame["ra"][r], frame["dec"][r],
-                      tpl["ra"][tpl_row[s]], tpl["dec"][tpl_row[s]])
-        for r, s in zip(want[3], want[1])
-    ]
-    assert result.separations_deg.tolist() == pytest.approx(want_sep, abs=1e-12)
+    assert result.separations_deg.shape == (want[6],)
+    assert np.all(np.isnan(result.separations_deg))  # no row has a star in radius
     assert result.ambiguous_count == want[5]
     assert result.n_frame == want[6]
 
@@ -444,8 +439,8 @@ def assert_result_arrays_match_oracle(frame, tpl, radius, zone_height, reach=Non
     hit = np.array([o is not None for o in oracle], dtype=bool)
     rows = np.flatnonzero(hit)
     expected = {
-        "record_ids": frame["id"][rows].astype(np.uint64),
-        "star_ids": np.array([oracle[i][0] for i in rows], dtype=np.int64),
+        "ids": frame["id"].astype(np.uint64),
+        "star_ids": np.array([o[0] if o else -1 for o in oracle], dtype=np.int64),
         "unmatched_ids": frame["id"][~hit].astype(np.uint64),
         "matched_rows": rows.astype(np.int64),
         "unmatched_rows": np.flatnonzero(~hit).astype(np.int64),
@@ -456,8 +451,9 @@ def assert_result_arrays_match_oracle(frame, tpl, radius, zone_height, reach=Non
         assert np.array_equal(got, want), name
     assert result.separations_deg.dtype == np.float64
     np.testing.assert_allclose(
-        result.separations_deg, [oracle[i][1] for i in rows], rtol=0, atol=1e-10
+        result.separations_deg[rows], [oracle[i][1] for i in rows], rtol=0, atol=1e-10
     )
+    assert np.all(np.isnan(result.separations_deg[~hit]))
     assert result.ambiguous_count == int(np.count_nonzero(counts > 1))
     assert result.n_frame == len(frame)
     return result, counts
@@ -713,19 +709,15 @@ def test_zone_band_edges_match_every_pair_oracle(h, radius):
     want_star, want_sep, want_count = brute_force_chord_match(
         xyz_of(frame), tpl["id"], xyz_of(tpl), radius
     )
-    star = np.full(len(frame), -1, np.int64)
-    star[result.matched_rows] = result.star_ids
-    assert np.array_equal(star, want_star)
+    assert np.array_equal(result.star_ids, want_star)
     assert result.ambiguous_count == int(np.count_nonzero(want_count > 1))
-    np.testing.assert_allclose(
-        result.separations_deg, want_sep[result.matched_rows], rtol=1e-12, atol=0
-    )
+    np.testing.assert_allclose(result.separations_deg, want_sep, rtol=1e-12, atol=0)
     # the field holds rows whose match sits past the unpadded band [dec - r, dec + r]
     star_zone = dict(zip(tpl["id"].astype(np.int64), zone_of(tpl["dec"], h)))
     dec = frame["dec"][result.matched_rows]
     lo = zone_of(np.clip(dec - radius, -90, 90), h)
     hi = zone_of(np.clip(dec + radius, -90, 90), h)
-    z = np.array([star_zone[s] for s in result.star_ids])
+    z = np.array([star_zone[s] for s in result.star_ids[result.matched_rows]])
     assert np.any((z < lo) | (z > hi))
     assert result.n_unmatched > 0
 
@@ -777,8 +769,7 @@ def test_join_and_index_refuse_rows_without_adjacent_native_xyz(layout):
 # ---------------------------------------------------------------------------
 # row blocks and the pair budget
 
-MATCH_ARRAYS = ("record_ids", "star_ids", "separations_deg", "unmatched_ids",
-                "matched_rows", "unmatched_rows")
+MATCH_ARRAYS = ("ids", "star_ids", "separations_deg")
 
 
 def assert_same_result(got, want):
@@ -815,6 +806,30 @@ def test_any_blocking_gives_the_same_bytes(monkeypatch, four_lanes, centre):
     n_blocks = -(-len(frame) // 7)
     edges = [k * len(frame) // n_blocks for k in range(1, n_blocks)]
     assert any(counts[e - 1] > 1 and counts[e] > 1 for e in edges)
+
+
+def test_every_row_is_written_by_its_own_block(monkeypatch, four_lanes):
+    """Blocks of 5 rows and a pair budget that halves each: every row's star id
+    and separation, unmatched rows included, are the chord oracle's and a
+    one-block join's bytes, and ``ids`` is the frame's own column."""
+    rng = np.random.default_rng(34)
+    frame, tpl = crowded_field(rng, 120.0, -35.0, 0.02, 600, duplicate_every=2)
+    index, radius = build_zone_index(tpl, 0.01, 0.002), 0.002
+    monkeypatch.setattr(core, "_BLOCK_ROWS", len(frame))
+    whole = range_join(frame, index, radius)
+    monkeypatch.setattr(core, "_BLOCK_ROWS", 5)
+    monkeypatch.setattr(crossmatch, "_PAIR_BUDGET", 4)
+    got = range_join(frame, index, radius)
+    assert_same_result(got, whole)
+    want_star, want_sep, want_count = brute_force_chord_match(
+        xyz_of(frame), tpl["id"], xyz_of(tpl), radius
+    )
+    assert got.star_ids.dtype == np.int64 and got.star_ids.tobytes() == want_star.tobytes()
+    assert np.array_equal(np.isnan(got.separations_deg), want_star == -1)
+    np.testing.assert_allclose(got.separations_deg, want_sep, rtol=1e-12, atol=0)
+    assert got.ambiguous_count == int(np.count_nonzero(want_count > 1)) > 0
+    assert 0 < got.n_unmatched < len(frame)
+    assert np.shares_memory(got.ids, frame) and got.ids.tobytes() == frame["id"].tobytes()
 
 
 def test_off_sky_rows_in_several_blocks_name_the_row_one_block_names(monkeypatch, four_lanes):

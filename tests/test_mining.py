@@ -19,6 +19,7 @@ from tdcat.core import (
     records_from_radec,
 )
 from tdcat import core
+from tdcat.crossmatch import UNMATCHED_STAR_ID, MatchResult
 from tdcat.mining import (
     BRIGHTENING,
     DIMMING,
@@ -439,7 +440,7 @@ def test_judge_names_unknown_star_ids_of_the_lowest_failing_block(monkeypatch):
 
 
 def test_update_from_match_reads_the_frame_in_place_and_returns_its_undo():
-    """Frames with duplicate-star matches, rows picked out of frame order:
+    """Frames with duplicate-star matches, 60 of 70 rows matched at random:
     ``update_from_match`` gives the alerts and the bank of ``update`` on the
     gathered columns, as does ``update(rows=)``; ``restore(undo)`` puts the
     pre-frame bank back bit for bit; an unknown star id changes nothing."""
@@ -459,7 +460,11 @@ def test_update_from_match_reads_the_frame_in_place_and_returns_its_undo():
         star_ids = rng.choice(stars, 60)  # most stars twice or more
         if f == 20:
             star_ids[33] = 2  # not in the bank
-        matches = types.SimpleNamespace(star_ids=star_ids, matched_rows=rows)
+        per_row = np.full(width, UNMATCHED_STAR_ID)  # the result's one entry per row
+        per_row[rows] = star_ids
+        matches = MatchResult(records["id"], per_row, np.zeros(width), 0)
+        rows = matches.matched_rows  # the points come in row order
+        star_ids = per_row[rows]
         rec, before = frame.records, bank_state(live)
         gather = (15.0 * f, star_ids, rec["calmag"][rows], rec["mag_error"][rows])
         if f == 20:

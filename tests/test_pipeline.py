@@ -197,7 +197,8 @@ def test_failed_insert_leaves_every_detector_as_it_was(tmp_path, monkeypatch, fa
     elif failure == "duplicate-star":  # row 5 is row 4 again: one star matched twice
         records = frames[11].records.copy()
         records[5] = records[4]
-        star_ids = range_join(records, _WORKER_TEMPLATE.index, CFG.match_radius_deg).star_ids
+        matches = range_join(records, _WORKER_TEMPLATE.index, CFG.match_radius_deg)
+        star_ids = matches.star_ids[matches.matched_rows]
         assert len(np.unique(star_ids)) < len(star_ids)
         with pytest.raises(DomainError, match=f"record id {records['id'][4]} repeats"):
             worker.process_frame(replace(frames[11], records=records))
@@ -222,6 +223,33 @@ def test_failed_insert_leaves_every_detector_as_it_was(tmp_path, monkeypatch, fa
 
     del worker, reference
     assert insert_threads() == threads
+
+
+@pytest.mark.parametrize("calmag", [np.nan, 100.0, -np.inf])
+def test_a_calmag_outside_the_banks_range_is_refused_before_its_segment(tmp_path, calmag):
+    """Refused on the calling thread, before the insert: no segment is written,
+    neither detector changes, and the next clean frame is taken as if the bad
+    one had never come."""
+    model = SkyModel(seed=8, star_count=500, footprint=(30.0, 32.0, -1.0, 1.0))
+    template = build_template(model, CFG)
+    frames = [observe_frame(template, 15.0 * k, EVENTS, model, CFG) for k in range(5)]
+    worker, reference = (PartitionWorker(0, template, CFG, MINING, data_dir=tmp_path / name)
+                         for name in ("worker", "reference"))
+    for f in frames[:3]:
+        worker.process_frame(f)
+        reference.process_frame(f)
+    before = detector_state(worker)
+    records = frames[3].records.copy()
+    records["calmag"][7] = calmag
+    with pytest.raises(DomainError, match=rf"^row 7: calmag {calmag!r} is not inside \(-100, "):
+        worker.process_frame(replace(frames[3], records=records))
+    assert len(list((tmp_path / "worker").rglob("seg_*.tdl"))) == 3
+    assert detector_state(worker) == before
+    for f in frames[3:]:
+        got, want = worker.process_frame(f), reference.process_frame(f)
+        assert [asdict(a) for a in got.alerts] == [asdict(a) for a in want.alerts]
+    assert detector_state(worker) == detector_state(reference)
+    assert product_files(tmp_path / "worker") == product_files(tmp_path / "reference")
 
 
 def test_insert_thread_starts_with_the_first_frame_and_ends_with_the_worker(tmp_path):

@@ -1,5 +1,6 @@
 import errno
 import os
+import re
 import shutil
 import stat
 import tempfile
@@ -20,6 +21,7 @@ from hypothesis.stateful import (
 )
 
 import tdcat.store as store_mod
+from tdcat import core
 from tdcat.core import (
     RECORD_DTYPE,
     TABLE2_COLUMNS,
@@ -27,6 +29,7 @@ from tdcat.core import (
     EngineConfig,
     SequenceError,
     StorageError,
+    check_records,
     radec_to_cartesian,
     separation_to_chord,
     take_rows,
@@ -219,6 +222,20 @@ def test_frame_to_store_records_rejects_mismatch(sky):
         frame_to_store_records(other_frame, matches)
 
 
+def test_frame_to_store_records_refuses_ids_that_differ_in_an_unmatched_row_only(sky):
+    template, _ = sky
+    frame = observe_frame(template, 165.0, [], MODEL, CFG)
+    half = build_zone_index(template.to_records(CFG)[::2], CFG.zone_height_deg,
+                            CFG.match_radius_deg)
+    matches = range_join(frame.records, half, CFG.match_radius_deg)
+    assert matches.n_matched and matches.n_unmatched
+    for rows in (matches.unmatched_rows, matches.matched_rows):
+        ids = frame.records["id"].copy()
+        ids[rows[len(rows) // 2]] += np.uint64(1)
+        with pytest.raises(DomainError, match="^match result does not correspond to this frame$"):
+            frame_to_store_records(frame, replace(matches, ids=ids))
+
+
 def assert_store_rows_match_reference(frame, matches):
     rows = frame_to_store_records(frame, matches)
     want = column_store_records(frame, matches)
@@ -251,13 +268,34 @@ def test_store_rows_keep_nan_and_negative_zero(sky):
     frame, matches = frame_at(sky, 105.0)
     records = frame.records.copy()
     floats = [name for name in TABLE2_COLUMNS if records.dtype[name].kind == "f"]
+    nan_ok = [name for name in floats if name != "calmag"]  # a NaN calmag is refused
     for name in floats:
-        records[name][0::3] = np.nan
         records[name][1::3] = -0.0
+    for name in nan_ok:
+        records[name][0::3] = np.nan
     rows = assert_store_rows_match_reference(replace(frame, records=records), matches)
     for name in floats:
-        assert np.all(np.isnan(rows[name][0::3]))
         assert np.all(np.signbit(rows[name][1::3]) & (rows[name][1::3] == 0.0))
+    for name in nan_ok:
+        assert np.all(np.isnan(rows[name][0::3]))
+
+
+@pytest.mark.parametrize("calmag", [np.nan, np.inf, 100.0, -100.0])
+def test_frame_to_store_records_refuses_a_calmag_outside_the_banks_range(
+    monkeypatch, four_lanes, sky, calmag
+):
+    """In any row block, the lowest bad row named, as ``check_records`` names it."""
+    frame, matches = frame_at(sky, 150.0)
+    records = frame.records.copy()
+    records["calmag"][[17, 40]] = 99.99999, -99.99999  # inside the range: stored
+    monkeypatch.setattr(core, "_BLOCK_ROWS", 8)
+    assert_store_rows_match_reference(replace(frame, records=records), matches)
+    records["calmag"][[61, 33]] = -np.inf, calmag
+    refusal = re.escape(f"row 33: calmag {calmag!r} is not inside (-100, 100)")
+    with pytest.raises(DomainError, match=f"^{refusal}$"):
+        frame_to_store_records(replace(frame, records=records), matches)
+    with pytest.raises(DomainError, match=f"^{refusal}$"):
+        check_records(records, CFG)
 
 
 def test_store_rows_for_empty_frame(sky):
