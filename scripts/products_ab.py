@@ -5,8 +5,10 @@ Each side's ``src/`` is exported under ``--scratch`` and runs one fixed CLI
 script in a child process of its own, in an empty directory, with every path
 relative to it (``SCRIPT``): ``generate`` (two nights), ``crossmatch``,
 ``ingest`` with and without ``--template``, ``mine online``, ``merge`` and
-``mine online`` again, ``query --star`` and ``mine period --out`` on
-partition 0, and ``run-night --partitions 2 --merge`` with injections.
+``mine online`` again, ``query --star`` with and without ``--partitions``,
+``mine online`` over an epoch window, ``mine period --out`` on partition 0 and
+over night 1, ``generate --format csv`` and ``crossmatch`` of those CSV files,
+and ``run-night --partitions 2 --merge`` with injections.
 
     python3 scripts/products_ab.py --base HEAD~1 --change HEAD \\
         --scratch /tmp/tdcat-products-ab
@@ -51,8 +53,17 @@ SCRIPT = [
     ["merge", "--data-dir", "data", "--partition", "0"],
     ["mine", "online", "--data-dir", "data", "--out", "online_base.csv"],
     ["query", "--data-dir", "data", "--star", "5", "--partitions", "0", "--out", "curve.csv"],
+    ["query", "--data-dir", "data", "--star", "5", "--out", "curve_all.csv"],
+    ["mine", "online", "--data-dir", "data", "--partitions", "0", "--epoch-min", "30",
+     "--epoch-max", "86580", "--out", "online_window.csv"],
     ["mine", "period", "--data-dir", "data", "--star", "5", "--partitions", "0",
      "--out", "periodogram.csv"],
+    ["mine", "period", "--data-dir", "data", "--star", "5", "--epoch-min", "86400",
+     "--out", "periodogram_night1.csv"],
+    ["generate", "--out", "gencsv", "--format", "csv", "--frames", "3", "--stars", "100",
+     "--seed", "6", "--new-sources", "1"],
+    ["crossmatch", "--template", "gencsv/template.csv", "--frame", "gencsv/frame_*",
+     "--out-matches", "matches_csv.csv", "--out-candidates", "candidates_csv.csv"],
     ["run-night", "--data-dir", "night", "--partitions", "2", "--merge", "--frames", "14",
      "--stars", "200", "--seed", "4", "--new-sources", "2", "--brightenings", "2"],
 ]

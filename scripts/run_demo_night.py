@@ -16,7 +16,7 @@ from tdcat.core import EngineConfig
 from tdcat.mining import MiningConfig, read_alerts_csv
 from tdcat.pipeline import replay_online, run_night
 from tdcat.skygen import read_truth_log
-from tdcat.store import QueryPredicate, open_partitions, query_stores
+from tdcat.store import open_partitions, query_stores
 
 
 def main(argv=None) -> int:
@@ -56,7 +56,7 @@ def main(argv=None) -> int:
 
     # offline path 1: cross-partition query for the bright end of the night
     stores = open_partitions(args.out, range(args.partitions))
-    bright = query_stores(stores, QueryPredicate(mag_max=11.0))
+    bright = query_stores(stores, mag_max=11.0)
     print(f"\ncross-partition query mag <= 11: {len(bright)} stored records")
 
     # offline path 2: replay the online detector from each store and compare

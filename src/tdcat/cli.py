@@ -57,7 +57,6 @@ from .store import (
     STORE_RECORD_SIZE,
     TDS_MAGIC,
     NightStore,
-    QueryPredicate,
     capacity_plan,
     capacity_table,
     frame_to_store_records,
@@ -128,12 +127,11 @@ def _star_count(args) -> int:
     return DENSITY_PRESETS[getattr(args, "density", None) or "1/100"]
 
 
-def _read_interchange(path, config: EngineConfig, fmt=None) -> np.ndarray:
-    """Rows of a ``bin`` or ``csv`` file (sniffed if ``fmt`` is None), checked."""
-    if fmt is None:
-        with open(path, "rb") as fh:
-            fmt = "bin" if fh.read(4) == TDS_MAGIC else "csv"
-    records = read_records_bin(path) if fmt == "bin" else read_records_csv(path)
+def _read_interchange(path, config: EngineConfig) -> np.ndarray:
+    """Rows of a TDS1 file (by its magic) or else a CSV file, checked."""
+    with open(path, "rb") as fh:
+        binary = fh.read(4) == TDS_MAGIC
+    records = read_records_bin(path) if binary else read_records_csv(path)
     try:
         check_records(records, config)
     except DomainError as exc:
@@ -141,10 +139,20 @@ def _read_interchange(path, config: EngineConfig, fmt=None) -> np.ndarray:
     return records
 
 
-def _stores_of(args, root: Path) -> list:
-    """The stores of ``--partitions``, else of every partition under ``root``."""
-    ids = [int(p) for p in args.partitions.split(",")] if args.partitions else None
-    return open_partitions(root, ids)
+def id_list(text: str) -> list:
+    """The distinct integers >= 0 of a comma-separated list (an argparse ``type``)."""
+    ids = [int(part) if part.strip().isdecimal() else -1 for part in text.split(",")]
+    if min(ids) < 0 or len(set(ids)) < len(ids):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a list of distinct integers >= 0")
+    return ids
+
+
+def _curve_of(args):
+    """The light curve of ``--star`` under the ``--partitions``/``--epoch-*`` flags."""
+    return query_curve(
+        open_partitions(data_dir_of(args), args.partitions), args.star,
+        epoch_min=args.epoch_min, epoch_max=args.epoch_max,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +200,7 @@ def cmd_ingest(args) -> int:
     )
     index = build_zone_index(template, config.zone_height_deg, config.match_radius_deg)
     for path in args.input:
-        records = _read_interchange(path, config, args.format)
+        records = _read_interchange(path, config)
         if not len(records):
             raise EngineError(f"{path}: empty frame file")
         imageids = np.unique(records["imageid"])
@@ -306,10 +314,7 @@ def cmd_run_night(args) -> int:
 
 
 def cmd_query(args) -> int:
-    curve = query_curve(
-        _stores_of(args, data_dir_of(args)), args.star,
-        epoch_min=args.epoch_min, epoch_max=args.epoch_max,
-    )
+    curve = _curve_of(args)
     write_csv(args.out, curve.points.dtype.names, curve.points.tolist())
     print(
         f"star {args.star}: {curve.n_points} points"
@@ -322,11 +327,11 @@ def cmd_query(args) -> int:
 def cmd_mine_online(args) -> int:
     config, mining = build_configs(args)
     root = data_dir_of(args)
-    stores = _stores_of(args, root)
-    window = QueryPredicate(epoch_min=args.epoch_min, epoch_max=args.epoch_max)
+    stores = open_partitions(root, args.partitions)
     alerts = []
     for store in stores:  # star ids are per camera: replay each on its own
-        alerts.extend(replay_online(query_stores([store], window), config, mining))
+        rows = query_stores([store], epoch_min=args.epoch_min, epoch_max=args.epoch_max)
+        alerts.extend(replay_online(rows, config, mining))
     out = args.out or str(root / "alerts_mined.csv")
     write_alerts_csv(out, alerts)
     parts = [s.partition_id for s in stores]
@@ -336,10 +341,7 @@ def cmd_mine_online(args) -> int:
 
 def cmd_mine_period(args) -> int:
     _, mining = build_configs(args)
-    curve = query_curve(
-        _stores_of(args, data_dir_of(args)), args.star,
-        epoch_min=args.epoch_min, epoch_max=args.epoch_max,
-    )
+    curve = _curve_of(args)
     result = period_search(curve.epochs, curve.mags, mining)
     if args.out:
         freqs, power = result.scan
@@ -389,9 +391,8 @@ def cmd_bench_cadence(args) -> int:
 
 def cmd_bench_scaling(args) -> int:
     config, mining = build_configs(args)
-    workers = [int(w) for w in args.workers.split(",")]
     points = scaling_benchmark(
-        workers,
+        args.workers,
         n_partitions=args.partitions,
         n_frames=args.frames,
         stars_per_partition=_star_count(args),
@@ -440,6 +441,19 @@ def build_parser() -> argparse.ArgumentParser:
         "--data-dir",
         help=f"data directory root (default: ${DATA_DIR_ENV} or ./tdcat-data)",
     )
+    sky = argparse.ArgumentParser(add_help=False)  # the simulated sky
+    g = sky.add_mutually_exclusive_group()
+    g.add_argument(
+        "--density", choices=sorted(DENSITY_PRESETS), default=None,
+        help="preset star density per partition (default 1/100)",
+    )
+    g.add_argument("--stars", type=int, help="explicit star count per partition")
+    sky.add_argument("--seed", type=int, default=0)
+    reads = argparse.ArgumentParser(add_help=False)  # which stored rows a read takes
+    reads.add_argument("--partitions", type=id_list,
+                       help="comma-separated partition ids (default: all)")
+    reads.add_argument("--epoch-min", type=float, default=None)
+    reads.add_argument("--epoch-max", type=float, default=None)
 
     parser = argparse.ArgumentParser(
         prog="tdcat",
@@ -450,22 +464,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def density_flags(p):
-        g = p.add_mutually_exclusive_group()
-        g.add_argument(
-            "--density", choices=sorted(DENSITY_PRESETS), default=None,
-            help="preset star density per partition (default 1/100)",
-        )
-        g.add_argument("--stars", type=int, help="explicit star count per partition")
-
     p = sub.add_parser(
-        "generate", parents=[common],
+        "generate", parents=[common, sky],
         help="write a synthetic template, frame files and a truth log",
     )
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--frames", type=int, default=10)
-    density_flags(p)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--night", type=int, default=0)
     p.add_argument("--camera", type=int, default=0)
     p.add_argument("--new-sources", type=int, default=0)
@@ -479,8 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--partition", type=int, required=True)
     p.add_argument("--night", type=int, default=None,
                    help="expected night id (validated against frame epochs)")
-    p.add_argument("--input", nargs="+", required=True, help="frame file(s)")
-    p.add_argument("--format", choices=("bin", "csv"), default="bin")
+    p.add_argument("--input", nargs="+", required=True, help="frame file(s), TDS1 or CSV")
     p.add_argument("--template", help="template file to cross-match against; "
                    "without it every record is stored as a candidate")
     p.set_defaults(func=cmd_ingest)
@@ -506,14 +509,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_crossmatch)
 
     p = sub.add_parser(
-        "run-night", parents=[common],
+        "run-night", parents=[common, sky],
         help="simulate a full night across shared-nothing partitions",
     )
     p.add_argument("--partitions", type=int, default=1)
     p.add_argument("--frames", type=int, default=None,
                    help="frames per partition (default: full night)")
-    density_flags(p)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--night", type=int, default=0)
     p.add_argument("--inject", help="truth-log file of injections to replay "
                    "(camera_id routes each event to its partition)")
@@ -529,12 +530,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_run_night)
 
     p = sub.add_parser(
-        "query", parents=[common], help="emit one star's light curve as CSV"
+        "query", parents=[common, reads], help="emit one star's light curve as CSV"
     )
     p.add_argument("--star", type=int, required=True)
-    p.add_argument("--partitions", help="comma-separated partition ids (default: all)")
-    p.add_argument("--epoch-min", type=float, default=None)
-    p.add_argument("--epoch-max", type=float, default=None)
     p.add_argument("--out", help="output file (default: stdout)")
     p.set_defaults(func=cmd_query)
 
@@ -542,22 +540,16 @@ def build_parser() -> argparse.ArgumentParser:
     mine_sub = p.add_subparsers(dest="mine_command", required=True)
 
     p = mine_sub.add_parser(
-        "online", parents=[common],
+        "online", parents=[common, reads],
         help="replay stored records through the online detectors",
     )
-    p.add_argument("--partitions", help="comma-separated partition ids (default: all)")
-    p.add_argument("--epoch-min", type=float, default=None)
-    p.add_argument("--epoch-max", type=float, default=None)
     p.add_argument("--out", help="alerts file (default: DATA_DIR/alerts_mined.csv)")
     p.set_defaults(func=cmd_mine_online)
 
     p = mine_sub.add_parser(
-        "period", parents=[common], help="periodogram search for one star"
+        "period", parents=[common, reads], help="periodogram search for one star"
     )
     p.add_argument("--star", type=int, required=True)
-    p.add_argument("--partitions", help="comma-separated partition ids (default: all)")
-    p.add_argument("--epoch-min", type=float, default=None)
-    p.add_argument("--epoch-max", type=float, default=None)
     p.add_argument("--fap", type=float, default=None)
     p.add_argument("--oversample", type=int, default=None)
     p.add_argument("--out", help="write (frequency, power) rows here")
@@ -567,23 +559,19 @@ def build_parser() -> argparse.ArgumentParser:
     bench_sub = p.add_subparsers(dest="bench_command", required=True)
 
     p = bench_sub.add_parser(
-        "cadence", parents=[common], help="time the per-frame processing chain"
+        "cadence", parents=[common, sky], help="time the per-frame processing chain"
     )
     p.add_argument("--frames", type=int, default=120)
-    density_flags(p)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write per-frame timings CSV here")
     p.set_defaults(func=cmd_bench_cadence)
 
     p = bench_sub.add_parser(
-        "scaling", parents=[common], help="partition-parallel speedup"
+        "scaling", parents=[common, sky], help="partition-parallel speedup"
     )
-    p.add_argument("--workers", default="1,2,4",
+    p.add_argument("--workers", type=id_list, default=[1, 2, 4],
                    help="comma-separated worker counts (default 1,2,4)")
     p.add_argument("--partitions", type=int, default=4)
     p.add_argument("--frames", type=int, default=60)
-    density_flags(p)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write the scaling table CSV here")
     p.set_defaults(func=cmd_bench_scaling)
 
@@ -609,15 +597,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (EngineError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except EngineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ConfigError) else 1
 
 
 if __name__ == "__main__":

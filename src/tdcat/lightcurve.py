@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DomainError, SequenceError, camera_of
-from .store import QueryPredicate, query_stores
+from .store import query_stores
 
 POINT_DTYPE = np.dtype(
     [
@@ -167,8 +167,8 @@ def query_curve(
     epoch_max: float | None = None,
 ) -> LightCurve:
     """Assemble one star's curve from persisted partition stores."""
-    pred = QueryPredicate(star_id, epoch_min, epoch_max, include_candidates=False)
-    rec = query_stores(stores, pred)
+    rec = query_stores(stores, star_id=star_id, epoch_min=epoch_min, epoch_max=epoch_max,
+                       include_candidates=False)
     camera_of(rec["id"], f"star {star_id} has rows", "read one camera's partition (--partitions)")
     points = np.zeros(len(rec), dtype=POINT_DTYPE)
     for name in POINT_DTYPE.names:

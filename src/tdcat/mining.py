@@ -26,8 +26,8 @@ from dataclasses import astuple, dataclass, field
 import numpy as np
 
 from .core import (
-    MAX_ABS_MAG, ConfigError, DomainError, EngineConfig, InsufficientDataError, csv_columns,
-    read_csv, row_blocks, write_csv,
+    MAG_RULE, MAX_ABS_MAG, ConfigError, DomainError, EngineConfig, InsufficientDataError,
+    csv_columns, read_csv, row_blocks, write_csv,
 )
 from .crossmatch import build_zone_index, range_join
 
@@ -347,10 +347,17 @@ class CandidateTracker:
     def update(self, epoch, unmatched_records, camera_id=0):
         """Feed one frame's unmatched detections; returns new-source alerts.
 
-        The previous track array is left as it was, for ``restore``.
+        The previous track array is left as it was, for ``restore``.  A
+        ``calmag`` that is NaN or not ``MAG_RULE`` raises ``DomainError``
+        naming its row, before anything changes.
         """
         epoch = float(epoch)
         rec = unmatched_records
+        inside = np.abs(rec["calmag"]) < MAX_ABS_MAG  # NaN is not
+        if not inside.all():
+            k = int(np.argmin(inside))
+            raise DomainError(f"unmatched row {k} (id {rec['id'][k]}): calmag "
+                              f"{rec['calmag'][k].item()!r} is not {MAG_RULE}")
         tracks = self._tracks
         self._previous = (tracks, self._last_epoch)
         if epoch - self._last_epoch > 1.5 * self.config.cadence_s:

@@ -118,8 +118,9 @@ class PartitionWorker:
         the segment's file-system calls while the calling thread runs both
         detectors: the window bank judges the frame against the pre-frame
         baselines and absorbs it, then the tracker takes the unmatched rows.
-        If the insert fails, the bank and the tracker are restored bit for bit
-        to their pre-frame state and the insert's error is raised here.
+        If the insert or a detector fails, the bank and the tracker are
+        restored bit for bit to their pre-frame state and the error is raised
+        here.
         """
         t0 = time.perf_counter()
         matches = range_join(
@@ -137,22 +138,22 @@ class PartitionWorker:
             del rows  # freed once written
         undo, tracked = None, False
         try:
-            alerts, undo = self.bank.update_from_match(frame, matches)
-            t3 = time.perf_counter()
-            unmatched = take_rows(frame.records, matches.unmatched_rows)
-            alerts.extend(self.tracker.update(frame.epoch, unmatched, frame.camera_id))
-            tracked = True
-            t4 = time.perf_counter()
-        finally:  # the insert has ended, one way or the other, before any return
-            if insert is not None:
-                try:
+            try:
+                alerts, undo = self.bank.update_from_match(frame, matches)
+                t3 = time.perf_counter()
+                unmatched = take_rows(frame.records, matches.unmatched_rows)
+                alerts.extend(self.tracker.update(frame.epoch, unmatched, frame.camera_id))
+                tracked = True
+                t4 = time.perf_counter()
+            finally:  # the insert has ended, one way or the other, before any return
+                if insert is not None:
                     durable = insert.result()
-                except BaseException:
-                    if tracked:
-                        self.tracker.restore()
-                    if undo is not None:
-                        self.bank.restore(undo)
-                    raise
+        except BaseException:
+            if tracked:
+                self.tracker.restore()
+            if undo is not None:
+                self.bank.restore(undo)
+            raise
         return FrameOutcome(
             imageid=frame.imageid,
             epoch=frame.epoch,
@@ -348,8 +349,8 @@ def run_night(
     """
     config = config or EngineConfig()
     mining = mining or MiningConfig()
-    if n_partitions < 1:
-        raise DomainError(f"n_partitions must be >= 1, got {n_partitions}")
+    if not 1 <= n_partitions <= 256:  # a partition's id is its camera byte
+        raise DomainError(f"n_partitions must be in [1, 256], got {n_partitions}")
     run = partial(
         _run_partition,
         out_dir=out_dir,
@@ -466,6 +467,8 @@ def scaling_benchmark(
     Efficiency is serial wall time divided by (workers x parallel wall time);
     the serial baseline is always measured first with one worker.
     """
+    if any(w < 1 for w in worker_counts):  # an efficiency divides by it
+        raise DomainError(f"worker counts must be >= 1, got {list(worker_counts)}")
     config = config or EngineConfig()
     mining = mining or MiningConfig()
 

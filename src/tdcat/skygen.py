@@ -31,9 +31,7 @@ from .core import (
     zone_ra_order,
 )
 from .crossmatch import ZoneIndex, build_zone_index, range_join
-
-NEW_SOURCE = "new_source"
-BRIGHTENING = "brightening"
+from .mining import BRIGHTENING, NEW_SOURCE
 
 # ~5000 deg^2, the full camera-array footprint; per-camera slices divide it.
 DEFAULT_FOOTPRINT = (0.0, 100.0, -25.8686, 25.8686)
@@ -249,6 +247,8 @@ def observe_frame(
     injections): the frame RNG stream is keyed by the epoch index, not by
     call order.
     """
+    if not 0 <= camera_id <= 255:
+        raise ConfigError(f"camera_id {camera_id} is outside [0, 255], the record id's top byte")
     config = config or EngineConfig()
     idx = epoch_index(epoch, config.cadence_s)
     rng = np.random.default_rng((model.seed, _FRAME_STREAM, idx))

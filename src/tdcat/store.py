@@ -552,7 +552,7 @@ class NightStore:
         mag_max: float | None = None,
         include_candidates: bool = True,
     ) -> np.ndarray:
-        """The rows of all layers that pass every ``QueryPredicate`` clause given.
+        """The rows of all layers that pass every clause given; a cone is (ra, dec, radius) in deg.
 
         Each layer is filtered as it is read, so only those rows reach the
         (epoch, id) sort; a star query bisects the base.
@@ -590,19 +590,6 @@ class PartitionError(EngineError):
     """A partition store is missing or unreadable during a cross-partition read."""
 
 
-@dataclass
-class QueryPredicate:
-    """Conjunctive row filter for ``query_stores``."""
-
-    star_id: int | None = None
-    epoch_min: float | None = None
-    epoch_max: float | None = None
-    cone: tuple | None = None  # (ra_deg, dec_deg, radius_deg)
-    mag_min: float | None = None
-    mag_max: float | None = None
-    include_candidates: bool = True
-
-
 def open_partitions(root, partition_ids=None) -> list:
     """The stores ``partition_ids`` under ``root``, by default every ``partition_NN`` there.
 
@@ -621,16 +608,17 @@ def open_partitions(root, partition_ids=None) -> list:
     return stores
 
 
-def _select(store: NightStore, predicate: QueryPredicate) -> np.ndarray:
-    """One store's rows that satisfy ``predicate``, in (epoch, id) order."""
+def _select(store: NightStore, clauses: dict) -> np.ndarray:
+    """One store's rows that pass ``clauses``, in (epoch, id) order."""
     try:
-        return store.query_records(**vars(predicate))
+        return store.query_records(**clauses)
     except EngineError as exc:
         raise PartitionError(f"partition {store.partition_id}: {exc}") from exc
 
 
-def query_stores(stores, predicate: QueryPredicate) -> np.ndarray:
-    """Rows of every store that satisfy ``predicate``, in (epoch, id) order.
+def query_stores(stores, **clauses) -> np.ndarray:
+    """Rows of every store that pass ``clauses``, ``NightStore.query_records``'
+    keywords, in (epoch, id) order.
 
     Several stores are read in threads, whose file reads and numpy work
     overlap; one store is read in the caller's thread, where a pool would
@@ -638,13 +626,13 @@ def query_stores(stores, predicate: QueryPredicate) -> np.ndarray:
     query with a ``PartitionError`` naming it: a silent partial answer would
     look like a real catalog result.
     """
-    if predicate.cone is not None:  # a bad centre is the caller's error, not a partition's
-        radec_to_cartesian(*predicate.cone[:2])
+    if clauses.get("cone") is not None:  # a bad centre is the caller's error, not a partition's
+        radec_to_cartesian(*clauses["cone"][:2])
     stores = list(stores)
     if len(stores) == 1:
-        return _select(stores[0], predicate)
+        return _select(stores[0], clauses)
     with ThreadPoolExecutor() as pool:
-        parts = list(pool.map(lambda s: _select(s, predicate), stores))
+        parts = list(pool.map(lambda s: _select(s, clauses), stores))
     return _ordered(parts, ("epoch", "id"))
 
 

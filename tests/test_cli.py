@@ -1,3 +1,4 @@
+import argparse
 import csv
 import os
 import shutil
@@ -99,6 +100,97 @@ def test_installed_console_script_matches_main():
     )
     assert proc.returncode == 0
     assert "3.372e+08" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# the parser
+
+COMMON = "--config --data-dir -h --help"
+SKY = "--density --stars --seed"
+READS = "--partitions --epoch-min --epoch-max"
+OPTIONS = {  # every subcommand's option strings
+    "generate": f"{COMMON} {SKY} --out --frames --night --camera --new-sources "
+                "--brightenings --format",
+    "ingest": f"{COMMON} --partition --night --input --template",
+    "merge": f"{COMMON} --partition --night",
+    "crossmatch": f"{COMMON} --template --frame --radius-deg --zone-height-deg "
+                  "--out-matches --out-candidates",
+    "run-night": f"{COMMON} {SKY} --partitions --frames --night --inject --new-sources "
+                 "--brightenings --workers --merge --no-store --report",
+    "query": f"{COMMON} {READS} --star --out",
+    "mine online": f"{COMMON} {READS} --out",
+    "mine period": f"{COMMON} {READS} --star --fap --oversample --out",
+    "bench cadence": f"{COMMON} {SKY} --frames --out",
+    "bench scaling": f"{COMMON} {SKY} --workers --partitions --frames --out",
+    "plan": f"{COMMON} --cameras --days --bytes-per-record --table",
+}
+
+
+def leaf_parsers(parser, path=()):
+    """(command words, parser) of every subcommand that takes no further one."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield " ".join(path), parser
+    for action in subs:
+        for name, child in action.choices.items():
+            yield from leaf_parsers(child, (*path, name))
+
+
+def test_every_subcommand_takes_the_options_of_its_table():
+    got = {name: sorted(s for a in p._actions for s in a.option_strings)
+           for name, p in leaf_parsers(build_parser())}
+    assert got == {name: sorted(options.split()) for name, options in OPTIONS.items()}
+
+
+@pytest.mark.parametrize("command", ["generate --out x", "run-night", "bench cadence",
+                                     "bench scaling"])
+def test_density_and_stars_exclude_each_other(command, capsys):
+    assert run_cli(*command.split(), "--density", "1/100", "--stars", "5") == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    "query --star 5 --partitions 0,0",
+    "query --star 5 --partitions 0,",
+    "query --star 5 --partitions -1",
+    "mine online --partitions 0,0",
+    "mine period --star 5 --partitions 1,x",
+    "bench scaling --workers 1,x",
+    "bench scaling --workers 2,2",
+])
+def test_a_list_flag_takes_distinct_integers_of_zero_or_more(workflow, argv, capsys):
+    _, data = workflow
+    before = tree_bytes(data)
+    *words, value = argv.split()
+    assert run_cli(*words, value, "--data-dir", str(data)) == 2
+    err = capsys.readouterr().err
+    assert f"{words[-1]}: {value!r} is not a list of distinct integers >= 0" in err
+    assert tree_bytes(data) == before
+
+
+def test_a_bad_list_flag_exits_two_without_a_traceback():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tdcat.cli", "bench", "scaling", "--workers", "1,x"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2 and "Traceback" not in proc.stderr
+    assert "'1,x' is not a list of distinct integers >= 0" in proc.stderr
+
+
+def test_bench_scaling_refuses_zero_workers_before_it_runs(capsys):
+    assert run_cli("bench", "scaling", "--workers", "0,2", "--stars", "10") == 1
+    assert "worker counts must be >= 1, got [0, 2]" in capsys.readouterr().err
+
+
+def test_generate_refuses_a_camera_past_the_ids_top_byte(tmp_path, capsys):
+    gen = tmp_path / "gen"
+    assert run_cli("generate", "--out", str(gen), "--frames", "1", "--stars", "20",
+                   "--camera", "256") == 2
+    assert "camera_id 256 is outside [0, 255]" in capsys.readouterr().err
+    assert not list(gen.glob("frame_*"))
 
 
 # ---------------------------------------------------------------------------
@@ -628,8 +720,7 @@ def test_csv_format_generate_and_ingest(tmp_path):
     frames = sorted(str(p) for p in gen.glob("frame_*.csv"))
     rc = main(
         ["ingest", "--data-dir", str(data), "--partition", "0",
-         "--format", "csv", "--template", str(gen / "template.csv"),
-         "--input", *frames]
+         "--template", str(gen / "template.csv"), "--input", *frames]
     )
     assert rc == 0
     [store] = open_partitions(data, [0])

@@ -31,13 +31,14 @@ from tdcat.pipeline import (
 from tdcat.skygen import (
     DEFAULT_FOOTPRINT,
     SkyModel,
+    TemplateCatalog,
     TransientInjection,
     build_template,
     observe_frame,
     read_truth_log,
     split_footprint,
 )
-from tdcat.store import PartitionError, QueryPredicate, open_partitions, query_stores
+from tdcat.store import PartitionError, open_partitions, query_stores
 
 from oracles import haversine_deg
 
@@ -252,6 +253,33 @@ def test_a_calmag_outside_the_banks_range_is_refused_before_its_segment(tmp_path
     assert product_files(tmp_path / "worker") == product_files(tmp_path / "reference")
 
 
+@pytest.mark.parametrize("calmag", [np.nan, -100.0])
+def test_a_storeless_worker_refuses_a_bad_calmag_in_an_unmatched_row(calmag):
+    """Without a store no row build checks the frame: the tracker refuses the
+    row by name, the bank's absorb is undone, and the next clean frame goes on
+    as if the bad one had never come."""
+    model = SkyModel(seed=8, star_count=500, footprint=(30.0, 32.0, -1.0, 1.0))
+    full = build_template(model, CFG)
+    half = TemplateCatalog(full.stars[::2], CFG)  # every other star stays unmatched
+    frames = [observe_frame(full, 15.0 * k, [], model, CFG) for k in range(5)]
+    worker, reference = (PartitionWorker(0, half, CFG, MINING) for _ in range(2))
+    for f in frames[:3]:
+        worker.process_frame(f)
+        reference.process_frame(f)
+    before = detector_state(worker)
+    records = frames[3].records.copy()
+    unmatched = range_join(records, half.index, CFG.match_radius_deg).unmatched_rows
+    records["calmag"][unmatched[1]] = calmag
+    bad = rf"^unmatched row 1 \(id {records['id'][unmatched[1]]}\): calmag {calmag!r} is not inside"
+    with pytest.raises(DomainError, match=bad):
+        worker.process_frame(replace(frames[3], records=records))
+    assert detector_state(worker) == before
+    for f in frames[3:]:
+        got, want = worker.process_frame(f), reference.process_frame(f)
+        assert [asdict(a) for a in got.alerts] == [asdict(a) for a in want.alerts]
+    assert detector_state(worker) == detector_state(reference)
+
+
 def test_insert_thread_starts_with_the_first_frame_and_ends_with_the_worker(tmp_path):
     threads = insert_threads()
     worker = make_worker(data_dir=tmp_path)
@@ -436,6 +464,14 @@ def test_run_night_rejects_bad_partitions(tmp_path):
         run_night(tmp_path, CFG, MINING, n_partitions=0)
 
 
+def test_run_night_refuses_a_partition_past_the_camera_byte_before_any_runs(tmp_path):
+    # partition p writes camera byte p: a 257th partition would write camera 0 again
+    with pytest.raises(DomainError, match=r"n_partitions must be in \[1, 256\], got 257"):
+        run_night(tmp_path / "night", CFG, MINING, n_partitions=257, n_frames=1,
+                  stars_per_partition=10)
+    assert not (tmp_path / "night").exists()
+
+
 # ---------------------------------------------------------------------------
 # replay equivalence
 
@@ -502,8 +538,8 @@ def night_root(tmp_path_factory):
     return root
 
 
-def gather(root, partition_ids, predicate):
-    return query_stores(open_partitions(root, partition_ids), predicate)
+def gather(root, partition_ids, **clauses):
+    return query_stores(open_partitions(root, partition_ids), **clauses)
 
 
 def all_rows(root):
@@ -514,7 +550,7 @@ def all_rows(root):
 
 def test_replay_refuses_rows_from_more_than_one_camera(night_root):
     # star ids are per camera: star 5 of camera 0 is not star 5 of camera 1
-    both = gather(night_root, [0, 1], QueryPredicate())
+    both = gather(night_root, [0, 1])
     with pytest.raises(DomainError, match=r"cameras \[0, 1\]"):
         replay_online(both, CFG, MINING)
     [one] = open_partitions(night_root, [1])
@@ -524,7 +560,7 @@ def test_replay_refuses_rows_from_more_than_one_camera(night_root):
 
 def test_scatter_gather_equals_manual_concat(night_root):
     rec = all_rows(night_root)
-    got = gather(night_root, [0, 1], QueryPredicate())
+    got = gather(night_root, [0, 1])
     assert np.array_equal(got, rec)
     assert np.all(np.diff(got["epoch"]) >= 0)
 
@@ -532,19 +568,19 @@ def test_scatter_gather_equals_manual_concat(night_root):
 def test_scatter_gather_filters(night_root):
     rec = all_rows(night_root)
     sid = int(rec["star_id"][rec["star_id"] >= 0][0])
-    got = gather(night_root, [0, 1], QueryPredicate(star_id=sid))
+    got = gather(night_root, [0, 1], star_id=sid)
     assert len(got) and np.all(got["star_id"] == sid)
 
     lo, hi = 75.0, 300.0
-    got = gather(night_root, [0, 1], QueryPredicate(epoch_min=lo, epoch_max=hi))
+    got = gather(night_root, [0, 1], epoch_min=lo, epoch_max=hi)
     want = rec[(rec["epoch"] >= lo) & (rec["epoch"] <= hi)]
     assert np.array_equal(np.sort(got["id"]), np.sort(want["id"]))
 
-    got = gather(night_root, [0, 1], QueryPredicate(mag_min=12.0, mag_max=13.0))
+    got = gather(night_root, [0, 1], mag_min=12.0, mag_max=13.0)
     want = rec[(rec["calmag"] >= 12.0) & (rec["calmag"] <= 13.0)]
     assert np.array_equal(np.sort(got["id"]), np.sort(want["id"]))
 
-    got = gather(night_root, [0, 1], QueryPredicate(include_candidates=False))
+    got = gather(night_root, [0, 1], include_candidates=False)
     assert np.all(got["candidate"] == 0)
 
 
@@ -553,7 +589,7 @@ def test_scatter_gather_cone_matches_haversine(night_root):
     center_ra = float(rec["ra"][0])
     center_dec = float(rec["dec"][0])
     radius = 0.5
-    got = gather(night_root, [0, 1], QueryPredicate(cone=(center_ra, center_dec, radius)))
+    got = gather(night_root, [0, 1], cone=(center_ra, center_dec, radius))
     seps = np.array(
         [haversine_deg(r["ra"], r["dec"], center_ra, center_dec) for r in rec]
     )
@@ -564,11 +600,11 @@ def test_scatter_gather_cone_matches_haversine(night_root):
 
 def test_scatter_gather_missing_partition(night_root):
     with pytest.raises(PartitionError, match="5"):
-        gather(night_root, [0, 5], QueryPredicate())
+        gather(night_root, [0, 5])
 
 
 def test_scatter_gather_empty_partition_list(night_root):
-    assert len(gather(night_root, [], QueryPredicate())) == 0
+    assert len(gather(night_root, [])) == 0
 
 
 def test_demo_script_runs(tmp_path, capsys):

@@ -17,6 +17,8 @@ def test_one_tree_run_twice_gives_the_same_products_and_a_flipped_byte_is_named(
     assert products_ab.differing(first, second) == []
     for name in ("matches.csv", "candidates.csv", "online_delta.csv", "online_base.csv",
                  "curve.csv", "periodogram.csv", "night/alerts_p01.csv",
+                 "curve_all.csv", "online_window.csv", "periodogram_night1.csv",
+                 "matches_csv.csv", "gencsv/frame_00000002.csv",
                  "bare/partition_00/delta/night_00000/seg_00000011.tdl",
                  "data/partition_00/base/base_through_00001.tdb"):
         assert name in first, name

@@ -239,6 +239,16 @@ def test_frame_ids_pack_camera_epoch_row():
     assert np.array_equal(ids & np.uint64((1 << 28) - 1), np.arange(50, dtype=np.uint64))
 
 
+@pytest.mark.parametrize("camera", [-1, 256, 1 << 8 | 3])
+def test_frame_refuses_a_camera_id_past_the_ids_top_byte(camera):
+    model = quiet_model(stars=10)
+    tpl = build_template(model, CFG)
+    with pytest.raises(ConfigError, match=rf"^camera_id {camera} is outside \[0, 255\]"):
+        observe_frame(tpl, 15.0, (), model, CFG, camera_id=camera)
+    ids = observe_frame(tpl, 15.0, (), model, CFG, camera_id=255).records["id"]
+    assert np.all((ids >> np.uint64(56)) == 255)
+
+
 def test_frame_rejects_misaligned_epoch():
     model = quiet_model(stars=10)
     tpl = build_template(model, CFG)

@@ -46,7 +46,6 @@ from tdcat.store import (
     UNMATCHED_STAR_ID,
     NightStore,
     PartitionError,
-    QueryPredicate,
     _read_rows,
     capacity_plan,
     capacity_table,
@@ -858,7 +857,7 @@ def test_recover_discards_uncommitted_staging(tmp_path, sky):
 def test_readers_never_delete(tmp_path, sky):
     _, inserted = fill_store(tmp_path, sky, [15.0, 30.0])
     junk, staging = plant_leftovers(tmp_path / "partition_00")
-    got = query_stores(open_partitions(tmp_path, [0]), QueryPredicate())
+    got = query_stores(open_partitions(tmp_path, [0]))
     assert junk.exists() and staging.exists()
     assert canonical(got) == canonical(inserted)
 
@@ -1212,7 +1211,7 @@ def test_every_clause_equals_filtering_after_the_sort(tmp_path, sky):
     for kw in cases:
         got, want = store.query_records(**kw), full_scan_query(store, **kw)
         assert got.dtype == STORE_DTYPE and got.tobytes() == want.tobytes(), kw
-        assert got.tobytes() == query_stores([store], QueryPredicate(**kw)).tobytes()
+        assert got.tobytes() == query_stores([store], **kw).tobytes()
     assert all(len(store.query_records(**kw)) for kw in cases[:-1])
 
 
@@ -1227,9 +1226,9 @@ def test_cone_and_magnitude_queries_sort_only_the_rows_they_return(tmp_path, sky
     monkeypatch.setattr(store_mod, "_ordered", counting)
     at = (float(rows["ra"][0]), float(rows["dec"][0]))
     brightest = float(np.quantile(rows["calmag"], 0.05))
-    for predicate in (QueryPredicate(cone=(*at, 0.1)), QueryPredicate(mag_max=brightest)):
+    for clauses in (dict(cone=(*at, 0.1)), dict(mag_max=brightest)):
         sorted_rows.clear()
-        got = query_stores([store], predicate)
+        got = query_stores([store], **clauses)
         assert 0 < len(got) < len(rows) / 10
         assert sorted_rows == [len(got)]
 
@@ -1242,7 +1241,7 @@ def test_a_bad_cone_centre_fails_before_any_partition_is_read(tmp_path, sky, cen
     stores = open_partitions(tmp_path)
     with (mock.patch.object(NightStore, "_snapshot") as listed,
           pytest.raises(DomainError, match="must be in") as raised):
-        query_stores(stores, QueryPredicate(cone=(*centre, 0.5)))
+        query_stores(stores, cone=(*centre, 0.5))
     assert not isinstance(raised.value, PartitionError) and listed.call_count == 0
 
 
