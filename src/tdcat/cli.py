@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -162,7 +163,6 @@ def _curve_of(args):
 def cmd_generate(args) -> int:
     config, _ = build_configs(args)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     footprint = DEFAULT_FOOTPRINT
     model = SkyModel(seed=args.seed, star_count=_star_count(args), footprint=footprint)
     template = build_template(model, config)
@@ -174,12 +174,13 @@ def cmd_generate(args) -> int:
     )
     write = write_records_csv if args.format == "csv" else write_records_bin
     ext = "csv" if args.format == "csv" else "tds"
+    frames = (observe_frame(template, args.night * SECONDS_PER_DAY + i * config.cadence_s,
+                            injections, model, config, camera_id=args.camera)
+              for i in range(args.frames))
+    first = list(islice(frames, 1))  # observed before any write: a refused frame writes nothing
+    out.mkdir(parents=True, exist_ok=True)
     write(out / f"template.{ext}", template.to_records(config))
-    for i in range(args.frames):
-        epoch = args.night * SECONDS_PER_DAY + i * config.cadence_s
-        frame = observe_frame(
-            template, epoch, injections, model, config, camera_id=args.camera
-        )
+    for frame in chain(first, frames):
         write(out / f"frame_{frame.imageid:08d}.{ext}", frame.records)
     write_truth_log(out / "truth.csv", injections)
     print(

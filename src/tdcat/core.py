@@ -66,6 +66,14 @@ PIXELS_PER_AXIS = 4096.0
 MAX_ABS_MAG = 100.0  # a calmag's bound, so that its window bank quanta fit int32
 MAG_RULE = f"inside (-{MAX_ABS_MAG:g}, {MAX_ABS_MAG:g})"
 
+# The rule each stage holds a field to: the mask of the values that keep it (a
+# NaN fails it) and its text.  ``rule_check`` makes it a ``refuse`` check.
+ROW_RULES = {
+    "ra": (lambda v: (v >= 0.0) & (v < 360.0), "in [0, 360)"),
+    "dec": (lambda v: (v >= -90.0) & (v <= 90.0), "in [-90, 90]"),
+    "calmag": (lambda v: np.abs(v) < MAX_ABS_MAG, MAG_RULE),
+}
+
 
 class EngineError(Exception):
     """Base class for all engine errors."""
@@ -77,6 +85,24 @@ class ConfigError(EngineError):
 
 class DomainError(EngineError):
     """Input outside its documented domain."""
+
+
+def rule_check(name, values) -> tuple:
+    """``(name, values, mask, rule)``: ``values`` held to field ``name``'s rule."""
+    return name, values, ROW_RULES[name][0](values), ROW_RULES[name][1]
+
+
+def refuse(checks, lo=0, id_of=None) -> None:
+    """Raise DomainError naming the first row that fails a ``(field, values, mask,
+    rule)`` check, then its first failed check: ``row <i>: <field> <value!r> is
+    not <rule>``, rows counted from ``lo``, ``row <i> (id <id>)`` with ``id_of``
+    (a row's record id from its index), and no row for a 0-d value."""
+    failed = [(int(np.argmin(ok)), k) for k, (_, _, ok, _) in enumerate(checks) if not np.all(ok)]
+    if failed:
+        i, k = min(failed)
+        name, values, _, rule = checks[k]
+        at = f"row {lo + i}{f' (id {id_of(i)})' if id_of else ''}: " if np.ndim(values) else ""
+        raise DomainError(f"{at}{name} {np.ravel(values)[i].item()!r} is not {rule}")
 
 
 class CadenceError(EngineError):
@@ -147,12 +173,11 @@ def n_zones(zone_height_deg: float) -> int:
 def zone_of(dec, zone_height_deg: float):
     """Declination strip id: floor((dec + 90) / h), with +90 clamped into the top strip.
 
-    Accepts scalars or arrays; returns int64 of the same shape.
+    Accepts scalars or arrays; returns int64 of the same shape.  ``refuse`` refuses a bad dec.
     """
     nz = n_zones(zone_height_deg)
     dec_arr = np.asarray(dec, dtype=np.float64)
-    if dec_arr.size and not (dec_arr.min() >= -90.0 and dec_arr.max() <= 90.0):  # NaN fails too
-        raise DomainError(f"dec must be in [-90, 90], got {dec}")
+    refuse([rule_check("dec", dec_arr)])
     z = np.floor((dec_arr + 90.0) / zone_height_deg + _ZONE_EPS).astype(np.int64)
     z = np.minimum(z, nz - 1)  # dec >= -90 keeps z >= 0
     return int(z) if np.isscalar(dec) else z
@@ -161,14 +186,11 @@ def zone_of(dec, zone_height_deg: float):
 def radec_to_cartesian(ra, dec):
     """(ra, dec) degrees -> unit-sphere (x, y, z).
 
-    x = cos(dec) cos(ra), y = cos(dec) sin(ra), z = sin(dec).
+    x = cos(dec) cos(ra), y = cos(dec) sin(ra), z = sin(dec).  ``refuse`` refuses a bad ra or dec.
     """
     ra_arr = np.asarray(ra, dtype=np.float64)
     dec_arr = np.asarray(dec, dtype=np.float64)
-    if not np.all((ra_arr >= 0.0) & (ra_arr < 360.0)):  # NaN fails too
-        raise DomainError(f"ra must be in [0, 360), got {ra}")
-    if not np.all((dec_arr >= -90.0) & (dec_arr <= 90.0)):
-        raise DomainError(f"dec must be in [-90, 90], got {dec}")
+    refuse([rule_check("ra", ra_arr), rule_check("dec", dec_arr)])
     ra_r = np.radians(ra_arr)
     dec_r = np.radians(dec_arr)
     cd = np.cos(dec_r)
@@ -257,20 +279,20 @@ def records_from_radec(
 
 
 def check_records(records: np.ndarray, config: EngineConfig) -> None:
-    """Raise DomainError naming the first catalog row that breaks a row invariant.
+    """Raise DomainError naming the first catalog row that breaks a row invariant,
+    then its first broken invariant (``refuse``).
 
-    The invariants are the ones ``records_from_radec`` builds in: ra in
-    [0, 360), dec in [-90, 90], a unit ``x/y/z``, ``zone`` equal to
+    The invariants are the ones ``records_from_radec`` builds in: ra, dec
+    and calmag by ``ROW_RULES``, a unit ``x/y/z``, ``zone`` equal to
     ``zone_of(dec)`` at ``config.zone_height_deg``, ``flux`` equal to
     ``mag_to_flux(mag)`` to a relative 1e-9, pixels in [0, 4096),
-    non-negative errors, ellipticity and class_star in [0, 1], and calmag
-    inside ``(-MAX_ABS_MAG, MAX_ABS_MAG)``.  Each is
+    non-negative errors, and ellipticity and class_star in [0, 1].  Each is
     an array mask that a NaN fails.  Ids must also be unique among the rows
     (one sort), since the store and the replay key a frame's rows by id.
     """
     r = records
-    dec = r["dec"]
-    dec_ok = (dec >= -90.0) & (dec <= 90.0)
+    dec_check = rule_check("dec", r["dec"])
+    dec, dec_ok = dec_check[1:3]
     zone = np.full(len(r), -1, np.int64)
     zone[dec_ok] = zone_of(dec[dec_ok], config.zone_height_deg)
     with np.errstate(all="ignore"):  # inf and huge values fail, quietly
@@ -282,8 +304,8 @@ def check_records(records: np.ndarray, config: EngineConfig) -> None:
     unique[order[1:][r["id"][order][1:] == r["id"][order][:-1]]] = False
     checks = [
         ("id", r["id"], unique, "unique among the rows"),
-        ("ra", r["ra"], (r["ra"] >= 0.0) & (r["ra"] < 360.0), "in [0, 360)"),
-        ("dec", dec, dec_ok, "in [-90, 90]"),
+        rule_check("ra", r["ra"]),
+        dec_check,
         ("|xyz|^2", norm2, np.abs(norm2 - 1.0) <= 1e-9, "within 1e-9 of 1"),
         ("zone", r["zone"], dec_ok & (r["zone"] == zone),
          f"zone_of(dec) at zone_height_deg {config.zone_height_deg}"),
@@ -297,12 +319,8 @@ def check_records(records: np.ndarray, config: EngineConfig) -> None:
     for name in ("ellipticity", "class_star"):
         v = r[name]
         checks.append((name, v, (v >= 0.0) & (v <= 1.0), "in [0, 1]"))
-    checks.append(("calmag", r["calmag"], np.abs(r["calmag"]) < MAX_ABS_MAG, MAG_RULE))
-    failed = [(int(np.argmin(c[2])), k) for k, c in enumerate(checks) if not c[2].all()]
-    if failed:
-        i, k = min(failed)  # the first bad row, and its first failed check
-        name, values, _, rule = checks[k]
-        raise DomainError(f"row {i}: {name} {values[i].item()!r} is not {rule}")
+    checks.append(rule_check("calmag", r["calmag"]))
+    refuse(checks)
 
 
 def camera_of(ids, rows: str, advice: str) -> int | None:

@@ -12,7 +12,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import ConfigError, DomainError, row_blocks, separation_to_chord, zone_of, zone_ra_order
+from .core import (ConfigError, DomainError, refuse, row_blocks, rule_check,
+                   separation_to_chord, zone_of, zone_ra_order)
 
 # Above this absolute declination a 1/cos(dec) RA window degenerates; fall
 # back to scanning the full strip.
@@ -174,9 +175,10 @@ def range_join(records, template_index: ZoneIndex, radius_deg: float) -> MatchRe
     only one of two or more stars is bisected again for its end.  The nearest
     candidate within ``radius_deg`` wins, exact ties going to the smaller
     star id; rows with none are unmatched transient candidates.  A
-    ``radius_deg`` past the index's ``reach_deg`` raises ConfigError; a
-    ``dec`` outside [-90, 90] or an ``ra`` outside [0, 360), NaN included,
-    raises DomainError naming the first such row.
+    ``radius_deg`` past the index's ``reach_deg`` raises ConfigError.  A row
+    whose ``dec`` or ``ra`` breaks its ``core.ROW_RULES`` rule raises
+    DomainError (``core.refuse``): the first bad ``dec``, else the first
+    bad ``ra``.
 
     ``records`` carry ``id``, ``ra``, ``dec`` and ``x/y/z`` as adjacent
     native float64 fields (``xyz_of``); any other layout raises DomainError.
@@ -199,20 +201,13 @@ def range_join(records, template_index: ZoneIndex, radius_deg: float) -> MatchRe
     return MatchResult(records["id"], *out, ambiguous_count=sum(row_blocks(len(records), block)))
 
 
-def _check_dec(dec, lo=0) -> None:
-    """Raise DomainError naming the first row of ``dec`` outside [-90, 90]."""
-    if len(dec) and not (dec.min() >= -90.0 and dec.max() <= 90.0):  # NaN fails too
-        i = int(np.argmin((dec >= -90.0) & (dec <= 90.0)))
-        raise DomainError(f"row {lo + i}: dec {float(dec[i])!r} is not in [-90, 90]")
-
-
 def _join_rows(records, xyz, lo, hi, template_index, radius_deg, out):
     """``range_join`` of rows ``[lo, hi)`` into those rows of ``out`` (star ids,
     separations); returns their ambiguous count.  Errors count rows from row 0."""
     n = hi - lo
     ra = np.ascontiguousarray(records["ra"][lo:hi], dtype=np.float64)
     dec = np.ascontiguousarray(records["dec"][lo:hi], dtype=np.float64)
-    _check_dec(dec, lo)
+    refuse([rule_check("dec", dec)], lo)
     halfw = _ra_halfwidth_deg(dec, radius_deg)
     q_lo, q_hi = ra - halfw, ra + halfw
     base = zone_of(dec, template_index.zone_height_deg) * 361.0
@@ -223,11 +218,9 @@ def _join_rows(records, xyz, lo, hi, template_index, radius_deg, out):
     # turn to the other side; both intervals are then clipped into [0, 360].
     edge = np.flatnonzero(~((q_lo >= 0.0) & (q_hi <= 360.0)))
     if len(edge):
-        bad = edge[~((ra[edge] >= 0.0) & (ra[edge] < 360.0))]
-        if len(bad):  # an off-sky dec in any block is named first
-            _check_dec(records["dec"])
-            i = bad[0]
-            raise DomainError(f"row {lo + i}: ra {float(ra[i])!r} is not in [0, 360)")
+        if not rule_check("ra", ra[edge])[2].all():  # an off-sky dec in any block is named first
+            refuse([rule_check("dec", records["dec"])])
+            refuse([rule_check("ra", ra)], lo)
         full = halfw[edge] >= 180.0
         q_lo[edge[full]], q_hi[edge[full]] = 0.0, 360.0
         wrap = edge[~full]

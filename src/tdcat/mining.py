@@ -26,8 +26,8 @@ from dataclasses import astuple, dataclass, field
 import numpy as np
 
 from .core import (
-    MAG_RULE, MAX_ABS_MAG, ConfigError, DomainError, EngineConfig, InsufficientDataError,
-    csv_columns, read_csv, row_blocks, write_csv,
+    MAX_ABS_MAG, ConfigError, DomainError, EngineConfig, InsufficientDataError, csv_columns,
+    read_csv, refuse, row_blocks, rule_check, write_csv,
 )
 from .crossmatch import build_zone_index, range_join
 
@@ -167,8 +167,8 @@ class WindowBank:
         again.  With ``rows``, point k takes entry ``rows[k]`` of ``mags``,
         ``mag_errors`` and ``record_ids``.  Points are judged in row blocks on
         every core (``core.row_blocks``); alerts come in row order.  An unknown
-        star id, or a magnitude that is NaN or not inside
-        ``(-MAX_ABS_MAG, MAX_ABS_MAG)``, raises ``DomainError`` for the lowest
+        star id, or a magnitude that breaks calmag's rule (``core.refuse``: point
+        k as row k, and its record id), raises ``DomainError`` for the lowest
         block that holds one.
         """
         star_ids = np.asarray(star_ids, dtype=np.int64)
@@ -186,13 +186,8 @@ class WindowBank:
             at = pick - first  # gathered from the block's span, copied to 8-byte strides
             mag = np.ascontiguousarray(mags[first:last])[at]
             err = np.ascontiguousarray(mag_errors[first:last])[at]
-            inside = np.abs(mag) < MAX_ABS_MAG  # NaN is not
-            if not inside.all():
-                k = np.argmin(inside)
-                raise DomainError(
-                    f"magnitude {mag[k]} of star {star_ids[lo + k]} is outside the window "
-                    f"bank's range (-{MAX_ABS_MAG:g}, {MAX_ABS_MAG:g})"
-                )
+            id_of = None if record_ids is None else lambda k: record_ids[pick[k]]
+            refuse([rule_check("calmag", mag)], lo, id_of)
             quanta[part] = np.rint(mag * QUANTA_PER_MAG)
             combined = np.sqrt(var + err * err)
             dev = mag - mean
@@ -347,17 +342,13 @@ class CandidateTracker:
     def update(self, epoch, unmatched_records, camera_id=0):
         """Feed one frame's unmatched detections; returns new-source alerts.
 
-        The previous track array is left as it was, for ``restore``.  A
-        ``calmag`` that is NaN or not ``MAG_RULE`` raises ``DomainError``
-        naming its row, before anything changes.
+        The previous track array is left as it was, for ``restore``.  A bad
+        ``ra``, ``dec`` or ``calmag`` raises ``DomainError`` naming its row
+        and id (``core.refuse``), before anything changes.
         """
         epoch = float(epoch)
         rec = unmatched_records
-        inside = np.abs(rec["calmag"]) < MAX_ABS_MAG  # NaN is not
-        if not inside.all():
-            k = int(np.argmin(inside))
-            raise DomainError(f"unmatched row {k} (id {rec['id'][k]}): calmag "
-                              f"{rec['calmag'][k].item()!r} is not {MAG_RULE}")
+        refuse([rule_check(f, rec[f]) for f in ("ra", "dec", "calmag")], 0, rec["id"].__getitem__)
         tracks = self._tracks
         self._previous = (tracks, self._last_epoch)
         if epoch - self._last_epoch > 1.5 * self.config.cadence_s:

@@ -44,8 +44,6 @@ from pathlib import Path
 import numpy as np
 
 from .core import (
-    MAG_RULE,
-    MAX_ABS_MAG,
     RECORD_DTYPE,
     SECONDS_PER_DAY,
     TABLE2_COLUMNS,
@@ -57,7 +55,9 @@ from .core import (
     as_items,
     radec_to_cartesian,
     read_csv,
+    refuse,
     row_blocks,
+    rule_check,
     separation_to_chord,
     take_rows,
     write_csv,
@@ -283,8 +283,8 @@ def frame_to_store_records(frame, matches) -> np.ndarray:
     Built in contiguous row blocks on every core (``core.row_blocks``), each
     block filling its own rows of the one output array, which sits in a page
     buffer behind the frame's TDL1 header for ``NightStore.delta_insert``.
-    A row whose id is not the result's, or whose ``calmag`` is NaN or not
-    inside ``(-MAX_ABS_MAG, MAX_ABS_MAG)``, raises DomainError.
+    A row whose id is not the result's, or whose ``calmag`` breaks its
+    ``core.ROW_RULES`` rule (``core.refuse``), raises DomainError.
     """
     records = frame.records
     if records.dtype != RECORD_DTYPE:
@@ -301,10 +301,7 @@ def frame_to_store_records(frame, matches) -> np.ndarray:
     def block(lo, hi):
         if not np.array_equal(records["id"][lo:hi], matches.ids[lo:hi]):
             raise DomainError("match result does not correspond to this frame")
-        inside = np.abs(records["calmag"][lo:hi]) < MAX_ABS_MAG  # NaN is not; before any write
-        if not inside.all():
-            i = lo + int(np.argmin(inside))
-            raise DomainError(f"row {i}: calmag {records['calmag'][i].item()!r} is not {MAG_RULE}")
+        refuse([rule_check("calmag", records["calmag"][lo:hi])], lo)  # before any write
         # The 17-byte tail is built apart, then each catalog row and its tail
         # are copied verbatim into their store row: two byte-block copies, no
         # strided pass over the output.
@@ -325,10 +322,10 @@ class NightStore:
     """Per-partition delta log plus merged base store.
 
     Exactly one writer per partition.  Every read takes the newest base run
-    plus the delta segments of the nights after it, so ``*.tmp`` and
-    ``*.staging`` leftovers, older base runs and nights already folded into
-    the base are skipped, never deleted: opening a store reads nothing, and
-    only ``nightly_merge`` sweeps what a crash left behind.
+    plus the delta segments of the nights after it, so ``*.tmp`` leftovers,
+    older base runs and nights already folded into the base are skipped,
+    never deleted: opening a store reads nothing, and only ``nightly_merge``
+    sweeps what a crash left behind.
     """
 
     def __init__(self, root, partition_id: int):
@@ -385,8 +382,6 @@ class NightStore:
     def recover(self) -> None:
         """Delete what a crash left behind and every read already skips."""
         for leftover in self.root.rglob("*.tmp"):
-            leftover.unlink()
-        for leftover in self.base_dir.glob("*.staging"):
             leftover.unlink()
         for old in self._base_files()[:-1]:
             old.unlink()
@@ -480,9 +475,9 @@ class NightStore:
     def nightly_merge(self) -> MergeReport:
         """Fold all delta segments into the base run (all-or-nothing).
 
-        The new base is written to a staging file and renamed into place; the
-        rename is the commit point.  Re-running after an interruption at any
-        point converges to the same base bytes.
+        The new base is written to a ``*.tmp`` file (removed if the merge
+        raises) and renamed into place; the rename is the commit point.
+        Re-running after an interruption at any point converges to the same bytes.
         """
         if self._busy:
             raise StorageError("nightly_merge overlaps another store operation")
@@ -499,32 +494,35 @@ class NightStore:
             delta = self._unmerged_rows(base_night, segments)
             target = max(nights)
             final = self.base_dir / f"base_through_{target:05d}.tdb"
-            staging = final.with_suffix(final.suffix + ".staging")
+            tmp = final.with_suffix(final.suffix + ".tmp")
             self.base_dir.mkdir(exist_ok=True)
             # The old base is streamed MERGE_CHUNK_ROWS at a time.  Every delta
             # epoch is after the base's night, so each delta row goes right
             # after its star's base rows, and the rows of a chunk's last star
             # wait for the next chunk, which may hold more of that star.
             stars, done, merged = np.ascontiguousarray(delta["star_id"]), 0, 0
-            with open(staging, "wb") as fh:
-                fh.write(BASE_MAGIC + bytes(8))  # the row count is written last
-                chunks = () if base is None else _read_chunks(
-                    base, BASE_MAGIC, STORE_DTYPE, MERGE_CHUNK_ROWS
-                )
-                for chunk in chunks:
-                    upto = int(np.searchsorted(stars, chunk["star_id"][-1], side="left"))
-                    at = np.searchsorted(chunk["star_id"], stars[done:upto], side="right")
-                    block = np.insert(as_items(chunk), at, as_items(delta[done:upto]))
-                    fh.write(block.view(np.uint8))
-                    done, merged = upto, merged + len(block)
-                    del chunk, block  # freed before the next chunk is read
-                fh.write(as_items(delta[done:]).view(np.uint8))
-                merged += len(delta) - done
-                fh.seek(4)
-                fh.write(np.uint64(merged).tobytes())
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(staging, final)  # commit point
+            try:
+                with open(tmp, "wb") as fh:
+                    fh.write(BASE_MAGIC + bytes(8))  # the row count is written last
+                    chunks = () if base is None else _read_chunks(
+                        base, BASE_MAGIC, STORE_DTYPE, MERGE_CHUNK_ROWS
+                    )
+                    for chunk in chunks:
+                        upto = int(np.searchsorted(stars, chunk["star_id"][-1], side="left"))
+                        at = np.searchsorted(chunk["star_id"], stars[done:upto], side="right")
+                        block = np.insert(as_items(chunk), at, as_items(delta[done:upto]))
+                        fh.write(block.view(np.uint8))
+                        done, merged = upto, merged + len(block)
+                        del chunk, block  # freed before the next chunk is read
+                    fh.write(as_items(delta[done:]).view(np.uint8))
+                    merged += len(delta) - done
+                    fh.seek(4)
+                    fh.write(np.uint64(merged).tobytes())
+                    fh.flush()
+                    os.fsync(fh.fileno())
+                os.replace(tmp, final)  # commit point
+            finally:  # gone once renamed; a failed merge leaves no temp file
+                tmp.unlink(missing_ok=True)
             # the rename is durable only once its directory entry is on disk
             for directory in (self.base_dir, self.root):  # base/ may be new
                 _fsync_dir(directory)
@@ -593,7 +591,8 @@ class PartitionError(EngineError):
 def open_partitions(root, partition_ids=None) -> list:
     """The stores ``partition_ids`` under ``root``, by default every ``partition_NN`` there.
 
-    A missing partition, or none found, raises ``PartitionError``.
+    A missing partition, or none found, raises ``PartitionError``; an id
+    named twice raises ``DomainError``.  Nothing is read.
     """
     if partition_ids is None:
         found = (p.name[len("partition_"):] for p in Path(root).glob("partition_*") if p.is_dir())
@@ -602,6 +601,8 @@ def open_partitions(root, partition_ids=None) -> list:
             raise PartitionError(f"no partitions found under {root}")
     stores = []
     for p in partition_ids:
+        if p in (s.partition_id for s in stores):  # each of its rows would be read twice
+            raise DomainError(f"partition {p} is named twice")
         if not (Path(root) / f"partition_{p:02d}").is_dir():
             raise PartitionError(f"partition {p} missing under {root}")
         stores.append(NightStore(root, p))

@@ -193,6 +193,17 @@ def test_generate_refuses_a_camera_past_the_ids_top_byte(tmp_path, capsys):
     assert not list(gen.glob("frame_*"))
 
 
+@pytest.mark.parametrize("existed", [False, True])
+def test_a_refused_generate_writes_nothing(tmp_path, capsys, existed):
+    gen = tmp_path / "gen"
+    if existed:
+        gen.mkdir()
+    assert run_cli("generate", "--out", str(gen), "--frames", "2", "--stars", "30",
+                   "--camera", "256") == 2
+    assert "camera_id 256" in capsys.readouterr().err
+    assert (list(gen.iterdir()) == []) if existed else not gen.exists()
+
+
 # ---------------------------------------------------------------------------
 # plan
 

@@ -562,7 +562,7 @@ def test_bank_equals_the_integer_reference_after_every_frame(block_rows, data):
 def test_judge_refuses_a_magnitude_outside_the_bank_range_by_name(bad):
     bank = WindowBank(np.arange(5, dtype=np.int64), MiningConfig())
     before = bank_state(bank)
-    message = re.escape(f"magnitude {bad} of star 3 is outside the window bank's range (-100, 100)")
+    message = re.escape(f"row 1: calmag {bad!r} is not inside (-100, 100)")
     with pytest.raises(DomainError, match=message):
         bank.update(0.0, [1, 3, 4], [12.0, bad, 12.0], [0.02] * 3)
     assert bank_state(bank) == before

@@ -270,7 +270,7 @@ def test_a_storeless_worker_refuses_a_bad_calmag_in_an_unmatched_row(calmag):
     records = frames[3].records.copy()
     unmatched = range_join(records, half.index, CFG.match_radius_deg).unmatched_rows
     records["calmag"][unmatched[1]] = calmag
-    bad = rf"^unmatched row 1 \(id {records['id'][unmatched[1]]}\): calmag {calmag!r} is not inside"
+    bad = rf"^row 1 \(id {records['id'][unmatched[1]]}\): calmag {calmag!r} is not inside"
     with pytest.raises(DomainError, match=bad):
         worker.process_frame(replace(frames[3], records=records))
     assert detector_state(worker) == before

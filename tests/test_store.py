@@ -782,7 +782,7 @@ def test_merge_refuses_delta_rows_of_a_closed_night(tmp_path, sky):
     with pytest.raises(StorageError, match="seg_00000777"):
         store.nightly_merge()
     assert store.base_path() == base and base.read_bytes() == payload
-    assert not list(store.base_dir.glob("*.staging"))
+    assert not list(store.base_dir.glob("*.tmp"))
 
 
 def night_frames(sky, night, frames):
@@ -834,31 +834,31 @@ def plant_leftovers(part):
     """A torn segment write and an uncommitted merge output."""
     junk = part / "delta" / "night_00000" / "seg_00000099.tdl.tmp"
     junk.write_bytes(b"torn segment write")
-    staging = part / "base" / "base_through_00000.tdb.staging"
-    staging.parent.mkdir(exist_ok=True)  # only a merge makes base/
-    staging.write_bytes(b"partial merge output that never committed")
-    return junk, staging
+    merge_tmp = part / "base" / "base_through_00000.tdb.tmp"
+    merge_tmp.parent.mkdir(exist_ok=True)  # only a merge makes base/
+    merge_tmp.write_bytes(b"partial merge output that never committed")
+    return junk, merge_tmp
 
 
 def test_recover_discards_uncommitted_staging(tmp_path, sky):
     store, inserted = fill_store(tmp_path, sky, [15.0, 30.0])
-    junk, staging = plant_leftovers(tmp_path / "partition_00")
+    junk, merge_tmp = plant_leftovers(tmp_path / "partition_00")
 
     reopened = NightStore(tmp_path, partition_id=0)
     # reads skip the leftovers; only the next merge deletes them
     assert canonical(reopened.query_records()) == canonical(inserted)
-    assert junk.exists() and staging.exists()
+    assert junk.exists() and merge_tmp.exists()
     report = reopened.nightly_merge()
     assert report.records_merged == len(inserted)
     assert not junk.exists()
-    assert not staging.exists()
+    assert not merge_tmp.exists()
 
 
 def test_readers_never_delete(tmp_path, sky):
     _, inserted = fill_store(tmp_path, sky, [15.0, 30.0])
-    junk, staging = plant_leftovers(tmp_path / "partition_00")
+    junk, merge_tmp = plant_leftovers(tmp_path / "partition_00")
     got = query_stores(open_partitions(tmp_path, [0]))
-    assert junk.exists() and staging.exists()
+    assert junk.exists() and merge_tmp.exists()
     assert canonical(got) == canonical(inserted)
 
 
@@ -889,6 +889,21 @@ def test_merge_commit_fsyncs_base_directory(tmp_path, sky, monkeypatch):
     ]
     assert (base_dir.st_dev, base_dir.st_ino) in synced_dirs
     assert (root.st_dev, root.st_ino) in synced_dirs  # this merge made base/
+
+
+def test_a_merge_that_fails_to_fsync_leaves_no_temp_file(tmp_path, sky, monkeypatch):
+    store, inserted = fill_store(tmp_path, sky, [15.0, 30.0])
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+
+    def fsync(fd):
+        raise OSError(errno.EIO, "injected fsync failure")
+
+    monkeypatch.setattr(store_mod.os, "fsync", fsync)
+    with pytest.raises(OSError, match="injected fsync failure"):
+        store.nightly_merge()
+    monkeypatch.undo()
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+    assert canonical(store.query_records()) == canonical(inserted)
 
 
 def test_recover_completes_committed_merge(tmp_path, sky, monkeypatch):
@@ -998,10 +1013,10 @@ class StoreMachine(RuleBasedStateMachine):
         self.rows.append(frame_to_store_records(frame, matches))
         self.store.delta_insert(frame, self.rows[-1])
 
-    @rule(staging=st.booleans())
-    def leave_torn_file(self, staging):
-        if staging:
-            path = self.store.base_dir / "base_through_00000.tdb.staging"
+    @rule(in_base=st.booleans())
+    def leave_torn_file(self, in_base):
+        if in_base:
+            path = self.store.base_dir / "base_through_00000.tdb.tmp"
             path.parent.mkdir(parents=True, exist_ok=True)  # as the merge does
         else:
             path = self.night_dir() / "seg_99999999.tdl.tmp"
@@ -1016,7 +1031,7 @@ class StoreMachine(RuleBasedStateMachine):
     def merge(self):
         self.store.nightly_merge()
         self.committed_merge()
-        left = [p for p in self.files() if p.suffix in (".tmp", ".staging")]
+        left = [p for p in self.files() if p.suffix == ".tmp"]
         assert left == []
         assert len(self.store._base_files()) <= 1
         assert not any(self.store.delta_dir.glob("*"))  # absent before any insert
@@ -1240,9 +1255,20 @@ def test_a_bad_cone_centre_fails_before_any_partition_is_read(tmp_path, sky, cen
         fill_store(tmp_path, sky, [15.0], partition_id=p)
     stores = open_partitions(tmp_path)
     with (mock.patch.object(NightStore, "_snapshot") as listed,
-          pytest.raises(DomainError, match="must be in") as raised):
+          pytest.raises(DomainError, match="is not in") as raised):
         query_stores(stores, cone=(*centre, 0.5))
     assert not isinstance(raised.value, PartitionError) and listed.call_count == 0
+
+
+def test_a_repeated_partition_is_refused_by_name_before_any_is_read(tmp_path, sky):
+    _, inserted = fill_store(tmp_path, sky, [15.0, 30.0])
+    once = query_stores(open_partitions(tmp_path, [0]))
+    assert canonical(once) == canonical(inserted)
+    with (mock.patch.object(NightStore, "_snapshot") as listed,
+          pytest.raises(DomainError, match="^partition 0 is named twice$")):
+        open_partitions(tmp_path, [0, 0])
+    assert listed.call_count == 0
+    assert query_stores(open_partitions(tmp_path, [0])).tobytes() == once.tobytes()
 
 
 def test_star_query_on_empty_base(tmp_path, sky):
