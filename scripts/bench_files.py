@@ -4,19 +4,20 @@
     python3 scripts/bench_files.py                            # the checked-in files
     python3 scripts/bench_files.py --smoke --out /tmp/bench   # one tiny pass each
 
-For each workload it runs ``perfbench/run.py --trace 0 --seed SEED`` from this
-checkout ``--passes`` times, each pass in a child process, and keeps every
-pass.  Then one more child process builds the workload's camera as the
-benchmark does (``workloads.build_camera``: its template, its store and the
-night's injections) and times ``PartitionWorker.process_frame`` on the
-workload's frames, as ``scripts/stage_ab.py`` does for one side.  A file holds:
+For each workload it runs ``perfbench/run.py --trace 0 --seed 1`` from this
+checkout ``PASSES`` times, each pass in a child process, and keeps every
+pass (the benchmark's digests are pinned to seed 1).  Then one more child
+process builds the workload's camera as the benchmark does
+(``workloads.build_camera``: its template, its store and the night's
+injections) and times ``PartitionWorker.process_frame`` on the workload's
+frames, as ``scripts/stage_ab.py`` does for one side.  A file holds:
 
 - ``end_to_end``: every end-to-end metric of the passes' records, the gated
-  ones and, on ``history``, ``query_p50_ms``, ``query_p90_ms``, ``merge_s``
-  and the throughputs: first quartile, median and third quartile over the
-  passes, and each pass's value;
-- ``peak_rss_mib`` and ``ru_minflt`` (the minor page faults of each pass's
-  child process), in the same form;
+  ones (``peak_rss_mib`` among them) and, on ``history``, ``query_p50_ms``,
+  ``query_p90_ms``, ``merge_s`` and the throughputs: first quartile, median
+  and third quartile over the passes, and each pass's value;
+- ``ru_minflt``: the minor page faults of each pass's child process, in the
+  same form;
 - ``stages``: the median and 95th percentile of each ``StageTimings`` field
   over the stage run's frames after the first ``WARMUP``, in ms, and the
   frame count;
@@ -53,6 +54,8 @@ STAGES = ("match_s", "insert_s", "online_s", "candidate_s", "total_s")
 WARMUP = 4  # frames left out of the stage figures
 PROBE_ROWS = 1 << 20
 SECONDS = 25  # the benchmark's run length, which sets each workload's size
+PASSES = 5
+SEED = 1
 
 
 def spread(values) -> dict:
@@ -91,10 +94,10 @@ def child(argv) -> tuple:
     return proc.stdout.strip().splitlines(), after.ru_minflt - before.ru_minflt, wall
 
 
-def run_pass(workload: str, seed: int, smoke: bool) -> dict:
+def run_pass(workload: str, smoke: bool) -> dict:
     """One ``--trace 0`` pass of the benchmark: its record, page faults and wall time."""
     lines, minflt, wall = child(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
          "--seconds", str(SECONDS), "--trace", "0", *(["--smoke"] if smoke else [])]
     )
     result = json.loads(lines[-1])
@@ -104,7 +107,7 @@ def run_pass(workload: str, seed: int, smoke: bool) -> dict:
             "minflt": minflt, "wall_s": wall}
 
 
-def stage_run(workload: str, seed: int, smoke: bool) -> dict:
+def stage_run(workload: str, smoke: bool) -> dict:
     """``StageTimings`` of one worker over the workload's first night (run in a child)."""
     sys.path[:0] = [str(REPO / "src"), str(REPO / "perfbench")]
     import host
@@ -116,7 +119,7 @@ def stage_run(workload: str, seed: int, smoke: bool) -> dict:
 
     size = wl.size_for(workload, SECONDS, smoke)
     with tempfile.TemporaryDirectory(prefix="tdcat-bench-") as tmp:
-        camera = wl.build_camera(size, seed, Path(tmp) / "store")
+        camera = wl.build_camera(size, SEED, Path(tmp) / "store")
         injections = wl.injections_for(camera, size, 0)
         timings = []
         for i in range(size.frames):
@@ -132,29 +135,29 @@ def stage_run(workload: str, seed: int, smoke: bool) -> dict:
     }}
 
 
-def bench_file(workload: str, seed: int, passes: int, smoke: bool) -> dict:
+def bench_file(workload: str, smoke: bool) -> dict:
     probe_before = probe_ms()
+    passes = 1 if smoke else PASSES
     runs = []
     for k in range(passes):
-        runs.append(run_pass(workload, seed, smoke))
+        runs.append(run_pass(workload, smoke))
         print(f"{workload}: pass {k + 1}/{passes} frame_p50_ms "
               f"{runs[-1]['record']['end_to_end']['frame_p50_ms']:.3f}", flush=True)
     lines, _, _ = child([sys.executable, str(Path(__file__).resolve()), "--stage-run", workload,
-                         "--seed", str(seed), *(["--smoke"] if smoke else [])])
+                         *(["--smoke"] if smoke else [])])
     stages = json.loads(lines[-1])
     records = [r["record"] for r in runs]
     metrics = [name for name in records[0]["end_to_end"] if name != "failed_ops_ratio"]
     digests = sorted({r["digest"] for r in records})
     return {
         "workload": workload,
-        "seed": seed,
+        "seed": SEED,
         "smoke": smoke,
         "passes": passes,
         "size": records[0]["size"],
         "src_sha256": src_sha256(),
         "end_to_end": {name: spread([r["end_to_end"][name] for r in records])
                        for name in metrics},
-        "peak_rss_mib": spread([r["end_to_end"]["peak_rss_mib"] for r in records]),
         "ru_minflt": spread([r["minflt"] for r in runs]),
         "failed_operations": sum(r["failed"] for r in runs),
         "attempted_operations": sum(r["attempted"] for r in runs),
@@ -170,23 +173,16 @@ def bench_file(workload: str, seed: int, passes: int, smoke: bool) -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", type=Path, default=REPO, help="directory for the files")
-    ap.add_argument("--passes", type=int, default=5, help="benchmark passes per workload")
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--workload", action="append",
-                    help="a workload of BENCHMARK.json; repeat for several (default: all)")
     ap.add_argument("--smoke", action="store_true", help="one pass each at the smoke size")
     ap.add_argument("--stage-run", help=argparse.SUPPRESS)  # a child's workload
     args = ap.parse_args(argv)
     if args.stage_run:
-        print(json.dumps(stage_run(args.stage_run, args.seed, args.smoke)))
+        print(json.dumps(stage_run(args.stage_run, args.smoke)))
         return 0
-    if args.passes < 1:
-        ap.error("--passes must be at least 1")
     spec = json.loads((REPO / "BENCHMARK.json").read_text())
-    passes = 1 if args.smoke else args.passes
     args.out.mkdir(parents=True, exist_ok=True)
-    for workload in args.workload or [w["name"] for w in spec["workloads"]]:
-        payload = bench_file(workload, args.seed, passes, args.smoke)
+    for workload in [w["name"] for w in spec["workloads"]]:
+        payload = bench_file(workload, args.smoke)
         path = args.out / f"BENCH_{workload}.json"
         path.write_text(json.dumps(payload, indent=1) + "\n")
         print(f"{workload}: {path}")

@@ -97,12 +97,16 @@ def refuse(checks, lo=0, id_of=None) -> None:
     rule)`` check, then its first failed check: ``row <i>: <field> <value!r> is
     not <rule>``, rows counted from ``lo``, ``row <i> (id <id>)`` with ``id_of``
     (a row's record id from its index), and no row for a 0-d value."""
-    failed = [(int(np.argmin(ok)), k) for k, (_, _, ok, _) in enumerate(checks) if not np.all(ok)]
-    if failed:
-        i, k = min(failed)
-        name, values, _, rule = checks[k]
-        at = f"row {lo + i}{f' (id {id_of(i)})' if id_of else ''}: " if np.ndim(values) else ""
-        raise DomainError(f"{at}{name} {np.ravel(values)[i].item()!r} is not {rule}")
+    ok = checks[0][2]
+    for check in checks[1:]:
+        ok = ok & check[2]
+    if ok.all():  # no bad row, so no failure list to build
+        return
+    failed = [(int(np.argmin(m)), k) for k, (_, _, m, _) in enumerate(checks) if not m.all()]
+    i, k = min(failed)  # the first bad row, and its first failed check
+    name, values, _, rule = checks[k]
+    at = f"row {lo + i}{f' (id {id_of(i)})' if id_of else ''}: " if np.ndim(values) else ""
+    raise DomainError(f"{at}{name} {np.ravel(values)[i].item()!r} is not {rule}")
 
 
 class CadenceError(EngineError):
@@ -170,14 +174,14 @@ def n_zones(zone_height_deg: float) -> int:
     return int(math.ceil(180.0 / zone_height_deg - _ZONE_EPS))
 
 
-def zone_of(dec, zone_height_deg: float):
+def zone_of(dec, zone_height_deg: float, lo=0):
     """Declination strip id: floor((dec + 90) / h), with +90 clamped into the top strip.
 
-    Accepts scalars or arrays; returns int64 of the same shape.  ``refuse`` refuses a bad dec.
+    Accepts scalars or arrays; returns int64 of the same shape; refuses a bad dec from row ``lo``.
     """
     nz = n_zones(zone_height_deg)
     dec_arr = np.asarray(dec, dtype=np.float64)
-    refuse([rule_check("dec", dec_arr)])
+    refuse([rule_check("dec", dec_arr)], lo)
     z = np.floor((dec_arr + 90.0) / zone_height_deg + _ZONE_EPS).astype(np.int64)
     z = np.minimum(z, nz - 1)  # dec >= -90 keeps z >= 0
     return int(z) if np.isscalar(dec) else z

@@ -207,10 +207,9 @@ def _join_rows(records, xyz, lo, hi, template_index, radius_deg, out):
     n = hi - lo
     ra = np.ascontiguousarray(records["ra"][lo:hi], dtype=np.float64)
     dec = np.ascontiguousarray(records["dec"][lo:hi], dtype=np.float64)
-    refuse([rule_check("dec", dec)], lo)
+    base = zone_of(dec, template_index.zone_height_deg, lo) * 361.0  # refuses a bad dec
     halfw = _ra_halfwidth_deg(dec, radius_deg)
     q_lo, q_hi = ra - halfw, ra + halfw
-    base = zone_of(dec, template_index.zone_height_deg) * 361.0
     hit_rec = None  # each interval's row, where seam intervals follow the rows'
     # A window that leaves [0, 360] crosses the seam or scans the full circle,
     # or its ra is itself outside [0, 360) or NaN: only these rows are looked

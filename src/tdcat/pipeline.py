@@ -488,12 +488,23 @@ def scaling_benchmark(
         return time.perf_counter() - t0
 
     baseline = once(1)
-    points = []
-    for w in [1, *(w for w in worker_counts if w != 1)]:
-        wall = baseline if w == 1 else once(w)
+    points = [
+        ScalingPoint(
+            workers=1, n_partitions=n_partitions, wall_s=baseline,
+            speedup=1.0, efficiency=1.0,
+        )
+    ]
+    for w in worker_counts:
+        if w == 1:
+            continue
+        wall = once(w)
         speedup = baseline / wall if wall > 0 else float("inf")
-        points.append(ScalingPoint(workers=w, n_partitions=n_partitions, wall_s=wall,
-                                   speedup=speedup, efficiency=speedup / w))
+        points.append(
+            ScalingPoint(
+                workers=w, n_partitions=n_partitions, wall_s=wall,
+                speedup=speedup, efficiency=speedup / w,
+            )
+        )
     return points
 
 

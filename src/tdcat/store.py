@@ -322,10 +322,10 @@ class NightStore:
     """Per-partition delta log plus merged base store.
 
     Exactly one writer per partition.  Every read takes the newest base run
-    plus the delta segments of the nights after it, so ``*.tmp`` leftovers,
-    older base runs and nights already folded into the base are skipped,
-    never deleted: opening a store reads nothing, and only ``nightly_merge``
-    sweeps what a crash left behind.
+    plus the delta segments of the nights after it, so ``*.tmp`` and
+    ``*.staging`` leftovers, older base runs and nights already folded into
+    the base are skipped, never deleted: opening a store reads nothing, and
+    only ``nightly_merge`` sweeps what a crash left behind.
     """
 
     def __init__(self, root, partition_id: int):
@@ -381,7 +381,7 @@ class NightStore:
 
     def recover(self) -> None:
         """Delete what a crash left behind and every read already skips."""
-        for leftover in self.root.rglob("*.tmp"):
+        for leftover in (*self.root.rglob("*.tmp"), *self.base_dir.glob("*.staging")):
             leftover.unlink()
         for old in self._base_files()[:-1]:
             old.unlink()

@@ -843,15 +843,18 @@ def plant_leftovers(part):
 def test_recover_discards_uncommitted_staging(tmp_path, sky):
     store, inserted = fill_store(tmp_path, sky, [15.0, 30.0])
     junk, merge_tmp = plant_leftovers(tmp_path / "partition_00")
+    staged = merge_tmp.with_suffix(".staging")  # an older tree's merge output
+    staged.write_bytes(b"partial merge output of an older tree")
 
     reopened = NightStore(tmp_path, partition_id=0)
     # reads skip the leftovers; only the next merge deletes them
     assert canonical(reopened.query_records()) == canonical(inserted)
-    assert junk.exists() and merge_tmp.exists()
+    assert junk.exists() and merge_tmp.exists() and staged.exists()
     report = reopened.nightly_merge()
     assert report.records_merged == len(inserted)
     assert not junk.exists()
     assert not merge_tmp.exists()
+    assert not staged.exists()
 
 
 def test_readers_never_delete(tmp_path, sky):
