@@ -8,7 +8,9 @@ relative to it (``SCRIPT``): ``generate`` (two nights), ``crossmatch``,
 ``mine online`` again, ``query --star`` with and without ``--partitions``,
 ``mine online`` over an epoch window, ``mine period --out`` on partition 0 and
 over night 1, ``generate --format csv`` and ``crossmatch`` of those CSV files,
-and ``run-night --partitions 2 --merge`` with injections.
+``run-night --partitions 2 --merge`` with injections, and a two-camera data
+directory: camera 0 in partition 0, a ``generate --camera 1`` night in
+partition 1, then ``query --star`` of partition 1 and ``mine online`` over both.
 
     python3 scripts/products_ab.py --base HEAD~1 --change HEAD \\
         --scratch /tmp/tdcat-products-ab
@@ -66,6 +68,13 @@ SCRIPT = [
      "--out-matches", "matches_csv.csv", "--out-candidates", "candidates_csv.csv"],
     ["run-night", "--data-dir", "night", "--partitions", "2", "--merge", "--frames", "14",
      "--stars", "200", "--seed", "4", "--new-sources", "2", "--brightenings", "2"],
+    ["generate", "--out", "gencam1", "--night", "0", "--camera", "1", "--frames", "12",
+     "--stars", "300", "--seed", "5", "--new-sources", "1", "--brightenings", "1"],
+    ["ingest", "--data-dir", "cams", "--partition", "0", *TEMPLATE, "--input", "gen0/frame_*"],
+    ["ingest", "--data-dir", "cams", "--partition", "1", "--template", "gencam1/template.tds",
+     "--input", "gencam1/frame_*"],
+    ["query", "--data-dir", "cams", "--star", "5", "--partitions", "1", "--out", "curve_cam1.csv"],
+    ["mine", "online", "--data-dir", "cams", "--out", "online_cams.csv"],
 ]
 
 

@@ -28,7 +28,6 @@ from .core import (
     EngineError,
     FrameBatch,
     SequenceError,
-    camera_of,
     check_records,
     csv_columns,
     write_csv,
@@ -207,7 +206,6 @@ def cmd_ingest(args) -> int:
         imageids = np.unique(records["imageid"])
         if len(imageids) != 1:
             raise EngineError(f"{path}: mixed imageids {imageids[:5]}")
-        camera = camera_of(records["id"], f"{path}: rows", "split the file by camera")
         imageid = int(imageids[0])
         epoch = imageid * config.cadence_s
         if args.night is not None and night_of(epoch) != args.night:
@@ -215,12 +213,14 @@ def cmd_ingest(args) -> int:
                 f"{path}: frame epoch {epoch} lies in night {night_of(epoch)}, "
                 f"not --night {args.night}"
             )
-        frame = FrameBatch(camera_id=camera, imageid=imageid, epoch=epoch, records=records)
+        frame = FrameBatch(imageid=imageid, epoch=epoch, records=records)
         rows = frame_to_store_records(
             frame, range_join(records, index, config.match_radius_deg)
         )
         try:
             store.delta_insert(frame, rows)
+        except DomainError as exc:  # e.g. rows of a camera other than the partition's
+            raise DomainError(f"{path}: {exc}") from None
         except SequenceError:
             # a re-run after an interrupted ingest: only an identical frame passes
             if not store.holds(frame, rows):

@@ -438,7 +438,6 @@ def sort_by_zone_ra(records: np.ndarray) -> np.ndarray:
 class FrameBatch:
     """All records extracted from one camera exposure."""
 
-    camera_id: int
     imageid: int
     epoch: float
     records: np.ndarray  # RECORD_DTYPE, sorted by (zone, ra)

@@ -38,6 +38,7 @@ NEW_SOURCE = "new_source"
 QUANTA_PER_MAG = 100_000  # a window bank point is a whole number of 1e-5 mag
 # the longest window whose (window · 1e7)², bounding n·Σq² and (Σq)², fits int64: 303
 MAX_WINDOW = math.isqrt(2**63 - 1) // (int(MAX_ABS_MAG) * QUANTA_PER_MAG)
+PERIODOGRAM_CHUNK = 512  # frequencies per (frequencies, points) block of lomb_scargle
 
 
 @dataclass(frozen=True)
@@ -113,14 +114,17 @@ class WindowBank:
     The rings are laid out ``(window, stars)``: a frame writes one window slot
     of many stars, so that slot is contiguous.  A star's slot is its position
     in ``star_ids``: when they are strictly increasing from 0 to n - 1, its id.
+    Star ids are per camera, so a bank serves one camera, ``camera_id``, and
+    stamps it on every alert.
     """
 
-    def __init__(self, star_ids: np.ndarray, config: MiningConfig):
+    def __init__(self, star_ids: np.ndarray, config: MiningConfig, camera_id: int = 0):
         star_ids = np.asarray(star_ids, dtype=np.int64)
         if len(star_ids) and np.any(np.diff(star_ids) <= 0):
             raise DomainError("star_ids must be strictly increasing")
         self.star_ids = star_ids
         self.config = config
+        self.camera_id = camera_id
         n, w = len(star_ids), config.window
         self._ids_are_slots = n > 0 and star_ids[0] == 0 and star_ids[-1] == n - 1
         self._ring = np.zeros((w, n), dtype=np.int32)
@@ -157,9 +161,7 @@ class WindowBank:
         var = (n * sumsq - total * total) / (np.maximum(n * (n - 1), 1) * QUANTA_PER_MAG**2)
         return n, mean, var
 
-    def judge(
-        self, epoch, star_ids, mags, mag_errors, record_ids=None, camera_id=0, rows=None
-    ):
+    def judge(self, epoch, star_ids, mags, mag_errors, record_ids=None, rows=None):
         """One frame's alerts against the pre-frame baselines; changes nothing.
 
         Returns ``(alerts, slots, quanta)``, the points as whole quanta;
@@ -201,7 +203,7 @@ class WindowBank:
                     mag=float(mag[j]),
                     baseline_mag=float(mean[j]),
                     deviation_sigma=float(abs(dev[j]) / c) if c > 0 else math.inf,
-                    camera_id=camera_id,
+                    camera_id=self.camera_id,
                 )
                 for j, c in zip(np.flatnonzero(hit), combined[hit])
             ]
@@ -278,16 +280,12 @@ class WindowBank:
             self._head[stars], self._count[stars] = head, count
             self._sum[stars], self._sumsq[stars] = total, sumsq
 
-    def update(
-        self, epoch, star_ids, mags, mag_errors, record_ids=None, camera_id=0, rows=None
-    ):
+    def update(self, epoch, star_ids, mags, mag_errors, record_ids=None, rows=None):
         """Judge one frame's matched points, then absorb them; returns its alerts.
 
         ``rows`` picks the points by row position, as in ``judge``.
         """
-        alerts, slots, quanta = self.judge(
-            epoch, star_ids, mags, mag_errors, record_ids, camera_id, rows
-        )
+        alerts, slots, quanta = self.judge(epoch, star_ids, mags, mag_errors, record_ids, rows)
         self.absorb(slots, quanta)
         return alerts
 
@@ -297,7 +295,7 @@ class WindowBank:
         rec, rows = frame.records, matches.matched_rows
         alerts, slots, quanta = self.judge(
             frame.epoch, matches.star_ids[rows], rec["calmag"], rec["mag_error"],
-            record_ids=rec["id"], camera_id=frame.camera_id, rows=rows,
+            record_ids=rec["id"], rows=rows,
         )
         return alerts, self.absorb(slots, quanta)
 
@@ -317,7 +315,8 @@ class CandidateTracker:
     index over the open tracks, so a frame costs time linear in its size.  A
     detection links to its nearest in-radius track, ties going to the older
     track; when several detections share a nearest track, the first in row
-    order extends it and the rest open new tracks.
+    order extends it and the rest open new tracks.  Like a ``WindowBank``, a
+    tracker serves one camera, ``camera_id``, and stamps it on every alert.
     """
 
     _TRACK_DTYPE = np.dtype(
@@ -328,9 +327,10 @@ class CandidateTracker:
         ]
     )
 
-    def __init__(self, config: EngineConfig, mining: MiningConfig):
+    def __init__(self, config: EngineConfig, mining: MiningConfig, camera_id: int = 0):
         self.config = config
         self.mining = mining
+        self.camera_id = camera_id
         self._tracks = np.zeros(0, dtype=self._TRACK_DTYPE)
         self._last_epoch = -np.inf
         self._previous = (self._tracks, self._last_epoch)  # for ``restore``
@@ -339,7 +339,7 @@ class CandidateTracker:
     def open_tracks(self) -> int:
         return len(self._tracks)
 
-    def update(self, epoch, unmatched_records, camera_id=0):
+    def update(self, epoch, unmatched_records):
         """Feed one frame's unmatched detections; returns new-source alerts.
 
         The previous track array is left as it was, for ``restore``.  A bad
@@ -389,7 +389,7 @@ class CandidateTracker:
                 ra=float(tracks["ra"][t]),
                 dec=float(tracks["dec"][t]),
                 n_frames=int(tracks["count"][t]),
-                camera_id=camera_id,
+                camera_id=self.camera_id,
             )
             for t in fired
         ]
@@ -420,12 +420,7 @@ def default_freq_grid(epochs: np.ndarray, oversample: int = 5) -> np.ndarray:
     return np.arange(f_min, f_max, df)
 
 
-def lomb_scargle(
-    epochs: np.ndarray,
-    mags: np.ndarray,
-    freqs: np.ndarray,
-    chunk: int = 512,
-) -> np.ndarray:
+def lomb_scargle(epochs: np.ndarray, mags: np.ndarray, freqs: np.ndarray) -> np.ndarray:
     """Normalized periodogram P(f) of a mean-subtracted series.
 
     Uses the phase-shift formulation that makes the two quadratures
@@ -444,8 +439,8 @@ def lomb_scargle(
     if var <= 0:
         raise DomainError("magnitude series has zero variance")
     power = np.empty(len(freqs))
-    for start in range(0, len(freqs), chunk):
-        w = 2.0 * np.pi * freqs[start : start + chunk, None]  # (c, 1)
+    for start in range(0, len(freqs), PERIODOGRAM_CHUNK):
+        w = 2.0 * np.pi * freqs[start : start + PERIODOGRAM_CHUNK, None]  # (c, 1)
         wt = w * t[None, :]  # (c, n)
         s2 = np.sin(2.0 * wt).sum(axis=1)
         c2 = np.cos(2.0 * wt).sum(axis=1)
@@ -457,7 +452,7 @@ def lomb_scargle(
         ys = sing @ y
         cc = np.sum(cosg * cosg, axis=1)
         ss = np.sum(sing * sing, axis=1)
-        power[start : start + chunk] = 0.5 / var * (yc * yc / cc + ys * ys / ss)
+        power[start : start + PERIODOGRAM_CHUNK] = 0.5 / var * (yc * yc / cc + ys * ys / ss)
     return power
 
 
@@ -482,18 +477,12 @@ class PeriodResult:
     scan: tuple = field(repr=False, compare=False)  # (freqs, power) of the scan
 
 
-def period_search(
-    epochs,
-    mags,
-    config: MiningConfig | None = None,
-    freqs: np.ndarray | None = None,
-    refine: bool = True,
-) -> PeriodResult:
+def period_search(epochs, mags, config: MiningConfig | None = None) -> PeriodResult:
     """Best-period scan of one light curve.
 
-    Scans ``freqs`` (or a default grid), then optionally refines the winning
-    peak on a 20x finer local grid so the reported period is not quantized to
-    the scan spacing.  The result's ``scan`` is the scanned grid and its powers.
+    Scans ``default_freq_grid``, then refines the winning peak on a 20x finer
+    local grid so the reported period is not quantized to the scan spacing.
+    The result's ``scan`` is the scanned grid and its powers.
     """
     if config is None:
         config = MiningConfig()
@@ -503,14 +492,12 @@ def period_search(
         raise InsufficientDataError(
             f"period search needs >= {config.min_points} points, got {len(t)}"
         )
-    if freqs is None:
-        freqs = default_freq_grid(t, config.oversample)
-    freqs = np.asarray(freqs, dtype=np.float64)
+    freqs = default_freq_grid(t, config.oversample)
     power = lomb_scargle(t, y, freqs)
     best = int(np.argmax(power))
     best_freq = float(freqs[best])
     best_power = float(power[best])
-    if refine and len(freqs) > 1:
+    if len(freqs) > 1:
         df = float(freqs[1] - freqs[0])
         lo = max(best_freq - 2 * df, freqs[0] * 0.5)
         fine = np.linspace(lo, best_freq + 2 * df, 81)

@@ -106,9 +106,10 @@ class PartitionWorker:
         self.store = NightStore(data_dir, partition_id) if data_dir is not None else None
         if self.store is not None:  # the writer's partition exists before its first frame
             self.store.root.mkdir(parents=True, exist_ok=True)
-        self.bank = WindowBank(template.stars["id"], mining)
+        # a partition holds one camera's rows: its id is the camera's
+        self.bank = WindowBank(template.stars["id"], mining, partition_id)
         template.index  # built here, so that the set-up pays for it
-        self.tracker = CandidateTracker(config, mining)
+        self.tracker = CandidateTracker(config, mining, partition_id)
         self._writer = None  # the segment-write thread, started by the first frame
 
     def process_frame(self, frame) -> FrameOutcome:
@@ -142,7 +143,7 @@ class PartitionWorker:
                 alerts, undo = self.bank.update_from_match(frame, matches)
                 t3 = time.perf_counter()
                 unmatched = take_rows(frame.records, matches.unmatched_rows)
-                alerts.extend(self.tracker.update(frame.epoch, unmatched, frame.camera_id))
+                alerts.extend(self.tracker.update(frame.epoch, unmatched))
                 tracked = True
                 t4 = time.perf_counter()
             finally:  # the insert has ended, one way or the other, before any return
@@ -416,8 +417,8 @@ def replay_online(
         )
     camera_id = camera_of(ids, "rows", "replay one camera's rows at a time")
     star_ids = np.unique(records["star_id"][records["star_id"] >= 0])
-    bank = WindowBank(star_ids, mining)
-    tracker = CandidateTracker(config, mining)
+    bank = WindowBank(star_ids, mining, camera_id)
+    tracker = CandidateTracker(config, mining, camera_id)
     alerts = []
     bounds = np.concatenate(([0], np.flatnonzero(later) + 1, [len(records)]))
     for epoch, lo, hi in zip(epochs[bounds[:-1]], bounds[:-1], bounds[1:]):
@@ -426,14 +427,10 @@ def replay_online(
         alerts.extend(
             bank.update(
                 epoch, chunk["star_id"][m], chunk["calmag"], chunk["mag_error"],
-                record_ids=chunk["id"], camera_id=camera_id, rows=m,
+                record_ids=chunk["id"], rows=m,
             )
         )
-        alerts.extend(
-            tracker.update(
-                epoch, take_rows(chunk, chunk["candidate"] == 1), camera_id=camera_id
-            )
-        )
+        alerts.extend(tracker.update(epoch, take_rows(chunk, chunk["candidate"] == 1)))
     return alerts
 
 

@@ -322,7 +322,7 @@ def observe_frame(
         | (np.uint64(idx) << np.uint64(28))
         | np.arange(n, dtype=np.uint64)
     )
-    return FrameBatch(camera_id=camera_id, imageid=idx, epoch=epoch, records=records)
+    return FrameBatch(imageid=idx, epoch=epoch, records=records)
 
 
 def random_injections(

@@ -401,9 +401,11 @@ class NightStore:
 
         ``rows`` is ``frame_to_store_records(frame, matches)``.  Epochs start
         at 0: the store's nights are ``night_of(epoch) >= 0``.  No record id
-        may repeat within the frame, since reads order a frame's rows by id.
-        Rows built for this frame are written from their page buffer, with no
-        copy, so this may run on a helper thread; a returned insert is durable.
+        may repeat within the frame, since reads order a frame's rows by id, and
+        each id's top byte, its camera, must be the partition id (star ids are
+        per camera, so a partition holds one camera's rows).  Rows built for
+        this frame are written from their page buffer, with no copy, so this
+        may run on a helper thread; a returned insert is durable.
         """
         if frame.epoch < 0:
             raise DomainError(f"frame epoch {frame.epoch} is negative")
@@ -417,6 +419,12 @@ class NightStore:
                 raise DomainError(
                     f"record id {repeats[0]} repeats in frame {frame.imageid}"
                 )
+        cameras = sorted({int(ids[0]) >> 56, int(ids[-1]) >> 56} if len(ids) else ())
+        if cameras and cameras != [self.partition_id]:  # ids ascend: the ends bound them
+            raise DomainError(
+                f"frame {frame.imageid} has rows from cameras {cameras}; partition "
+                f"{self.partition_id} holds camera {self.partition_id}'s rows only"
+            )
         if self._busy:
             raise StorageError("delta_insert overlaps another store operation")
         self._busy = True

@@ -518,10 +518,13 @@ class DenseTracker:
     break identically.  Quadratic in memory: small inputs only.
     """
 
-    def __init__(self, match_radius_deg: float, cadence_s: float, config: MiningConfig):
+    def __init__(
+        self, match_radius_deg: float, cadence_s: float, config: MiningConfig, camera_id=0
+    ):
         self.radius_deg = match_radius_deg
         self.cadence_s = cadence_s
         self.config = config
+        self.camera_id = camera_id
         self._xyz = np.zeros((0, 3))
         self._ra = np.zeros(0)
         self._dec = np.zeros(0)
@@ -535,7 +538,7 @@ class DenseTracker:
     def open_tracks(self) -> int:
         return len(self._count)
 
-    def update(self, epoch, unmatched_records, camera_id=0):
+    def update(self, epoch, unmatched_records):
         epoch = float(epoch)
         rec = unmatched_records
         m = len(rec)
@@ -579,7 +582,7 @@ class DenseTracker:
                             ra=float(rec["ra"][i]),
                             dec=float(rec["dec"][i]),
                             n_frames=int(self._count[t]),
-                            camera_id=camera_id,
+                            camera_id=self.camera_id,
                         )
                     )
             else:
@@ -609,7 +612,7 @@ class DenseTracker:
                             record_id=int(rec["id"][i]),
                             mag=float(rec["calmag"][i]),
                             ra=float(rec["ra"][i]), dec=float(rec["dec"][i]),
-                            n_frames=1, camera_id=camera_id,
+                            n_frames=1, camera_id=self.camera_id,
                         )
                     )
         self._last_epoch = epoch
@@ -729,8 +732,9 @@ def check_frame_batch(frame, config) -> None:
     key = r["zone"].astype(np.float64) * 361.0 + r["ra"]
     if len(r) > 1 and np.any(np.diff(key) < 0):
         raise DomainError("records not sorted by (zone, ra)")
-    if not (0 <= frame.camera_id < config.cameras):
-        raise DomainError(f"camera_id={frame.camera_id} outside [0, {config.cameras})")
+    camera = int(r["id"].max()) >> 56 if len(r) else 0  # the ids' top byte
+    if not camera < config.cameras:
+        raise DomainError(f"camera {camera} outside [0, {config.cameras})")
 
 
 def check_time_order(curve) -> None:

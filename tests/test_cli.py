@@ -588,10 +588,58 @@ def test_ingest_refuses_a_frame_whose_ids_name_two_cameras(tmp_path, capsys):
         rc = run_cli("ingest", "--data-dir", str(data), "--partition", "0", *template,
                      "--input", str(frame))
         assert rc == 1
-        assert f"{frame}: rows from cameras [0, 1]; star ids are per camera" in (
-            capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: {frame}: frame 0 has rows from cameras [0, 1]; "
+            "partition 0 holds camera 0's rows only\n"
         )
         assert not list(data.rglob("seg_*.tdl"))
+
+
+def generate_camera(out, camera, seed):
+    """A night of ``camera``'s frames from a template of seed ``seed``."""
+    assert run_cli("generate", "--out", str(out), "--frames", "3", "--stars", "60",
+                   "--seed", str(seed), "--camera", str(camera)) == 0
+    return sorted(map(str, out.glob("frame_*.tds")))
+
+
+def test_ingest_refuses_frames_of_a_camera_other_than_the_partitions(tmp_path, capsys):
+    # two templates' camera-1 frames: star 5 of one is not star 5 of the other
+    data = tmp_path / "d"
+    first = generate_camera(tmp_path / "a", 1, seed=2)
+    second = generate_camera(tmp_path / "b", 1, seed=5)
+    capsys.readouterr()
+    rc = run_cli("ingest", "--data-dir", str(data), "--partition", "0",
+                 "--template", str(tmp_path / "b" / "template.tds"), "--input", *second)
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: {second[0]}: frame 0 has rows from cameras [1]; "
+        "partition 0 holds camera 0's rows only\n"
+    )
+    assert not data.exists() or not any(data.rglob("*"))
+    assert run_cli("ingest", "--data-dir", str(data), "--partition", "1",
+                   "--template", str(tmp_path / "a" / "template.tds"), "--input", *first) == 0
+    assert [s.partition_id for s in open_partitions(data)] == [1]
+
+
+def test_query_reads_one_cameras_star_from_its_partition(tmp_path, capsys):
+    data, out = tmp_path / "d", tmp_path / "curve.csv"
+    for camera, seed in ((0, 2), (1, 5)):
+        frames = generate_camera(tmp_path / f"cam{camera}", camera, seed)
+        template = str(tmp_path / f"cam{camera}" / "template.tds")
+        for partition in (1 - camera, camera):  # the other camera's partition refuses them
+            assert run_cli("ingest", "--data-dir", str(data), "--partition", str(partition),
+                           "--template", template, "--input", *frames) == (partition != camera)
+    assert run_cli("query", "--data-dir", str(data), "--star", "5") == 1  # two cameras' star 5
+    assert run_cli("query", "--data-dir", str(data), "--star", "5", "--partitions", "1",
+                   "--out", str(out)) == 0
+    with open(out) as fh:
+        got = [float(p["calmag"]) for p in csv.DictReader(fh)]
+    star5 = []
+    for camera in (0, 1):
+        template = read_records_bin(tmp_path / f"cam{camera}" / "template.tds")
+        star5.append(float(template["calmag"][template["id"] == 5][0]))
+    assert abs(star5[0] - star5[1]) > 0.5  # the two cameras' star 5 tell apart
+    assert len(got) == 3 and np.allclose(got, star5[1], atol=0.1)
 
 
 @pytest.mark.parametrize("calmag", [np.nan, 100.0])

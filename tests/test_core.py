@@ -451,22 +451,18 @@ def test_frame_batch_check():
             mag=np.full(5, 12.0), mag_error=np.full(5, 0.02), config=cfg,
         )
     )
-    check_frame_batch(FrameBatch(camera_id=0, imageid=2, epoch=30.0, records=rec), cfg)
-    with pytest.raises(DomainError):
-        check_frame_batch(
-            FrameBatch(camera_id=99, imageid=2, epoch=30.0, records=rec), cfg
-        )
+    check_frame_batch(FrameBatch(imageid=2, epoch=30.0, records=rec), cfg)
+    far = rec.copy()
+    far["id"] |= np.uint64(99) << np.uint64(56)  # the id's top byte is its camera
+    with pytest.raises(DomainError, match="camera 99"):
+        check_frame_batch(FrameBatch(imageid=2, epoch=30.0, records=far), cfg)
     bad = rec.copy()
     bad["imageid"][0] = 3
     with pytest.raises(DomainError):
-        check_frame_batch(
-            FrameBatch(camera_id=0, imageid=2, epoch=30.0, records=bad), cfg
-        )
+        check_frame_batch(FrameBatch(imageid=2, epoch=30.0, records=bad), cfg)
     shuffled = rec[::-1].copy()
     with pytest.raises(DomainError):
-        check_frame_batch(
-            FrameBatch(camera_id=0, imageid=2, epoch=30.0, records=shuffled), cfg
-        )
+        check_frame_batch(FrameBatch(imageid=2, epoch=30.0, records=shuffled), cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -781,7 +781,7 @@ def assert_same_result(got, want):
 
 def join_and_store_rows(frame, tpl, radius):
     result = range_join(frame, build_zone_index(tpl, 0.01, radius), radius)
-    return result, frame_to_store_records(FrameBatch(3, 8, 120.0, frame), result)
+    return result, frame_to_store_records(FrameBatch(8, 120.0, frame), result)
 
 
 @pytest.mark.parametrize("centre", sorted(CROWDED_CENTRES))

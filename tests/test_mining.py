@@ -18,7 +18,7 @@ from tdcat.core import (
     InsufficientDataError,
     records_from_radec,
 )
-from tdcat import core
+from tdcat import core, mining
 from tdcat.crossmatch import UNMATCHED_STAR_ID, MatchResult
 from tdcat.mining import (
     BRIGHTENING,
@@ -407,7 +407,7 @@ def test_judge_in_row_blocks_equals_one_block(monkeypatch, block_rows):
     gives the alerts, slots and point magnitudes of one block."""
     cfg = MiningConfig(window=6, min_window=2, k_sigma=3.0)
     stars = np.arange(40, dtype=np.int64) * 3 + 1
-    bank = WindowBank(stars, cfg)
+    bank = WindowBank(stars, cfg, camera_id=2)
     rng = np.random.default_rng(block_rows)
     alerted = 0
     for f in range(30):
@@ -416,7 +416,7 @@ def test_judge_in_row_blocks_equals_one_block(monkeypatch, block_rows):
         mags = 12.0 + rng.standard_normal(width) * np.where(rng.random(width) < 0.05, 2.0, 0.01)
         errs = np.full(width, 0.02)
         rows = rng.permutation(width)[: len(ids)]
-        args = (15.0 * f, ids, mags, errs, np.arange(width, dtype=np.uint64) + 1000, 2, rows)
+        args = (15.0 * f, ids, mags, errs, np.arange(width, dtype=np.uint64) + 1000, rows)
         monkeypatch.setattr(core, "_BLOCK_ROWS", 1 << 30)
         want = bank.judge(*args)
         monkeypatch.setattr(core, "_BLOCK_ROWS", block_rows)
@@ -446,7 +446,7 @@ def test_update_from_match_reads_the_frame_in_place_and_returns_its_undo():
     pre-frame bank back bit for bit; an unknown star id changes nothing."""
     cfg = MiningConfig(window=6, min_window=2, k_sigma=3.0)
     stars = np.arange(40, dtype=np.int64) * 3 + 1
-    live, gathered, picked = (WindowBank(stars, cfg) for _ in range(3))
+    live, gathered, picked = (WindowBank(stars, cfg, camera_id=2) for _ in range(3))
     rng = np.random.default_rng(11)
     alerted, width = 0, 70
     for f in range(30):
@@ -455,7 +455,7 @@ def test_update_from_match_reads_the_frame_in_place_and_returns_its_undo():
             np.arange(width) + 1000 * f, f, rng.uniform(10.0, 11.0, width),
             rng.uniform(-1.0, 1.0, width), mags, np.full(width, 0.02), CFG,
         )
-        frame = core.FrameBatch(camera_id=2, imageid=f, epoch=15.0 * f, records=records)
+        frame = core.FrameBatch(imageid=f, epoch=15.0 * f, records=records)
         rows = rng.permutation(width)[:60]
         star_ids = rng.choice(stars, 60)  # most stars twice or more
         if f == 20:
@@ -471,7 +471,7 @@ def test_update_from_match_reads_the_frame_in_place_and_returns_its_undo():
             with pytest.raises(DomainError, match=r"\[2\]"):
                 live.update_from_match(frame, matches)
             with pytest.raises(DomainError, match=r"\[2\]"):
-                gathered.update(*gather, record_ids=rec["id"][rows], camera_id=2)
+                gathered.update(*gather, record_ids=rec["id"][rows])
             assert bank_state(live) == bank_state(gathered) == before
             continue
         alerts, undo = live.update_from_match(frame, matches)
@@ -482,10 +482,10 @@ def test_update_from_match_reads_the_frame_in_place_and_returns_its_undo():
             vars(a) for a in alerts
         ]
         assert bank_state(live) == after, f
-        want = gathered.update(*gather, record_ids=rec["id"][rows], camera_id=2)
+        want = gathered.update(*gather, record_ids=rec["id"][rows])
         got = picked.update(
             15.0 * f, star_ids, rec["calmag"], rec["mag_error"], record_ids=rec["id"],
-            camera_id=2, rows=rows,
+            rows=rows,
         )
         assert [vars(a) for a in alerts] == [vars(a) for a in want] == [vars(a) for a in got]
         assert after == bank_state(gathered) == bank_state(picked), f
@@ -625,13 +625,10 @@ def test_bank_rejects_unknown_and_unsorted_stars():
 
 def test_alert_metadata_passthrough():
     cfg = MiningConfig(window=40, min_window=2, k_sigma=3.0)
-    bank = WindowBank(np.array([9], np.int64), cfg)
+    bank = WindowBank(np.array([9], np.int64), cfg, camera_id=4)
     bank.update(0.0, [9], [12.0], [0.01])
     bank.update(15.0, [9], [12.001], [0.01])
-    alerts = bank.update(
-        30.0, [9], [13.0], [0.01], record_ids=np.array([12345], np.uint64),
-        camera_id=4,
-    )
+    alerts = bank.update(30.0, [9], [13.0], [0.01], record_ids=np.array([12345], np.uint64))
     assert len(alerts) == 1
     a = alerts[0]
     assert a.record_id == 12345
@@ -777,11 +774,11 @@ def test_tracker_matches_dense_reference(radius, zone_height, persistence):
     for seed in range(3):
         for patch, (ra0, dec0) in enumerate(patches):
             rng = np.random.default_rng([seed, persistence, patch])
-            tr = CandidateTracker(config, cfg)
-            ref = DenseTracker(radius, config.cadence_s, cfg)
+            tr = CandidateTracker(config, cfg, camera_id=3)
+            ref = DenseTracker(radius, config.cadence_s, cfg, camera_id=3)
             for epoch, rec in tracker_frames(rng, ra0, dec0, radius):
-                got = tr.update(epoch, rec, camera_id=3)
-                want = ref.update(epoch, rec, camera_id=3)
+                got = tr.update(epoch, rec)
+                want = ref.update(epoch, rec)
                 assert [repr(a) for a in got] == [repr(a) for a in want]
                 assert tr.open_tracks == ref.open_tracks
 
@@ -811,12 +808,13 @@ def test_tracker_memory_is_bounded_at_5000_tracks():
 # periodogram
 
 
-def test_lomb_scargle_matches_scipy():
+def test_lomb_scargle_matches_scipy(monkeypatch):
     rng = np.random.default_rng(5)
     t = np.sort(rng.uniform(0, 28800, 300))
     y = 12.0 + 0.3 * np.sin(2 * np.pi * t / 700.0) + rng.standard_normal(300) * 0.05
     freqs = rng.uniform(1e-4, 0.03, 64)
-    mine = lomb_scargle(t, y, freqs, chunk=7)  # awkward chunk on purpose
+    monkeypatch.setattr(mining, "PERIODOGRAM_CHUNK", 7)  # awkward chunk on purpose
+    mine = lomb_scargle(t, y, freqs)
     yc = y - y.mean()
     var = float(np.sum(yc * yc) / (len(yc) - 1))
     ref = scipy.signal.lombscargle(t, yc, 2 * np.pi * freqs) / var
@@ -882,10 +880,12 @@ def test_period_search_recovers_sine_within_one_percent():
 def test_period_search_refinement_beats_grid_quantization():
     t = np.arange(480) * 15.0
     y = np.sin(2 * np.pi * t / 293.7)
-    coarse = period_search(t, y, refine=False)
-    fine = period_search(t, y, refine=True)
-    assert abs(fine.period_s - 293.7) <= abs(coarse.period_s - 293.7) + 1e-9
-    assert fine.power >= coarse.power
+    fine = period_search(t, y)
+    freqs, power = fine.scan
+    coarse = freqs[np.argmax(power)]  # the scan's own peak, before refinement
+    assert abs(fine.period_s - 293.7) <= abs(1.0 / coarse - 293.7) + 1e-9
+    assert fine.power >= power.max()
+    assert fine.frequency_hz != coarse  # 293.7 s falls between grid points
 
 
 def test_period_search_noise_only_is_insignificant():
@@ -900,15 +900,6 @@ def test_period_search_needs_enough_points():
     t = np.arange(5) * 15.0
     with pytest.raises(InsufficientDataError):
         period_search(t, np.sin(t))
-
-
-def test_period_search_honors_explicit_grid():
-    t = np.arange(480) * 15.0
-    y = np.sin(2 * np.pi * t / 300.0)
-    freqs = np.array([1 / 400.0, 1 / 300.0, 1 / 200.0])
-    res = period_search(t, y, freqs=freqs, refine=False)
-    assert res.frequency_hz == pytest.approx(1 / 300.0)
-    assert res.n_freqs == 3
 
 
 # ---------------------------------------------------------------------------

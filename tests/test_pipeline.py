@@ -332,10 +332,11 @@ def test_stage_timings_cover_the_frame(tmp_path):
         assert t.total_s <= wall
 
 
-def test_alerts_carry_camera_id():
+def test_alerts_carry_camera_id(tmp_path):
+    """Partition 3's detectors, live and replayed from its store, stamp camera 3."""
     model = SkyModel(seed=5, star_count=250, footprint=(30.0, 32.0, -1.0, 1.0))
     template = build_template(model, CFG)
-    worker = PartitionWorker(3, template, CFG, MINING)
+    worker = PartitionWorker(3, template, CFG, MINING, data_dir=tmp_path)
     inj = TransientInjection(
         kind="brightening", epoch_on=11 * 15.0, epoch_off=14 * 15.0,
         target_star=7, delta_mag=-1.0, camera_id=3,
@@ -347,6 +348,31 @@ def test_alerts_carry_camera_id():
     assert alerts, "an injected jump this large must alert"
     assert {a.camera_id for a in alerts} == {3}
     assert any(a.star_id == 7 for a in alerts)
+    [store] = open_partitions(tmp_path)
+    assert store.partition_id == 3
+    assert replay_online(store.query_records(), CFG, MINING) == alerts
+
+
+def test_a_worker_refuses_another_cameras_frame_and_changes_nothing(tmp_path):
+    """A partition holds one camera's rows: partition 0's store refuses a
+    camera-1 frame, and the bank and the tracker are restored bit for bit."""
+    worker = make_worker(data_dir=tmp_path)
+    for k in range(3):
+        worker.process_frame(observe_frame(worker.template, 15.0 * k, [], WORKER_MODEL, CFG))
+    bank, tracker = worker.bank, worker.tracker
+
+    def state():
+        arrays = (bank._ring, bank._head, bank._count, bank._sum, bank._sumsq, tracker._tracks)
+        return [a.tobytes() for a in arrays], tracker._last_epoch, product_files(tmp_path)
+
+    before = state()
+    stray = observe_frame(worker.template, 45.0, [], WORKER_MODEL, CFG, camera_id=1)
+    with pytest.raises(
+        DomainError, match=r"^frame 3 has rows from cameras \[1\]; partition 0 holds camera 0's"
+    ):
+        worker.process_frame(stray)
+    assert state() == before
+    worker.process_frame(observe_frame(worker.template, 45.0, [], WORKER_MODEL, CFG))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,9 @@ def test_one_tree_run_twice_gives_the_same_products_and_a_flipped_byte_is_named(
                  "curve_all.csv", "online_window.csv", "periodogram_night1.csv",
                  "matches_csv.csv", "gencsv/frame_00000002.csv",
                  "bare/partition_00/delta/night_00000/seg_00000011.tdl",
-                 "data/partition_00/base/base_through_00001.tdb"):
+                 "data/partition_00/base/base_through_00001.tdb",
+                 "curve_cam1.csv", "online_cams.csv",
+                 "cams/partition_01/delta/night_00000/seg_00000011.tdl"):
         assert name in first, name
 
     run = tmp_path / "second"

@@ -325,7 +325,7 @@ def test_frame_to_store_records_rejects_other_row_layouts(sky):
 
 def test_delta_insert_ack_and_layout(tmp_path, sky):
     store = NightStore(tmp_path, partition_id=3)
-    frame, matches = frame_at(sky, 15.0)
+    frame, matches = frame_at(sky, 15.0, camera_id=3)  # a partition holds its camera's rows
     path = store.delta_insert(frame, frame_to_store_records(frame, matches))
     expected = (
         tmp_path / "partition_03" / "delta" / "night_00000"
@@ -582,7 +582,7 @@ def fill_store(root, sky, epochs, partition_id=0):
     store = NightStore(root, partition_id)
     rows = []
     for e in epochs:
-        frame, matches = frame_at(sky, e)
+        frame, matches = frame_at(sky, e, camera_id=partition_id)
         rows.append(frame_to_store_records(frame, matches))
         store.delta_insert(frame, rows[-1])
     return store, np.concatenate(rows)
